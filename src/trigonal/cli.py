@@ -21,9 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
 import numpy as np
@@ -92,37 +90,26 @@ def _json_bytes(obj) -> bytes:
 
 
 class Context:
-    """Lazy, lock-guarded table access so checks can run on worker threads."""
+    """The run's seed and options, and the bijection built once per run."""
 
     def __init__(self, seed: int, optional: bool):
         self.seed = seed
         self.optional = optional
-        self._lock = threading.RLock()
         self._corr = None
         self._cross = None
 
     def rng(self, tag: str) -> Random:
         return Random(f"{self.seed}:{tag}")
 
-    def sp_table(self) -> sp.ProjectiveTable:
-        with self._lock:
-            return sp.get_table()
-
-    def mo_table(self) -> mo.ClassTable:
-        with self._lock:
-            return mo.get_table()
-
     def corr(self) -> co.Correspondence:
-        with self._lock:
-            if self._corr is None:
-                self._corr = co.build_bijection()
-            return self._corr
+        if self._corr is None:
+            self._corr = co.build_bijection()
+        return self._corr
 
     def cross(self) -> dict:
-        with self._lock:
-            if self._cross is None:
-                self._cross = co.cross_validate_classification(self.corr())
-            return self._cross
+        if self._cross is None:
+            self._cross = co.cross_validate_classification(self.corr())
+        return self._cross
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +118,7 @@ class Context:
 
 
 def check_r_count(ctx: Context):
-    t = ctx.mo_table()
+    t = mo.get_table()
     observed = int(t.codes.shape[0])
     ok = observed == 29524 and t.raw_count == 177144
     return ok, observed, 29524, {"raw_tuples": int(t.raw_count),
@@ -139,7 +126,7 @@ def check_r_count(ctx: Context):
 
 
 def check_proj_count(ctx: Context):
-    observed = int(ctx.sp_table().reps.shape[0])
+    observed = int(sp.get_table().reps.shape[0])
     return observed == 29524, observed, 29524, None
 
 
@@ -209,7 +196,7 @@ def check_mod_theta(ctx: Context):
 
 
 def check_hurwitz_action(ctx: Context):
-    t = ctx.mo_table()
+    t = mo.get_table()
     ident = np.arange(mo.N_CLASSES)
     perms = t.all_hurwitz_perms()
     order_div_3 = all((p[p[p]] == ident).all() for p in perms)
@@ -236,7 +223,7 @@ def check_hurwitz_action(ctx: Context):
 
 
 def check_symplectic_transitivity(ctx: Context):
-    t = ctx.sp_table()
+    t = sp.get_table()
     points = t.orbit_of_points([0]).size
     vectors = t.orbit_of_nonzero_vectors(1).size  # key 1 = (1, 0, ..., 0)
     observed = {"point_orbit": int(points), "nonzero_vector_orbit": int(vectors)}
@@ -246,7 +233,7 @@ def check_symplectic_transitivity(ctx: Context):
 
 def check_equivariant_bijection(ctx: Context):
     corr = ctx.corr()
-    spt, mot = ctx.sp_table(), ctx.mo_table()
+    spt, mot = sp.get_table(), mo.get_table()
     n = co.N
     edges = sum(
         int((corr.forward[spt.transvection_perm(i)]
@@ -265,7 +252,7 @@ def check_equivariant_bijection(ctx: Context):
 
 def check_orbit_trichotomy(ctx: Context):
     corr = ctx.corr()
-    sizes = sp.stabilizer_orbit_sizes(corr.base_point, ctx.sp_table())
+    sizes = sp.stabilizer_orbit_sizes(corr.base_point, sp.get_table())
     cross = ctx.cross()
     observed = {"stabilizer_orbit_sizes": sizes,
                 "agreements": cross["agreements"],
@@ -299,8 +286,7 @@ def check_minus6(ctx: Context):
     for _ in range(samples):
         word = [(rng.randint(1, 10), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, 8))]
-        eps = la.apply(la.word_matrix(word), eps0)
-        if la.decompose_minus6(eps) is not None:
+        if la.decompose_minus6(la.apply_word(word, eps0)) is not None:
             decomposed += 1
     w = la.minus6_witness(eps0)
     observed = {
@@ -326,7 +312,7 @@ def check_minus6(ctx: Context):
 def check_sp10_order(ctx: Context):
     if not ctx.optional:
         return None, None, str(SP10_ORDER), {"reason": "enable with --optional"}
-    gens = [ctx.sp_table().vector_perm(i) for i in range(1, 11)]
+    gens = [sp.get_table().vector_perm(i) for i in range(1, 11)]
     order, certified = bsgs_order(gens, SP10_ORDER, ctx.rng("bsgs"))
     ok = certified and order == SP10_ORDER
     return ok, str(order), str(SP10_ORDER), {"certified": bool(certified)}
@@ -359,13 +345,12 @@ CHECKS = (
 )
 
 
-def run_checks(scope: str, seed: int, optional: bool, jobs: int) -> list[dict]:
+def run_checks(scope: str, seed: int, optional: bool) -> list[dict]:
     ctx = Context(seed, optional)
-    selected = [c for c in CHECKS
-                if scope == "all" or c[2] is None or c[2] == scope]
-
-    def run_one(entry):
-        name, criterion, _, fn = entry
+    rows = []
+    for name, criterion, check_scope, fn in CHECKS:
+        if scope != "all" and check_scope not in (None, scope):
+            continue
         start = time.perf_counter()
         try:
             ok, observed, expected, details = fn(ctx)
@@ -379,13 +364,7 @@ def run_checks(scope: str, seed: int, optional: bool, jobs: int) -> list[dict]:
                "observed": observed, "expected": expected, "runtime_ms": ms}
         if details is not None:
             row["details"] = details
-        return row
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, selected))
-    else:
-        rows = [run_one(c) for c in selected]
+        rows.append(row)
     return rows
 
 
@@ -393,17 +372,24 @@ def run_checks(scope: str, seed: int, optional: bool, jobs: int) -> list[dict]:
 # subcommands
 
 
-def _emit(data: bytes, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
-    else:
+def _emit(data: bytes, out_path: str | None) -> int:
+    """Write data to out_path, or to stdout; 2 if out_path cannot be written."""
+    if not out_path:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
+        return 0
+    try:
+        with open(out_path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_verify(args) -> int:
-    checks = run_checks(args.scope, args.seed, args.optional, args.jobs)
+    checks = run_checks(args.scope, args.seed, args.optional)
     failed = sum(1 for c in checks if c["status"] == "fail")
     report = {
         "tool": "trigonal",
@@ -416,7 +402,8 @@ def cmd_verify(args) -> int:
         "notes": REPORT_NOTES,
         "failed": failed,
     }
-    _emit(_json_bytes(report), args.out)
+    if _emit(_json_bytes(report), args.out):
+        return 2
     for c in checks:
         print(f"{c['status'].upper():7s} {c['name']} "
               f"({c['runtime_ms']} ms)", file=sys.stderr)
@@ -482,8 +469,7 @@ def cmd_export(args) -> int:
             data = _json_bytes(trees)
     else:                              # argparse choices make this unreachable
         return 2
-    _emit(data, args.out)
-    return 0
+    return _emit(data, args.out)
 
 
 def cmd_classify(args) -> int:
@@ -526,7 +512,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--optional", action="store_true",
                           help="enable the Sp10(F3) group-order check")
     p_verify.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="run checks on N worker threads")
+                          help="accepted for compatibility (N >= 1); the "
+                               "checks always run serially")
     p_verify.add_argument("--seed", type=int, default=0, metavar="N",
                           help="seed for the randomized checks")
     p_verify.set_defaults(fn=cmd_verify)
@@ -548,6 +535,8 @@ def main(argv=None) -> int:
     p_classify.set_defaults(fn=cmd_classify)
 
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.jobs < 1:
+        p_verify.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     return args.fn(args)
 
 

@@ -24,13 +24,13 @@ which makes the label pairing between the two trichotomies explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import monodromy as mo
 from . import sympf3 as sp
-from .schreier import (OrbitResult, inverse_permutation, orbit_bfs,
+from .schreier import (inverse_permutation, orbit_bfs,
                        schreier_generator_words, word_permutation)
 
 N = sp.N_POINTS
@@ -50,7 +50,6 @@ class Correspondence:
     candidates_passing: int
     edges_verified: int
     words_used: int
-    point_tree: OrbitResult = field(repr=False)
 
     def to_json(self) -> dict:
         t = sp.get_table()
@@ -112,7 +111,7 @@ def _transport(ell0: int, rho0: int, s_gens, h_stack: np.ndarray):
         pts = tree.order[np.searchsorted(depths, d):
                          np.searchsorted(depths, d + 1)]
         forward[pts] = h_stack[tree.parent_gen[pts], forward[tree.parent[pts]]]
-    return forward, tree
+    return forward
 
 
 def _verify(forward: np.ndarray, s_gens, h_gens):
@@ -160,12 +159,12 @@ def build_bijection(budget: int = DEFAULT_WORD_BUDGET) -> Correspondence:
     passing = 0
     first_failure = None
     for ell0 in candidates:
-        forward, tree = _transport(int(ell0), rho0, s_gens, h_stack)
+        forward = _transport(int(ell0), rho0, s_gens, h_stack)
         ok, failure = _verify(forward, s_gens, h_gens)
         if ok:
             passing += 1
             if winner is None:
-                winner = (int(ell0), forward, tree)
+                winner = (int(ell0), forward)
         elif first_failure is None:
             first_failure = {"candidate_point": int(ell0), **failure}
 
@@ -175,7 +174,7 @@ def build_bijection(budget: int = DEFAULT_WORD_BUDGET) -> Correspondence:
             f"{candidates.size} pruned candidates all failed full "
             f"verification; first failing edge: {first_failure}")
 
-    ell0, forward, tree = winner
+    ell0, forward = winner
     return Correspondence(
         forward=forward,
         backward=inverse_permutation(forward),
@@ -185,7 +184,6 @@ def build_bijection(budget: int = DEFAULT_WORD_BUDGET) -> Correspondence:
         candidates_passing=passing,
         edges_verified=10 * N,
         words_used=len(words),
-        point_tree=tree,
     )
 
 

@@ -21,7 +21,11 @@ For each basis vector a_i there is a triflection
 
 an order-3 isometry of L multiplying a_i by the primitive cube root tau^2
 and fixing the orthogonal complement of a_i pointwise.  The ten triflections
-satisfy the braid relations of the A-chain.
+satisfy the braid relations of the A-chain.  This module defines them once,
+as s_i^e(x) = x + c_e * skew(x, a_i) * a_i with c_{+1} = tau and
+c_{-1} = tau^2 (so s_i^{-1} = s_i^2).  The matrices `triflection`,
+`triflection_inverse` and `word_matrix`, the vector action `apply_word` and
+the norm -6 walk of `decompose_minus6` are all derived from that formula.
 
 The real part of the form, rescaled by -2/3, turns the rank-20 underlying
 Z-module into an even unimodular quadratic lattice of signature (18, 2);
@@ -30,6 +34,7 @@ Z-module into an even unimodular quadratic lattice of signature (18, 2);
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .eisenstein import (
@@ -148,36 +153,6 @@ def compose(m: Matrix, n: Matrix) -> Matrix:
         for i in range(RANK))
 
 
-def triflection(i: int) -> Matrix:
-    """The triflection s_i(x) = x + tau * skew(x, a_i) * a_i as a matrix.
-
-    Row i-1 (0-based) carries (tau, tau^2, -tau) over columns i-2, i-1, i;
-    all other rows are identity rows.
-    """
-    _check_index(i)
-    g = i - 1
-    rows = [list(r) for r in identity_matrix()]
-    rows[g][g] = TAU2
-    if g - 1 >= 0:
-        rows[g][g - 1] = TAU
-    if g + 1 < RANK:
-        rows[g][g + 1] = -TAU
-    return tuple(tuple(r) for r in rows)
-
-
-def triflection_inverse(i: int) -> Matrix:
-    """s_i^2 = s_i^{-1}: row i-1 carries (tau^2, -tau, -tau^2)."""
-    _check_index(i)
-    g = i - 1
-    rows = [list(r) for r in identity_matrix()]
-    rows[g][g] = -TAU
-    if g - 1 >= 0:
-        rows[g][g - 1] = TAU2
-    if g + 1 < RANK:
-        rows[g][g + 1] = -TAU2
-    return tuple(tuple(r) for r in rows)
-
-
 def preserves_form(m: Matrix) -> bool:
     """Whether herm(m*a_i, m*a_j) = herm(a_i, a_j) for all basis pairs."""
     cols = [apply(m, basis_vector(i)) for i in range(1, RANK + 1)]
@@ -188,17 +163,57 @@ def preserves_form(m: Matrix) -> bool:
     return True
 
 
+# -- triflections ----------------------------------------------------------------
+#
+# skew(x, a_i) = sum_j x_j * GRAM[j][i-1] / theta reads column i-1 of GRAM,
+# whose only nonzero entries sit in rows i-2, i-1 and i.  So s_i^e changes
+# coordinate i-1 alone and reads only that coordinate and its two neighbours:
+# row i-1 of the matrix of s_i is (tau, tau^2, -tau) over columns i-2, i-1, i,
+# and that of s_i^{-1} is (tau^2, -tau, -tau^2).
+
+_SKEW_COLUMNS = tuple(
+    tuple((j, div_exact(GRAM[j][g], THETA)) for j in range(RANK) if GRAM[j][g])
+    for g in range(RANK))
+
+#: c_e in s_i^e(x) = x + c_e * skew(x, a_i) * a_i; s_i^{-1} = s_i^2
+_COEFF = {1: TAU, -1: TAU2}
+
+
+def _step(x: Vector, i: int, e: int) -> Vector:
+    """s_i^e(x), the one definition every triflection here is derived from."""
+    g = i - 1
+    k = sum((x[j] * c for j, c in _SKEW_COLUMNS[g]), ZERO)
+    return x[:g] + (x[g] + _COEFF[e] * k,) + x[g + 1:]
+
+
+def apply_word(word, x: Vector) -> Vector:
+    """The image of x under a word [(i, e), ...]; letters act in list order.
+
+    Each letter is a generator index 1..10 with exponent e in {+1, -1}.
+    """
+    for i, e in word:
+        _check_index(i)
+        x = _step(x, i, e)
+    return x
+
+
 def word_matrix(word) -> Matrix:
     """The matrix of a word [(i, e), ...]; letters act in list order.
 
-    Each letter is a generator index 1..10 with exponent e in {+1, -1}.
-    The first letter is applied first, so the product is taken right-to-left.
+    Column j is the image of a_j, so the first letter is applied first.
     """
-    m = identity_matrix()
-    for i, e in word:
-        step = triflection(i) if e == 1 else triflection_inverse(i)
-        m = compose(step, m)
-    return m
+    return tuple(zip(*(apply_word(word, basis_vector(j))
+                       for j in range(1, RANK + 1))))
+
+
+def triflection(i: int) -> Matrix:
+    """The triflection s_i(x) = x + tau * skew(x, a_i) * a_i as a matrix."""
+    return word_matrix([(i, 1)])
+
+
+def triflection_inverse(i: int) -> Matrix:
+    """The matrix of s_i^{-1} = s_i^2."""
+    return word_matrix([(i, -1)])
 
 
 # -- serialization --------------------------------------------------------------
@@ -350,77 +365,26 @@ def realify_and_certify() -> dict:
 
 
 # -- norm -6 vectors ---------------------------------------------------------------
-#
-# The search below works on a packed representation: a flat tuple of 20 ints
-# (a_1.a, a_1.b, a_2.a, ...).  A triflection changes one coordinate only:
-#     s_g:      x_g <- tau*x_{g-1} + tau^2*x_g - tau*x_{g+1}
-#     s_g^{-1}: x_g <- tau^2*x_{g-1} - tau*x_g - tau^2*x_{g+1}
-# with missing neighbours read as 0.
 
-def _pack(x: Vector) -> tuple:
-    out = []
-    for c in x:
-        out.append(c.a)
-        out.append(c.b)
-    return tuple(out)
+_MOVES = tuple((i, e) for i in range(1, RANK + 1) for e in (1, -1))
 
 
-def _unpack(p: tuple) -> Vector:
-    return tuple(EisensteinInt(p[2 * i], p[2 * i + 1]) for i in range(RANK))
-
-
-def _move(p: tuple, g: int, e: int) -> tuple:
-    """Apply s_{g+1}^e (g is 0-based) to a packed vector."""
-    ma, mb = (p[2 * g - 2], p[2 * g - 1]) if g > 0 else (0, 0)
-    ca, cb = p[2 * g], p[2 * g + 1]
-    pa, pb = (p[2 * g + 2], p[2 * g + 3]) if g < RANK - 1 else (0, 0)
-    if e == 1:
-        # tau*(a,b) = (-b, a+b); tau^2*(a,b) = (-a-b, a); -tau*(a,b) = (b, -a-b)
-        na = -mb - ca - cb + pb
-        nb = ma + mb + ca - pa - pb
-    else:
-        # tau^2*(a,b) = (-a-b, a); -tau*(a,b) = (b, -a-b); -tau^2*(a,b) = (a+b, -a)
-        na = -ma - mb + cb + pa + pb
-        nb = ma - ca - cb - pa
-    out = list(p)
-    out[2 * g] = na
-    out[2 * g + 1] = nb
-    return tuple(out)
-
-
-def _apply_word_packed(p: tuple, word) -> tuple:
-    for g, e in word:
-        p = _move(p, g, e)
-    return p
-
-
-def _invert_word(word):
-    return tuple((g, -e) for g, e in reversed(word))
-
-
-_MOVES = tuple((g, e) for g in range(RANK) for e in (1, -1))
-
-_BALL_CACHE: dict = {}
-
-
+@functools.cache
 def _seed_ball(radius: int) -> dict:
-    """Words of length <= radius from a_1 + a_2, keyed by packed image."""
-    if radius in _BALL_CACHE:
-        return _BALL_CACHE[radius]
-    seed = _pack(vec_add(basis_vector(1), basis_vector(2)))
+    """Words of length <= radius from a_1 + a_2, keyed by their image."""
+    seed = vec_add(basis_vector(1), basis_vector(2))
     ball = {seed: ()}
     frontier = [seed]
     for _ in range(radius):
         nxt = []
-        for p in frontier:
-            w = ball[p]
-            for g, e in _MOVES:
-                q = _move(p, g, e)
-                if q not in ball:
-                    ball[q] = w + ((g, e),)
-                    nxt.append(q)
+        for x in frontier:
+            w = ball[x]
+            for i, e in _MOVES:
+                y = _step(x, i, e)
+                if y not in ball:
+                    ball[y] = w + ((i, e),)
+                    nxt.append(y)
         frontier = nxt
-    _BALL_CACHE[radius] = ball
     return ball
 
 
@@ -437,36 +401,35 @@ def decompose_minus6(eps: Vector, search_bound: int = 8):
         raise ValueError("decompose_minus6 requires herm(eps, eps) = -6")
     fwd_radius = search_bound // 2
     ball = _seed_ball(fwd_radius)
-    target = _pack(eps)
 
-    def _reconstruct(meet: tuple, back_word):
+    def _reconstruct(meet: Vector, back_word):
         # a_1+a_2 --ball[meet]--> meet <--back_word-- eps
-        u = ball[meet] + _invert_word(back_word)
-        x = _unpack(_apply_word_packed(_pack(basis_vector(1)), u))
-        y = _unpack(_apply_word_packed(_pack(basis_vector(2)), u))
+        u = ball[meet] + tuple((i, -e) for i, e in reversed(back_word))
+        x = apply_word(u, basis_vector(1))
+        y = apply_word(u, basis_vector(2))
         assert vec_add(x, y) == eps
         assert herm(x, x) == EisensteinInt(-3)
         assert herm(y, y) == EisensteinInt(-3)
         assert herm(x, y) == THETA
         return x, y
 
-    if target in ball:
-        return _reconstruct(target, ())
-    seen = {target: ()}
-    frontier = [target]
+    if eps in ball:
+        return _reconstruct(eps, ())
+    seen = {eps: ()}
+    frontier = [eps]
     for _ in range(search_bound - fwd_radius):
         nxt = []
-        for p in frontier:
-            w = seen[p]
-            for g, e in _MOVES:
-                q = _move(p, g, e)
-                if q in seen:
+        for x in frontier:
+            w = seen[x]
+            for i, e in _MOVES:
+                y = _step(x, i, e)
+                if y in seen:
                     continue
-                wq = w + ((g, e),)
-                if q in ball:
-                    return _reconstruct(q, wq)
-                seen[q] = wq
-                nxt.append(q)
+                wy = w + ((i, e),)
+                if y in ball:
+                    return _reconstruct(y, wy)
+                seen[y] = wy
+                nxt.append(y)
         frontier = nxt
     return None
 
@@ -520,5 +483,3 @@ def minus6_witness(eps: Vector):
         return Minus6Witness(i, x, value, nonintegral)
     return None
 
-
-check_minus6_reflection_nonintegral = minus6_witness

@@ -166,12 +166,8 @@ class ClassTable:
         if not 1 <= i <= 10:
             raise IndexError(f"generator index must be in 1..10, got {i!r}")
         if i not in self._perms:
-            new = self.codes.copy()
-            u = self.codes[:, i]
-            v = self.codes[:, i + 1]
-            new[:, i] = v
-            new[:, i + 1] = CONJ[v, u]
-            perm = self.class_index[canonical_keys(new)]
+            moved = hurwitz_move_codes(self.codes, i)
+            perm = self.class_index[canonical_keys(moved)]
             assert (perm >= 0).all()
             self._perms[i] = perm
         return self._perms[i]
@@ -246,11 +242,6 @@ def classify_confluence(idx_or_string, pos: int, table: ClassTable | None = None
 def enumerate_classes() -> np.ndarray:
     """Canonical code rows of all 29524 classes, in index order."""
     return get_table().codes
-
-
-def hurwitz_act(i: int, cls_idx: int) -> int:
-    """Index of the class obtained by the move at (i, i+1), 1 <= i <= 10."""
-    return int(get_table().hurwitz_perm(i)[int(cls_idx)])
 
 
 def orbit_R(seed_idx: int):

@@ -170,11 +170,6 @@ def enumerate_proj() -> np.ndarray:
     return get_table().reps
 
 
-def orbit(seeds, gen_indices=None):
-    """BFS orbit (with Schreier tree) of point indices under transvections."""
-    return get_table().orbit_of_points(seeds, gen_indices)
-
-
 # -- classification ------------------------------------------------------------
 
 def classify_line(m_idx: int, ell_idx: int, table: ProjectiveTable | None = None) -> str:

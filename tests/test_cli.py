@@ -1,32 +1,76 @@
-"""CLI subcommands: reports, exports, classification, exit codes."""
+"""CLI subcommands: reports, exports, classification, exit codes.
 
+The commands run in-process through `cli.main(argv)`.  Two tests start a
+fresh interpreter: the lattice-scope test, which needs empty table caches,
+and the smoke test of the `python -m trigonal.cli` entry point.
+"""
+
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from trigonal import cli
+from trigonal import __version__, cli
+
+#: SHA-256 of the bytes each export writes
+EXPORT_SHA256 = {
+    ("gram",): "352c83c5a30a611c53f604edc557f13d"
+               "ccdf5ca3716edd194c71ed8972579135",
+    ("classes",): "0900487f59f4104a9feae926cb41d69a"
+                  "2a1aee53fed4c072586e1dd90dd72134",
+    ("bijection",): "b7760b1b368f6ea0edea18668be13c84"
+                    "ab061c02cec5107f5221216fa15c1f73",
+    ("orbits",): "031c36e66cef56b405348eba1cbcafe7"
+                 "1aee09baf02b4b1f229f77d7e3064332",
+    ("orbits", "--format", "dot"): "ed7e199b5cb4738129ad356cfb4b6206"
+                                   "c7c5cbd68e4433cf1395464c52798ea5",
+}
+
+#: SHA-256 of the `verify all --seed 0` report with `seed` and every
+#: `runtime_ms` removed, keyed by whether `--optional` was given.  The report
+#: holds `version`, so a version bump changes both digests.
+REPORT_SHA256 = {
+    False: "346fadf95ee21f00c90b9dbb88dfc6877d922a3e45a38b6a9bb0f258637c5fdf",
+    True: "cdad84fee9109b8524c954159e7f01e540138bd4030f31db2a650f23deaca947",
+}
+REPORT_VERSION = "0.1.0"
 
 
-def run_cli(args):
-    """Run in a fresh interpreter so table caches start empty."""
-    return subprocess.run(
-        [sys.executable, "-m", "trigonal.cli", *args],
-        capture_output=True, text=True)
+def run(capsys, args):
+    """(exit code, stdout, stderr) of `trigonal ARGS`, run in-process."""
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:          # argparse rejected the invocation
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def report_digest(report: dict) -> str:
+    body = {k: v for k, v in report.items() if k != "seed"}
+    body["checks"] = [{k: v for k, v in c.items() if k != "runtime_ms"}
+                      for c in report["checks"]]
+    return hashlib.sha256(json.dumps(body, sort_keys=True,
+                                     separators=(",", ":")).encode()).hexdigest()
+
+
+def verify_all(tmp_path, *extra):
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "all", "--out", str(out), *extra])
+    return code, json.loads(out.read_text())
 
 
 @pytest.fixture(scope="module")
 def full_report(tmp_path_factory):
-    out = tmp_path_factory.mktemp("rep") / "report.json"
-    proc = run_cli(["verify", "all", "--out", str(out)])
-    return proc, json.loads(out.read_text())
+    return verify_all(tmp_path_factory.mktemp("rep"))
 
 
 def test_verify_all_exit_and_shape(full_report):
-    proc, rep = full_report
+    code, rep = full_report
     # one check fails honestly (criterion 8's agreement clause), hence exit 1
-    assert proc.returncode == 1
+    assert code == 1
     assert rep["failed"] == 1
     assert rep["tool"] == "trigonal"
     assert set(rep["conventions"]) >= {"gram", "hurwitz_move",
@@ -74,12 +118,30 @@ def test_notes_present_verbatim(full_report):
     assert "t0 = t1 != t2 = ... = t11" in cli.NOTE_H_VARIANT
 
 
+def test_verify_report_digests(full_report, tmp_path):
+    assert __version__ == REPORT_VERSION
+    code, rep = full_report
+    assert code == 1 and rep["seed"] == 0
+    assert report_digest(rep) == REPORT_SHA256[False]
+    code, rep = verify_all(tmp_path, "--optional")
+    assert code == 1
+    assert {c["name"]: c["status"] for c in rep["checks"]}["sp10_order"] == "pass"
+    assert report_digest(rep) == REPORT_SHA256[True]
+
+
+def test_export_digests(tmp_path):
+    for args, digest in EXPORT_SHA256.items():
+        out = tmp_path / "export"
+        assert cli.main(["export", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+
+
 def test_verify_lattice_scope_passes_and_builds_no_tables():
     # a fresh interpreter, so the table caches are observably untouched
     code = (
         "import trigonal.cli as cli, trigonal.monodromy as mo, "
         "trigonal.sympf3 as sp\n"
-        "rows = cli.run_checks('lattice', seed=0, optional=False, jobs=1)\n"
+        "rows = cli.run_checks('lattice', seed=0, optional=False)\n"
         "assert [r['name'] for r in rows] == ['triflection_algebra', "
         "'realification_certificate', 'minus6_certificates', "
         "'discrepancy_notes'], rows\n"
@@ -91,19 +153,31 @@ def test_verify_lattice_scope_passes_and_builds_no_tables():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_scope_exit_codes():
-    assert run_cli(["verify", "lattice"]).returncode == 0
-    assert run_cli(["verify", "monodromy"]).returncode == 0
-    proc = run_cli(["verify", "correspondence"])
-    assert proc.returncode == 1  # contains the honest trichotomy failure
+def test_entry_point_exit_codes():
+    def module_cli(*args):
+        return subprocess.run([sys.executable, "-m", "trigonal.cli", *args],
+                              capture_output=True, text=True)
+
+    proc = module_cli("classify", "001111111111", "1")
+    assert (proc.returncode, proc.stdout) == (0, "RM\n")
+    proc = module_cli("classify", "011111111111", "0")
+    assert proc.returncode == 2
+    assert "not the identity" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
-def test_verify_jobs_report_identical(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli(["verify", "all", "--out", str(a)]).returncode == 1
-    assert run_cli(["verify", "all", "--jobs", "4", "--out",
-                    str(b)]).returncode == 1
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+def test_verify_scope_exit_codes(capsys):
+    assert run(capsys, ["verify", "lattice"])[0] == 0
+    assert run(capsys, ["verify", "monodromy"])[0] == 0
+    code, out, _ = run(capsys, ["verify", "correspondence"])
+    assert code == 1  # contains the honest trichotomy failure
+    assert json.loads(out)["scope"] == "correspondence"
+
+
+def test_verify_jobs_report_identical(full_report, tmp_path):
+    _, ra = full_report
+    code, rb = verify_all(tmp_path, "--jobs", "4")
+    assert code == 1
 
     def strip(rep):
         return [{k: v for k, v in c.items() if k != "runtime_ms"}
@@ -112,17 +186,29 @@ def test_verify_jobs_report_identical(tmp_path):
     assert strip(ra) == strip(rb)
 
 
-def test_export_deterministic(tmp_path):
-    for what in ("gram", "classes", "bijection", "orbits"):
-        p1, p2 = tmp_path / f"{what}1", tmp_path / f"{what}2"
-        assert run_cli(["export", what, "--out", str(p1)]).returncode == 0
-        assert run_cli(["export", what, "--out", str(p2)]).returncode == 0
-        assert p1.read_bytes() == p2.read_bytes()
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_verify_jobs_below_one_exit_2(capsys, jobs):
+    code, out, err = run(capsys, ["verify", "lattice", "--jobs", jobs])
+    assert code == 2
+    assert out == ""
+    assert "--jobs: must be at least 1" in err
+
+
+@pytest.mark.parametrize("args", [["verify", "lattice"], ["export", "gram"]],
+                         ids=["verify", "export"])
+def test_unwritable_out_exits_2(capsys, tmp_path, args):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, [*args, "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith(f"error: cannot write {target}")
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_export_gram_values(tmp_path):
     p = tmp_path / "gram.json"
-    run_cli(["export", "gram", "--out", str(p)])
+    assert cli.main(["export", "gram", "--out", str(p)]) == 0
     g = json.loads(p.read_text())["gram"]
     assert g[0][0] == [-3, 0]
     assert g[0][1] == [-1, 2]
@@ -130,10 +216,10 @@ def test_export_gram_values(tmp_path):
     assert g[0][2] == [0, 0]
 
 
-def test_export_bijection_shape(tmp_path):
-    p = tmp_path / "b.json"
-    run_cli(["export", "bijection", "--out", str(p)])
-    blob = json.loads(p.read_text())
+def test_export_bijection_shape(capsys):
+    code, out, _ = run(capsys, ["export", "bijection"])
+    assert code == 0
+    blob = json.loads(out)
     assert blob["generators_checked"] == 10
     assert blob["edges_verified"] == 295240
     assert len(blob["forward"]) == 29524
@@ -143,8 +229,8 @@ def test_export_bijection_shape(tmp_path):
 
 def test_export_orbits_dot(tmp_path):
     p = tmp_path / "orbits.dot"
-    assert run_cli(["export", "orbits", "--format", "dot",
-                    "--out", str(p)]).returncode == 0
+    assert cli.main(["export", "orbits", "--format", "dot",
+                     "--out", str(p)]) == 0
     text = p.read_text()
     assert text.startswith("digraph")
     assert "cluster_projective" in text and "cluster_classes" in text
@@ -152,51 +238,50 @@ def test_export_orbits_dot(tmp_path):
     assert text.count("->") == 2 * 29523
 
 
-def test_export_dot_rejected_elsewhere():
-    proc = run_cli(["export", "gram", "--format", "dot"])
-    assert proc.returncode == 2
-    assert "orbits" in proc.stderr
+def test_export_dot_rejected_elsewhere(capsys):
+    code, _, err = run(capsys, ["export", "gram", "--format", "dot"])
+    assert code == 2
+    assert "orbits" in err
 
 
-def test_export_unknown_target():
-    assert run_cli(["export", "everything"]).returncode == 2
+def test_export_unknown_target(capsys):
+    assert run(capsys, ["export", "everything"])[0] == 2
 
 
-def test_classify_examples():
-    assert run_cli(["classify", "001111111111", "0"]).stdout.strip() == "H"
-    assert run_cli(["classify", "001111111111", "1"]).stdout.strip() == "RM"
-    assert run_cli(["classify", "001111111111", "5"]).stdout.strip() == "SG"
-    assert run_cli(["classify", "001111111111", "11"]).stdout.strip() == "RM"
+def test_classify_examples(capsys):
+    for pos, label in (("0", "H"), ("1", "RM"), ("5", "SG"), ("11", "RM")):
+        assert run(capsys, ["classify", "001111111111", pos]) == \
+            (0, f"{label}\n", "")
 
 
-def test_classify_cross_check():
-    proc = run_cli(["classify", "001111111111", "1", "--cross-check"])
-    assert proc.returncode == 0
-    lines = proc.stdout.strip().splitlines()
+def test_classify_cross_check(capsys):
+    code, out, _ = run(capsys, ["classify", "001111111111", "1",
+                                "--cross-check"])
+    assert code == 0
+    lines = out.strip().splitlines()
     assert lines[0] == "RM"
     assert lines[1] == "cross-check (line side): SG"
-    proc = run_cli(["classify", "001111111111", "0", "--cross-check"])
-    assert "unavailable at slots 0 and 11" in proc.stdout
+    _, out, _ = run(capsys, ["classify", "001111111111", "0", "--cross-check"])
+    assert "unavailable at slots 0 and 11" in out
 
 
-def test_classify_input_errors():
-    proc = run_cli(["classify", "000000000000", "0"])
-    assert proc.returncode == 2
-    assert "monodromy not surjective" in proc.stderr
-    proc = run_cli(["classify", "011111111111", "0"])
-    assert proc.returncode == 2
-    assert "not the identity" in proc.stderr
-    proc = run_cli(["classify", "00111111111x", "0"])
-    assert proc.returncode == 2
-    proc = run_cli(["classify", "001111111111", "12"])
-    assert proc.returncode == 2
-    assert "position" in proc.stderr
+def test_classify_input_errors(capsys):
+    code, _, err = run(capsys, ["classify", "000000000000", "0"])
+    assert code == 2
+    assert "monodromy not surjective" in err
+    code, _, err = run(capsys, ["classify", "011111111111", "0"])
+    assert code == 2
+    assert "not the identity" in err
+    assert run(capsys, ["classify", "00111111111x", "0"])[0] == 2
+    code, _, err = run(capsys, ["classify", "001111111111", "12"])
+    assert code == 2
+    assert "position" in err
 
 
-def test_invocation_errors_exit_2():
-    assert run_cli(["frobnicate"]).returncode == 2
-    assert run_cli(["verify", "nowhere"]).returncode == 2
-    assert run_cli([]).returncode == 2
+def test_invocation_errors_exit_2(capsys):
+    assert run(capsys, ["frobnicate"])[0] == 2
+    assert run(capsys, ["verify", "nowhere"])[0] == 2
+    assert run(capsys, [])[0] == 2
 
 
 def test_sp10_constant_matches_formula():

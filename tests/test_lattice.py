@@ -136,15 +136,24 @@ def test_generator_index_range():
         lat.basis_vector(11)
 
 
-def test_word_matrix_and_packed_moves_agree():
+def test_word_matrix_and_apply_word_agree():
     rng = random.Random(4)
     for _ in range(10):
         word = [(rng.randint(1, 10), rng.choice((1, -1))) for _ in range(6)]
         m = lat.word_matrix(word)
         assert lat.preserves_form(m)
+        product = lat.identity_matrix()
+        for i, e in word:
+            step = lat.triflection(i) if e == 1 else lat.triflection_inverse(i)
+            product = lat.compose(step, product)
+        assert m == product
         x = rand_vector(rng, bound=2)
-        packed = lat._apply_word_packed(lat._pack(x), [(i - 1, e) for i, e in word])
-        assert lat._unpack(packed) == lat.apply(m, x)
+        expected = x                  # the defining formula, letter by letter
+        for i, e in word:
+            c = TAU if e == 1 else TAU2
+            expected = lat.vec_add(
+                expected, lat.vec_scale(c * lat.skew(expected, A[i]), A[i]))
+        assert lat.apply_word(word, x) == expected == lat.apply(m, x)
 
 
 # -- realification -----------------------------------------------------------------
