@@ -8,8 +8,9 @@ verify [scope]   run the check suites (scope: all, lattice, symplectic,
 export WHAT      write a deterministic artifact (gram, bijection, orbits,
                  classes) as JSON, or the orbit Schreier forest as DOT
 classify T POS   classify a 12-character monodromy tuple at a slot pair;
-                 --cross-check adds the line-side label through the stored
-                 bijection (slots 1..10 only)
+                 --cross-check adds the line-side label of the tuple's point,
+                 from the closed form of the bijection (slots 1..10 only;
+                 builds no table)
 
 Exit codes: 0 success, 1 failed verification check, 2 invocation or input
 error.  All structured output is UTF-8 JSON; report checks carry runtime_ms,
@@ -19,6 +20,7 @@ which is the only field that varies between identical runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -130,20 +132,24 @@ def check_proj_count(ctx: Context):
     return observed == 29524, observed, 29524, None
 
 
+def _relation_holds(lhs, rhs) -> bool:
+    """Whether two words act alike on the lattice, i.e. on every basis vector."""
+    return all(la.apply_word(lhs, x) == la.apply_word(rhs, x)
+               for x in map(la.basis_vector, range(1, la.RANK + 1)))
+
+
 def check_triflection_algebra(ctx: Context):
-    ident = la.identity_matrix()
-    mats = {i: la.triflection(i) for i in range(1, 11)}
-    order3 = all(la.compose(s, la.compose(s, s)) == ident
-                 for s in mats.values())
-    form = all(la.preserves_form(s) for s in mats.values())
+    gens = range(1, la.RANK + 1)
+    mats = [la.triflection(i) for i in gens]
+    order3 = all(_relation_holds([(i, 1)] * 3, []) for i in gens)
+    form = all(la.preserves_form(s) for s in mats)
     integral = all(isinstance(c, EisensteinInt)
-                   for s in mats.values() for row in s for c in row)
-    braid = all(
-        la.compose(mats[i], la.compose(mats[i + 1], mats[i]))
-        == la.compose(mats[i + 1], la.compose(mats[i], mats[i + 1]))
-        for i in range(1, 10))
-    far = all(la.compose(mats[i], mats[j]) == la.compose(mats[j], mats[i])
-              for i in range(1, 11) for j in range(i + 2, 11))
+                   for s in mats for row in s for c in row)
+    braid = all(_relation_holds([(i, 1), (i + 1, 1), (i, 1)],
+                                [(i + 1, 1), (i, 1), (i + 1, 1)])
+                for i in range(1, la.RANK))
+    far = all(_relation_holds([(i, 1), (j, 1)], [(j, 1), (i, 1)])
+              for i in gens for j in range(i + 2, la.RANK + 1))
     observed = {"order_three": order3, "preserves_form": form,
                 "integral_entries": integral, "braid_relations": braid and far}
     expected = {"order_three": True, "preserves_form": True,
@@ -372,38 +378,57 @@ def run_checks(scope: str, seed: int, optional: bool) -> list[dict]:
 # subcommands
 
 
-def _emit(data: bytes, out_path: str | None) -> int:
-    """Write data to out_path, or to stdout; 2 if out_path cannot be written."""
+def _cannot_write(name: str, exc: OSError) -> int:
+    print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _open_out(out_path: str | None):
+    """The output stream as a context manager: stdout, or out_path opened now.
+
+    Commands call this before doing any work, so an unwritable path costs
+    nothing.  Returns None, after printing the error line, when out_path
+    cannot be opened.
+    """
     if not out_path:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-        return 0
+        return contextlib.nullcontext(sys.stdout.buffer)
     try:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
+        return open(out_path, "wb")
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 2
+        _cannot_write(out_path, exc)
+        return None
+
+
+def _write(fh, data: bytes) -> int:
+    """Write data to a stream from `_open_out`; 2 if it cannot be written."""
+    try:
+        fh.write(data)
+        fh.flush()
+    except OSError as exc:
+        return _cannot_write(fh.name, exc)
     return 0
 
 
 def cmd_verify(args) -> int:
-    checks = run_checks(args.scope, args.seed, args.optional)
-    failed = sum(1 for c in checks if c["status"] == "fail")
-    report = {
-        "tool": "trigonal",
-        "version": __version__,
-        "scope": args.scope,
-        "seed": args.seed,
-        "optional_enabled": bool(args.optional),
-        "conventions": CONVENTIONS,
-        "checks": checks,
-        "notes": REPORT_NOTES,
-        "failed": failed,
-    }
-    if _emit(_json_bytes(report), args.out):
+    out = _open_out(args.out)
+    if out is None:
         return 2
+    with out as fh:
+        checks = run_checks(args.scope, args.seed, args.optional)
+        failed = sum(1 for c in checks if c["status"] == "fail")
+        report = {
+            "tool": "trigonal",
+            "version": __version__,
+            "scope": args.scope,
+            "seed": args.seed,
+            "optional_enabled": bool(args.optional),
+            "conventions": CONVENTIONS,
+            "checks": checks,
+            "notes": REPORT_NOTES,
+            "failed": failed,
+        }
+        if _write(fh, _json_bytes(report)):
+            return 2
     for c in checks:
         print(f"{c['status'].upper():7s} {c['name']} "
               f"({c['runtime_ms']} ms)", file=sys.stderr)
@@ -451,25 +476,26 @@ def cmd_export(args) -> int:
         print(f"error: DOT output is only available for 'orbits', "
               f"not {args.what!r}", file=sys.stderr)
         return 2
-    if args.what == "gram":
-        data = _json_bytes({"gram": la.matrix_to_json(la.GRAM)})
-    elif args.what == "classes":
-        t = mo.get_table()
-        data = _json_bytes({"count": int(t.codes.shape[0]),
-                            "classes": [t.class_string(i)
-                                        for i in range(t.codes.shape[0])]})
-    elif args.what == "bijection":
-        data = _json_bytes(co.build_bijection().to_json())
-    elif args.what == "orbits":
-        if args.format == "dot":
+    out = _open_out(args.out)
+    if out is None:
+        return 2
+    with out as fh:
+        if args.what == "gram":
+            data = _json_bytes({"gram": la.matrix_to_json(la.GRAM)})
+        elif args.what == "classes":
+            t = mo.get_table()
+            data = _json_bytes({"count": int(t.codes.shape[0]),
+                                "classes": [t.class_string(i)
+                                            for i in range(t.codes.shape[0])]})
+        elif args.what == "bijection":
+            data = _json_bytes(co.build_bijection().to_json())
+        elif args.format == "dot":       # orbits; argparse restricts `what`
             data = _orbits_dot()
         else:
             trees = {side: _orbit_tree_json(res, side, seed)
                      for res, side, seed in _orbit_trees()}
             data = _json_bytes(trees)
-    else:                              # argparse choices make this unreachable
-        return 2
-    return _emit(data, args.out)
+        return _write(fh, data)
 
 
 def cmd_classify(args) -> int:
@@ -489,12 +515,9 @@ def cmd_classify(args) -> int:
             print("cross-check: unavailable at slots 0 and 11 "
                   "(no generator acts there)")
             return 0
-        corr = co.build_bijection()
-        spt, mot = sp.get_table(), mo.get_table()
-        cls = mot.index_of_codes(codes)
-        ell = int(corr.backward[cls])
-        line = sp.classify_line(spt.basis_point(args.position), ell, spt)
-        print(f"cross-check (line side): {line}")
+        alpha = np.identity(sp.DIM, dtype=np.int8)[args.position - 1]
+        label = sp.line_labels(alpha, co.point_vectors(codes)[0])[0]
+        print(f"cross-check (line side): {sp.LINE_CLASSES[label]}")
     return 0
 
 
@@ -530,8 +553,9 @@ def main(argv=None) -> int:
     p_classify.add_argument("tuple", help="12 characters over {0,1,2}")
     p_classify.add_argument("position", type=int, help="slot pair 0..11")
     p_classify.add_argument("--cross-check", action="store_true",
-                            help="also report the line-side label through "
-                                 "the stored bijection (slots 1..10)")
+                            help="also report the line-side label of the "
+                                 "tuple's point, from the closed form of the "
+                                 "bijection (slots 1..10; builds no table)")
     p_classify.set_defaults(fn=cmd_classify)
 
     args = parser.parse_args(argv)

@@ -20,6 +20,17 @@ generator and no pinned basis line, so they are classified combinatorially
 but excluded from the comparison.  The raw agreement count is reported
 together with the count after exchanging the RM and SG labels on one side,
 which makes the label pairing between the two trichotomies explicit.
+
+The searched bijection also has a closed form, `point_vectors`.  Read a
+class's transposition codes t_0..t_11 in F_3 and let d_k = t_k - t_{k-1}
+(k = 1..11).  Then forward^{-1}(class) = [v] with
+
+    v_i = sum of d_k over k <= i with k = i (mod 2),        i = 1..10,
+
+that is v_1 = d_1, v_2 = d_2 and v_i = d_i + v_{i-2}.  The six relabelings
+of the codes are the maps c -> +-c + a, which change v at most by its sign,
+so the formula needs no canonical representative.  The tests certify that
+it equals the searched `backward` on every class.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from .schreier import (inverse_permutation, orbit_bfs,
 
 N = sp.N_POINTS
 assert N == mo.N_CLASSES
+assert sp.DIM == mo.TUPLE_LEN - 2    # one coordinate per generator slot 1..10
 
 DEFAULT_WORD_BUDGET = 64
 
@@ -185,6 +197,23 @@ def build_bijection(budget: int = DEFAULT_WORD_BUDGET) -> Correspondence:
         edges_verified=10 * N,
         words_used=len(words),
     )
+
+
+def point_vectors(codes) -> np.ndarray:
+    """The closed form of forward^{-1}: (n, 12) code rows -> (n, 10) vectors.
+
+    Row r of the result spans the point of the class of code row r:
+    v_i = sum of d_k over k <= i, k = i (mod 2), with d_k = t_k - t_{k-1}
+    mod 3, i.e. v_1 = d_1, v_2 = d_2 and v_i = d_i + v_{i-2}.  Any of the six
+    relabelings of a row gives the same point, so rows need not be
+    canonical.  No table is built.
+    """
+    t = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+    d = np.diff(t[:, :sp.DIM + 1], axis=1)          # d_1 .. d_10
+    v = np.empty_like(d)
+    v[:, 0::2] = np.cumsum(d[:, 0::2], axis=1)      # odd i: d_1 + d_3 + ...
+    v[:, 1::2] = np.cumsum(d[:, 1::2], axis=1)      # even i: d_2 + d_4 + ...
+    return (v % 3).astype(np.int8)
 
 
 _LABEL_SWAP = np.array([0, 2, 1], dtype=np.int8)  # exchange RM and SG codes

@@ -172,23 +172,30 @@ def enumerate_proj() -> np.ndarray:
 
 # -- classification ------------------------------------------------------------
 
+def line_labels(vectors, ell) -> np.ndarray:
+    """Labels of the lines [v] (nonzero rows) relative to the line [ell].
+
+    The one statement of the rule, coded 0=H, 1=RM, 2=SG: H when v spans the
+    same line as ell, otherwise RM when symp(v, ell) = 0, otherwise SG.
+    """
+    v = canonicalize(vectors)
+    e = canonicalize(ell)[0]
+    s = (v.astype(np.int64) @ (SYMP_GRAM.astype(np.int64) @ e.astype(np.int64))) % 3
+    out = np.where(s == 0, 1, 2).astype(np.int8)
+    out[(v == e).all(axis=1)] = 0
+    return out
+
+
 def classify_line(m_idx: int, ell_idx: int, table: ProjectiveTable | None = None) -> str:
     """Class of the line m relative to the fixed line ell: H, RM or SG."""
     table = table or get_table()
-    if m_idx == ell_idx:
-        return "H"
-    if symp(table.rep(m_idx), table.rep(ell_idx)) == 0:
-        return "RM"
-    return "SG"
+    return LINE_CLASSES[int(line_labels(table.rep(m_idx), table.rep(ell_idx))[0])]
 
 
 def line_class_vector(ell_idx: int, table: ProjectiveTable | None = None) -> np.ndarray:
     """Classes of every point relative to ell, coded 0=H, 1=RM, 2=SG."""
     table = table or get_table()
-    s = (table.reps @ (SYMP_GRAM.astype(np.int64) @ table.rep(ell_idx).astype(np.int64))) % 3
-    out = np.where(s == 0, 1, 2).astype(np.int8)
-    out[ell_idx] = 0
-    return out
+    return line_labels(table.reps, table.rep(ell_idx))
 
 
 def stabilizer_orbit_sizes(ell_idx: int, table: ProjectiveTable | None = None) -> dict:

@@ -1,18 +1,23 @@
 """CLI subcommands: reports, exports, classification, exit codes.
 
 The commands run in-process through `cli.main(argv)`.  Two tests start a
-fresh interpreter: the lattice-scope test, which needs empty table caches,
-and the smoke test of the `python -m trigonal.cli` entry point.
+fresh interpreter: the no-tables test of `verify lattice` and
+`classify --cross-check`, which needs empty table caches, and the smoke test
+of the `python -m trigonal.cli` entry point.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigonal import __version__, cli
+from trigonal import monodromy as mo
 
 #: SHA-256 of the bytes each export writes
 EXPORT_SHA256 = {
@@ -136,7 +141,7 @@ def test_export_digests(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
 
 
-def test_verify_lattice_scope_passes_and_builds_no_tables():
+def test_verify_lattice_and_classify_cross_check_build_no_tables():
     # a fresh interpreter, so the table caches are observably untouched
     code = (
         "import trigonal.cli as cli, trigonal.monodromy as mo, "
@@ -146,11 +151,14 @@ def test_verify_lattice_scope_passes_and_builds_no_tables():
         "'realification_certificate', 'minus6_certificates', "
         "'discrepancy_notes'], rows\n"
         "assert all(r['status'] == 'pass' for r in rows), rows\n"
+        "assert cli.main(['classify', '001111111111', '1', "
+        "'--cross-check']) == 0\n"
         "assert mo._TABLE is None and sp._TABLE is None, 'tables were built'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "RM\ncross-check (line side): SG\n"
 
 
 def test_entry_point_exit_codes():
@@ -194,15 +202,27 @@ def test_verify_jobs_below_one_exit_2(capsys, jobs):
     assert "--jobs: must be at least 1" in err
 
 
-@pytest.mark.parametrize("args", [["verify", "lattice"], ["export", "gram"]],
-                         ids=["verify", "export"])
-def test_unwritable_out_exits_2(capsys, tmp_path, args):
+@pytest.mark.parametrize("args", [["verify", "lattice"], ["export", "gram"],
+                                  ["export", "bijection"]],
+                         ids=["verify", "export", "export_bijection"])
+def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, args):
+    # the path is opened before any check runs or any table is built
+    work = []
+
+    def probe(*_):
+        work.append(True)
+        raise AssertionError("work done before --out was opened")
+
+    monkeypatch.setattr(cli, "CHECKS", (("probe", 0, None, probe),))
+    monkeypatch.setattr(cli.mo, "get_table", probe)
+    monkeypatch.setattr(cli.sp, "get_table", probe)
     target = tmp_path / "missing" / "out.json"
     code, out, err = run(capsys, [*args, "--out", str(target)])
+    assert work == []
     assert code == 2
     assert out == ""
-    assert err.splitlines()[-1].startswith(f"error: cannot write {target}")
-    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot write {target}: ")
     assert not target.exists()
 
 
@@ -263,6 +283,43 @@ def test_classify_cross_check(capsys):
     assert lines[1] == "cross-check (line side): SG"
     _, out, _ = run(capsys, ["classify", "001111111111", "0", "--cross-check"])
     assert "unavailable at slots 0 and 11" in out
+
+
+def classify_exit(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `trigonal ARGV`, without capsys, so
+    hypothesis can call it many times in one test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:      # argparse rejected the invocation
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(st.text("0123x", min_size=10, max_size=14), st.integers(-2, 13),
+       st.booleans())
+def test_classify_any_text_exits_0_or_2(text, pos, cross):
+    code, out, err = classify_exit(["classify", text, str(pos)]
+                                   + ["--cross-check"] * cross)
+    assert code in (0, 2), (code, out, err)
+    assert "Traceback" not in err
+    assert (code == 0) == bool(out)
+
+
+@settings(deadline=None)
+@given(st.integers(0, mo.N_CLASSES - 1), st.integers(0, 5),
+       st.integers(1, 10))
+def test_classify_cross_check_exchanges_rm_and_sg(idx, relabel, pos):
+    t = mo.get_table()
+    codes = mo.ALPHABET_PERMS[relabel][t.codes[idx]]
+    code, out, err = classify_exit(["classify", "".join(map(str, codes)),
+                                    str(pos), "--cross-check"])
+    assert (code, err) == (0, "")
+    label = mo.classify_confluence(idx, pos, t)
+    swapped = {"H": "H", "RM": "SG", "SG": "RM"}[label]
+    assert out == f"{label}\ncross-check (line side): {swapped}\n"
 
 
 def test_classify_input_errors(capsys):

@@ -44,6 +44,20 @@ def test_candidate_counts(corr):
     assert corr.words_used == 64
 
 
+def test_point_vectors_equal_the_searched_bijection(corr):
+    # the closed form certified against the search on all 29524 classes,
+    # under each of the six relabelings of the codes
+    mot, spt = mo.get_table(), sp.get_table()
+    for perm in mo.ALPHABET_PERMS:
+        v = co.point_vectors(perm[mot.codes])
+        assert v.shape == (co.N, sp.DIM)
+        assert v.any(axis=1).all(), perm
+        points = spt.point_index[sp.keys_of(sp.canonicalize(v))]
+        assert (points == corr.backward).all(), perm
+    base = co.point_vectors(mot.codes[corr.base_class])[0]
+    assert spt.index_of_vector(base) == corr.base_point
+
+
 def test_equivariance_exhaustive(corr):
     spt, mot = sp.get_table(), mo.get_table()
     for i in range(1, 11):
