@@ -12,8 +12,9 @@ classify T POS   classify a 12-character monodromy tuple at a slot pair;
                  from the closed form of the bijection (slots 1..10 only;
                  builds no table)
 
-Exit codes: 0 success, 1 failed verification check, 2 invocation or input
-error.  All structured output is UTF-8 JSON; report checks carry runtime_ms,
+Exit codes: 0 success, 1 failed verification check, 2 invocation, input or
+output error (a write, flush or close that fails prints one error line).
+All structured output is UTF-8 JSON; report checks carry runtime_ms,
 which is the only field that varies between identical runs.
 """
 
@@ -122,14 +123,14 @@ class Context:
 def check_r_count(ctx: Context):
     t = mo.get_table()
     observed = int(t.codes.shape[0])
-    ok = observed == 29524 and t.raw_count == 177144
-    return ok, observed, 29524, {"raw_tuples": int(t.raw_count),
-                                 "raw_tuples_expected": 177144}
+    ok = observed == mo.N_CLASSES and t.raw_count == mo.N_RAW
+    return ok, observed, mo.N_CLASSES, {"raw_tuples": int(t.raw_count),
+                                        "raw_tuples_expected": mo.N_RAW}
 
 
 def check_proj_count(ctx: Context):
     observed = int(sp.get_table().reps.shape[0])
-    return observed == 29524, observed, 29524, None
+    return observed == sp.N_POINTS, observed, sp.N_POINTS, None
 
 
 def _relation_holds(lhs, rhs) -> bool:
@@ -223,8 +224,8 @@ def check_hurwitz_action(ctx: Context):
     expected = {"order_divides_three": True,
                 "trivial_and_order_three_points": True,
                 "braid_relations": True,
-                "orbit_from_base": 29524,
-                "orbit_from_alternating": 29524}
+                "orbit_from_base": mo.N_CLASSES,
+                "orbit_from_alternating": mo.N_CLASSES}
     return observed == expected, observed, expected, None
 
 
@@ -233,7 +234,8 @@ def check_symplectic_transitivity(ctx: Context):
     points = t.orbit_of_points([0]).size
     vectors = t.orbit_of_nonzero_vectors(1).size  # key 1 = (1, 0, ..., 0)
     observed = {"point_orbit": int(points), "nonzero_vector_orbit": int(vectors)}
-    expected = {"point_orbit": 29524, "nonzero_vector_orbit": 59048}
+    expected = {"point_orbit": sp.N_POINTS,
+                "nonzero_vector_orbit": sp.N_VECTORS - 1}
     return observed == expected, observed, expected, None
 
 
@@ -248,7 +250,7 @@ def check_equivariant_bijection(ctx: Context):
     inverse = bool((corr.backward[corr.forward] == np.arange(n)).all()
                    and (corr.forward[corr.backward] == np.arange(n)).all())
     observed = {"edges_verified": edges, "mutually_inverse": inverse}
-    expected = {"edges_verified": 295240, "mutually_inverse": True}
+    expected = {"edges_verified": sp.DIM * co.N, "mutually_inverse": True}
     details = {"summary": corr.summary(),
                "candidates_pruned": corr.candidates_pruned,
                "candidates_passing": corr.candidates_passing,
@@ -264,8 +266,8 @@ def check_orbit_trichotomy(ctx: Context):
                 "agreements": cross["agreements"],
                 "total_checks": cross["total_checks"]}
     expected = {"stabilizer_orbit_sizes": {"H": 1, "RM": 9840, "SG": 19683},
-                "agreements": 295240,
-                "total_checks": 295240}
+                "agreements": sp.DIM * co.N,
+                "total_checks": sp.DIM * co.N}
     details = {
         "agreements_rm_sg_swapped": cross["agreements_rm_sg_swapped"],
         "first_disagreement": cross["first_disagreement"],
@@ -387,8 +389,8 @@ def _open_out(out_path: str | None):
     """The output stream as a context manager: stdout, or out_path opened now.
 
     Commands call this before doing any work, so an unwritable path costs
-    nothing.  Returns None, after printing the error line, when out_path
-    cannot be opened.
+    nothing, and hand the result to `_write`.  Returns None, after printing
+    the error line, when out_path cannot be opened.
     """
     if not out_path:
         return contextlib.nullcontext(sys.stdout.buffer)
@@ -399,13 +401,19 @@ def _open_out(out_path: str | None):
         return None
 
 
-def _write(fh, data: bytes) -> int:
-    """Write data to a stream from `_open_out`; 2 if it cannot be written."""
+def _write(out, data) -> int:
+    """Write data to `out`, flush it and leave its context (closing a file).
+
+    Returns 2, after printing the error line, if any of the three fails.
+    Closing flushes again whatever a failed write left in the buffer, so the
+    close is guarded too.
+    """
     try:
-        fh.write(data)
-        fh.flush()
+        with out as fh:
+            fh.write(data)
+            fh.flush()
     except OSError as exc:
-        return _cannot_write(fh.name, exc)
+        return _cannot_write(getattr(fh, "name", "<stdout>"), exc)
     return 0
 
 
@@ -413,22 +421,21 @@ def cmd_verify(args) -> int:
     out = _open_out(args.out)
     if out is None:
         return 2
-    with out as fh:
-        checks = run_checks(args.scope, args.seed, args.optional)
-        failed = sum(1 for c in checks if c["status"] == "fail")
-        report = {
-            "tool": "trigonal",
-            "version": __version__,
-            "scope": args.scope,
-            "seed": args.seed,
-            "optional_enabled": bool(args.optional),
-            "conventions": CONVENTIONS,
-            "checks": checks,
-            "notes": REPORT_NOTES,
-            "failed": failed,
-        }
-        if _write(fh, _json_bytes(report)):
-            return 2
+    checks = run_checks(args.scope, args.seed, args.optional)
+    failed = sum(1 for c in checks if c["status"] == "fail")
+    report = {
+        "tool": "trigonal",
+        "version": __version__,
+        "scope": args.scope,
+        "seed": args.seed,
+        "optional_enabled": bool(args.optional),
+        "conventions": CONVENTIONS,
+        "checks": checks,
+        "notes": REPORT_NOTES,
+        "failed": failed,
+    }
+    if _write(out, _json_bytes(report)):
+        return 2
     for c in checks:
         print(f"{c['status'].upper():7s} {c['name']} "
               f"({c['runtime_ms']} ms)", file=sys.stderr)
@@ -479,23 +486,22 @@ def cmd_export(args) -> int:
     out = _open_out(args.out)
     if out is None:
         return 2
-    with out as fh:
-        if args.what == "gram":
-            data = _json_bytes({"gram": la.matrix_to_json(la.GRAM)})
-        elif args.what == "classes":
-            t = mo.get_table()
-            data = _json_bytes({"count": int(t.codes.shape[0]),
-                                "classes": [t.class_string(i)
-                                            for i in range(t.codes.shape[0])]})
-        elif args.what == "bijection":
-            data = _json_bytes(co.build_bijection().to_json())
-        elif args.format == "dot":       # orbits; argparse restricts `what`
-            data = _orbits_dot()
-        else:
-            trees = {side: _orbit_tree_json(res, side, seed)
-                     for res, side, seed in _orbit_trees()}
-            data = _json_bytes(trees)
-        return _write(fh, data)
+    if args.what == "gram":
+        data = _json_bytes({"gram": la.matrix_to_json(la.GRAM)})
+    elif args.what == "classes":
+        t = mo.get_table()
+        data = _json_bytes({"count": int(t.codes.shape[0]),
+                            "classes": [t.class_string(i)
+                                        for i in range(t.codes.shape[0])]})
+    elif args.what == "bijection":
+        data = _json_bytes(co.build_bijection().to_json())
+    elif args.format == "dot":           # orbits; argparse restricts `what`
+        data = _orbits_dot()
+    else:
+        trees = {side: _orbit_tree_json(res, side, seed)
+                 for res, side, seed in _orbit_trees()}
+        data = _json_bytes(trees)
+    return _write(out, data)
 
 
 def cmd_classify(args) -> int:
@@ -508,17 +514,16 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    label = mo.classify_confluence_codes(codes, args.position)
-    print(label)
-    if args.cross_check:
-        if not 1 <= args.position <= 10:
-            print("cross-check: unavailable at slots 0 and 11 "
-                  "(no generator acts there)")
-            return 0
+    lines = [mo.classify_confluence_codes(codes, args.position)]
+    if args.cross_check and not 1 <= args.position <= 10:
+        lines.append("cross-check: unavailable at slots 0 and 11 "
+                     "(no generator acts there)")
+    elif args.cross_check:
         alpha = np.identity(sp.DIM, dtype=np.int8)[args.position - 1]
         label = sp.line_labels(alpha, co.point_vectors(codes)[0])[0]
-        print(f"cross-check (line side): {sp.LINE_CLASSES[label]}")
-    return 0
+        lines.append(f"cross-check (line side): {sp.LINE_CLASSES[label]}")
+    text = "".join(f"{line}\n" for line in lines)
+    return _write(contextlib.nullcontext(sys.stdout), text)
 
 
 def main(argv=None) -> int:

@@ -35,8 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 TUPLE_LEN = 12
-N_RAW = 3 ** 11 - 3        # 177144
-N_CLASSES = N_RAW // 6     # 29524
+N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
+N_CLASSES = N_RAW // 6              # 29524
 
 CONFLUENCE_CLASSES = ("H", "RM", "SG")
 
@@ -93,13 +93,19 @@ def keys_to_codes(keys: np.ndarray) -> np.ndarray:
 
 
 def canonical_keys(codes: np.ndarray) -> np.ndarray:
-    """Least base-3 key over the six simultaneous relabelings of each row."""
+    """Least base-3 key over the six simultaneous relabelings of each row.
+
+    Relabeling by perm has key sum_c perm[c] * K_c, where K_c is the key of
+    the indicator row (codes == c); so the three indicator keys and one
+    (6, 3) @ (3, n) product give all six keys.  A letter outside {0, 1, 2}
+    raises ValueError: it lies in no indicator row, so the K_c of its row do
+    not sum to the key of the all-ones row.
+    """
     codes = np.atleast_2d(codes)
-    best = None
-    for perm in ALPHABET_PERMS:
-        k = codes_to_keys(perm[codes])
-        best = k if best is None else np.minimum(best, k)
-    return best
+    indicator = np.stack([codes_to_keys(codes == c) for c in range(3)])
+    if (indicator.sum(axis=0) != _W12.sum()).any():
+        raise ValueError("transposition codes must lie in {0, 1, 2}")
+    return (ALPHABET_PERMS.astype(np.int64) @ indicator).min(axis=0)
 
 
 def product_of_codes(codes: np.ndarray) -> np.ndarray:
@@ -115,30 +121,34 @@ class ClassTable:
     """All 29524 classes, canonical codes, and the half-twist permutations."""
 
     def __init__(self):
-        free = np.arange(3 ** 11, dtype=np.int64)
-        cols = [((free // (3 ** (10 - k))) % 3).astype(np.int8) for k in range(11)]
-        tail = np.stack(cols, axis=1)            # rows = (t_1, ..., t_11)
-        nonconstant = ~np.all(tail == tail[:, :1], axis=1)
-        tail = tail[nonconstant]
-        self.raw_count = int(tail.shape[0])
+        free = TUPLE_LEN - 1                     # t_1..t_11 are free
+        digits = np.indices((3,) * free, dtype=np.int8).reshape(free, -1)
+        nonconstant = (digits != digits[0]).any(axis=0)
+        self.raw_count = int(nonconstant.sum())
         assert self.raw_count == N_RAW
 
+        # t_11 ... t_1 for every column of digits, built as prefix products:
+        # in the base-3 enumeration, appending t_{k+1} = c to the prefix of
+        # index p gives index 3p + c, and left[c, a] = t_c * a
+        left = MUL[TRANSPOSITIONS]
+        acc = np.array([IDENTITY], dtype=np.int8)
+        for _ in range(free):
+            acc = left[:, acc].T.reshape(-1)
         # t_0 = (t_11 ... t_1)^(-1), always a transposition here
-        acc = TRANSPOSITIONS[tail[:, 0]]
-        for k in range(1, 11):
-            acc = MUL[TRANSPOSITIONS[tail[:, k]], acc]
-        t0 = _CODE_OF_ELEM[INV[acc]]
+        t0 = _CODE_OF_ELEM[INV[acc[nonconstant]]]
         assert (t0 >= 0).all()
 
-        codes = np.concatenate([t0[:, None], tail], axis=1)
+        codes = np.concatenate([t0[None], digits[:, nonconstant]]).T
         keys = canonical_keys(codes)
-        uniq, counts = np.unique(keys, return_counts=True)
+        counts = np.bincount(keys)
+        uniq = np.flatnonzero(counts)            # ascending, as np.unique
         assert uniq.size == N_CLASSES
-        assert (counts == 6).all()               # the conjugation action is free
+        assert (counts[uniq] == 6).all()         # the conjugation action is free
 
         self.keys = uniq
         self.codes = keys_to_codes(uniq)         # (29524, 12) canonical rows
-        self.class_index = np.full(3 ** 12, -1, dtype=np.int64)
+        # a canonical row starts with letter 0, so its key is below 3^11
+        self.class_index = np.full(3 ** free, -1, dtype=np.int64)
         self.class_index[uniq] = np.arange(N_CLASSES, dtype=np.int64)
         self._perms: dict[int, np.ndarray] = {}
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lattice
-from .eisenstein import reduce_mod_theta
+from .eisenstein import THETA, div_exact, reduce_mod_theta
 from .schreier import orbit_bfs
 
 DIM = 10
@@ -35,17 +35,6 @@ POW3 = (3 ** np.arange(DIM, dtype=np.int64))  # coordinate 0 least significant
 LINE_CLASSES = ("H", "RM", "SG")
 
 
-def _symp_gram() -> np.ndarray:
-    j = np.zeros((DIM, DIM), dtype=np.int8)
-    for i in range(DIM - 1):
-        j[i, i + 1] = 1
-        j[i + 1, i] = 2  # -1 mod 3
-    return j
-
-
-SYMP_GRAM = _symp_gram()
-
-
 def reduce_vector(x) -> np.ndarray:
     """Reduce a lattice vector mod theta to a vector over F_3."""
     return np.array([reduce_mod_theta(c) for c in x], dtype=np.int8)
@@ -54,6 +43,12 @@ def reduce_vector(x) -> np.ndarray:
 def reduce_matrix(m) -> np.ndarray:
     return np.array([[reduce_mod_theta(c) for c in row] for row in m],
                     dtype=np.int8)
+
+
+#: symp(alpha_i, alpha_j) = skew(a_i, a_j) mod theta
+#:                        = (GRAM[i][j] / theta) mod theta
+SYMP_GRAM = reduce_matrix([[div_exact(c, THETA) for c in row]
+                           for row in lattice.GRAM])
 
 
 def symp(x, y) -> int:
@@ -71,6 +66,23 @@ def transvection(i: int) -> np.ndarray:
     return m
 
 
+def _transvect(vectors: np.ndarray, i: int) -> tuple[int, np.ndarray]:
+    """(g, x'_g) for transvection i on each row x.
+
+    Transvection i changes only coordinate g = i - 1, to
+    x'_g = (x_g - symp(x, alpha_i)) mod 3, which is row g of transvection(i)
+    applied to x.  Only the nonzero entries of that row are read.
+    """
+    g = i - 1
+    row = transvection(i)[g]
+    total = sum(int(row[j]) * vectors[:, j].astype(np.int16)
+                for j in np.flatnonzero(row))
+    return g, (total % 3).astype(np.int8)
+
+
+_DOUBLE = np.array([0, 2, 1], dtype=np.int8)   # x -> 2x mod 3
+
+
 def canonicalize(vectors: np.ndarray) -> np.ndarray:
     """Scale each nonzero row so its first nonzero coordinate is 1."""
     v = np.atleast_2d(np.asarray(vectors, dtype=np.int8))
@@ -78,7 +90,7 @@ def canonicalize(vectors: np.ndarray) -> np.ndarray:
     lead = v[np.arange(v.shape[0]), lead_pos]
     out = v.copy()
     doubled = lead == 2
-    out[doubled] = (out[doubled] * 2) % 3
+    out[doubled] = _DOUBLE[out[doubled]]
     return out
 
 
@@ -127,9 +139,10 @@ class ProjectiveTable:
     def transvection_perm(self, i: int) -> np.ndarray:
         """The permutation of point indices induced by transvection i."""
         if i not in self._perms:
-            m = transvection(i)
-            imgs = canonicalize((self.reps @ m.T.astype(np.int64)) % 3)
-            perm = self.point_index[keys_of(imgs)]
+            g, moved = _transvect(self.reps, i)
+            imgs = self.reps.copy()
+            imgs[:, g] = moved
+            perm = self.point_index[keys_of(canonicalize(imgs))]
             assert (perm >= 0).all()
             self._perms[i] = perm
         return self._perms[i]
@@ -137,9 +150,10 @@ class ProjectiveTable:
     def vector_perm(self, i: int) -> np.ndarray:
         """The permutation of all 3^10 vector keys (0 is fixed)."""
         if i not in self._vec_perms:
-            m = transvection(i)
-            imgs = (self.vectors @ m.T.astype(np.int64)) % 3
-            self._vec_perms[i] = keys_of(imgs)
+            g, moved = _transvect(self.vectors, i)
+            keys = np.arange(N_VECTORS, dtype=np.int64)   # row k of vectors has key k
+            change = moved.astype(np.int64) - self.vectors[:, g]
+            self._vec_perms[i] = keys + change * POW3[g]
         return self._vec_perms[i]
 
     def all_transvection_perms(self):

@@ -7,9 +7,11 @@ of the `python -m trigonal.cli` entry point.
 """
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -224,6 +226,70 @@ def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, args):
     [line] = err.splitlines()
     assert line.startswith(f"error: cannot write {target}: ")
     assert not target.exists()
+
+
+class FullStream:
+    """A stream whose `fails` method raises ENOSPC, as on a full device.
+
+    Like a buffered file, it keeps what a failed write or flush did not
+    write, and then its close, which flushes, fails as well.  It stands for
+    a file opened by `--out` and, through `buffer`, for stdout and its byte
+    buffer.
+    """
+
+    def __init__(self, name: str, fails: str):
+        self.name = name
+        self.fails = fails
+        self.pending = False
+        self.buffer = self
+
+    def _call(self, method: str):
+        if method == self.fails or (method == "close" and self.pending):
+            self.pending = True
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, data):
+        self._call("write")
+        return len(data)
+
+    def flush(self):
+        self._call("flush")
+
+    def close(self):
+        self._call("close")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.mark.parametrize("fails", ["write", "flush", "close"])
+@pytest.mark.parametrize("args", [["export", "gram"], ["verify", "lattice"]],
+                         ids=["export", "verify"])
+def test_write_error_on_out_exits_2(capsys, monkeypatch, args, fails):
+    monkeypatch.setattr(cli, "open",
+                        lambda path, mode: FullStream(path, fails),
+                        raising=False)
+    code, out, err = run(capsys, [*args, "--out", "full.json"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: cannot write full.json: {os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("args", [["export", "gram"], ["verify", "lattice"],
+                                  ["classify", "001111111111", "1"]],
+                         ids=["export", "verify", "classify"])
+def test_write_error_on_stdout_exits_2(capsys, monkeypatch, args, fails):
+    # stdout is flushed, never closed, so only write and flush can fail
+    monkeypatch.setattr(sys, "stdout", FullStream("<stdout>", fails))
+    code = cli.main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}"]
 
 
 def test_export_gram_values(tmp_path):

@@ -54,10 +54,49 @@ def test_counts(table):
     assert table.keys.size == 29524
 
 
+def brute_canonical_keys(codes):
+    """Least base-3 key (position 0 most significant) over the six
+    relabelings, applied one at a time."""
+    weights = 3 ** np.arange(mo.TUPLE_LEN - 1, -1, -1, dtype=np.int64)
+    return np.min([np.array(perm)[codes].astype(np.int64) @ weights
+                   for perm in itertools.permutations(range(3))], axis=0)
+
+
 def test_classes_are_canonical_and_sorted(table):
-    assert (mo.canonical_keys(table.codes) == table.keys).all()
+    assert (brute_canonical_keys(table.codes) == table.keys).all()
     assert (np.diff(table.keys) > 0).all()
     assert (mo.codes_to_keys(table.codes) == table.keys).all()
+
+
+def test_canonical_keys_equal_brute_force_on_raw_tuples(table):
+    # every 12-tuple, filtered to the raw tuples: non-constant, product one
+    every = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.product(range(3), repeat=mo.TUPLE_LEN)),
+        dtype=np.int8).reshape(-1, mo.TUPLE_LEN)
+    raw = every[(every != every[:, :1]).any(axis=1)
+                & (mo.product_of_codes(every) == mo.IDENTITY)]
+    assert raw.shape[0] == mo.N_RAW
+    brute = brute_canonical_keys(raw)
+    assert (mo.canonical_keys(raw) == brute).all()
+    keys, counts = np.unique(brute, return_counts=True)
+    assert (keys == table.keys).all() and (counts == 6).all()
+
+
+def test_canonical_keys_equal_brute_force_on_moved_classes(table):
+    for i in range(1, 11):
+        moved = mo.hurwitz_move_codes(table.codes, i)
+        brute = brute_canonical_keys(moved)
+        assert (mo.canonical_keys(moved) == brute).all()
+        assert (table.keys[table.hurwitz_perm(i)] == brute).all()
+
+
+def test_canonical_keys_reject_letters_outside_0_1_2(table):
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=r"\{0, 1, 2\}"):
+            mo.canonical_keys([0, 0] + [1] * 9 + [bad])
+        with pytest.raises(ValueError):
+            table.index_of_codes([bad] + [1] * 11)
 
 
 def test_every_class_has_product_one(table):

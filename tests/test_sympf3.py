@@ -7,7 +7,7 @@ import pytest
 
 from trigonal import lattice as lat
 from trigonal import sympf3 as sp
-from trigonal.eisenstein import THETA, EisensteinInt
+from trigonal.eisenstein import THETA, EisensteinInt, reduce_mod_theta
 
 
 def f3_rank(m):
@@ -50,6 +50,13 @@ def test_symp_gram_values():
     assert ((sp.SYMP_GRAM + sp.SYMP_GRAM.T) % 3 == 0).all()
 
 
+def test_symp_gram_is_reduction_of_skew_on_basis_pairs():
+    basis = [lat.basis_vector(i) for i in range(1, 11)]
+    reduced = [[reduce_mod_theta(lat.skew(x, y)) for y in basis] for x in basis]
+    assert (sp.SYMP_GRAM == np.array(reduced)).all()
+    assert sp.SYMP_GRAM.dtype == np.int8
+
+
 def test_symp_values_and_nondegeneracy():
     e = np.identity(10, dtype=np.int8)
     assert sp.symp(e[0], e[1]) == 1
@@ -65,7 +72,6 @@ def test_symp_is_reduction_of_skew():
                            for _ in range(10)])
         y = lat.as_vector([EisensteinInt(rng.randint(-4, 4), rng.randint(-4, 4))
                            for _ in range(10)])
-        from trigonal.eisenstein import reduce_mod_theta
         assert (sp.symp(sp.reduce_vector(x), sp.reduce_vector(y))
                 == reduce_mod_theta(lat.skew(x, y)))
 
@@ -139,6 +145,30 @@ def test_transvection_perms_are_permutations_of_order_three():
         assert (np.sort(p) == np.arange(n)).all()
         assert (p[p[p]] == np.arange(n)).all()
         assert (p != np.arange(n)).any()
+
+
+def brute_canonicalize(v):
+    """Rows scaled by 2 where the first nonzero coordinate is 2."""
+    lead = v[np.arange(v.shape[0]), np.argmax(v != 0, axis=1)]
+    return np.where((lead == 2)[:, None], (2 * v) % 3, v)
+
+
+def test_generator_permutations_equal_the_matrix_route():
+    t = sp.get_table()
+    for i in range(1, 11):
+        m = sp.transvection(i).astype(np.int64)
+        assert (t.vector_perm(i) == sp.keys_of((t.vectors @ m.T) % 3)).all()
+        imgs = brute_canonicalize((t.reps @ m.T) % 3)
+        assert (t.transvection_perm(i) == t.point_index[sp.keys_of(imgs)]).all()
+
+
+def test_generator_permutations_reject_indices_outside_1_10():
+    t = sp.get_table()
+    for i in (0, 11):
+        with pytest.raises(IndexError):
+            t.vector_perm(i)
+        with pytest.raises(IndexError):
+            t.transvection_perm(i)
 
 
 def test_braid_relations_for_point_permutations():
