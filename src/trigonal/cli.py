@@ -179,12 +179,12 @@ def _f3_rank(m: np.ndarray) -> int:
 
 def check_mod_theta(ctx: Context):
     commute = True
-    for i in range(1, 11):
+    for i in range(1, sp.DIM + 1):
         tri = la.triflection(i)
         tv = sp.transvection(i).astype(np.int64)
         if not (sp.reduce_matrix(tri) == tv % 3).all():
             commute = False
-        for j in range(1, 11):
+        for j in range(1, la.RANK + 1):
             x = la.basis_vector(j)
             lhs = sp.reduce_vector(la.apply(tri, x))
             rhs = (tv @ sp.reduce_vector(x).astype(np.int64)) % 3
@@ -198,7 +198,7 @@ def check_mod_theta(ctx: Context):
                 "antisymmetric": antisym, "zero_diagonal": zero_diag,
                 "rank": rank}
     expected = {"reduce_triflection_equals_transvection_reduce": True,
-                "antisymmetric": True, "zero_diagonal": True, "rank": 10}
+                "antisymmetric": True, "zero_diagonal": True, "rank": sp.DIM}
     return observed == expected, observed, expected, None
 
 
@@ -211,9 +211,9 @@ def check_hurwitz_action(ctx: Context):
                for p in perms)
     braid = all((perms[i][perms[i + 1][perms[i]]]
                  == perms[i + 1][perms[i][perms[i + 1]]]).all()
-                for i in range(9))
+                for i in range(sp.DIM - 1))
     far = all((perms[i][perms[j]] == perms[j][perms[i]]).all()
-              for i in range(10) for j in range(i + 2, 10))
+              for i in range(sp.DIM) for j in range(i + 2, sp.DIM))
     orbit_base = mo.orbit_R(t.base_class()).size
     orbit_alt = mo.orbit_R(t.index_of_string("010101010101")).size
     observed = {"order_divides_three": order_div_3,
@@ -246,7 +246,7 @@ def check_equivariant_bijection(ctx: Context):
     edges = sum(
         int((corr.forward[spt.transvection_perm(i)]
              == mot.hurwitz_perm(i)[corr.forward]).sum())
-        for i in range(1, 11))
+        for i in range(1, sp.DIM + 1))
     inverse = bool((corr.backward[corr.forward] == np.arange(n)).all()
                    and (corr.forward[corr.backward] == np.arange(n)).all())
     observed = {"edges_verified": edges, "mutually_inverse": inverse}
@@ -292,7 +292,7 @@ def check_minus6(ctx: Context):
     decomposed = 0
     samples = 100
     for _ in range(samples):
-        word = [(rng.randint(1, 10), rng.choice((1, -1)))
+        word = [(rng.randint(1, la.RANK), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, 8))]
         if la.decompose_minus6(la.apply_word(word, eps0)) is not None:
             decomposed += 1
@@ -320,7 +320,7 @@ def check_minus6(ctx: Context):
 def check_sp10_order(ctx: Context):
     if not ctx.optional:
         return None, None, str(SP10_ORDER), {"reason": "enable with --optional"}
-    gens = [sp.get_table().vector_perm(i) for i in range(1, 11)]
+    gens = [sp.get_table().vector_perm(i) for i in range(1, sp.DIM + 1)]
     order, certified = bsgs_order(gens, SP10_ORDER, ctx.rng("bsgs"))
     ok = certified and order == SP10_ORDER
     return ok, str(order), str(SP10_ORDER), {"certified": bool(certified)}
@@ -505,17 +505,13 @@ def cmd_export(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if not 0 <= args.position <= 11:
-        print(f"error: position must be in 0..11, got {args.position}",
-              file=sys.stderr)
-        return 2
     try:
         codes = mo.parse_tuple_string(args.tuple)
-    except ValueError as exc:
+        lines = [mo.classify_confluence_codes(codes, args.position)]
+    except (ValueError, IndexError) as exc:     # bad tuple or bad slot
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lines = [mo.classify_confluence_codes(codes, args.position)]
-    if args.cross_check and not 1 <= args.position <= 10:
+    if args.cross_check and not 1 <= args.position <= sp.DIM:
         lines.append("cross-check: unavailable at slots 0 and 11 "
                      "(no generator acts there)")
     elif args.cross_check:
@@ -539,9 +535,6 @@ def main(argv=None) -> int:
                           help="write the JSON report here instead of stdout")
     p_verify.add_argument("--optional", action="store_true",
                           help="enable the Sp10(F3) group-order check")
-    p_verify.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="accepted for compatibility (N >= 1); the "
-                               "checks always run serially")
     p_verify.add_argument("--seed", type=int, default=0, metavar="N",
                           help="seed for the randomized checks")
     p_verify.set_defaults(fn=cmd_verify)
@@ -564,8 +557,6 @@ def main(argv=None) -> int:
     p_classify.set_defaults(fn=cmd_classify)
 
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.jobs < 1:
-        p_verify.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     return args.fn(args)
 
 

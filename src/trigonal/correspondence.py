@@ -6,9 +6,9 @@
 
 where sigma_i is the projective transvection permutation and B_i the
 half-twist permutation.  The bijection is anchored at a base pair: the class
-rho_0 = base_class() and a point ell_0 found by search.  Candidate base
-points are pruned by stabilizer matching — every Schreier generator of the
-stabilizer of rho_0 on the class side must fix ell_0 on the point side —
+rho_0 = ClassTable.base_class() and a point ell_0 found by search.  Candidate
+base points are pruned by stabilizer matching — every Schreier generator of
+the stabilizer of rho_0 on the class side must fix ell_0 on the point side —
 then each survivor is transported along the point-side Schreier tree and
 checked on all 10 x 29524 generator-point pairs.  No equivariance edge is
 sampled; every one is verified.
@@ -46,7 +46,7 @@ from .schreier import (inverse_permutation, orbit_bfs,
 
 N = sp.N_POINTS
 assert N == mo.N_CLASSES
-assert sp.DIM == mo.TUPLE_LEN - 2    # one coordinate per generator slot 1..10
+assert sp.DIM == mo.N_MOVES          # one coordinate per generator slot 1..10
 
 DEFAULT_WORD_BUDGET = 64
 
@@ -67,7 +67,7 @@ class Correspondence:
         t = sp.get_table()
         return {
             "forward": [int(x) for x in self.forward],
-            "generators_checked": 10,
+            "generators_checked": sp.DIM,
             "edges_verified": int(self.edges_verified),
             "base_pair": {
                 "point_index": int(self.base_point),
@@ -79,35 +79,25 @@ class Correspondence:
 
     def summary(self) -> str:
         return (f"equivariant bijection verified: {self.edges_verified} edges "
-                f"over 10 generators and {N} points; base pair "
+                f"over {sp.DIM} generators and {N} points; base pair "
                 f"(point {self.base_point}, class {self.base_class}); "
                 f"{self.candidates_passing} of {self.candidates_pruned} pruned "
                 f"candidates passed full verification")
-
-
-def base_class() -> int:
-    return mo.get_table().base_class()
 
 
 def stabilizer_words(seed_index: int, side: str = "monodromy",
                      budget: int = DEFAULT_WORD_BUDGET):
     """Schreier generators of the stabilizer of a seed, as words over the ten
     generators with letters (generator-index 1..10, exponent +-1)."""
-    words, _gens = _stabilizer_words_internal(seed_index, side, budget)
-    return [[(g + 1, e) for g, e in w] for w in words]
-
-
-def _stabilizer_words_internal(seed_index: int, side: str, budget: int):
     if side == "monodromy":
         gens = mo.get_table().all_hurwitz_perms()
-        n = mo.N_CLASSES
     elif side == "lattice":
         gens = sp.get_table().all_transvection_perms()
-        n = sp.N_POINTS
     else:
         raise ValueError(f"side must be 'lattice' or 'monodromy', got {side!r}")
-    res = orbit_bfs(n, gens, [int(seed_index)])
-    return schreier_generator_words(res, gens, budget), gens
+    res = orbit_bfs(N, gens, [int(seed_index)])
+    words = schreier_generator_words(res, gens, budget)
+    return [[(g + 1, e) for g, e in w] for w in words]
 
 
 def _transport(ell0: int, rho0: int, s_gens, h_stack: np.ndarray):
@@ -128,7 +118,7 @@ def _transport(ell0: int, rho0: int, s_gens, h_stack: np.ndarray):
 
 def _verify(forward: np.ndarray, s_gens, h_gens):
     """(ok, first_failure); checks all 10 x 29524 edges plus bijectivity."""
-    for gi in range(10):
+    for gi in range(sp.DIM):
         lhs = forward[s_gens[gi]]
         rhs = h_gens[gi][forward]
         bad = np.flatnonzero(lhs != rhs)
@@ -194,7 +184,7 @@ def build_bijection(budget: int = DEFAULT_WORD_BUDGET) -> Correspondence:
         base_class=int(rho0),
         candidates_pruned=int(candidates.size),
         candidates_passing=passing,
-        edges_verified=10 * N,
+        edges_verified=sp.DIM * N,
         words_used=len(words),
     )
 
@@ -234,8 +224,8 @@ def cross_validate_classification(corr: Correspondence) -> dict:
     agreements_swapped = 0
     first_disagreement = None
 
-    for i in range(1, 11):
-        comb = mo.classify_all(mot, i)
+    for i in range(1, sp.DIM + 1):
+        comb = mo.confluence_labels(mot.codes, i)
         line = sp.line_class_vector(spt.basis_point(i), spt)[corr.backward]
         agree = comb == line
         agree_swapped = comb == _LABEL_SWAP[line]
@@ -265,7 +255,7 @@ def cross_validate_classification(corr: Correspondence) -> dict:
         agreements_swapped += int(agree_swapped.sum())
 
     report = {
-        "total_checks": 10 * N,
+        "total_checks": sp.DIM * N,
         "agreements": agreements,
         "agreements_rm_sg_swapped": agreements_swapped,
         "per_position": per_position,

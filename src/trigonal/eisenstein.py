@@ -88,9 +88,6 @@ class EisensteinInt:
         """The multiplicative norm a^2 + ab + b^2 = x * conj(x) >= 0."""
         return self.a * self.a + self.a * self.b + self.b * self.b
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other):
@@ -120,13 +117,6 @@ class EisensteinInt:
     def to_json(self) -> list:
         return [self.a, self.b]
 
-    @classmethod
-    def from_json(cls, pair) -> "EisensteinInt":
-        a, b = pair
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise ValueError(f"malformed Eisenstein pair: {pair!r}")
-        return cls(a, b)
-
 
 def _coerce(x):
     if isinstance(x, EisensteinInt):
@@ -141,11 +131,6 @@ ONE = EisensteinInt(1, 0)
 TAU = EisensteinInt(0, 1)
 TAU2 = TAU * TAU                 # = tau - 1, a primitive cube root of unity
 THETA = EisensteinInt(-1, 2)     # = tau - conj(tau), theta^2 = -3
-
-
-def units() -> tuple:
-    """The six units {±1, ±tau, ±tau^2}."""
-    return (ONE, -ONE, TAU, -TAU, TAU2, -TAU2)
 
 
 def divides(d: EisensteinInt, x: EisensteinInt) -> bool:
@@ -183,8 +168,3 @@ def reduce_mod_theta(x: EisensteinInt) -> int:
     """
     x = _coerce(x)
     return (x.a - x.b) % 3
-
-
-def lift(r: int) -> EisensteinInt:
-    """The standard integer lift of a residue mod theta."""
-    return EisensteinInt(r % 3, 0)

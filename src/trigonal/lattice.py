@@ -23,9 +23,9 @@ an order-3 isometry of L multiplying a_i by the primitive cube root tau^2
 and fixing the orthogonal complement of a_i pointwise.  The ten triflections
 satisfy the braid relations of the A-chain.  This module defines them once,
 as s_i^e(x) = x + c_e * skew(x, a_i) * a_i with c_{+1} = tau and
-c_{-1} = tau^2 (so s_i^{-1} = s_i^2).  The matrices `triflection`,
-`triflection_inverse` and `word_matrix`, the vector action `apply_word` and
-the norm -6 walk of `decompose_minus6` are all derived from that formula.
+c_{-1} = tau^2 (so s_i^{-1} = s_i^2).  The matrices `triflection` and
+`word_matrix`, the vector action `apply_word` and the norm -6 walk of
+`decompose_minus6` are all derived from that formula.
 
 The real part of the form, rescaled by -2/3, turns the rank-20 underlying
 Z-module into an even unimodular quadratic lattice of signature (18, 2);
@@ -70,19 +70,6 @@ GRAM: Matrix = _gram()
 
 # -- vectors ------------------------------------------------------------------
 
-def as_vector(coords) -> Vector:
-    """Coerce a length-10 sequence of EisensteinInt/int into a Vector."""
-    v = tuple(c if isinstance(c, EisensteinInt) else EisensteinInt(c)
-              for c in coords)
-    if len(v) != RANK:
-        raise ValueError(f"vector must have {RANK} coordinates, got {len(v)}")
-    return v
-
-
-def zero_vector() -> Vector:
-    return (ZERO,) * RANK
-
-
 def basis_vector(i: int) -> Vector:
     """The basis vector a_i, 1 <= i <= 10."""
     _check_index(i)
@@ -91,14 +78,6 @@ def basis_vector(i: int) -> Vector:
 
 def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
 
 
 def _check_index(i: int):
@@ -133,11 +112,6 @@ def skew(x: Vector, y: Vector) -> EisensteinInt:
 
 
 # -- matrices ------------------------------------------------------------------
-
-def identity_matrix() -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(RANK))
-                 for i in range(RANK))
-
 
 def apply(m: Matrix, x: Vector) -> Vector:
     """Matrix-vector product; x is a column of coordinates in the a_i basis."""
@@ -211,30 +185,10 @@ def triflection(i: int) -> Matrix:
     return word_matrix([(i, 1)])
 
 
-def triflection_inverse(i: int) -> Matrix:
-    """The matrix of s_i^{-1} = s_i^2."""
-    return word_matrix([(i, -1)])
-
-
 # -- serialization --------------------------------------------------------------
-
-def vector_to_json(x: Vector) -> list:
-    return [c.to_json() for c in x]
-
-
-def vector_from_json(data) -> Vector:
-    return as_vector([EisensteinInt.from_json(p) for p in data])
-
 
 def matrix_to_json(m: Matrix) -> list:
     return [[c.to_json() for c in row] for row in m]
-
-
-def matrix_from_json(data) -> Matrix:
-    rows = tuple(tuple(EisensteinInt.from_json(p) for p in row) for row in data)
-    if len(rows) != RANK or any(len(r) != RANK for r in rows):
-        raise ValueError("matrix must be 10x10")
-    return rows
 
 
 # -- realification ----------------------------------------------------------------
@@ -261,25 +215,6 @@ def realified_gram() -> list:
                             "realified pairing is not integral; "
                             f"entry ({i},{si},{j},{sj}) = {h}")
                     out[2 * i + si][2 * j + sj] = num // 3
-    return out
-
-
-def realify_matrix(m: Matrix) -> list:
-    """The 20x20 integer matrix of the Z-linear action of m.
-
-    Multiplication by a + b*tau acts on the Z-basis {1, tau} of Z[tau] by
-    the 2x2 block [[a, -b], [b, a+b]].
-    """
-    out = [[0] * (2 * RANK) for _ in range(2 * RANK)]
-    for i in range(RANK):
-        for j in range(RANK):
-            c = m[i][j]
-            if not c:
-                continue
-            out[2 * i][2 * j] = c.a
-            out[2 * i][2 * j + 1] = -c.b
-            out[2 * i + 1][2 * j] = c.b
-            out[2 * i + 1][2 * j + 1] = c.a + c.b
     return out
 
 

@@ -37,6 +37,7 @@ import numpy as np
 TUPLE_LEN = 12
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
 N_CLASSES = N_RAW // 6              # 29524
+N_MOVES = TUPLE_LEN - 2             # half-twists at slots (i, i+1), i = 1..10
 
 CONFLUENCE_CLASSES = ("H", "RM", "SG")
 
@@ -173,8 +174,9 @@ class ClassTable:
 
     def hurwitz_perm(self, i: int) -> np.ndarray:
         """Permutation of class indices from the move at slots (i, i+1)."""
-        if not 1 <= i <= 10:
-            raise IndexError(f"generator index must be in 1..10, got {i!r}")
+        if not 1 <= i <= N_MOVES:
+            raise IndexError(
+                f"generator index must be in 1..{N_MOVES}, got {i!r}")
         if i not in self._perms:
             moved = hurwitz_move_codes(self.codes, i)
             perm = self.class_index[canonical_keys(moved)]
@@ -183,7 +185,7 @@ class ClassTable:
         return self._perms[i]
 
     def all_hurwitz_perms(self):
-        return [self.hurwitz_perm(i) for i in range(1, 11)]
+        return [self.hurwitz_perm(i) for i in range(1, N_MOVES + 1)]
 
     def base_class(self) -> int:
         """The class of (t_0, t_1) = ((12), (12)), t_2..t_11 = (23)."""
@@ -226,32 +228,27 @@ def parse_tuple_string(s: str) -> np.ndarray:
     return codes
 
 
-def classify_confluence_codes(codes, pos: int) -> str:
-    """Collapse classification at slot pair (pos, pos+1 mod 12): H, RM or SG."""
-    codes = np.asarray(codes, dtype=np.int8).reshape(TUPLE_LEN)
+def confluence_labels(codes, pos: int) -> np.ndarray:
+    """Labels of (n, 12) code rows collapsed at slots (pos, pos+1 mod 12).
+
+    The one statement of the rule, coded 0=H, 1=RM, 2=SG: RM when the two
+    letters differ, otherwise H when the other ten letters are all equal,
+    otherwise SG.
+    """
     if not 0 <= pos < TUPLE_LEN:
-        raise IndexError(f"position must be in 0..11, got {pos!r}")
-    u = int(codes[pos])
-    v = int(codes[(pos + 1) % TUPLE_LEN])
-    if u != v:
-        return "RM"
-    rest = np.delete(codes, [pos, (pos + 1) % TUPLE_LEN])
-    return "H" if (rest == rest[0]).all() else "SG"
+        raise IndexError(f"position must be in 0..{TUPLE_LEN - 1}, got {pos!r}")
+    codes = np.atleast_2d(codes)
+    nxt = (pos + 1) % TUPLE_LEN
+    rest = np.delete(codes, [pos, nxt], axis=1)
+    same_rest = (rest == rest[:, :1]).all(axis=1)
+    return np.where(codes[:, pos] != codes[:, nxt], 1,
+                    np.where(same_rest, 0, 2)).astype(np.int8)
 
 
-def classify_confluence(idx_or_string, pos: int, table: ClassTable | None = None) -> str:
-    """Class-level confluence classification (on the canonical representative)."""
-    if isinstance(idx_or_string, str):
-        codes = parse_tuple_string(idx_or_string)
-    else:
-        table = table or get_table()
-        codes = table.codes[int(idx_or_string)]
-    return classify_confluence_codes(codes, pos)
-
-
-def enumerate_classes() -> np.ndarray:
-    """Canonical code rows of all 29524 classes, in index order."""
-    return get_table().codes
+def classify_confluence_codes(codes, pos: int) -> str:
+    """Collapse classification of one 12-tuple at slots (pos, pos+1 mod 12)."""
+    codes = np.asarray(codes, dtype=np.int8).reshape(1, TUPLE_LEN)
+    return CONFLUENCE_CLASSES[int(confluence_labels(codes, pos)[0])]
 
 
 def orbit_R(seed_idx: int):
@@ -259,16 +256,3 @@ def orbit_R(seed_idx: int):
     from .schreier import orbit_bfs
     t = get_table()
     return orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), [int(seed_idx)])
-
-
-def classify_all(table: ClassTable, pos: int) -> np.ndarray:
-    """Confluence classes of every class at one slot, coded 0=H, 1=RM, 2=SG."""
-    codes = table.codes
-    u = codes[:, pos]
-    v = codes[:, (pos + 1) % TUPLE_LEN]
-    rest = np.delete(codes, [pos, (pos + 1) % TUPLE_LEN], axis=1)
-    same_rest = np.all(rest == rest[:, :1], axis=1)
-    out = np.full(N_CLASSES, 2, dtype=np.int8)
-    out[u != v] = 1
-    out[(u == v) & same_rest] = 0
-    return out

@@ -102,12 +102,16 @@ class ProjectiveTable:
     """Canonical line representatives, index lookups and generator actions."""
 
     def __init__(self):
-        keys = np.arange(N_VECTORS, dtype=np.int64)
-        digits = np.stack([(keys // (3 ** i)) % 3 for i in range(DIM)], axis=1)
-        self.vectors = digits.astype(np.int8)      # all of F_3^10, row = key
+        # np.indices puts its last axis least significant; reversing the
+        # axes makes coordinate 0 the least significant digit, so row k of
+        # `vectors` is the vector with key k
+        digits = np.indices((3,) * DIM, dtype=np.int8).reshape(DIM, -1)
+        self.vectors = digits[::-1].T                # all of F_3^10, row = key
 
-        canon = canonicalize(self.vectors[1:])
-        canon_keys = np.unique(keys_of(canon))
+        # a row is canonical when its first nonzero coordinate is 1
+        lead = self.vectors[np.arange(N_VECTORS),
+                            np.argmax(self.vectors != 0, axis=1)]
+        canon_keys = np.flatnonzero(lead == 1)      # ascending key order
         assert canon_keys.size == N_POINTS
         self.reps = self.vectors[canon_keys]        # (29524, 10) canonical rows
         self.point_index = np.full(N_VECTORS, -1, dtype=np.int64)
@@ -177,11 +181,6 @@ def get_table() -> ProjectiveTable:
     if _TABLE is None:
         _TABLE = ProjectiveTable()
     return _TABLE
-
-
-def enumerate_proj() -> np.ndarray:
-    """All canonical line representatives in index order."""
-    return get_table().reps
 
 
 # -- classification ------------------------------------------------------------

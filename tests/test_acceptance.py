@@ -59,7 +59,7 @@ def report(num, name, ok, limit, timer, detail=""):
 def test_criterion_01_monodromy_class_count():
     with Timer() as t:
         table = mo.get_table()
-        classes = mo.enumerate_classes()
+        classes = table.codes
         ok = (classes.shape[0] == 29524
               and table.raw_count == 177144
               and 29524 == (3 ** 11 - 3) // 6 == (3 ** 10 - 1) // 2)
@@ -69,7 +69,7 @@ def test_criterion_01_monodromy_class_count():
 
 def test_criterion_02_projective_point_count():
     with Timer() as t:
-        reps = sp.enumerate_proj()
+        reps = sp.get_table().reps
         ok = reps.shape[0] == 29524
     report(2, "projective point count", ok, 5, t, f"points={reps.shape[0]}")
 
@@ -184,7 +184,7 @@ def test_criterion_08_orbit_trichotomy(corr):
             fix_s = _fixed(spt.transvection_perm(i))
             fix_b = _fixed(mot.hurwitz_perm(i))
             line = sp.line_class_vector(spt.basis_point(i), spt)
-            conf = mo.classify_all(mot, i)
+            conf = mo.confluence_labels(mot.codes, i)
             pairing_ok = pairing_ok and bool(
                 fix_s.size == fix_b.size == 9841
                 and np.array_equal(fix_s, np.flatnonzero(line != 2))
@@ -195,7 +195,8 @@ def test_criterion_08_orbit_trichotomy(corr):
         # are exchanged, and then everywhere
         cross = co.cross_validate_classification(corr)
         h_fibers = all(
-            corr.backward[int(np.flatnonzero(mo.classify_all(mot, i) == 0)[0])]
+            corr.backward[int(np.flatnonzero(
+                mo.confluence_labels(mot.codes, i) == 0)[0])]
             == spt.basis_point(i) for i in range(1, 11))
         counts_ok = (
             cross["total_checks"] == 295240

@@ -15,10 +15,10 @@ def corr():
 
 
 def test_base_class():
-    idx = co.base_class()
     t = mo.get_table()
+    idx = t.base_class()
     assert t.class_string(idx) == "001111111111"
-    assert mo.classify_confluence(idx, 0, t) == "H"
+    assert mo.classify_confluence_codes(t.codes[idx], 0) == "H"
 
 
 def test_build_succeeds_and_is_bijective(corr):
@@ -159,7 +159,7 @@ def test_cross_validation_counterexample(corr):
     # verify the reported counterexample from scratch
     mot, spt = mo.get_table(), sp.get_table()
     i, c = d["position"], d["class_index"]
-    assert mo.classify_confluence(c, i, mot) == d["confluence"]
+    assert mo.classify_confluence_codes(mot.codes[c], i) == d["confluence"]
     ell = int(corr.backward[c])
     assert sp.classify_line(spt.basis_point(i), ell, spt) == d["line_class"]
     assert d["confluence"] != d["line_class"]
@@ -170,7 +170,7 @@ def test_base_pair_slot1_instance(corr):
     # the base point is NOT perpendicular to alpha_1 (line label SG): the
     # two labelings pair RM with SG
     mot, spt = mo.get_table(), sp.get_table()
-    assert mo.classify_confluence(corr.base_class, 1, mot) == "RM"
+    assert mo.classify_confluence_codes(mot.codes[corr.base_class], 1) == "RM"
     a1 = spt.basis_point(1)
     assert sp.symp(spt.rep(a1), spt.rep(corr.base_point)) != 0
     assert a1 != corr.base_point

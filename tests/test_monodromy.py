@@ -147,21 +147,23 @@ def test_base_class(table):
 
 
 def test_classify_base_class(table):
-    b = table.base_class()
+    codes = table.codes[table.base_class()]
     # slots (0, 1) carry the equal pair, everything else is the letter 1
-    assert mo.classify_confluence(b, 0, table) == "H"
-    assert mo.classify_confluence(b, 1, table) == "RM"
-    assert mo.classify_confluence(b, 5, table) == "SG"
-    assert mo.classify_confluence(b, 11, table) == "RM"
+    assert mo.classify_confluence_codes(codes, 0) == "H"
+    assert mo.classify_confluence_codes(codes, 1) == "RM"
+    assert mo.classify_confluence_codes(codes, 5) == "SG"
+    assert mo.classify_confluence_codes(codes, 11) == "RM"
 
 
 def test_classify_string_form():
-    assert mo.classify_confluence("001111111111", 0) == "H"
-    assert mo.classify_confluence("001111111111", 1) == "RM"
-    assert mo.classify_confluence("001111111111", 5) == "SG"
-    assert mo.classify_confluence("010101010101", 3) == "RM"
+    def classify(s, pos):
+        return mo.classify_confluence_codes(mo.parse_tuple_string(s), pos)
+    assert classify("001111111111", 0) == "H"
+    assert classify("001111111111", 1) == "RM"
+    assert classify("001111111111", 5) == "SG"
+    assert classify("010101010101", 3) == "RM"
     with pytest.raises(IndexError):
-        mo.classify_confluence("001111111111", 12)
+        classify("001111111111", 12)
 
 
 def test_classify_conjugation_invariant(table):
@@ -175,13 +177,27 @@ def test_classify_conjugation_invariant(table):
                         == mo.classify_confluence_codes(codes, pos))
 
 
-def test_classify_all_matches_scalar(table):
-    rng = np.random.default_rng(3)
-    for pos in (0, 2, 7, 11):
-        coded = mo.classify_all(table, pos)
-        for idx in rng.integers(0, mo.N_CLASSES, size=30):
-            want = mo.classify_confluence(int(idx), pos, table)
-            assert mo.CONFLUENCE_CLASSES[int(coded[int(idx)])] == want
+def brute_confluence_label(row, pos):
+    """0=H, 1=RM, 2=SG for one code row, straight from the module docstring."""
+    u, v = row[pos], row[(pos + 1) % 12]
+    if u != v:
+        return 1                # the local product is a 3-cycle
+    rest = [c for k, c in enumerate(row) if k not in (pos, (pos + 1) % 12)]
+    return 0 if len(set(rest)) == 1 else 2
+
+
+def test_confluence_labels_equal_brute_force_on_every_class(table):
+    rows = table.codes.tolist()
+    for pos in range(mo.TUPLE_LEN):
+        brute = [brute_confluence_label(row, pos) for row in rows]
+        labels = mo.confluence_labels(table.codes, pos)
+        assert labels.dtype == np.int8
+        assert labels.tolist() == brute
+    for bad in (-1, 12):
+        with pytest.raises(IndexError):
+            mo.confluence_labels(table.codes, bad)
+        with pytest.raises(IndexError):
+            mo.classify_confluence_codes(table.codes[0], bad)
 
 
 def test_parse_tuple_string_errors():

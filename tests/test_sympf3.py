@@ -31,14 +31,24 @@ def f3_rank(m):
     return rank
 
 
+def scale(c, x):
+    return tuple(c * a for a in x)
+
+
+def rand_vector(rng, bound):
+    return tuple(EisensteinInt(rng.randint(-bound, bound),
+                               rng.randint(-bound, bound))
+                 for _ in range(10))
+
+
 def test_reduction_of_basis_and_theta_multiples():
     a1 = lat.basis_vector(1)
     assert (sp.reduce_vector(a1) == np.eye(10, dtype=np.int8)[0]).all()
-    assert (sp.reduce_vector(lat.vec_scale(2, a1))
+    assert (sp.reduce_vector(scale(2, a1))
             == 2 * np.eye(10, dtype=np.int8)[0]).all()
-    tau_a1 = lat.vec_scale(EisensteinInt(0, 1), a1)
+    tau_a1 = scale(EisensteinInt(0, 1), a1)
     assert (sp.reduce_vector(tau_a1) == (2 * np.eye(10, dtype=np.int8)[0])).all()
-    theta_x = lat.vec_scale(THETA, lat.vec_add(a1, lat.basis_vector(5)))
+    theta_x = scale(THETA, lat.vec_add(a1, lat.basis_vector(5)))
     assert not sp.reduce_vector(theta_x).any()
 
 
@@ -68,10 +78,7 @@ def test_symp_values_and_nondegeneracy():
 def test_symp_is_reduction_of_skew():
     rng = random.Random(11)
     for _ in range(30):
-        x = lat.as_vector([EisensteinInt(rng.randint(-4, 4), rng.randint(-4, 4))
-                           for _ in range(10)])
-        y = lat.as_vector([EisensteinInt(rng.randint(-4, 4), rng.randint(-4, 4))
-                           for _ in range(10)])
+        x, y = rand_vector(rng, 4), rand_vector(rng, 4)
         assert (sp.symp(sp.reduce_vector(x), sp.reduce_vector(y))
                 == reduce_mod_theta(lat.skew(x, y)))
 
@@ -101,8 +108,7 @@ def test_reduction_intertwines_triflection_and_transvection():
         tv = sp.transvection(i).astype(np.int64)
         assert (sp.reduce_matrix(tri) == tv % 3).all()
         for _ in range(4):
-            x = lat.as_vector([EisensteinInt(rng.randint(-3, 3), rng.randint(-3, 3))
-                               for _ in range(10)])
+            x = rand_vector(rng, 3)
             lhs = sp.reduce_vector(lat.apply(tri, x))
             rhs = (tv @ sp.reduce_vector(x).astype(np.int64)) % 3
             assert (lhs == rhs).all()
@@ -119,6 +125,24 @@ def test_projective_enumeration():
     # no duplicates and scaling by 2 gives no new canonical rows
     assert np.unique(sp.keys_of(t.reps)).size == 29524
     assert (sp.keys_of(sp.canonicalize((t.reps * 2) % 3)) == sp.keys_of(t.reps)).all()
+
+
+def test_projective_table_equals_the_canonicalize_route():
+    # the table as built before: digits by ten divmod passes, then the
+    # canonical keys of every nonzero vector, deduplicated
+    keys = np.arange(sp.N_VECTORS, dtype=np.int64)
+    vectors = np.stack([(keys // 3 ** i) % 3 for i in range(10)],
+                       axis=1).astype(np.int8)
+    canon_keys = np.unique(sp.keys_of(sp.canonicalize(vectors[1:])))
+    reps = vectors[canon_keys]
+    point_index = np.full(sp.N_VECTORS, -1, dtype=np.int64)
+    point_index[canon_keys] = np.arange(sp.N_POINTS, dtype=np.int64)
+    t = sp.get_table()
+    for got, want in ((t.vectors, vectors), (t.reps, reps),
+                      (t.point_index, point_index)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert (got == want).all()
 
 
 def test_point_count_formula():
