@@ -448,8 +448,8 @@ def _orbit_tree_json(res, side: str, seed: int) -> dict:
         "side": side,
         "seed": int(seed),
         "size": int(res.size),
-        "parent": [int(x) for x in res.parent],
-        "generator": [None if g < 0 else int(g) + 1 for g in res.parent_gen],
+        "parent": res.parent.tolist(),
+        "generator": [g or None for g in (res.parent_gen + 1).tolist()],
     }
 
 
@@ -462,20 +462,19 @@ def _orbit_trees():
 
 
 def _orbits_dot() -> bytes:
-    lines = ["digraph schreier_forest {"]
+    parts = ["digraph schreier_forest {\n"]
     for res, side, seed in _orbit_trees():
         prefix = side[0]
-        lines.append(f'  subgraph cluster_{side} {{ label="{side}";')
-        lines.append(f'    {prefix}{seed} [shape=doublecircle];')
-        for child in range(res.parent.size):
-            p = int(res.parent[child])
-            if p < 0:
-                continue
-            g = int(res.parent_gen[child]) + 1
-            lines.append(f'    {prefix}{p} -> {prefix}{child} [label="{g}"];')
-        lines.append("  }")
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        children = np.flatnonzero(res.parent >= 0)
+        edges = np.stack([res.parent[children], children,
+                          res.parent_gen[children] + 1], axis=1)
+        edge = f'    {prefix}%d -> {prefix}%d [label="%d"];\n'
+        parts += [f'  subgraph cluster_{side} {{ label="{side}";\n'
+                  f'    {prefix}{seed} [shape=doublecircle];\n',
+                  edge * children.size % tuple(edges.ravel().tolist()),
+                  "  }\n"]
+    parts.append("}\n")
+    return "".join(parts).encode("utf-8")
 
 
 def cmd_export(args) -> int:
@@ -491,8 +490,7 @@ def cmd_export(args) -> int:
     elif args.what == "classes":
         t = mo.get_table()
         data = _json_bytes({"count": int(t.codes.shape[0]),
-                            "classes": [t.class_string(i)
-                                        for i in range(t.codes.shape[0])]})
+                            "classes": mo.code_strings(t.codes)})
     elif args.what == "bijection":
         data = _json_bytes(co.build_bijection().to_json())
     elif args.format == "dot":           # orbits; argparse restricts `what`

@@ -41,8 +41,8 @@ import numpy as np
 
 from . import monodromy as mo
 from . import sympf3 as sp
-from .schreier import (inverse_permutation, orbit_bfs,
-                       schreier_generator_words, word_permutation)
+from .schreier import (apply_word, inverse_permutation, orbit_bfs,
+                       schreier_generator_words)
 
 N = sp.N_POINTS
 assert N == mo.N_CLASSES
@@ -66,7 +66,7 @@ class Correspondence:
     def to_json(self) -> dict:
         t = sp.get_table()
         return {
-            "forward": [int(x) for x in self.forward],
+            "forward": self.forward.tolist(),
             "generators_checked": sp.DIM,
             "edges_verified": int(self.edges_verified),
             "base_pair": {
@@ -100,6 +100,15 @@ def stabilizer_words(seed_index: int, side: str = "monodromy",
     return [[(g + 1, e) for g, e in w] for w in words]
 
 
+def _fixed_points(words, gens, inv_gens) -> np.ndarray:
+    """The points every word fixes, ascending; each word is applied only to
+    the points still standing."""
+    points = np.arange(N, dtype=np.int64)
+    for w in words:
+        points = points[apply_word(points, w, gens, inv_gens) == points]
+    return points
+
+
 def _transport(ell0: int, rho0: int, s_gens, h_stack: np.ndarray):
     """forward with forward[ell0] = rho0, extended along the point BFS tree."""
     tree = orbit_bfs(N, s_gens, [ell0])
@@ -127,7 +136,7 @@ def _verify(forward: np.ndarray, s_gens, h_gens):
             return False, {"generator": gi + 1, "point": p,
                            "forward_of_image": int(lhs[p]),
                            "image_of_forward": int(rhs[p])}
-    if np.unique(forward).size != N:
+    if not (np.sort(forward) == np.arange(N)).all():
         return False, {"generator": None, "point": None,
                        "reason": "forward is not injective"}
     return True, None
@@ -151,11 +160,7 @@ def build_bijection(budget: int = DEFAULT_WORD_BUDGET) -> Correspondence:
 
     # a point can be the image of rho_0 only if every word fixing rho_0
     # also fixes it
-    identity = np.arange(N, dtype=np.int64)
-    mask = np.ones(N, dtype=bool)
-    for w in words:
-        mask &= word_permutation(w, s_gens, s_inv, N) == identity
-    candidates = np.flatnonzero(mask)
+    candidates = _fixed_points(words, s_gens, s_inv)
 
     winner = None
     passing = 0

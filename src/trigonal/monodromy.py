@@ -106,6 +106,12 @@ def canonical_keys(codes: np.ndarray) -> np.ndarray:
     indicator = np.stack([codes_to_keys(codes == c) for c in range(3)])
     if (indicator.sum(axis=0) != _W12.sum()).any():
         raise ValueError("transposition codes must lie in {0, 1, 2}")
+    return _least_relabeled_keys(indicator)
+
+
+def _least_relabeled_keys(indicator: np.ndarray) -> np.ndarray:
+    """min over the six relabelings perm of sum_c perm[c] * K_c, from the
+    (3, n) indicator keys K_c."""
     return (ALPHABET_PERMS.astype(np.int64) @ indicator).min(axis=0)
 
 
@@ -123,34 +129,39 @@ class ClassTable:
 
     def __init__(self):
         free = TUPLE_LEN - 1                     # t_1..t_11 are free
-        digits = np.indices((3,) * free, dtype=np.int8).reshape(free, -1)
-        nonconstant = (digits != digits[0]).any(axis=0)
-        self.raw_count = int(nonconstant.sum())
-        assert self.raw_count == N_RAW
-
-        # t_11 ... t_1 for every column of digits, built as prefix products:
-        # in the base-3 enumeration, appending t_{k+1} = c to the prefix of
-        # index p gives index 3p + c, and left[c, a] = t_c * a
+        # t_11 ... t_1 and the indicator keys K_c of t_1..t_11 for every
+        # free tuple, built as prefix products: in the base-3 enumeration,
+        # appending t_{k+1} = d to the prefix of index p gives index 3p + d,
+        # left[d, a] = t_d * a and K_c(3p + d) = 3 K_c(p) + [d = c]
         left = MUL[TRANSPOSITIONS]
         acc = np.array([IDENTITY], dtype=np.int8)
+        indicator = np.zeros((3, 1), dtype=np.int64)
+        unit = np.identity(3, dtype=np.int64)[:, None, :]
         for _ in range(free):
             acc = left[:, acc].T.reshape(-1)
-        # t_0 = (t_11 ... t_1)^(-1), always a transposition here
-        t0 = _CODE_OF_ELEM[INV[acc[nonconstant]]]
+            indicator = (3 * indicator[:, :, None] + unit).reshape(3, -1)
+        # t_0 = (t_11 ... t_1)^(-1), a product of 11 transpositions and so
+        # itself one; its digit is the most significant
+        t0 = _CODE_OF_ELEM[INV[acc]]
         assert (t0 >= 0).all()
-
-        codes = np.concatenate([t0[None], digits[:, nonconstant]]).T
-        keys = canonical_keys(codes)
+        indicator += (t0 == np.arange(3)[:, None]) * _W12[0]
+        keys = _least_relabeled_keys(indicator)
+        # only the three constant tuples relabel to all zeros, key 0
         counts = np.bincount(keys)
+        self.raw_count = keys.size - int(counts[0])
+        assert self.raw_count == N_RAW
+        counts[0] = 0
         uniq = np.flatnonzero(counts)            # ascending, as np.unique
         assert uniq.size == N_CLASSES
         assert (counts[uniq] == 6).all()         # the conjugation action is free
 
         self.keys = uniq
         self.codes = keys_to_codes(uniq)         # (29524, 12) canonical rows
-        # a canonical row starts with letter 0, so its key is below 3^11
+        # a class has two rows with t_0 = 0, the canonical one and its
+        # 1 <-> 2 swap c -> -c; both keys are below 3^11 and both are indexed
         self.class_index = np.full(3 ** free, -1, dtype=np.int64)
-        self.class_index[uniq] = np.arange(N_CLASSES, dtype=np.int64)
+        for zero_led in (uniq, codes_to_keys(-self.codes % 3)):
+            self.class_index[zero_led] = np.arange(N_CLASSES)
         self._perms: dict[int, np.ndarray] = {}
 
         assert (product_of_codes(self.codes) == IDENTITY).all()
@@ -165,7 +176,7 @@ class ClassTable:
         return idx
 
     def class_string(self, idx: int) -> str:
-        return "".join(str(c) for c in self.codes[idx])
+        return code_strings(self.codes[idx])[0]
 
     def index_of_string(self, s: str) -> int:
         return self.index_of_codes(parse_tuple_string(s))
@@ -178,8 +189,10 @@ class ClassTable:
             raise IndexError(
                 f"generator index must be in 1..{N_MOVES}, got {i!r}")
         if i not in self._perms:
-            moved = hurwitz_move_codes(self.codes, i)
-            perm = self.class_index[canonical_keys(moved)]
+            # the move keeps t_0 = 0, so the moved row is one of the two
+            # indexed rows of its class
+            perm = self.class_index[codes_to_keys(
+                hurwitz_move_codes(self.codes, i))]
             assert (perm >= 0).all()
             self._perms[i] = perm
         return self._perms[i]
@@ -212,6 +225,12 @@ def hurwitz_move_codes(codes, i: int) -> np.ndarray:
     codes[:, i] = v
     codes[:, i + 1] = CONJ[v, u]
     return codes
+
+
+def code_strings(codes) -> list[str]:
+    """The 12-character strings of (n, 12) code rows, decoded in one pass."""
+    text = (np.atleast_2d(codes) + ord("0")).astype(np.uint8).tobytes().decode()
+    return [text[k:k + TUPLE_LEN] for k in range(0, len(text), TUPLE_LEN)]
 
 
 def parse_tuple_string(s: str) -> np.ndarray:

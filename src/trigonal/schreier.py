@@ -43,7 +43,7 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     depth = np.full(n_points, -1, dtype=np.int64)
     visited = np.zeros(n_points, dtype=bool)
 
-    frontier = np.unique(np.asarray(sorted(set(seeds)), dtype=np.int64))
+    frontier = np.asarray(sorted(set(seeds)), dtype=np.int64)
     visited[frontier] = True
     depth[frontier] = 0
     order = [frontier]
@@ -85,19 +85,17 @@ def invert_word(word):
     return [(g, -e) for g, e in reversed(word)]
 
 
-def apply_word(point: int, word, gens, inv_gens):
-    p = int(point)
+def apply_word(points, word, gens, inv_gens):
+    """Images of a point, or an array of points, under a word (first letter
+    applied first)."""
     for g, e in word:
-        p = int(gens[g][p] if e == 1 else inv_gens[g][p])
-    return p
+        points = (gens[g] if e == 1 else inv_gens[g])[points]
+    return points
 
 
 def word_permutation(word, gens, inv_gens, n_points: int) -> np.ndarray:
     """The dense permutation realized by a word (first letter applied first)."""
-    idx = np.arange(n_points, dtype=np.int64)
-    for g, e in word:
-        idx = gens[g][idx] if e == 1 else inv_gens[g][idx]
-    return idx
+    return apply_word(np.arange(n_points, dtype=np.int64), word, gens, inv_gens)
 
 
 def schreier_generator_words(res: OrbitResult, gens, limit: int):

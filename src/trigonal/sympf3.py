@@ -66,18 +66,19 @@ def transvection(i: int) -> np.ndarray:
     return m
 
 
-def _transvect(vectors: np.ndarray, i: int) -> tuple[int, np.ndarray]:
-    """(g, x'_g) for transvection i on each row x.
+def _transvect_keys(vectors: np.ndarray, keys: np.ndarray, i: int) -> np.ndarray:
+    """Keys of the rows x (with keys `keys`) after transvection i.
 
     Transvection i changes only coordinate g = i - 1, to
     x'_g = (x_g - symp(x, alpha_i)) mod 3, which is row g of transvection(i)
-    applied to x.  Only the nonzero entries of that row are read.
+    applied to x; so the key moves by (x'_g - x_g) * 3^g.  Only the nonzero
+    entries of that row are read.
     """
     g = i - 1
     row = transvection(i)[g]
     total = sum(int(row[j]) * vectors[:, j].astype(np.int16)
                 for j in np.flatnonzero(row))
-    return g, (total % 3).astype(np.int8)
+    return keys + (total % 3 - vectors[:, g]).astype(np.int64) * POW3[g]
 
 
 _DOUBLE = np.array([0, 2, 1], dtype=np.int8)   # x -> 2x mod 3
@@ -111,11 +112,13 @@ class ProjectiveTable:
         # a row is canonical when its first nonzero coordinate is 1
         lead = self.vectors[np.arange(N_VECTORS),
                             np.argmax(self.vectors != 0, axis=1)]
-        canon_keys = np.flatnonzero(lead == 1)      # ascending key order
-        assert canon_keys.size == N_POINTS
-        self.reps = self.vectors[canon_keys]        # (29524, 10) canonical rows
+        self.keys = np.flatnonzero(lead == 1)       # ascending key order
+        assert self.keys.size == N_POINTS
+        self.reps = self.vectors[self.keys]         # (29524, 10) canonical rows
+        # v and 2v = -v span one point, so every nonzero key is indexed
         self.point_index = np.full(N_VECTORS, -1, dtype=np.int64)
-        self.point_index[canon_keys] = np.arange(N_POINTS, dtype=np.int64)
+        for keys in (self.keys, keys_of(_DOUBLE[self.reps])):
+            self.point_index[keys] = np.arange(N_POINTS)
 
         self._perms: dict[int, np.ndarray] = {}
         self._vec_perms: dict[int, np.ndarray] = {}
@@ -127,26 +130,22 @@ class ProjectiveTable:
         v = np.asarray(v, dtype=np.int8) % 3
         if not v.any():
             raise ValueError("the zero vector spans no line")
-        idx = int(self.point_index[int(keys_of(canonicalize(v))[0])])
-        assert idx >= 0
-        return idx
+        return int(self.point_index[int(keys_of(v))])
 
     def rep(self, idx: int) -> np.ndarray:
         return self.reps[idx]
 
     def basis_point(self, i: int) -> int:
         """The point [alpha_i], 1 <= i <= 10."""
-        return self.index_of_vector(np.identity(DIM, dtype=np.int8)[i - 1])
+        lattice._check_index(i)
+        return int(self.point_index[POW3[i - 1]])
 
     # -- actions -------------------------------------------------------------
 
     def transvection_perm(self, i: int) -> np.ndarray:
         """The permutation of point indices induced by transvection i."""
         if i not in self._perms:
-            g, moved = _transvect(self.reps, i)
-            imgs = self.reps.copy()
-            imgs[:, g] = moved
-            perm = self.point_index[keys_of(canonicalize(imgs))]
+            perm = self.point_index[_transvect_keys(self.reps, self.keys, i)]
             assert (perm >= 0).all()
             self._perms[i] = perm
         return self._perms[i]
@@ -154,10 +153,8 @@ class ProjectiveTable:
     def vector_perm(self, i: int) -> np.ndarray:
         """The permutation of all 3^10 vector keys (0 is fixed)."""
         if i not in self._vec_perms:
-            g, moved = _transvect(self.vectors, i)
             keys = np.arange(N_VECTORS, dtype=np.int64)   # row k of vectors has key k
-            change = moved.astype(np.int64) - self.vectors[:, g]
-            self._vec_perms[i] = keys + change * POW3[g]
+            self._vec_perms[i] = _transvect_keys(self.vectors, keys, i)
         return self._vec_perms[i]
 
     def all_transvection_perms(self):

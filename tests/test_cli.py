@@ -1,10 +1,12 @@
 """CLI subcommands: reports, exports, classification, exit codes.
 
-The commands run in-process through `cli.main(argv)`.  Three tests start a
-fresh interpreter: the no-tables test of `verify lattice` and
-`classify --cross-check`, which needs empty table caches, the smoke test
-of the `python -m trigonal.cli` entry point, and the test that the
-benchmark's in-process driver still finds every package name it reaches.
+The commands run in-process through `cli.main(argv)`.  Four tests start a
+fresh interpreter through `fresh_python`: the no-tables test of
+`verify lattice` and `classify --cross-check`, which needs empty table
+caches, the test that `verify` and the exports leave `numpy.ma` unimported,
+the smoke test of the `python -m trigonal.cli` entry point, and the test
+that the benchmark's in-process driver still finds every package name it
+reaches.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trigonal
 from trigonal import __version__, cli
 from trigonal import monodromy as mo
 
@@ -45,6 +48,19 @@ REPORT_SHA256 = {
     True: "cdad84fee9109b8524c954159e7f01e540138bd4030f31db2a650f23deaca947",
 }
 REPORT_VERSION = "0.1.0"
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter that imports this `trigonal`.
+
+    PYTHONPATH is set from the location of the imported package, so the
+    child runs the same code whether or not the variable is set outside.
+    """
+    src = str(Path(trigonal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def run(capsys, args):
@@ -159,8 +175,7 @@ def test_verify_lattice_and_classify_cross_check_build_no_tables():
         "'--cross-check']) == 0\n"
         "assert mo._TABLE is None and sp._TABLE is None, 'tables were built'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "RM\ncross-check (line side): SG\n"
 
@@ -181,19 +196,31 @@ def test_benchmark_driver_finds_every_name_it_reaches():
         "assert inproc.classify(cli, '001111111111', 1) == "
         "(0, 'RM\\ncross-check (line side): SG\\n')\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_and_exports_leave_numpy_ma_unimported(tmp_path):
+    # importing numpy.ma costs a cold run about 11 ms, and no command needs it
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from trigonal import cli\n"
+        f"assert cli.main(['verify', 'all', '--out', {out!r}]) == 1\n"
+        f"assert cli.main(['export', 'bijection', '--out', {out!r}]) == 0\n"
+        f"assert cli.main(['export', 'orbits', '--out', {out!r}]) == 0\n"
+        "assert cli.main(['export', 'orbits', '--format', 'dot', "
+        f"'--out', {out!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_entry_point_exit_codes():
-    def module_cli(*args):
-        return subprocess.run([sys.executable, "-m", "trigonal.cli", *args],
-                              capture_output=True, text=True)
-
-    proc = module_cli("classify", "001111111111", "1")
+    proc = fresh_python("-m", "trigonal.cli", "classify", "001111111111", "1")
     assert (proc.returncode, proc.stdout) == (0, "RM\n")
-    proc = module_cli("classify", "011111111111", "0")
+    proc = fresh_python("-m", "trigonal.cli", "classify", "011111111111", "0")
     assert proc.returncode == 2
     assert "not the identity" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -343,6 +370,41 @@ def test_export_orbits_dot(tmp_path):
     assert "cluster_projective" in text and "cluster_classes" in text
     # a spanning forest on 2 x 29524 nodes has 2 x 29523 edges
     assert text.count("->") == 2 * 29523
+
+
+def reference_orbit_tree_json(res, side: str, seed: int) -> dict:
+    """The orbit forest as JSON, built one element at a time."""
+    return {"side": side, "seed": int(seed), "size": int(res.size),
+            "parent": [int(x) for x in res.parent],
+            "generator": [None if g < 0 else int(g) + 1
+                          for g in res.parent_gen]}
+
+
+def reference_orbits_dot(trees) -> bytes:
+    """The DOT forest, one formatted line per tree edge."""
+    lines = ["digraph schreier_forest {"]
+    for res, side, seed in trees:
+        prefix = side[0]
+        lines.append(f'  subgraph cluster_{side} {{ label="{side}";')
+        lines.append(f'    {prefix}{seed} [shape=doublecircle];')
+        for child in range(res.parent.size):
+            p = int(res.parent[child])
+            if p < 0:
+                continue
+            g = int(res.parent_gen[child]) + 1
+            lines.append(f'    {prefix}{p} -> {prefix}{child} [label="{g}"];')
+        lines.append("  }")
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_orbit_exports_equal_the_per_element_reference():
+    trees = cli._orbit_trees()
+    assert [side for _, side, _ in trees] == ["projective", "classes"]
+    for res, side, seed in trees:
+        assert (cli._json_bytes(cli._orbit_tree_json(res, side, seed))
+                == cli._json_bytes(reference_orbit_tree_json(res, side, seed)))
+    assert cli._orbits_dot() == reference_orbits_dot(trees)
 
 
 def test_export_dot_rejected_elsewhere(capsys):

@@ -6,7 +6,8 @@ import pytest
 from trigonal import correspondence as co
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
-from trigonal.schreier import apply_word, inverse_permutation
+from trigonal.schreier import (apply_word, inverse_permutation, orbit_bfs,
+                               schreier_generator_words, word_permutation)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,26 @@ def test_candidate_counts(corr):
     assert corr.candidates_pruned == 1
     assert corr.candidates_passing == 1
     assert corr.words_used == 64
+
+
+def test_survivor_pruning_equals_the_full_mask_route(corr):
+    # the route as built before: each word as a full permutation of the
+    # points, the candidates being the points every one of them fixes
+    s_gens = sp.get_table().all_transvection_perms()
+    s_inv = [inverse_permutation(g) for g in s_gens]
+    h_gens = mo.get_table().all_hurwitz_perms()
+    tree = orbit_bfs(co.N, h_gens, [corr.base_class])
+    identity = np.arange(co.N)
+    for budget in (1, 2, 4, 8, 64):
+        words = schreier_generator_words(tree, h_gens, budget)
+        mask = np.ones(co.N, dtype=bool)
+        for w in words:
+            mask &= word_permutation(w, s_gens, s_inv, co.N) == identity
+        got = co._fixed_points(words, s_gens, s_inv)
+        assert got.tolist() == np.flatnonzero(mask).tolist(), budget
+    assert corr.words_used == len(words) == 64
+    assert corr.candidates_pruned == got.size == 1
+    assert corr.base_point == got[0]
 
 
 def test_point_vectors_equal_the_searched_bijection(corr):

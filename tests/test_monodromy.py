@@ -91,6 +91,26 @@ def test_canonical_keys_equal_brute_force_on_moved_classes(table):
         assert (table.keys[table.hurwitz_perm(i)] == brute).all()
 
 
+def test_class_index_holds_both_zero_led_rows_of_each_class(table):
+    # every key below 3^11 is a 12-tuple with t_0 = 0
+    codes = mo.keys_to_codes(np.arange(3 ** (mo.TUPLE_LEN - 1)))
+    valid = ((codes != codes[:, :1]).any(axis=1)
+             & (mo.product_of_codes(codes) == mo.IDENTITY))
+    assert valid.sum() == 2 * mo.N_CLASSES
+    assert table.class_index.size == 3 ** 11
+    assert (table.class_index[~valid] == -1).all()
+    brute = brute_canonical_keys(codes[valid])
+    want = np.searchsorted(table.keys, brute)
+    assert (table.keys[want] == brute).all()
+    assert (table.class_index[valid] == want).all()
+
+
+def test_class_strings_equal_the_per_element_definition(table):
+    want = ["".join(str(c) for c in row) for row in table.codes.tolist()]
+    assert mo.code_strings(table.codes) == want
+    assert [table.class_string(i) for i in range(mo.N_CLASSES)] == want
+
+
 def test_canonical_keys_reject_letters_outside_0_1_2(table):
     for bad in (3, -1):
         with pytest.raises(ValueError, match=r"\{0, 1, 2\}"):

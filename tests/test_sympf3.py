@@ -129,7 +129,8 @@ def test_projective_enumeration():
 
 def test_projective_table_equals_the_canonicalize_route():
     # the table as built before: digits by ten divmod passes, then the
-    # canonical keys of every nonzero vector, deduplicated
+    # canonical keys of every nonzero vector, deduplicated; each point is
+    # indexed at the key of its canonical vector v and at the key of 2v
     keys = np.arange(sp.N_VECTORS, dtype=np.int64)
     vectors = np.stack([(keys // 3 ** i) % 3 for i in range(10)],
                        axis=1).astype(np.int8)
@@ -137,8 +138,9 @@ def test_projective_table_equals_the_canonicalize_route():
     reps = vectors[canon_keys]
     point_index = np.full(sp.N_VECTORS, -1, dtype=np.int64)
     point_index[canon_keys] = np.arange(sp.N_POINTS, dtype=np.int64)
+    point_index[sp.keys_of((2 * reps) % 3)] = np.arange(sp.N_POINTS)
     t = sp.get_table()
-    for got, want in ((t.vectors, vectors), (t.reps, reps),
+    for got, want in ((t.vectors, vectors), (t.reps, reps), (t.keys, canon_keys),
                       (t.point_index, point_index)):
         assert got.dtype == want.dtype
         assert got.shape == want.shape
@@ -157,6 +159,13 @@ def test_index_round_trip_and_basis_points():
         assert t.index_of_vector(t.rep(idx)) == idx
         assert t.index_of_vector((t.rep(idx).astype(np.int64) * 2) % 3) == idx
     assert t.basis_point(1) == 0
+    e = np.identity(10, dtype=np.int8)
+    for i in range(1, 11):
+        assert t.basis_point(i) == t.index_of_vector(e[i - 1])
+        assert (t.rep(t.basis_point(i)) == e[i - 1]).all()
+    for i in (0, 11):
+        with pytest.raises(IndexError):
+            t.basis_point(i)
     with pytest.raises(ValueError):
         t.index_of_vector(np.zeros(10))
 
@@ -175,6 +184,12 @@ def brute_canonicalize(v):
     """Rows scaled by 2 where the first nonzero coordinate is 2."""
     lead = v[np.arange(v.shape[0]), np.argmax(v != 0, axis=1)]
     return np.where((lead == 2)[:, None], (2 * v) % 3, v)
+
+
+def test_point_index_maps_every_nonzero_vector_to_its_line():
+    t = sp.get_table()
+    assert t.point_index[0] == -1
+    assert (t.reps[t.point_index[1:]] == brute_canonicalize(t.vectors[1:])).all()
 
 
 def test_generator_permutations_equal_the_matrix_route():
