@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -133,29 +134,53 @@ def check_proj_count(ctx: Context):
     return observed == sp.N_POINTS, observed, sp.N_POINTS, None
 
 
-def _relation_holds(lhs, rhs) -> bool:
-    """Whether two words act alike on the lattice, i.e. on every basis vector."""
-    return all(la.apply_word(lhs, x) == la.apply_word(rhs, x)
-               for x in map(la.basis_vector, range(1, la.RANK + 1)))
+def _families(checks) -> tuple[dict, dict | None]:
+    """From (family, label, holds) triples in check order: whether each
+    family holds, and details naming the first failing label (None when
+    every check holds, so a passing row carries no details)."""
+    observed, first = {}, None
+    for family, label, holds in checks:
+        observed[family] = observed.get(family, True) and bool(holds)
+        if first is None and not holds:
+            first = label
+    return observed, None if first is None else {"first_failure": first}
+
+
+def _triflection_relations():
+    """The algebra of the ten triflections as identities between products
+    of their 20x20 integer matrices on the Z-basis, in check order."""
+    gens = range(1, la.RANK + 1)
+    s = {i: la.step_matrix(i, 1) for i in gens}
+    one = np.identity(2 * la.RANK, dtype=np.int64)
+
+    def same(lhs, rhs):
+        return bool((functools.reduce(la.matmul, lhs)
+                     == functools.reduce(la.matmul, rhs)).all())
+
+    for i in gens:
+        yield "order_three", f"order_three {i}", same([s[i]] * 3, [one])
+        yield ("order_three", f"inverse {i}",
+               same([s[i], la.step_matrix(i, -1)], [one]))
+    for i in gens:
+        yield ("preserves_form", f"preserves_form {i}",
+               la.preserves_realified_form(s[i]))
+        yield ("integral_entries", f"integral_entries {i}",
+               np.issubdtype(s[i].dtype, np.integer))
+    for i in range(1, la.RANK):
+        j = i + 1
+        yield ("braid_relations", f"braid {i},{j}",
+               same([s[i], s[j], s[i]], [s[j], s[i], s[j]]))
+    for i in gens:
+        for j in range(i + 2, la.RANK + 1):
+            yield ("braid_relations", f"commute {i},{j}",
+                   same([s[i], s[j]], [s[j], s[i]]))
 
 
 def check_triflection_algebra(ctx: Context):
-    gens = range(1, la.RANK + 1)
-    mats = [la.triflection(i) for i in gens]
-    order3 = all(_relation_holds([(i, 1)] * 3, []) for i in gens)
-    form = all(la.preserves_form(s) for s in mats)
-    integral = all(isinstance(c, EisensteinInt)
-                   for s in mats for row in s for c in row)
-    braid = all(_relation_holds([(i, 1), (i + 1, 1), (i, 1)],
-                                [(i + 1, 1), (i, 1), (i + 1, 1)])
-                for i in range(1, la.RANK))
-    far = all(_relation_holds([(i, 1), (j, 1)], [(j, 1), (i, 1)])
-              for i in gens for j in range(i + 2, la.RANK + 1))
-    observed = {"order_three": order3, "preserves_form": form,
-                "integral_entries": integral, "braid_relations": braid and far}
+    observed, details = _families(_triflection_relations())
     expected = {"order_three": True, "preserves_form": True,
                 "integral_entries": True, "braid_relations": True}
-    return observed == expected, observed, expected, None
+    return observed == expected, observed, expected, details
 
 
 def _f3_rank(m: np.ndarray) -> int:
@@ -177,29 +202,31 @@ def _f3_rank(m: np.ndarray) -> int:
     return rank
 
 
-def check_mod_theta(ctx: Context):
-    commute = True
+def _mod_theta_checks():
+    """Each triflection reduces to its transvection, as matrices over F_3
+    and as the congruence Red * R(s_i) = T_i * Red (mod 3) on the Z-basis;
+    then the reduced form is alternating."""
+    red = sp.reduction_matrix()
     for i in range(1, sp.DIM + 1):
-        tri = la.triflection(i)
         tv = sp.transvection(i).astype(np.int64)
-        if not (sp.reduce_matrix(tri) == tv % 3).all():
-            commute = False
-        for j in range(1, la.RANK + 1):
-            x = la.basis_vector(j)
-            lhs = sp.reduce_vector(la.apply(tri, x))
-            rhs = (tv @ sp.reduce_vector(x).astype(np.int64)) % 3
-            if not (lhs == rhs).all():
-                commute = False
+        reduced = (sp.reduce_matrix(la.triflection(i)) == tv % 3).all()
+        step = la.matmul(red, la.step_matrix(i, 1))
+        congruent = ((step - la.matmul(tv, red)) % 3 == 0).all()
+        yield ("reduce_triflection_equals_transvection_reduce",
+               f"generator {i}", bool(reduced and congruent))
     g = sp.SYMP_GRAM.astype(np.int64)
-    antisym = bool((((g + g.T) % 3) == 0).all())
-    zero_diag = bool((np.diag(g) % 3 == 0).all())
-    rank = _f3_rank(g)
-    observed = {"reduce_triflection_equals_transvection_reduce": commute,
-                "antisymmetric": antisym, "zero_diagonal": zero_diag,
-                "rank": rank}
+    yield "antisymmetric", "antisymmetric", bool((((g + g.T) % 3) == 0).all())
+    yield "zero_diagonal", "zero_diagonal", bool((np.diag(g) % 3 == 0).all())
+
+
+def check_mod_theta(ctx: Context):
+    observed, details = _families(_mod_theta_checks())
+    observed["rank"] = _f3_rank(sp.SYMP_GRAM)
+    if observed["rank"] != sp.DIM and details is None:
+        details = {"first_failure": "rank"}
     expected = {"reduce_triflection_equals_transvection_reduce": True,
                 "antisymmetric": True, "zero_diagonal": True, "rank": sp.DIM}
-    return observed == expected, observed, expected, None
+    return observed == expected, observed, expected, details
 
 
 def check_hurwitz_action(ctx: Context):

@@ -23,9 +23,21 @@ an order-3 isometry of L multiplying a_i by the primitive cube root tau^2
 and fixing the orthogonal complement of a_i pointwise.  The ten triflections
 satisfy the braid relations of the A-chain.  This module defines them once,
 as s_i^e(x) = x + c_e * skew(x, a_i) * a_i with c_{+1} = tau and
-c_{-1} = tau^2 (so s_i^{-1} = s_i^2).  The matrices `triflection` and
-`word_matrix`, the vector action `apply_word` and the norm -6 walk of
-`decompose_minus6` are all derived from that formula.
+c_{-1} = tau^2 (so s_i^{-1} = s_i^2).  The matrices `triflection`,
+`word_matrix` and `step_matrix`, the vector action `apply_word` and the
+norm -6 walk of `decompose_minus6` are all derived from that formula.
+
+Flat Z-coordinates.  As a Z-module L is free of rank 20 with basis
+a_1, tau*a_1, a_2, tau*a_2, ...; the vector sum_k (p_k + q_k*tau) a_k has
+the flat coordinates (p_1, q_1, p_2, q_2, ...), a tuple of 20 Python ints.
+This is the one coordinate system of the integer kernels: `_step` moves
+flat tuples; `herm` pairs them through the two integer matrices A and B of
+herm(x, y) = x^T A y + (x^T B y) * tau; `step_matrix` and `realify` give
+20x20 integer matrices on this basis; `preserves_form` checks
+R^T A R = A and R^T B R = B; and `realify_and_certify` certifies the
+Gram matrix -(2A + B)/3.  The public functions still take and return
+tuples of EisensteinInt.  Integer matrix products go through `matmul`,
+which raises OverflowError instead of letting an int64 entry wrap.
 
 The real part of the form, rescaled by -2/3, turns the rank-20 underlying
 Z-module into an even unimodular quadratic lattice of signature (18, 2);
@@ -35,7 +47,10 @@ Z-module into an even unimodular quadratic lattice of signature (18, 2);
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
+
+import numpy as np
 
 from .eisenstein import (
     ZERO, ONE, TAU, TAU2, THETA,
@@ -85,25 +100,91 @@ def _check_index(i: int):
         raise IndexError(f"generator index must be in 1..{RANK}, got {i!r}")
 
 
+def _flat(x: Vector) -> tuple:
+    """The flat Z-coordinates (p_1, q_1, ...) of x = sum (p_k + q_k tau) a_k."""
+    return tuple(n for c in x for n in (c.a, c.b))
+
+
+def _unflat(z) -> Vector:
+    return tuple(EisensteinInt(p, q) for p, q in zip(z[::2], z[1::2]))
+
+
+# -- exact int64 products ----------------------------------------------------
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _abs_max(m: np.ndarray) -> int:
+    return max(abs(int(m.max(initial=0))), abs(int(m.min(initial=0))))
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The int64 product a @ b, exact: every partial sum of an entry is at
+    most inner * max|a| * max|b| in size, and OverflowError is raised when
+    that bound does not fit in int64."""
+    if a.shape[1] * _abs_max(a) * _abs_max(b) > _INT64_MAX:
+        raise OverflowError("int64 matrix product could overflow")
+    return a @ b
+
+
+def _int64(rows) -> np.ndarray:
+    """A read-only int64 array; OverflowError if an entry does not fit."""
+    m = np.array(rows, dtype=np.int64)
+    m.flags.writeable = False
+    return m
+
+
 # -- the form ------------------------------------------------------------------
+#
+# On the Z-basis, herm(s a_i, t a_j) = s * conj(t) * GRAM[i][j] for s, t in
+# {1, tau}; its two integer components are the entries of A and B.
+
+_SCALARS = (ONE, TAU)  # multipliers giving the Z-basis order a_i, tau*a_i
+
+
+@functools.cache
+def _form_components() -> tuple[np.ndarray, np.ndarray]:
+    """The 20x20 integer matrices A and B of herm on the Z-basis:
+    herm(x, y) = x^T A y + (x^T B y) tau."""
+    a = [[0] * (2 * RANK) for _ in range(2 * RANK)]
+    b = [[0] * (2 * RANK) for _ in range(2 * RANK)]
+    for i in range(RANK):
+        for j in range(RANK):
+            for si, s in enumerate(_SCALARS):
+                for sj, t in enumerate(_SCALARS):
+                    h = s * t.conj() * GRAM[i][j]
+                    a[2 * i + si][2 * j + sj] = h.a
+                    b[2 * i + si][2 * j + sj] = h.b
+    return _int64(a), _int64(b)
+
+
+@functools.cache
+def _herm_rows() -> tuple:
+    """Per flat index p, the nonzero (q, A[p][q], B[p][q])."""
+    a, b = (m.tolist() for m in _form_components())
+    return tuple(tuple((q, a[p][q], b[p][q]) for q in range(2 * RANK)
+                       if a[p][q] or b[p][q])
+                 for p in range(2 * RANK))
+
+
+def _form(zx: tuple, zy: tuple) -> tuple[int, int]:
+    """herm on flat Z-coordinates, as (x^T A y, x^T B y)."""
+    re = im = 0
+    for xp, row in zip(zx, _herm_rows()):
+        if xp:
+            for q, ca, cb in row:
+                t = xp * zy[q]
+                re += ca * t
+                im += cb * t
+    return re, im
+
 
 def herm(x: Vector, y: Vector) -> EisensteinInt:
     """The hermitian form; linear in x, conjugate-linear in y.
 
-    Only the tridiagonal Gram entries contribute.
+    Computed on flat Z-coordinates as x^T A y + (x^T B y) * tau.
     """
-    total = ZERO
-    for i in range(RANK):
-        xi = x[i]
-        if not xi:
-            continue
-        acc = xi * EisensteinInt(-3) * y[i].conj()
-        if i + 1 < RANK:
-            acc = acc + xi * THETA * y[i + 1].conj()
-        if i - 1 >= 0:
-            acc = acc - xi * THETA * y[i - 1].conj()
-        total = total + acc
-    return total
+    return EisensteinInt(*_form(_flat(x), _flat(y)))
 
 
 def skew(x: Vector, y: Vector) -> EisensteinInt:
@@ -127,14 +208,25 @@ def compose(m: Matrix, n: Matrix) -> Matrix:
         for i in range(RANK))
 
 
+def realify(m: Matrix) -> np.ndarray:
+    """The 20x20 int64 matrix of m on the Z-basis a_1, tau*a_1, a_2, ...
+
+    Columns 2j and 2j+1 are the flat coordinates of m*a_j and m*(tau*a_j).
+    """
+    return _int64([_flat(tuple(s * row[j] for row in m))
+                   for j in range(RANK) for s in _SCALARS]).T
+
+
+def preserves_realified_form(r: np.ndarray) -> bool:
+    """Whether the integer matrix r on the Z-basis is an isometry of herm:
+    r^T A r = A and r^T B r = B."""
+    return all((matmul(matmul(r.T, c), r) == c).all()
+               for c in _form_components())
+
+
 def preserves_form(m: Matrix) -> bool:
-    """Whether herm(m*a_i, m*a_j) = herm(a_i, a_j) for all basis pairs."""
-    cols = [apply(m, basis_vector(i)) for i in range(1, RANK + 1)]
-    for i in range(RANK):
-        for j in range(RANK):
-            if herm(cols[i], cols[j]) != GRAM[i][j]:
-                return False
-    return True
+    """Whether herm(m*x, m*y) = herm(x, y) for all lattice vectors x, y."""
+    return preserves_realified_form(realify(m))
 
 
 # -- triflections ----------------------------------------------------------------
@@ -143,21 +235,46 @@ def preserves_form(m: Matrix) -> bool:
 # whose only nonzero entries sit in rows i-2, i-1 and i.  So s_i^e changes
 # coordinate i-1 alone and reads only that coordinate and its two neighbours:
 # row i-1 of the matrix of s_i is (tau, tau^2, -tau) over columns i-2, i-1, i,
-# and that of s_i^{-1} is (tau^2, -tau, -tau^2).
-
-_SKEW_COLUMNS = tuple(
-    tuple((j, div_exact(GRAM[j][g], THETA)) for j in range(RANK) if GRAM[j][g])
-    for g in range(RANK))
+# and that of s_i^{-1} is (tau^2, -tau, -tau^2).  On flat coordinates it
+# changes the pair (2i-2, 2i-1): multiplying p + q*tau by m = u + v*tau gives
+# (u p - v q) + (v p + (u + v) q) tau.
 
 #: c_e in s_i^e(x) = x + c_e * skew(x, a_i) * a_i; s_i^{-1} = s_i^2
 _COEFF = {1: TAU, -1: TAU2}
 
 
-def _step(x: Vector, i: int, e: int) -> Vector:
-    """s_i^e(x), the one definition every triflection here is derived from."""
+@functools.cache
+def _step_rows(i: int, e: int) -> tuple:
+    """The first flat coordinate 2i-2 that s_i^e changes, and the integer
+    rows of the two it changes, each a tuple of (flat index, coefficient)
+    over its nonzero coefficients."""
     g = i - 1
-    k = sum((x[j] * c for j, c in _SKEW_COLUMNS[g]), ZERO)
-    return x[:g] + (x[g] + _COEFF[e] * k,) + x[g + 1:]
+    re, im = [], []
+    for j in range(RANK):
+        if not GRAM[j][g]:
+            continue
+        m = _COEFF[e] * div_exact(GRAM[j][g], THETA) + (1 if j == g else 0)
+        for k, cre, cim in ((2 * j, m.a, m.b), (2 * j + 1, -m.b, m.a + m.b)):
+            if cre:
+                re.append((k, cre))
+            if cim:
+                im.append((k, cim))
+    return 2 * g, tuple(re), tuple(im)
+
+
+def _step(z: tuple, i: int, e: int) -> tuple:
+    """s_i^e on flat Z-coordinates, the one definition every triflection
+    here is derived from."""
+    k, re, im = _step_rows(i, e)
+    return (z[:k] + (sum([c * z[j] for j, c in re]),
+                     sum([c * z[j] for j, c in im])) + z[k + 2:])
+
+
+def _walk(word, z: tuple) -> tuple:
+    for i, e in word:
+        _check_index(i)
+        z = _step(z, i, e)
+    return z
 
 
 def apply_word(word, x: Vector) -> Vector:
@@ -165,10 +282,7 @@ def apply_word(word, x: Vector) -> Vector:
 
     Each letter is a generator index 1..10 with exponent e in {+1, -1}.
     """
-    for i, e in word:
-        _check_index(i)
-        x = _step(x, i, e)
-    return x
+    return _unflat(_walk(word, _flat(x)))
 
 
 def word_matrix(word) -> Matrix:
@@ -185,6 +299,17 @@ def triflection(i: int) -> Matrix:
     return word_matrix([(i, 1)])
 
 
+@functools.cache
+def step_matrix(i: int, e: int = 1) -> np.ndarray:
+    """The read-only 20x20 int64 matrix of s_i^e on the Z-basis.
+
+    Column k is `_step` of the k-th unit vector.
+    """
+    _check_index(i)
+    unit = np.identity(2 * RANK, dtype=int).tolist()
+    return _int64([_step(tuple(u), i, e) for u in unit]).T
+
+
 # -- serialization --------------------------------------------------------------
 
 def matrix_to_json(m: Matrix) -> list:
@@ -193,53 +318,47 @@ def matrix_to_json(m: Matrix) -> list:
 
 # -- realification ----------------------------------------------------------------
 #
-# Z-basis of the underlying rank-20 Z-module: a_1, tau*a_1, a_2, tau*a_2, ...
 # The symmetric pairing is b(u, v) = -(2/3) * Re herm(u, v); with
-# Re(a + b*tau) = a + b/2 this is -(2a + b)/3, integral because herm takes
-# values in theta*Z[tau].
-
-_SCALARS = (ONE, TAU)  # multipliers giving the Z-basis order a_i, tau*a_i
+# Re(a + b*tau) = a + b/2 this is -(2A + B)/3 on the Z-basis, integral
+# because herm takes values in theta*Z[tau].
 
 
 def realified_gram() -> list:
     """The 20x20 integer Gram matrix of -(2/3)*Re herm on the Z-basis."""
-    out = [[0] * (2 * RANK) for _ in range(2 * RANK)]
-    for i in range(RANK):
-        for si, s in enumerate(_SCALARS):
-            for j in range(RANK):
-                for sj, t in enumerate(_SCALARS):
-                    h = s * t.conj() * GRAM[i][j]
-                    num = -(2 * h.a + h.b)
-                    if num % 3 != 0:
-                        raise ArithmeticError(
-                            "realified pairing is not integral; "
-                            f"entry ({i},{si},{j},{sj}) = {h}")
-                    out[2 * i + si][2 * j + sj] = num // 3
-    return out
+    a, b = _form_components()
+    num = -(2 * a + b)
+    bad = np.argwhere(num % 3)
+    if bad.size:
+        p, q = bad[0].tolist()
+        raise ArithmeticError("realified pairing is not integral; "
+                              f"entry ({p},{q}) = {num[p, q]}/3")
+    return (num // 3).tolist()
 
 
 def _det_exact(rows) -> int:
-    """Determinant of an integer matrix via fraction-free elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
+    """Determinant of an integer matrix by Bareiss's fraction-free elimination.
+
+    After step k every entry of the trailing block is a (k+1)-minor of the
+    input, so each division by the previous pivot is exact (Bareiss, Math.
+    Comp. 22, 1968).
+    """
+    a = [[int(x) for x in row] for row in rows]
     n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0
             a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
+            sign = -sign
+        pk, rk = a[k][k], a[k]
         for r in range(k + 1, n):
-            f = a[r][k] * inv
-            if f == 0:
-                continue
-            for c in range(k, n):
-                a[r][c] -= f * a[k][c]
-    assert det.denominator == 1
-    return int(det)
+            row, f = a[r], a[r][k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * pk - f * rk[c]) // prev
+        prev = pk
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def _signature_exact(rows):
@@ -306,16 +425,16 @@ _MOVES = tuple((i, e) for i in range(1, RANK + 1) for e in (1, -1))
 
 @functools.cache
 def _seed_ball(radius: int) -> dict:
-    """Words of length <= radius from a_1 + a_2, keyed by their image."""
-    seed = vec_add(basis_vector(1), basis_vector(2))
+    """Words of length <= radius from a_1 + a_2, keyed by their flat image."""
+    seed = _flat(vec_add(basis_vector(1), basis_vector(2)))
     ball = {seed: ()}
     frontier = [seed]
     for _ in range(radius):
         nxt = []
-        for x in frontier:
-            w = ball[x]
+        for z in frontier:
+            w = ball[z]
             for i, e in _MOVES:
-                y = _step(x, i, e)
+                y = _step(z, i, e)
                 if y not in ball:
                     ball[y] = w + ((i, e),)
                     nxt.append(y)
@@ -332,32 +451,31 @@ def decompose_minus6(eps: Vector, search_bound: int = 8):
     decomposed.  Returns (x, y), or None when the bound is exhausted (which
     is never a refutation: the walk only explores a finite ball).
     """
-    if herm(eps, eps) != EisensteinInt(-6):
+    start = _flat(eps)
+    if _form(start, start) != (-6, 0):
         raise ValueError("decompose_minus6 requires herm(eps, eps) = -6")
     fwd_radius = search_bound // 2
     ball = _seed_ball(fwd_radius)
 
-    def _reconstruct(meet: Vector, back_word):
+    def _reconstruct(meet: tuple, back_word):
         # a_1+a_2 --ball[meet]--> meet <--back_word-- eps
         u = ball[meet] + tuple((i, -e) for i, e in reversed(back_word))
-        x = apply_word(u, basis_vector(1))
-        y = apply_word(u, basis_vector(2))
-        assert vec_add(x, y) == eps
-        assert herm(x, x) == EisensteinInt(-3)
-        assert herm(y, y) == EisensteinInt(-3)
-        assert herm(x, y) == THETA
-        return x, y
+        zx, zy = (_walk(u, _flat(basis_vector(k))) for k in (1, 2))
+        assert tuple(map(operator.add, zx, zy)) == start
+        assert _form(zx, zx) == _form(zy, zy) == (-3, 0)
+        assert _form(zx, zy) == (THETA.a, THETA.b)
+        return _unflat(zx), _unflat(zy)
 
-    if eps in ball:
-        return _reconstruct(eps, ())
-    seen = {eps: ()}
-    frontier = [eps]
+    if start in ball:
+        return _reconstruct(start, ())
+    seen = {start: ()}
+    frontier = [start]
     for _ in range(search_bound - fwd_radius):
         nxt = []
-        for x in frontier:
-            w = seen[x]
+        for z in frontier:
+            w = seen[z]
             for i, e in _MOVES:
-                y = _step(x, i, e)
+                y = _step(z, i, e)
                 if y in seen:
                     continue
                 wy = w + ((i, e),)
@@ -417,4 +535,3 @@ def minus6_witness(eps: Vector):
         nonintegral = any(not divides(three, hx * c) for c in eps if c)
         return Minus6Witness(i, x, value, nonintegral)
     return None
-

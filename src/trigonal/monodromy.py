@@ -189,10 +189,14 @@ class ClassTable:
             raise IndexError(
                 f"generator index must be in 1..{N_MOVES}, got {i!r}")
         if i not in self._perms:
-            # the move keeps t_0 = 0, so the moved row is one of the two
-            # indexed rows of its class
-            perm = self.class_index[codes_to_keys(
-                hurwitz_move_codes(self.codes, i))]
+            # the move (u, v) -> (v, CONJ[v, u]) at slots i, i+1 changes two
+            # digits of the key; it keeps t_0 = 0, so the moved row is one of
+            # the two indexed rows of its class
+            u = self.codes[:, i].astype(np.int64)
+            v = self.codes[:, i + 1].astype(np.int64)
+            moved = (self.keys + (v - u) * _W12[i]
+                     + (CONJ[v, u] - v) * _W12[i + 1])
+            perm = self.class_index[moved]
             assert (perm >= 0).all()
             self._perms[i] = perm
         return self._perms[i]

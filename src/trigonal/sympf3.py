@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lattice
-from .eisenstein import THETA, div_exact, reduce_mod_theta
+from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
 from .schreier import orbit_bfs
 
 DIM = 10
@@ -43,6 +43,13 @@ def reduce_vector(x) -> np.ndarray:
 def reduce_matrix(m) -> np.ndarray:
     return np.array([[reduce_mod_theta(c) for c in row] for row in m],
                     dtype=np.int8)
+
+
+def reduction_matrix() -> np.ndarray:
+    """The 10x20 int64 matrix of reduction mod theta on the lattice's flat
+    Z-coordinates (p_1, q_1, p_2, ...): p + q*tau -> p*red(1) + q*red(tau)."""
+    units = [reduce_mod_theta(s) for s in (ONE, TAU)]
+    return np.kron(np.identity(DIM, dtype=np.int64), units)
 
 
 #: symp(alpha_i, alpha_j) = skew(a_i, a_j) mod theta

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 import trigonal
 from trigonal import __version__, cli
 from trigonal import monodromy as mo
+from trigonal.eisenstein import TAU2, ZERO
 
 #: SHA-256 of the bytes each export writes
 EXPORT_SHA256 = {
@@ -152,6 +153,32 @@ def test_verify_report_digests(full_report, tmp_path):
     assert code == 1
     assert {c["name"]: c["status"] for c in rep["checks"]}["sp10_order"] == "pass"
     assert report_digest(rep) == REPORT_SHA256[True]
+
+
+def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
+    ctx = cli.Context(0, False)
+    for check in (cli.check_triflection_algebra, cli.check_mod_theta):
+        ok, _, _, details = check(ctx)
+        assert ok and details is None
+    la, step = cli.la, cli.la.step_matrix
+    # tau^2 * s_4 still has order three and preserves the form, but breaks
+    # the braid relations with s_3 and s_5; mod theta tau^2 is 1
+    tau2 = la.realify(tuple(tuple(TAU2 if i == j else ZERO for j in range(10))
+                            for i in range(10)))
+    twist = {1: tau2, -1: la.matmul(tau2, tau2)}
+    monkeypatch.setattr(la, "step_matrix", lambda i, e=1: (
+        la.matmul(twist[e], step(i, e)) if i == 4 else step(i, e)))
+    ok, observed, _, details = cli.check_triflection_algebra(ctx)
+    assert not ok and details == {"first_failure": "braid 3,4"}
+    assert observed == {"order_three": True, "preserves_form": True,
+                        "integral_entries": True, "braid_relations": False}
+    assert cli.check_mod_theta(ctx)[0]
+    # s_5 replaced by its inverse no longer reduces to transvection 5
+    monkeypatch.setattr(la, "step_matrix",
+                        lambda i, e=1: step(i, -e if i == 5 else e))
+    ok, observed, _, details = cli.check_mod_theta(ctx)
+    assert not ok and details == {"first_failure": "generator 5"}
+    assert not observed["reduce_triflection_equals_transvection_reduce"]
 
 
 def test_export_digests(tmp_path):

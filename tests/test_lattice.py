@@ -6,11 +6,15 @@ defining relations tau^2 = tau - 1, theta = -1 + 2*tau:
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from trigonal.eisenstein import ZERO, ONE, TAU, TAU2, THETA, EisensteinInt, divides
+from trigonal.eisenstein import (
+    ZERO, ONE, TAU, TAU2, THETA, EisensteinInt, div_exact, divides,
+)
 from trigonal import lattice as lat
 
 
@@ -31,6 +35,21 @@ def rand_vector(rng, bound=4):
 
 def rand_scalar(rng, bound=4):
     return EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+
+def scalar_matrix(c):
+    return tuple(tuple(c if i == j else ZERO for j in range(10))
+                 for i in range(10))
+
+
+def gram_herm(x, y):
+    """herm as the sum of x_i * GRAM[i][j] * conj(y_j), in EisensteinInt."""
+    return sum((x[i] * lat.GRAM[i][j] * y[j].conj()
+                for i in range(10) for j in range(10)), ZERO)
+
+
+scalars = st.builds(EisensteinInt, st.integers(-50, 50), st.integers(-50, 50))
+vectors = st.tuples(*[scalars] * 10)
 
 
 # -- Gram and form ------------------------------------------------------------
@@ -160,6 +179,90 @@ def test_word_matrix_and_apply_word_agree():
             expected = lat.vec_add(
                 expected, scale(c * lat.skew(expected, A[i]), A[i]))
         assert lat.apply_word(word, x) == expected == lat.apply(m, x)
+
+
+# -- integer kernels on flat Z-coordinates ----------------------------------------
+
+@given(vectors, st.integers(1, 10), st.sampled_from((1, -1)))
+def test_flat_step_is_the_defining_formula(x, i, e):
+    c = TAU if e == 1 else TAU2
+    expected = lat.vec_add(
+        x, scale(c * div_exact(gram_herm(x, A[i]), THETA), A[i]))
+    assert lat._step(lat._flat(x), i, e) == lat._flat(expected)
+    assert lat._unflat(lat._flat(x)) == x
+
+
+@given(vectors, vectors)
+def test_flat_herm_is_the_gram_sum(x, y):
+    assert lat.herm(x, y) == gram_herm(x, y)
+
+
+def test_step_matrices_are_the_realified_triflections():
+    for i in range(1, 11):
+        s, s_inv = lat.step_matrix(i, 1), lat.step_matrix(i, -1)
+        assert s.dtype == np.int64 and not s.flags.writeable
+        assert (s == realify(lat.triflection(i))).all()
+        assert (s_inv == realify(lat.word_matrix([(i, -1)]))).all()
+        assert (lat.realify(lat.triflection(i)) == s).all()
+
+
+def test_preserves_form_accepts_tau_and_rejects_theta_and_a_perturbation():
+    assert lat.preserves_form(scalar_matrix(TAU))
+    assert not lat.preserves_form(scalar_matrix(THETA))
+    s = [list(row) for row in lat.triflection(3)]
+    s[4][7] = s[4][7] + ONE
+    assert lat.preserves_form(lat.triflection(3))
+    assert not lat.preserves_form(tuple(map(tuple, s)))
+
+
+def test_int64_products_refuse_to_overflow():
+    fits = np.full((20, 20), 2 ** 29, dtype=np.int64)   # 20 * 2^58 < 2^63
+    assert (lat.matmul(fits, fits) == 20 * 2 ** 58).all()
+    big = np.full((20, 20), 2 ** 31, dtype=np.int64)    # 20 * 2^62 > 2^63
+    with pytest.raises(OverflowError):
+        lat.matmul(big, big)
+    with pytest.raises(OverflowError):
+        lat.preserves_realified_form(big)
+    with pytest.raises(OverflowError):                 # no int64 entry
+        lat.realify(scalar_matrix(EisensteinInt(2 ** 63)))
+
+
+def fraction_det(rows):
+    """The determinant by Gaussian elimination over Q."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def test_bareiss_determinant_equals_the_fraction_reference():
+    rng = random.Random(7)
+    swaps = singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:   # a row that is a combination
+            u, v = rng.sample(range(n), 2)
+            rows[u] = [x * rng.randint(-2, 2) for x in rows[v]]
+        want = fraction_det(rows)
+        assert lat._det_exact(rows) == want
+        singular += want == 0
+        swaps += rows[0][0] == 0 and want != 0
+    assert singular > 50 and swaps > 20
+    assert lat._det_exact([[0, 1], [1, 0]]) == -1
+    assert lat._det_exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert lat._det_exact([[2, 4], [1, 2]]) == 0
 
 
 # -- realification -----------------------------------------------------------------
