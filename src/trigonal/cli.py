@@ -292,7 +292,11 @@ def check_orbit_trichotomy(ctx: Context):
     observed = {"stabilizer_orbit_sizes": sizes,
                 "agreements": cross["agreements"],
                 "total_checks": cross["total_checks"]}
-    expected = {"stabilizer_orbit_sizes": {"H": 1, "RM": 9840, "SG": 19683},
+    # ell-perp is a hyperplane of 3^(DIM-1) vectors: RM is its lines other
+    # than ell, SG the 3^(DIM-1) points off it
+    perp = 3 ** (sp.DIM - 1)
+    expected = {"stabilizer_orbit_sizes": {"H": 1, "RM": (perp - 1) // 2 - 1,
+                                           "SG": perp},
                 "agreements": sp.DIM * co.N,
                 "total_checks": sp.DIM * co.N}
     details = {

@@ -6,16 +6,26 @@ distinct transpositions.  Transpositions are coded
 
     0 = (12),  1 = (23),  2 = (13).
 
+Labelling the three sheets 1, 2, 3 by 2, 1, 0 in F_3, transposition c is the
+reflection x -> c - x, and S_3 is the group of maps x -> +-x + a.  Everything
+below is this arithmetic mod 3:
+
+  * t_b t_a is the translation x -> x + b - a, so the product is the
+    identity exactly when the alternating sum t_0 - t_1 + t_2 - ... - t_11
+    is 0;
+  * t_v t_u t_v is the reflection in 2v - u, that is code -u - v;
+  * conjugation by x -> +-x + a sends code c to +-c + 2a, so the induced
+    relabelings of codes are all six permutations of F_3.
+
 Free choice of t_1..t_11 forces t_0, giving 3^11 - 3 = 177144 tuples; the
-simultaneous S_3-conjugation action relabels codes by any of the six
-permutations of {0, 1, 2} and acts freely, so there are exactly
+simultaneous conjugation action acts freely, so there are exactly
 177144 / 6 = 29524 classes.  Each class is stored by its lexicographically
 least relabeling and indexed in lexicographic order of that 12-character
 code string (position 0 most significant).
 
 The ten half-twist moves act at adjacent slots (i, i+1), i = 1..10:
 
-    (u, v) -> (v, v*u*v),
+    (u, v) -> (v, v*u*v) = (v, -u - v),
 
 trivial when u = v and of order 3 otherwise; they satisfy the braid
 relations.
@@ -32,7 +42,11 @@ combinatorially:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+from .schreier import orbit_bfs
 
 TUPLE_LEN = 12
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
@@ -41,45 +55,10 @@ N_MOVES = TUPLE_LEN - 2             # half-twists at slots (i, i+1), i = 1..10
 
 CONFLUENCE_CLASSES = ("H", "RM", "SG")
 
-# S_3 as permutations of {0, 1, 2}; element index = lex rank of the tuple.
-_S3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-_S3_INDEX = {p: i for i, p in enumerate(_S3)}
-
-# composition: MUL[a, b] = a after b
-MUL = np.array([[_S3_INDEX[tuple(_S3[a][_S3[b][x]] for x in range(3))]
-                 for b in range(6)] for a in range(6)], dtype=np.int8)
-INV = np.array([_S3_INDEX[tuple(sorted(range(3), key=lambda x: _S3[a][x]))]
-                for a in range(6)], dtype=np.int8)
-IDENTITY = 0
-
-# transposition codes 0=(12), 1=(23), 2=(13) as S_3 element indices
-TRANSPOSITIONS = np.array([_S3_INDEX[(1, 0, 2)],
-                           _S3_INDEX[(0, 2, 1)],
-                           _S3_INDEX[(2, 1, 0)]], dtype=np.int8)
-_CODE_OF_ELEM = np.full(6, -1, dtype=np.int8)
-for _c, _e in enumerate(TRANSPOSITIONS):
-    _CODE_OF_ELEM[_e] = _c
-
-# CONJ[v, u] = code of t_v t_u t_v; for u != v this is the third code.
-CONJ = np.array([[u if u == v else 3 - u - v for u in range(3)]
-                 for v in range(3)], dtype=np.int8)
-
-# The six relabelings of codes induced by simultaneous conjugation.
-def _alphabet_perms() -> np.ndarray:
-    perms = []
-    for g in range(6):
-        row = []
-        for c in range(3):
-            e = int(TRANSPOSITIONS[c])
-            img = int(MUL[MUL[g, e], INV[g]])
-            row.append(int(_CODE_OF_ELEM[img]))
-        perms.append(row)
-    out = np.array(sorted(set(map(tuple, perms)))).astype(np.int8)
-    assert out.shape == (6, 3)
-    return out
-
-
-ALPHABET_PERMS = _alphabet_perms()
+# The six relabelings of codes induced by simultaneous conjugation: the maps
+# c -> +-c + a, which are all of Sym(F_3), as rows in lexicographic order.
+ALPHABET_PERMS = np.array(sorted(itertools.permutations(range(3))),
+                          dtype=np.int8)
 
 _W12 = (3 ** np.arange(TUPLE_LEN - 1, -1, -1, dtype=np.int64))  # MSB first
 
@@ -115,13 +94,12 @@ def _least_relabeled_keys(indicator: np.ndarray) -> np.ndarray:
     return (ALPHABET_PERMS.astype(np.int64) @ indicator).min(axis=0)
 
 
-def product_of_codes(codes: np.ndarray) -> np.ndarray:
-    """S_3 element indices of t_11 * ... * t_0 for each row."""
-    codes = np.atleast_2d(codes)
-    acc = TRANSPOSITIONS[codes[:, 0]]
-    for pos in range(1, TUPLE_LEN):
-        acc = MUL[TRANSPOSITIONS[codes[:, pos]], acc]
-    return acc
+def product_is_one(codes) -> np.ndarray:
+    """Whether t_11 * ... * t_0 is the identity for each row: the alternating
+    sum t_0 - t_1 + t_2 - ... - t_11 is 0 mod 3."""
+    codes = np.atleast_2d(np.asarray(codes, dtype=np.int8))
+    return (codes[:, 0::2].sum(axis=1, dtype=np.int8)
+            - codes[:, 1::2].sum(axis=1, dtype=np.int8)) % 3 == 0
 
 
 class ClassTable:
@@ -129,22 +107,21 @@ class ClassTable:
 
     def __init__(self):
         free = TUPLE_LEN - 1                     # t_1..t_11 are free
-        # t_11 ... t_1 and the indicator keys K_c of t_1..t_11 for every
-        # free tuple, built as prefix products: in the base-3 enumeration,
-        # appending t_{k+1} = d to the prefix of index p gives index 3p + d,
-        # left[d, a] = t_d * a and K_c(3p + d) = 3 K_c(p) + [d = c]
-        left = MUL[TRANSPOSITIONS]
-        acc = np.array([IDENTITY], dtype=np.int8)
+        # t_0 = t_1 - t_2 + ... + t_11 and the indicator keys K_c of
+        # t_1..t_11 for every free tuple, built prefix by prefix: in the
+        # base-3 enumeration, appending t_k = d to the prefix of index p
+        # gives index 3p + d, adds (-1)^(k+1) d to t_0 and makes
+        # K_c(3p + d) = 3 K_c(p) + [d = c]
+        letters = np.arange(3, dtype=np.int8)
+        t0 = np.zeros(1, dtype=np.int8)
         indicator = np.zeros((3, 1), dtype=np.int64)
         unit = np.identity(3, dtype=np.int64)[:, None, :]
-        for _ in range(free):
-            acc = left[:, acc].T.reshape(-1)
+        for k in range(1, TUPLE_LEN):
+            step = letters if k % 2 else -letters
+            t0 = ((t0[:, None] + step) % 3).reshape(-1)
             indicator = (3 * indicator[:, :, None] + unit).reshape(3, -1)
-        # t_0 = (t_11 ... t_1)^(-1), a product of 11 transpositions and so
-        # itself one; its digit is the most significant
-        t0 = _CODE_OF_ELEM[INV[acc]]
-        assert (t0 >= 0).all()
-        indicator += (t0 == np.arange(3)[:, None]) * _W12[0]
+        # t_0's digit is the most significant
+        indicator += (t0 == letters[:, None]) * _W12[0]
         keys = _least_relabeled_keys(indicator)
         # only the three constant tuples relabel to all zeros, key 0
         counts = np.bincount(keys)
@@ -164,7 +141,7 @@ class ClassTable:
             self.class_index[zero_led] = np.arange(N_CLASSES)
         self._perms: dict[int, np.ndarray] = {}
 
-        assert (product_of_codes(self.codes) == IDENTITY).all()
+        assert product_is_one(self.codes).all()
 
     # -- lookups ----------------------------------------------------------------
 
@@ -189,13 +166,13 @@ class ClassTable:
             raise IndexError(
                 f"generator index must be in 1..{N_MOVES}, got {i!r}")
         if i not in self._perms:
-            # the move (u, v) -> (v, CONJ[v, u]) at slots i, i+1 changes two
+            # the move (u, v) -> (v, -u - v) at slots i, i+1 changes two
             # digits of the key; it keeps t_0 = 0, so the moved row is one of
             # the two indexed rows of its class
             u = self.codes[:, i].astype(np.int64)
             v = self.codes[:, i + 1].astype(np.int64)
             moved = (self.keys + (v - u) * _W12[i]
-                     + (CONJ[v, u] - v) * _W12[i + 1])
+                     + ((-u - v) % 3 - v) * _W12[i + 1])
             perm = self.class_index[moved]
             assert (perm >= 0).all()
             self._perms[i] = perm
@@ -227,7 +204,7 @@ def hurwitz_move_codes(codes, i: int) -> np.ndarray:
     u = codes[:, i].copy()
     v = codes[:, i + 1].copy()
     codes[:, i] = v
-    codes[:, i + 1] = CONJ[v, u]
+    codes[:, i + 1] = (-u - v) % 3
     return codes
 
 
@@ -245,7 +222,7 @@ def parse_tuple_string(s: str) -> np.ndarray:
     if (codes == codes[0]).all():
         raise ValueError("monodromy not surjective: a constant tuple "
                          "generates a group of order 2")
-    if int(product_of_codes(codes)[0]) != IDENTITY:
+    if not product_is_one(codes)[0]:
         raise ValueError("the ordered product of the twelve transpositions "
                          "is not the identity")
     return codes
@@ -276,6 +253,5 @@ def classify_confluence_codes(codes, pos: int) -> str:
 
 def orbit_R(seed_idx: int):
     """BFS orbit (with Schreier tree) of a class under the ten moves."""
-    from .schreier import orbit_bfs
     t = get_table()
     return orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), [int(seed_idx)])

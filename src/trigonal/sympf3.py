@@ -26,7 +26,7 @@ from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
 from .schreier import orbit_bfs
 
-DIM = 10
+DIM = lattice.RANK
 N_VECTORS = 3 ** DIM            # 59049, including zero
 N_POINTS = (3 ** DIM - 1) // 2  # 29524
 
@@ -131,13 +131,6 @@ class ProjectiveTable:
         self._vec_perms: dict[int, np.ndarray] = {}
 
     # -- lookups -------------------------------------------------------------
-
-    def index_of_vector(self, v) -> int:
-        """Projective point index of a nonzero vector."""
-        v = np.asarray(v, dtype=np.int8) % 3
-        if not v.any():
-            raise ValueError("the zero vector spans no line")
-        return int(self.point_index[int(keys_of(v))])
 
     def rep(self, idx: int) -> np.ndarray:
         return self.reps[idx]

@@ -1,11 +1,12 @@
 """CLI subcommands: reports, exports, classification, exit codes.
 
-The commands run in-process through `cli.main(argv)`.  Four tests start a
+The commands run in-process through `cli.main(argv)`.  Five tests start a
 fresh interpreter through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
 caches, the test that `verify` and the exports leave `numpy.ma` unimported,
-the smoke test of the `python -m trigonal.cli` entry point, and the test
-that the benchmark's in-process driver still finds every package name it
+the test that `trigonal.monodromy` imports nothing from the point side, the
+smoke test of the `python -m trigonal.cli` entry point, and the test that
+the benchmark's in-process driver still finds every package name it
 reaches.
 """
 
@@ -239,6 +240,20 @@ def test_verify_and_exports_leave_numpy_ma_unimported(tmp_path):
         "assert cli.main(['export', 'orbits', '--format', 'dot', "
         f"'--out', {out!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_monodromy_imports_nothing_from_the_point_side():
+    # the F_3 coding of the transpositions is stated in monodromy itself,
+    # not borrowed from the lattice or its reduction mod theta
+    code = (
+        "import sys\n"
+        "import trigonal.monodromy\n"
+        "loaded = {'trigonal.lattice', 'trigonal.sympf3', "
+        "'trigonal.eisenstein'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr

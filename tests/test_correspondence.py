@@ -76,7 +76,7 @@ def test_point_vectors_equal_the_searched_bijection(corr):
         points = spt.point_index[sp.keys_of(sp.canonicalize(v))]
         assert (points == corr.backward).all(), perm
     base = co.point_vectors(mot.codes[corr.base_class])[0]
-    assert spt.index_of_vector(base) == corr.base_point
+    assert spt.point_index[sp.keys_of(base)] == corr.base_point
 
 
 def test_equivariance_exhaustive(corr):

@@ -45,7 +45,7 @@ def test_units_are_the_six_torsion_elements():
     us = {ONE, -ONE, TAU, -TAU, TAU2, -TAU2}
     assert len(us) == 6
     for u in us:
-        assert u.norm() == 1 and u ** 6 == ONE
+        assert u.norm() == 1 and u * u * u * u * u * u == ONE
     # closed under multiplication
     for u in us:
         for v in us:

@@ -13,34 +13,71 @@ def table():
     return mo.get_table()
 
 
-def brute_s3():
-    """Independent S_3 multiplication check against python tuples."""
-    perms = list(itertools.permutations(range(3)))
-    for a in range(6):
-        for b in range(6):
-            composed = tuple(perms[a][perms[b][x]] for x in range(3))
-            assert perms[int(mo.MUL[a, b])] == composed
-    for a in range(6):
-        assert perms[int(mo.INV[a])] == tuple(
-            sorted(range(3), key=lambda x: perms[a][x]))
+# -- an S_3 reference, built here from itertools and independent of the F_3
+# coding in the module: element index = lex rank of the permutation tuple
+
+S3 = list(itertools.permutations(range(3)))
+S3_ONE = S3.index((0, 1, 2))
+#: S3_MUL[a, b] = a after b
+S3_MUL = np.array([[S3.index(tuple(a[b[x]] for x in range(3))) for b in S3]
+                   for a in S3])
+S3_INV = np.array([S3.index(tuple(sorted(range(3), key=a.__getitem__)))
+                   for a in S3])
+#: transposition codes 0 = (12), 1 = (23), 2 = (13), on the points 0, 1, 2
+S3_T = np.array([S3.index(p) for p in ((1, 0, 2), (0, 2, 1), (2, 1, 0))])
+
+
+def s3_product_is_one(codes):
+    """Whether t_11 * ... * t_0 is the identity, multiplied out in S_3."""
+    codes = np.atleast_2d(codes)
+    acc = np.full(codes.shape[0], S3_ONE)
+    for pos in range(codes.shape[1]):
+        acc = S3_MUL[S3_T[codes[:, pos]], acc]
+    return acc == S3_ONE
+
+
+@pytest.fixture(scope="module")
+def every_tuple():
+    """All 3^12 code rows, in base-3 order."""
+    return np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.product(range(3), repeat=mo.TUPLE_LEN)),
+        dtype=np.int8).reshape(-1, mo.TUPLE_LEN)
 
 
 def test_s3_tables():
-    brute_s3()
-    assert int(mo.IDENTITY) == 0
+    # the reference tables against python tuples
+    for a, b in itertools.product(range(6), repeat=2):
+        assert S3[S3_MUL[a, b]] == tuple(S3[a][S3[b][x]] for x in range(3))
+    for a in range(6):
+        assert S3_MUL[a, S3_INV[a]] == S3_ONE == S3_MUL[S3_INV[a], a]
     for c in range(3):
-        e = int(mo.TRANSPOSITIONS[c])
-        assert int(mo.MUL[e, e]) == mo.IDENTITY
-        assert int(mo.INV[e]) == e
+        e = S3_T[c]
+        assert S3_MUL[e, e] == S3_ONE and S3_INV[e] == e
+        # with point p at 2 - p in F_3, code c is the reflection x -> c - x
+        assert S3[e] == tuple((2 - (c - (2 - p))) % 3 for p in range(3))
 
 
 def test_conjugation_table():
-    # t_v t_u t_v coded: fixed when u == v, the third letter otherwise
-    for v in range(3):
-        for u in range(3):
-            ev, eu = int(mo.TRANSPOSITIONS[v]), int(mo.TRANSPOSITIONS[u])
-            conj = int(mo.MUL[mo.MUL[ev, eu], ev])
-            assert int(mo.TRANSPOSITIONS[int(mo.CONJ[v, u])]) == conj
+    # the move (u, v) -> (v, t_v t_u t_v): fixed when u == v, the third
+    # letter otherwise, on all nine pairs
+    for u, v in itertools.product(range(3), repeat=2):
+        conj = S3_MUL[S3_MUL[S3_T[v], S3_T[u]], S3_T[v]]
+        moved = mo.hurwitz_move_codes([u, v] + [0] * 10, 0)[0]
+        assert int(moved[0]) == v and S3_T[moved[1]] == conj
+        assert int(moved[1]) == (u if u == v else 3 - u - v)
+
+
+def test_reflection_coding_equals_the_s3_reference(every_tuple):
+    # product one is the alternating sum, on every 12-tuple
+    assert (mo.product_is_one(every_tuple)
+            == s3_product_is_one(every_tuple)).all()
+    # conjugation by the six elements relabels the codes by the rows of
+    # ALPHABET_PERMS, in order
+    code_of = {int(e): c for c, e in enumerate(S3_T)}
+    induced = [[code_of[int(S3_MUL[S3_MUL[g, S3_T[c]], S3_INV[g]])]
+                for c in range(3)] for g in range(6)]
+    assert sorted(induced) == mo.ALPHABET_PERMS.tolist()
 
 
 def test_alphabet_perms_are_all_of_s3():
@@ -68,14 +105,10 @@ def test_classes_are_canonical_and_sorted(table):
     assert (mo.codes_to_keys(table.codes) == table.keys).all()
 
 
-def test_canonical_keys_equal_brute_force_on_raw_tuples(table):
+def test_canonical_keys_equal_brute_force_on_raw_tuples(table, every_tuple):
     # every 12-tuple, filtered to the raw tuples: non-constant, product one
-    every = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.product(range(3), repeat=mo.TUPLE_LEN)),
-        dtype=np.int8).reshape(-1, mo.TUPLE_LEN)
-    raw = every[(every != every[:, :1]).any(axis=1)
-                & (mo.product_of_codes(every) == mo.IDENTITY)]
+    raw = every_tuple[(every_tuple != every_tuple[:, :1]).any(axis=1)
+                      & s3_product_is_one(every_tuple)]
     assert raw.shape[0] == mo.N_RAW
     brute = brute_canonical_keys(raw)
     assert (mo.canonical_keys(raw) == brute).all()
@@ -95,7 +128,7 @@ def test_class_index_holds_both_zero_led_rows_of_each_class(table):
     # every key below 3^11 is a 12-tuple with t_0 = 0
     codes = mo.keys_to_codes(np.arange(3 ** (mo.TUPLE_LEN - 1)))
     valid = ((codes != codes[:, :1]).any(axis=1)
-             & (mo.product_of_codes(codes) == mo.IDENTITY))
+             & s3_product_is_one(codes))
     assert valid.sum() == 2 * mo.N_CLASSES
     assert table.class_index.size == 3 ** 11
     assert (table.class_index[~valid] == -1).all()
@@ -120,7 +153,7 @@ def test_canonical_keys_reject_letters_outside_0_1_2(table):
 
 
 def test_every_class_has_product_one(table):
-    assert (mo.product_of_codes(table.codes) == mo.IDENTITY).all()
+    assert s3_product_is_one(table.codes).all()
     # and is non-constant
     assert not np.any(np.all(table.codes == table.codes[:, :1], axis=1))
 
@@ -137,7 +170,7 @@ def test_hurwitz_preserves_product():
     sample = rng.integers(0, mo.N_CLASSES, size=50)
     for i in range(0, 11):
         moved = mo.hurwitz_move_codes(t.codes[sample], i)
-        assert (mo.product_of_codes(moved) == mo.IDENTITY).all()
+        assert s3_product_is_one(moved).all()
 
 
 def test_hurwitz_order_three_or_fixed(table):
@@ -163,7 +196,7 @@ def test_base_class(table):
     b = table.base_class()
     assert table.class_string(b) == "001111111111"
     codes = table.codes[b]
-    assert int(mo.product_of_codes(codes)[0]) == mo.IDENTITY
+    assert s3_product_is_one(codes)[0]
 
 
 def test_classify_base_class(table):

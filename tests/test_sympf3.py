@@ -156,18 +156,16 @@ def test_index_round_trip_and_basis_points():
     rng = random.Random(13)
     for _ in range(50):
         idx = rng.randrange(29524)
-        assert t.index_of_vector(t.rep(idx)) == idx
-        assert t.index_of_vector((t.rep(idx).astype(np.int64) * 2) % 3) == idx
+        assert t.point_index[sp.keys_of(t.rep(idx))] == idx
+        assert t.point_index[sp.keys_of(t.rep(idx) * 2 % 3)] == idx
     assert t.basis_point(1) == 0
     e = np.identity(10, dtype=np.int8)
     for i in range(1, 11):
-        assert t.basis_point(i) == t.index_of_vector(e[i - 1])
+        assert t.basis_point(i) == t.point_index[sp.keys_of(e[i - 1])]
         assert (t.rep(t.basis_point(i)) == e[i - 1]).all()
     for i in (0, 11):
         with pytest.raises(IndexError):
             t.basis_point(i)
-    with pytest.raises(ValueError):
-        t.index_of_vector(np.zeros(10))
 
 
 def test_transvection_perms_are_permutations_of_order_three():
