@@ -48,7 +48,7 @@ N = sp.N_POINTS
 assert N == mo.N_CLASSES
 assert sp.DIM == mo.N_MOVES          # one coordinate per generator slot 1..10
 
-DEFAULT_WORD_BUDGET = 64
+WORD_BUDGET = 64    # Schreier words of the stabilizer of rho_0 that prune
 
 
 @dataclass
@@ -83,21 +83,6 @@ class Correspondence:
                 f"(point {self.base_point}, class {self.base_class}); "
                 f"{self.candidates_passing} of {self.candidates_pruned} pruned "
                 f"candidates passed full verification")
-
-
-def stabilizer_words(seed_index: int, side: str = "monodromy",
-                     budget: int = DEFAULT_WORD_BUDGET):
-    """Schreier generators of the stabilizer of a seed, as words over the ten
-    generators with letters (generator-index 1..10, exponent +-1)."""
-    if side == "monodromy":
-        gens = mo.get_table().all_hurwitz_perms()
-    elif side == "lattice":
-        gens = sp.get_table().all_transvection_perms()
-    else:
-        raise ValueError(f"side must be 'lattice' or 'monodromy', got {side!r}")
-    res = orbit_bfs(N, gens, [int(seed_index)])
-    words = schreier_generator_words(res, gens, budget)
-    return [[(g + 1, e) for g, e in w] for w in words]
 
 
 def _fixed_points(words, gens, inv_gens) -> np.ndarray:
@@ -142,7 +127,7 @@ def _verify(forward: np.ndarray, s_gens, h_gens):
     return True, None
 
 
-def build_bijection(budget: int = DEFAULT_WORD_BUDGET) -> Correspondence:
+def build_bijection() -> Correspondence:
     """Search, transport and exhaustively verify the equivariant bijection."""
     spt = sp.get_table()
     mot = mo.get_table()
@@ -156,7 +141,7 @@ def build_bijection(budget: int = DEFAULT_WORD_BUDGET) -> Correspondence:
     if class_orbit.size != mo.N_CLASSES:
         raise RuntimeError("the half-twist moves do not act transitively "
                            "on the classes")
-    words = schreier_generator_words(class_orbit, h_gens, budget)
+    words = schreier_generator_words(class_orbit, h_gens, WORD_BUDGET)
 
     # a point can be the image of rho_0 only if every word fixing rho_0
     # also fixes it

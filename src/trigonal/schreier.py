@@ -7,7 +7,8 @@ Composition (p after q) is the fancy index p[q].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,11 +94,6 @@ def apply_word(points, word, gens, inv_gens):
     return points
 
 
-def word_permutation(word, gens, inv_gens, n_points: int) -> np.ndarray:
-    """The dense permutation realized by a word (first letter applied first)."""
-    return apply_word(np.arange(n_points, dtype=np.int64), word, gens, inv_gens)
-
-
 def schreier_generator_words(res: OrbitResult, gens, limit: int):
     """Words fixing the BFS seed, from the first `limit` non-tree edges.
 
@@ -126,77 +122,70 @@ def inverse_permutation(p: np.ndarray) -> np.ndarray:
 
 # -- order certificate -------------------------------------------------------------
 #
-# Randomized Schreier-Sims, used only as a *lower bound* certifier: every
-# element stored at a level genuinely fixes the previous base points, so the
-# product of the orbit sizes along the chain divides the group order.  When
-# the product reaches a known upper bound for the order, the order is
-# certified exactly.
+# Randomized Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms,
+# 2003), used only as a *lower bound* certifier: every stored element fixes
+# the base points before its level, so the products of transversal elements
+# along the chain are distinct group elements, and the product of the orbit
+# sizes bounds the order from below.  When the product reaches a known upper
+# bound for the order, the order is certified exactly.
+
+MAX_ROUNDS = 4000
 
 
-@dataclass
-class _Level:
-    base: int
-    gens: list = field(default_factory=list)
-    tree: OrbitResult | None = None
-    inv_gens: list = field(default_factory=list)
-
-    def rebuild(self, n_points):
-        self.inv_gens = [inverse_permutation(g) for g in self.gens]
-        self.tree = orbit_bfs(n_points, self.gens + self.inv_gens, [self.base])
-
-    def transversal_to(self, point, n_points):
-        """Permutation carrying base -> point, composed from tree letters."""
-        gens2 = self.gens + self.inv_gens
-        inv2 = self.inv_gens + self.gens
-        word = word_from_root(self.tree, point)
-        return word_permutation(word, gens2, inv2, n_points)
+def _transversal(tree: OrbitResult, gens, point: int, identity) -> np.ndarray:
+    """The tree element carrying the root to `point`."""
+    u = identity
+    for g, _ in word_from_root(tree, point):
+        u = gens[g][u]
+    return u
 
 
-def bsgs_order(gens, target: int, rng, max_rounds: int = 4000):
+# The strong generators are nested: level j keeps S(j), every stored element
+# fixing b_0..b_{j-1}, so a residue that sticks at level i joins S(0)..S(i).
+# The orbit at a level must grow when a deeper level does; with level-local
+# generators only a lucky random element would find that growth.
+def bsgs_order(gens, target: int, rng):
     """Lower-bound the order of <gens> by a randomized stabilizer chain.
 
     Stops as soon as the chain product reaches `target` (then the result is
-    exact for any group known to have order <= target).  Returns
-    (lower_bound, certified).
+    exact for any group known to have order <= target), or after MAX_ROUNDS
+    random elements.  Returns (lower_bound, certified, orbit_sizes).
     """
     n_points = gens[0].size
     identity = np.arange(n_points, dtype=np.int64)
-    levels: list[_Level] = []
+    base: list[int] = []
+    strong: list[list] = []            # strong[j] is S(j)
+    trees: list = []                   # trees[j]: orbit of base[j] under S(j)
+
+    def sift_and_add(h) -> None:
+        """Sift h through the chain; add the residue where it sticks."""
+        i = 0
+        while i < len(base) and trees[i].visited[h[base[i]]]:
+            u = _transversal(trees[i], strong[i], int(h[base[i]]), identity)
+            h = inverse_permutation(u)[h]
+            i += 1
+        if i == len(base):
+            if (h == identity).all():
+                return
+            base.append(int(np.argmax(h != identity)))
+            strong.append([])
+            trees.append(None)
+        for j in range(i + 1):
+            strong[j].append(h)
+            # an old tree stays a Schreier tree while h keeps its orbit
+            if j == i or not trees[j].visited[h[trees[j].order]].all():
+                trees[j] = orbit_bfs(n_points, strong[j], [base[j]])
 
     def chain_product():
-        out = 1
-        for lv in levels:
-            out *= lv.tree.size
-        return out
-
-    def sift_and_add(g) -> bool:
-        """Sift g through the chain; add the residue where it sticks."""
-        h = g
-        for li, lv in enumerate(levels):
-            if (h == identity).all():
-                return False
-            img = int(h[lv.base])
-            if not lv.tree.visited[img]:
-                lv.gens.append(h)
-                lv.rebuild(n_points)
-                return True
-            u = lv.transversal_to(img, n_points)
-            h = inverse_permutation(u)[h]
-        if (h == identity).all():
-            return False
-        base = int(np.argmax(h != identity))
-        lv = _Level(base=base, gens=[h])
-        lv.rebuild(n_points)
-        levels.append(lv)
-        return True
+        return math.prod(t.size for t in trees)
 
     for g in gens:
         sift_and_add(np.asarray(g, dtype=np.int64))
 
     # product-replacement state for cheap pseudo-random elements
-    state = [np.asarray(g, dtype=np.int64).copy() for g in gens]
+    state = [np.asarray(g, dtype=np.int64) for g in gens]
     while len(state) < 8:
-        state.append(state[rng.randrange(len(state))].copy())
+        state.append(state[rng.randrange(len(state))])
 
     def random_element():
         i = rng.randrange(len(state))
@@ -207,26 +196,8 @@ def bsgs_order(gens, target: int, rng, max_rounds: int = 4000):
         return state[i]
 
     rounds = 0
-    stall = 0
-    while chain_product() < target and rounds < max_rounds:
+    while chain_product() < target and rounds < MAX_ROUNDS:
         rounds += 1
-        changed = sift_and_add(random_element().copy())
-        if changed:
-            stall = 0
-        else:
-            stall += 1
-            if stall > 64:
-                # targeted Schreier generators of the first incomplete level
-                for lv in levels:
-                    pts = lv.tree.order
-                    p = int(pts[rng.randrange(pts.size)])
-                    g = lv.gens[rng.randrange(len(lv.gens))]
-                    u_p = lv.transversal_to(p, n_points)
-                    q = int(g[p])
-                    u_q = lv.transversal_to(q, n_points)
-                    cand = inverse_permutation(u_q)[g[u_p]]
-                    if sift_and_add(cand):
-                        break
-                stall = 0
+        sift_and_add(random_element())
     lb = chain_product()
-    return lb, lb >= target
+    return lb, lb >= target, [t.size for t in trees]

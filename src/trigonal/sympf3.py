@@ -160,10 +160,8 @@ class ProjectiveTable:
     def all_transvection_perms(self):
         return [self.transvection_perm(i) for i in range(1, DIM + 1)]
 
-    def orbit_of_points(self, seeds, gen_indices=None):
-        gens = [self.transvection_perm(i)
-                for i in (gen_indices or range(1, DIM + 1))]
-        return orbit_bfs(N_POINTS, gens, seeds)
+    def orbit_of_points(self, seeds):
+        return orbit_bfs(N_POINTS, self.all_transvection_perms(), seeds)
 
     def orbit_of_nonzero_vectors(self, seed_key: int):
         gens = [self.vector_perm(i) for i in range(1, DIM + 1)]

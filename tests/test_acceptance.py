@@ -32,8 +32,8 @@ from trigonal import lattice as la
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
 from trigonal.eisenstein import THETA, EisensteinInt, divides
-from trigonal.schreier import (bsgs_order, inverse_permutation, orbit_bfs,
-                               word_permutation)
+from trigonal.schreier import (apply_word, bsgs_order, inverse_permutation,
+                               orbit_bfs, schreier_generator_words)
 
 
 class Timer:
@@ -163,9 +163,9 @@ def test_criterion_08_orbit_trichotomy(corr):
         # of the full stabilizer.
         s_gens = spt.all_transvection_perms()
         s_inv = [inverse_permutation(g) for g in s_gens]
-        words = co.stabilizer_words(corr.base_point, side="lattice")
-        stab = [word_permutation([(g - 1, e) for g, e in w], s_gens, s_inv, n)
-                for w in words]
+        words = schreier_generator_words(
+            orbit_bfs(n, s_gens, [corr.base_point]), s_gens, 64)
+        stab = [apply_word(np.arange(n), w, s_gens, s_inv) for w in words]
         labels = sp.line_class_vector(corr.base_point, spt)
         orbits = sorted(_orbit_partition(n, stab), key=len)
         orbit_sizes = [o.size for o in orbits]
@@ -257,7 +257,7 @@ def test_criterion_11_sp10_order():
         table = sp.get_table()
         gens = [table.vector_perm(i) for i in range(1, 11)]
         rng = random.Random("0:bsgs")
-        order, certified = bsgs_order(gens, cli.SP10_ORDER, rng)
+        order, certified, _ = bsgs_order(gens, cli.SP10_ORDER, rng)
         ok = certified and order == cli.SP10_ORDER
     report(11, "Sp10(F3) group order", ok, 300, t,
            f"order={order}, certified={certified}")

@@ -156,6 +156,15 @@ def test_verify_report_digests(full_report, tmp_path):
     assert report_digest(rep) == REPORT_SHA256[True]
 
 
+def test_sp10_order_passes_on_a_seed_that_used_to_stall(tmp_path):
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "symplectic", "--optional", "--seed", "3",
+                     "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert code == 0
+    assert {c["name"]: c["status"] for c in rep["checks"]}["sp10_order"] == "pass"
+
+
 def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
     ctx = cli.Context(0, False)
     for check in (cli.check_triflection_algebra, cli.check_mod_theta):

@@ -7,7 +7,7 @@ from trigonal import correspondence as co
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
 from trigonal.schreier import (apply_word, inverse_permutation, orbit_bfs,
-                               schreier_generator_words, word_permutation)
+                               schreier_generator_words)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_survivor_pruning_equals_the_full_mask_route(corr):
         words = schreier_generator_words(tree, h_gens, budget)
         mask = np.ones(co.N, dtype=bool)
         for w in words:
-            mask &= word_permutation(w, s_gens, s_inv, co.N) == identity
+            mask &= apply_word(identity, w, s_gens, s_inv) == identity
         got = co._fixed_points(words, s_gens, s_inv)
         assert got.tolist() == np.flatnonzero(mask).tolist(), budget
     assert corr.words_used == len(words) == 64
@@ -118,32 +118,30 @@ def test_base_pair_line_class_is_h(corr):
 
 
 def test_stabilizer_words(corr):
-    words = co.stabilizer_words(corr.base_class, side="monodromy", budget=16)
-    assert 0 < len(words) <= 16
     mot, spt = mo.get_table(), sp.get_table()
     h = mot.all_hurwitz_perms()
     h_inv = [inverse_permutation(g) for g in h]
     s = spt.all_transvection_perms()
     s_inv = [inverse_permutation(g) for g in s]
-    tree_depth = 0
+    words = schreier_generator_words(orbit_bfs(co.N, h, [corr.base_class]),
+                                     h, 16)
+    assert len(words) == 16
     for w in words:
-        assert all(1 <= g <= 10 and e in (1, -1) for g, e in w)
-        internal = [(g - 1, e) for g, e in w]
-        assert apply_word(corr.base_class, internal, h, h_inv) == corr.base_class
+        assert all(0 <= g < 10 and e in (1, -1) for g, e in w)
+        assert apply_word(corr.base_class, w, h, h_inv) == corr.base_class
         # matched base points: the same word fixes the point-side base
-        assert apply_word(corr.base_point, internal, s, s_inv) == corr.base_point
+        assert apply_word(corr.base_point, w, s, s_inv) == corr.base_point
 
 
 def test_lattice_side_words(corr):
-    words = co.stabilizer_words(corr.base_point, side="lattice", budget=8)
     spt = sp.get_table()
     s = spt.all_transvection_perms()
     s_inv = [inverse_permutation(g) for g in s]
+    words = schreier_generator_words(orbit_bfs(co.N, s, [corr.base_point]),
+                                     s, 8)
+    assert len(words) == 8
     for w in words:
-        internal = [(g - 1, e) for g, e in w]
-        assert apply_word(corr.base_point, internal, s, s_inv) == corr.base_point
-    with pytest.raises(ValueError):
-        co.stabilizer_words(0, side="hermitian")
+        assert apply_word(corr.base_point, w, s, s_inv) == corr.base_point
 
 
 def test_to_json(corr):
