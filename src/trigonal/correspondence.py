@@ -250,7 +250,7 @@ def cross_validate_classification(corr: Correspondence) -> dict:
         "agreements_rm_sg_swapped": agreements_swapped,
         "per_position": per_position,
         "first_disagreement": first_disagreement,
-        "excluded_positions": [0, 11],
+        "excluded_positions": [0, mo.TUPLE_LEN - 1],
         "excluded_reason": "slots 0 and 11 carry no generator and no pinned "
                            "basis line; they are classified combinatorially "
                            "but not compared",

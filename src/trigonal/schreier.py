@@ -35,14 +35,17 @@ class OrbitResult:
 def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     """Deterministic BFS orbit of the seeds under the generator arrays.
 
-    Each level is processed with generators in list order and parents in
-    ascending point order, and a point is claimed by the first edge that
-    reaches it, so the Schreier tree does not depend on timing.
+    Each generator must be a permutation of range(n_points): the BFS relies
+    on g[frontier] never repeating a point.  Each level is processed with
+    generators in list order and parents in ascending point order, and a
+    point is claimed by the first edge that reaches it, so the Schreier tree
+    does not depend on timing.
     """
     parent = np.full(n_points, -1, dtype=np.int64)
     parent_gen = np.full(n_points, -1, dtype=np.int64)
     depth = np.full(n_points, -1, dtype=np.int64)
     visited = np.zeros(n_points, dtype=bool)
+    reached = np.zeros(n_points, dtype=bool)     # the level being built
 
     frontier = np.asarray(sorted(set(seeds)), dtype=np.int64)
     visited[frontier] = True
@@ -51,20 +54,19 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     d = 0
     while frontier.size:
         d += 1
-        level = []
+        # a permutation sends distinct parents to distinct points, so points
+        # collide only across generators, where `visited` keeps the first
         for gi, g in enumerate(gens):
             imgs = g[frontier]
             fresh = ~visited[imgs]
-            if not fresh.any():
-                continue
-            pts, first = np.unique(imgs[fresh], return_index=True)
-            srcs = frontier[fresh][first]
+            pts = imgs[fresh]
             visited[pts] = True
-            parent[pts] = srcs
+            reached[pts] = True
+            parent[pts] = frontier[fresh]
             parent_gen[pts] = gi
-            depth[pts] = d
-            level.append(pts)
-        frontier = np.sort(np.concatenate(level)) if level else np.empty(0, dtype=np.int64)
+        frontier = np.flatnonzero(reached)       # ascending
+        reached[frontier] = False
+        depth[frontier] = d
         if frontier.size:
             order.append(frontier)
     return OrbitResult(np.concatenate(order), parent, parent_gen, depth, visited)

@@ -73,19 +73,39 @@ def transvection(i: int) -> np.ndarray:
     return m
 
 
+def _dot_mod3(vectors: np.ndarray, c) -> np.ndarray:
+    """x . c mod 3 for every row x of the int8 array `vectors`, as uint8.
+
+    Only the columns where c is nonzero are read.  The rows have entries
+    0..2, so the sum stays unsigned, where numpy's remainder is faster than
+    on signed types.
+    """
+    c = np.asarray(c, dtype=np.int64) % 3
+    columns = np.asarray(vectors, dtype=np.int8).view(np.uint8)
+    total = np.zeros(vectors.shape[0], dtype=np.uint8)
+    for j in np.flatnonzero(c):
+        total += int(c[j]) * columns[:, j]
+    return total % 3
+
+
+def symp_with(vectors: np.ndarray, w) -> np.ndarray:
+    """symp(x, w) for every row x of `vectors`: x . (SYMP_GRAM w), whose
+    only nonzero entries, two for a basis vector w under the chain form,
+    are read."""
+    return _dot_mod3(vectors, SYMP_GRAM.astype(np.int64)
+                     @ np.asarray(w, dtype=np.int64))
+
+
 def _transvect_keys(vectors: np.ndarray, keys: np.ndarray, i: int) -> np.ndarray:
     """Keys of the rows x (with keys `keys`) after transvection i.
 
     Transvection i changes only coordinate g = i - 1, to
-    x'_g = (x_g - symp(x, alpha_i)) mod 3, which is row g of transvection(i)
-    applied to x; so the key moves by (x'_g - x_g) * 3^g.  Only the nonzero
-    entries of that row are read.
+    x'_g = x_g - symp(x, alpha_i) mod 3, which is row g of transvection(i)
+    applied to x; so the key moves by (x'_g - x_g) * 3^g.
     """
     g = i - 1
-    row = transvection(i)[g]
-    total = sum(int(row[j]) * vectors[:, j].astype(np.int16)
-                for j in np.flatnonzero(row))
-    return keys + (total % 3 - vectors[:, g]).astype(np.int64) * POW3[g]
+    moved = _dot_mod3(vectors, transvection(i)[g])
+    return keys + (moved - vectors[:, g]).astype(np.int64) * POW3[g]
 
 
 _DOUBLE = np.array([0, 2, 1], dtype=np.int8)   # x -> 2x mod 3
@@ -180,18 +200,22 @@ def get_table() -> ProjectiveTable:
 
 # -- classification ------------------------------------------------------------
 
-def line_labels(vectors, ell) -> np.ndarray:
-    """Labels of the lines [v] (nonzero rows) relative to the line [ell].
-
-    The one statement of the rule, coded 0=H, 1=RM, 2=SG: H when v spans the
-    same line as ell, otherwise RM when symp(v, ell) = 0, otherwise SG.
-    """
-    v = canonicalize(vectors)
-    e = canonicalize(ell)[0]
-    s = (v.astype(np.int64) @ (SYMP_GRAM.astype(np.int64) @ e.astype(np.int64))) % 3
-    out = np.where(s == 0, 1, 2).astype(np.int8)
-    out[(v == e).all(axis=1)] = 0
+def _label_codes(s: np.ndarray, is_ell) -> np.ndarray:
+    """The one statement of the rule, coded 0=H, 1=RM, 2=SG: H for the line
+    ell itself (`is_ell`, a mask or an index), otherwise RM when
+    symp(v, ell) = 0 (`s`), otherwise SG."""
+    out = np.where(s == 0, np.int8(1), np.int8(2))
+    out[is_ell] = 0
     return out
+
+
+def line_labels(vectors, ell) -> np.ndarray:
+    """Labels of the lines [v] (nonzero rows) relative to the line [ell]."""
+    v = np.atleast_2d(np.asarray(vectors, dtype=np.int8))
+    e = np.asarray(ell, dtype=np.int8)
+    # v spans the line of ell exactly when v = ell or v = 2 ell = -ell
+    same = (v == e).all(axis=1) | (v == _DOUBLE[e]).all(axis=1)
+    return _label_codes(symp_with(v, e), same)
 
 
 def classify_line(m_idx: int, ell_idx: int, table: ProjectiveTable | None = None) -> str:
@@ -201,9 +225,12 @@ def classify_line(m_idx: int, ell_idx: int, table: ProjectiveTable | None = None
 
 
 def line_class_vector(ell_idx: int, table: ProjectiveTable | None = None) -> np.ndarray:
-    """Classes of every point relative to ell, coded 0=H, 1=RM, 2=SG."""
+    """Classes of every point relative to ell, coded 0=H, 1=RM, 2=SG.
+
+    The rows of `table.reps` are canonical and row ell_idx is ell, so the
+    only H is the index itself."""
     table = table or get_table()
-    return line_labels(table.reps, table.rep(ell_idx))
+    return _label_codes(symp_with(table.reps, table.rep(ell_idx)), ell_idx)
 
 
 def stabilizer_orbit_sizes(ell_idx: int, table: ProjectiveTable | None = None) -> dict:

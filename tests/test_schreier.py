@@ -1,4 +1,4 @@
-"""The randomized Schreier-Sims order certificate."""
+"""Schreier-tree BFS and the randomized Schreier-Sims order certificate."""
 
 import random
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from trigonal import cli
+from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
-from trigonal.schreier import MAX_ROUNDS, bsgs_order
+from trigonal.schreier import MAX_ROUNDS, bsgs_order, orbit_bfs
 
 #: the basic orbits of Sp10(F3) on nonzero vectors: 3^2k - 1 and 3^(2k-1)
 #: for k = 5..1, whose product is |Sp10(F3)|
@@ -23,6 +24,76 @@ class CountingRandom(random.Random):
     def randrange(self, *args):
         self.calls += 1
         return super().randrange(*args)
+
+
+def brute_bfs(n_points, gens, seeds):
+    """Level-by-level BFS in plain Python with the documented claim rule: a
+    point goes to the first generator in list order, then the ascending
+    first parent, that reaches it."""
+    parent, parent_gen, depth = [-1] * n_points, [-1] * n_points, [-1] * n_points
+    level = sorted(set(seeds))
+    for p in level:
+        depth[p] = 0
+    order = list(level)
+    while level:
+        reached = []
+        for gi, g in enumerate(gens):
+            for p in level:
+                q = int(g[p])
+                if depth[q] == -1:
+                    parent[q], parent_gen[q], depth[q] = p, gi, depth[p] + 1
+                    reached.append(q)
+        level = sorted(reached)
+        order += level
+    return order, parent, parent_gen, depth, [d != -1 for d in depth]
+
+
+def assert_matches_brute_bfs(n_points, gens, seeds):
+    res = orbit_bfs(n_points, gens, seeds)
+    want = brute_bfs(n_points, gens, seeds)
+    for name, w in zip(("order", "parent", "parent_gen", "depth", "visited"), want):
+        assert getattr(res, name).tolist() == w, name
+    return res
+
+
+def random_permutations(seed, n_points, blocks, count):
+    """`count` seeded permutations that each preserve the `blocks` cut of
+    range(n_points), so the group is intransitive when blocks > 1."""
+    rng = np.random.default_rng(seed)
+    cuts = np.linspace(0, n_points, blocks + 1).astype(int)
+    gens = []
+    for _ in range(count):
+        g = np.empty(n_points, dtype=np.int64)
+        for a, b in zip(cuts, cuts[1:]):
+            g[a:b] = a + rng.permutation(b - a)
+        gens.append(g)
+    return gens
+
+
+def test_orbit_bfs_on_s6_matches_brute_force():
+    res = assert_matches_brute_bfs(6, S6, [0])
+    assert res.size == 6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orbit_bfs_on_random_permutations_matches_brute_force(seed):
+    blocks = 1 + seed % 3
+    gens = random_permutations(seed, 90, blocks, 2 + seed % 2)
+    res = assert_matches_brute_bfs(90, gens, [seed, 3 * seed])
+    if blocks > 1:
+        # the seeds lie in the first block: the other blocks stay unvisited
+        outside = np.arange(90 // blocks, 90)
+        assert not res.visited[outside].any()
+        for name in ("parent", "parent_gen", "depth"):
+            assert (getattr(res, name)[outside] == -1).all()
+
+
+def test_orbit_bfs_on_the_generator_permutations_matches_brute_force():
+    mot, spt = mo.get_table(), sp.get_table()
+    assert_matches_brute_bfs(mo.N_CLASSES, mot.all_hurwitz_perms(),
+                             [mot.base_class()])
+    assert_matches_brute_bfs(sp.N_POINTS, spt.all_transvection_perms(),
+                             [spt.basis_point(1)])
 
 
 def test_sp10_orbit_sizes_multiply_to_the_order():

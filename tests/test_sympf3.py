@@ -237,6 +237,31 @@ def test_classify_line_examples():
     assert sp.classify_line(a[2], a[1], t) == "SG"
 
 
+def test_symp_with_equals_the_dense_form():
+    t = sp.get_table()
+    x = t.vectors.astype(np.int64)
+    dense_w = np.array([1, 2, 1, 1, 2, 2, 1, 2, 1, 1], dtype=np.int8)
+    for w in [*np.identity(10, dtype=np.int8), dense_w]:
+        got = sp.symp_with(t.vectors, w)
+        assert (got == x @ sp.SYMP_GRAM.astype(np.int64) @ w % 3).all()
+
+
+def test_line_class_vector_equals_the_rule():
+    t = sp.get_table()
+    rng = random.Random(11)
+    # the basis lines, the bijection's base point [0, 1, ..., 0, 1] (pinned
+    # in test_correspondence) and seeded lines
+    ells = [t.basis_point(i) for i in range(1, 11)] + [11073]
+    ells += [rng.randrange(sp.N_POINTS) for _ in range(5)]
+    for ell in ells:
+        labels = sp.line_class_vector(ell, t)
+        assert labels.dtype == np.int8
+        assert (labels == sp.line_labels(t.reps, t.rep(ell))).all()
+        # the rule holds per line: -v and -ell give the same labels
+        assert (labels == sp.line_labels(2 * t.reps % 3, 2 * t.rep(ell) % 3)).all()
+        assert np.flatnonzero(labels == 0).tolist() == [ell]
+
+
 def test_stabilizer_orbit_sizes():
     t = sp.get_table()
     sizes = sp.stabilizer_orbit_sizes(t.basis_point(1), t)
