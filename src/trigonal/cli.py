@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 import time
 from random import Random
@@ -38,10 +39,9 @@ from . import sympf3 as sp
 from .eisenstein import THETA, EisensteinInt, divides
 from .schreier import bsgs_order
 
-#: order of Sp_10(F_3) = 3^25 * (3^2-1)(3^4-1)(3^6-1)(3^8-1)(3^10-1)
-SP10_ORDER = 152915585868239728626892800
-assert SP10_ORDER == 3 ** 25 * np.prod([3 ** k - 1 for k in (2, 4, 6, 8, 10)],
-                                       dtype=object)
+#: order of Sp_2m(F_3) = 3^(m^2) * prod_{k=1..m} (3^2k - 1), with 2m = sp.DIM
+SP10_ORDER = 3 ** ((sp.DIM // 2) ** 2) * math.prod(
+    3 ** (2 * k) - 1 for k in range(1, sp.DIM // 2 + 1))
 
 CONVENTIONS = {
     "eisenstein": "tau^2 = tau - 1; an Eisenstein integer a + b*tau is "

@@ -32,9 +32,9 @@ a_1, tau*a_1, a_2, tau*a_2, ...; the vector sum_k (p_k + q_k*tau) a_k has
 the flat coordinates (p_1, q_1, p_2, q_2, ...), a tuple of 20 Python ints.
 This is the one coordinate system of the integer kernels: `_step` moves
 flat tuples; `herm` pairs them through the two integer matrices A and B of
-herm(x, y) = x^T A y + (x^T B y) * tau; `step_matrix` and `realify` give
-20x20 integer matrices on this basis; `preserves_form` checks
-R^T A R = A and R^T B R = B; and `realify_and_certify` certifies the
+herm(x, y) = x^T A y + (x^T B y) * tau; `step_matrix` gives the 20x20
+integer matrix of a triflection on this basis; `preserves_realified_form`
+checks R^T A R = A and R^T B R = B; and `realify_and_certify` certifies the
 Gram matrix -(2A + B)/3.  The public functions still take and return
 tuples of EisensteinInt.  Integer matrix products go through `matmul`,
 which raises OverflowError instead of letting an int64 entry wrap.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,12 +194,6 @@ def skew(x: Vector, y: Vector) -> EisensteinInt:
 
 # -- matrices ------------------------------------------------------------------
 
-def apply(m: Matrix, x: Vector) -> Vector:
-    """Matrix-vector product; x is a column of coordinates in the a_i basis."""
-    return tuple(sum((m[i][j] * x[j] for j in range(RANK) if x[j]), ZERO)
-                 for i in range(RANK))
-
-
 def compose(m: Matrix, n: Matrix) -> Matrix:
     """The product m*n, i.e. the map applying n first, then m."""
     return tuple(
@@ -208,25 +202,11 @@ def compose(m: Matrix, n: Matrix) -> Matrix:
         for i in range(RANK))
 
 
-def realify(m: Matrix) -> np.ndarray:
-    """The 20x20 int64 matrix of m on the Z-basis a_1, tau*a_1, a_2, ...
-
-    Columns 2j and 2j+1 are the flat coordinates of m*a_j and m*(tau*a_j).
-    """
-    return _int64([_flat(tuple(s * row[j] for row in m))
-                   for j in range(RANK) for s in _SCALARS]).T
-
-
 def preserves_realified_form(r: np.ndarray) -> bool:
     """Whether the integer matrix r on the Z-basis is an isometry of herm:
     r^T A r = A and r^T B r = B."""
     return all((matmul(matmul(r.T, c), r) == c).all()
                for c in _form_components())
-
-
-def preserves_form(m: Matrix) -> bool:
-    """Whether herm(m*x, m*y) = herm(x, y) for all lattice vectors x, y."""
-    return preserves_realified_form(realify(m))
 
 
 # -- triflections ----------------------------------------------------------------
@@ -335,86 +315,69 @@ def realified_gram() -> list:
     return (num // 3).tolist()
 
 
-def _det_exact(rows) -> int:
-    """Determinant of an integer matrix by Bareiss's fraction-free elimination.
+def _swap(a, k: int, r: int) -> None:
+    """Exchange basis vectors k and r of the symmetric matrix a."""
+    a[k], a[r] = a[r], a[k]
+    for row in a:
+        row[k], row[r] = row[r], row[k]
 
-    After step k every entry of the trailing block is a (k+1)-minor of the
-    input, so each division by the previous pivot is exact (Bareiss, Math.
-    Comp. 22, 1968).
+
+def _det_and_signature(rows) -> tuple[int, tuple[int, int]]:
+    """(det, (n_plus, n_minus)) of a symmetric integer matrix.
+
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968): after step
+    k every entry of the trailing block is a bordered (k+1)-minor, so each
+    division by the previous pivot is exact and pivot k is the leading minor
+    D_k.  A zero pivot is repaired by congruence, which keeps det and
+    signature: a symmetric swap with a later nonzero diagonal entry, else
+    e_k += e_o for a later o with a[k][o] != 0, making the pivot 2*a[k][o].
+    A trailing row that is all zero is a radical direction: it moves to the
+    end and drops out, and det is 0.  Each D_k / D_(k-1) < 0 counts one
+    negative direction.
     """
     a = [[int(x) for x in row] for row in rows]
     n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
+    pos = neg = 0
+    prev = 1
+    k = 0
+    while k < n:
         if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
+            d = next((d for d in range(k + 1, n) if a[d][d]), None)
+            o = next((o for o in range(k + 1, n) if a[k][o]), None)
+            if d is not None:
+                _swap(a, k, d)
+            elif o is not None:
+                for c in range(k, n):
+                    a[k][c] += a[o][c]
+                for r in range(k, n):
+                    a[r][k] += a[r][o]
+            else:
+                n -= 1
+                _swap(a, k, n)
+                continue
         pk, rk = a[k][k], a[k]
+        if (pk < 0) == (prev < 0):
+            pos += 1
+        else:
+            neg += 1
         for r in range(k + 1, n):
             row, f = a[r], a[r][k]
             for c in range(k + 1, n):
                 row[c] = (row[c] * pk - f * rk[c]) // prev
         prev = pk
-    return sign * a[n - 1][n - 1] if n else 1
-
-
-def _signature_exact(rows):
-    """Signature (n_plus, n_minus) of a symmetric matrix over Q.
-
-    Diagonalizes by congruence with exact rationals; a nondegenerate input
-    yields n_plus + n_minus = dim.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][r] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                other = next((c for c in range(k + 1, n) if a[k][c] != 0), None)
-                if other is None:
-                    continue  # degenerate direction contributes nothing
-                for c in range(n):
-                    a[k][c] += a[other][c]
-                for r in range(n):
-                    a[r][k] += a[r][other]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            f = a[r][k] / d
-            if f == 0:
-                continue
-            for c in range(k, n):
-                a[r][c] -= f * a[k][c]
-        for c in range(k + 1, n):
-            f = a[k][c] / d
-            if f == 0:
-                continue
-            for r in range(k, n):
-                a[r][c] -= f * a[r][k]
-    return pos, neg
+        k += 1
+    return (prev if n == len(a) else 0), (pos, neg)
 
 
 def realify_and_certify() -> dict:
     """Certificate for the rescaled real form: even, unimodular, signature (18, 2).
 
     Returns {'is_even': bool, 'abs_det': int, 'signature': (pos, neg)} computed
-    with exact integer/rational arithmetic.
+    with exact integer arithmetic.
     """
     b = realified_gram()
     is_even = all(b[i][i] % 2 == 0 for i in range(2 * RANK))
-    det = _det_exact(b)
-    sig = _signature_exact(b)
+    det, sig = _det_and_signature(b)
     return {"is_even": is_even, "abs_det": abs(det), "signature": sig}
 
 
@@ -487,28 +450,17 @@ def decompose_minus6(eps: Vector, search_bound: int = 8):
     return None
 
 
-class Minus6Witness:
+class Minus6Witness(NamedTuple):
     """Evidence that the norm -6 vector eps admits no integral hexaflection.
 
     index/vector: the basis vector x = a_index with herm(eps, x) not in
     3*Z[tau]; value: herm(eps, x); hexaflection_nonintegral: True when the
     map z -> z + herm(z, eps)/3 * eps indeed moves x outside the lattice.
     """
-
-    __slots__ = ("index", "vector", "value", "hexaflection_nonintegral")
-
-    def __init__(self, index, vector, value, hexaflection_nonintegral):
-        self.index = index
-        self.vector = vector
-        self.value = value
-        self.hexaflection_nonintegral = hexaflection_nonintegral
-
-    def to_json(self):
-        return {
-            "index": self.index,
-            "value": self.value.to_json(),
-            "hexaflection_nonintegral": self.hexaflection_nonintegral,
-        }
+    index: int
+    vector: Vector
+    value: EisensteinInt
+    hexaflection_nonintegral: bool
 
 
 def minus6_witness(eps: Vector):

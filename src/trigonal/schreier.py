@@ -134,18 +134,15 @@ def inverse_permutation(p: np.ndarray) -> np.ndarray:
 MAX_ROUNDS = 4000
 
 
-def _transversal(tree: OrbitResult, gens, point: int, identity) -> np.ndarray:
-    """The tree element carrying the root to `point`."""
-    u = identity
-    for g, _ in word_from_root(tree, point):
-        u = gens[g][u]
-    return u
-
-
 # The strong generators are nested: level j keeps S(j), every stored element
 # fixing b_0..b_{j-1}, so a residue that sticks at level i joins S(0)..S(i).
 # The orbit at a level must grow when a deeper level does; with level-local
 # generators only a lucky random element would find that growth.
+#
+# A sift step replaces h by u^-1 h, where the tree element u carries b_i to
+# h(b_i).  That is h followed by the inverse tree letters, in reverse order:
+# apply_word(h, invert_word(word)) gathers h through one stored inverse per
+# letter, and each element is inverted once, when it is stored.
 def bsgs_order(gens, target: int, rng):
     """Lower-bound the order of <gens> by a randomized stabilizer chain.
 
@@ -157,23 +154,27 @@ def bsgs_order(gens, target: int, rng):
     identity = np.arange(n_points, dtype=np.int64)
     base: list[int] = []
     strong: list[list] = []            # strong[j] is S(j)
+    inverse: list[list] = []           # inverse[j][k] is strong[j][k]^-1
     trees: list = []                   # trees[j]: orbit of base[j] under S(j)
 
     def sift_and_add(h) -> None:
         """Sift h through the chain; add the residue where it sticks."""
         i = 0
         while i < len(base) and trees[i].visited[h[base[i]]]:
-            u = _transversal(trees[i], strong[i], int(h[base[i]]), identity)
-            h = inverse_permutation(u)[h]
+            word = word_from_root(trees[i], h[base[i]])
+            h = apply_word(h, invert_word(word), strong[i], inverse[i])
             i += 1
         if i == len(base):
             if (h == identity).all():
                 return
             base.append(int(np.argmax(h != identity)))
             strong.append([])
+            inverse.append([])
             trees.append(None)
+        h_inv = inverse_permutation(h)
         for j in range(i + 1):
             strong[j].append(h)
+            inverse[j].append(h_inv)
             # an old tree stays a Schreier tree while h keeps its orbit
             if j == i or not trees[j].visited[h[trees[j].order]].all():
                 trees[j] = orbit_bfs(n_points, strong[j], [base[j]])

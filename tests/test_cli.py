@@ -20,13 +20,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trigonal
 from trigonal import __version__, cli
 from trigonal import monodromy as mo
-from trigonal.eisenstein import TAU2, ZERO
+from trigonal.eisenstein import TAU2
 
 #: SHA-256 of the bytes each export writes
 EXPORT_SHA256 = {
@@ -173,8 +174,9 @@ def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
     la, step = cli.la, cli.la.step_matrix
     # tau^2 * s_4 still has order three and preserves the form, but breaks
     # the braid relations with s_3 and s_5; mod theta tau^2 is 1
-    tau2 = la.realify(tuple(tuple(TAU2 if i == j else ZERO for j in range(10))
-                            for i in range(10)))
+    # (a + b*tau acts on the flat pair (p, q) as [[a, -b], [b, a + b]])
+    a, b = TAU2.a, TAU2.b
+    tau2 = np.kron(np.identity(10, dtype=np.int64), [[a, -b], [b, a + b]])
     twist = {1: tau2, -1: la.matmul(tau2, tau2)}
     monkeypatch.setattr(la, "step_matrix", lambda i, e=1: (
         la.matmul(twist[e], step(i, e)) if i == 4 else step(i, e)))
@@ -238,7 +240,8 @@ def test_benchmark_driver_finds_every_name_it_reaches():
 
 
 def test_verify_and_exports_leave_numpy_ma_unimported(tmp_path):
-    # importing numpy.ma costs a cold run about 11 ms, and no command needs it
+    # importing numpy.ma costs a cold run about 11 ms and fractions about
+    # 3 ms (with decimal), and no command needs either
     out = str(tmp_path / "out")
     code = (
         "import sys\n"
@@ -249,6 +252,7 @@ def test_verify_and_exports_leave_numpy_ma_unimported(tmp_path):
         "assert cli.main(['export', 'orbits', '--format', 'dot', "
         f"'--out', {out!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        "assert 'fractions' not in sys.modules, 'fractions was imported'\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -42,6 +42,27 @@ def scalar_matrix(c):
                  for i in range(10))
 
 
+def realify(m):
+    """The 20x20 integer matrix of the Z-linear action of m on the Z-basis
+    a_1, tau*a_1, a_2, ...: a + b*tau acts as the block [[a, -b], [b, a+b]]."""
+    out = np.zeros((20, 20), dtype=object)
+    for i in range(10):
+        for j in range(10):
+            c = m[i][j]
+            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[c.a, -c.b],
+                                                      [c.b, c.a + c.b]]
+    return out
+
+
+def act(m, x):
+    """The matrix-vector product m*x, through realify on flat coordinates."""
+    return lat._unflat(tuple(realify(m) @ np.array(lat._flat(x), dtype=object)))
+
+
+def preserves_form(m):
+    return lat.preserves_realified_form(realify(m).astype(np.int64))
+
+
 def gram_herm(x, y):
     """herm as the sum of x_i * GRAM[i][j] * conj(y_j), in EisensteinInt."""
     return sum((x[i] * lat.GRAM[i][j] * y[j].conj()
@@ -106,14 +127,15 @@ def test_skew_twisted_antisymmetry():
 
 def test_triflection_on_its_own_mirror_vector():
     s1 = lat.triflection(1)
-    assert lat.apply(s1, A[1]) == scale(TAU2, A[1])
+    assert act(s1, A[1]) == lat.apply_word([(1, 1)], A[1]) == scale(TAU2, A[1])
 
 
 def test_triflection_on_neighbour_and_far_vector():
     s1 = lat.triflection(1)
-    assert lat.apply(s1, A[2]) == lat.vec_add(A[2], scale(-TAU, A[1]))
-    assert lat.apply(s1, A[3]) == A[3]
-    assert lat.apply(lat.triflection(5), A[1]) == A[1]
+    assert act(s1, A[2]) == lat.vec_add(A[2], scale(-TAU, A[1]))
+    assert act(s1, A[3]) == A[3]
+    assert lat.apply_word([(1, 1)], A[3]) == A[3]
+    assert lat.apply_word([(5, 1)], A[1]) == A[1]
 
 
 def test_triflection_matches_defining_formula():
@@ -124,7 +146,7 @@ def test_triflection_matches_defining_formula():
             x = rand_vector(rng)
             expected = lat.vec_add(
                 x, scale(TAU * lat.skew(x, A[i]), A[i]))
-            assert lat.apply(s, x) == expected
+            assert act(s, x) == lat.apply_word([(i, 1)], x) == expected
 
 
 def test_triflection_order_three():
@@ -139,7 +161,8 @@ def test_triflection_order_three():
 
 def test_triflections_preserve_the_form():
     for i in range(1, 11):
-        assert lat.preserves_form(lat.triflection(i))
+        assert lat.preserves_realified_form(lat.step_matrix(i))
+        assert preserves_form(lat.triflection(i))
 
 
 def test_braid_relations():
@@ -165,7 +188,7 @@ def test_word_matrix_and_apply_word_agree():
     for _ in range(10):
         word = [(rng.randint(1, 10), rng.choice((1, -1))) for _ in range(6)]
         m = lat.word_matrix(word)
-        assert lat.preserves_form(m)
+        assert preserves_form(m)
         product = IDENTITY
         for i, e in word:
             s = lat.triflection(i)
@@ -178,7 +201,7 @@ def test_word_matrix_and_apply_word_agree():
             c = TAU if e == 1 else TAU2
             expected = lat.vec_add(
                 expected, scale(c * lat.skew(expected, A[i]), A[i]))
-        assert lat.apply_word(word, x) == expected == lat.apply(m, x)
+        assert lat.apply_word(word, x) == expected == act(m, x)
 
 
 # -- integer kernels on flat Z-coordinates ----------------------------------------
@@ -203,16 +226,15 @@ def test_step_matrices_are_the_realified_triflections():
         assert s.dtype == np.int64 and not s.flags.writeable
         assert (s == realify(lat.triflection(i))).all()
         assert (s_inv == realify(lat.word_matrix([(i, -1)]))).all()
-        assert (lat.realify(lat.triflection(i)) == s).all()
 
 
 def test_preserves_form_accepts_tau_and_rejects_theta_and_a_perturbation():
-    assert lat.preserves_form(scalar_matrix(TAU))
-    assert not lat.preserves_form(scalar_matrix(THETA))
+    assert preserves_form(scalar_matrix(TAU))
+    assert not preserves_form(scalar_matrix(THETA))
     s = [list(row) for row in lat.triflection(3)]
     s[4][7] = s[4][7] + ONE
-    assert lat.preserves_form(lat.triflection(3))
-    assert not lat.preserves_form(tuple(map(tuple, s)))
+    assert preserves_form(lat.triflection(3))
+    assert not preserves_form(tuple(map(tuple, s)))
 
 
 def test_int64_products_refuse_to_overflow():
@@ -223,46 +245,74 @@ def test_int64_products_refuse_to_overflow():
         lat.matmul(big, big)
     with pytest.raises(OverflowError):
         lat.preserves_realified_form(big)
-    with pytest.raises(OverflowError):                 # no int64 entry
-        lat.realify(scalar_matrix(EisensteinInt(2 ** 63)))
 
 
-def fraction_det(rows):
-    """The determinant by Gaussian elimination over Q."""
+def fraction_det_and_signature(rows):
+    """(det, (n_plus, n_minus)) of a symmetric matrix by congruence
+    diagonalization over Q, skipping radical directions."""
     a = [[Fraction(x) for x in row] for row in rows]
-    n, det = len(a), Fraction(1)
+    n, det, pos, neg = len(a), Fraction(1), 0, 0
     for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
+        if a[k][k] == 0:
+            d = next((d for d in range(k + 1, n) if a[d][d]), None)
+            o = next((o for o in range(k + 1, n) if a[k][o]), None)
+            if d is not None:                   # e_k <-> e_d
+                a[k], a[d] = a[d], a[k]
+                for row in a:
+                    row[k], row[d] = row[d], row[k]
+            elif o is not None:                 # e_k += e_o
+                for c in range(n):
+                    a[k][c] += a[o][c]
+                for r in range(n):
+                    a[r][k] += a[r][o]
+            else:
+                det = 0
+                continue
         det *= a[k][k]
-        for r in range(k + 1, n):
+        pos, neg = (pos + 1, neg) if a[k][k] > 0 else (pos, neg + 1)
+        for r in range(k + 1, n):              # clear row and column k
             f = a[r][k] / a[k][k]
             a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return det
+        for r in range(k + 1, n):
+            a[k][r] = a[r][k] = Fraction(0)
+    return det, (pos, neg)
 
 
-def test_bareiss_determinant_equals_the_fraction_reference():
+def random_symmetric(rng):
+    """A seeded symmetric integer matrix; about a third have a zero diagonal
+    and about a quarter a row that is a multiple of another."""
+    n = rng.randint(1, 7)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.choice((0, rng.randint(-9, 9)))
+    if rng.random() < 0.35:
+        for i in range(n):
+            a[i][i] = 0
+    if n > 1 and rng.random() < 0.25:           # e_u = f * e_v on both sides
+        u, v = rng.sample(range(n), 2)
+        f = rng.randint(-2, 2)
+        a[u] = [f * x for x in a[v]]
+        for row in a:
+            row[u] = f * row[v]
+    return a
+
+
+def test_fraction_free_elimination_equals_the_fraction_reference():
     rng = random.Random(7)
-    swaps = singular = 0
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
-                for _ in range(n)]
-        if n > 1 and rng.random() < 0.3:   # a row that is a combination
-            u, v = rng.sample(range(n), 2)
-            rows[u] = [x * rng.randint(-2, 2) for x in rows[v]]
-        want = fraction_det(rows)
-        assert lat._det_exact(rows) == want
-        singular += want == 0
-        swaps += rows[0][0] == 0 and want != 0
-    assert singular > 50 and swaps > 20
-    assert lat._det_exact([[0, 1], [1, 0]]) == -1
-    assert lat._det_exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-    assert lat._det_exact([[2, 4], [1, 2]]) == 0
+    zero_diagonal = singular = 0
+    for _ in range(600):
+        rows = random_symmetric(rng)
+        det, sig = lat._det_and_signature(rows)
+        # the signature of the nondegenerate part, singular or not
+        assert (det, sig) == fraction_det_and_signature(rows)
+        singular += det == 0
+        zero_diagonal += det != 0 and not any(r[i] for i, r in enumerate(rows))
+    assert singular > 100 and zero_diagonal > 40
+    assert lat._det_and_signature([[0, 1], [1, 0]]) == (-1, (1, 1))
+    assert lat._det_and_signature([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == (-1, (2, 1))
+    assert lat._det_and_signature([[2, 4], [4, 8]])[0] == 0
+    assert lat._det_and_signature([]) == (1, (0, 0))
 
 
 # -- realification -----------------------------------------------------------------
@@ -294,18 +344,6 @@ def test_realify_certificate_against_float_oracle():
     assert (int((eig > 0).sum()), int((eig < 0).sum())) == (18, 2)
 
 
-def realify(m):
-    """The 20x20 integer matrix of the Z-linear action of m on the Z-basis
-    a_1, tau*a_1, a_2, ...: a + b*tau acts as the block [[a, -b], [b, a+b]]."""
-    out = np.zeros((20, 20), dtype=object)
-    for i in range(10):
-        for j in range(10):
-            c = m[i][j]
-            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[c.a, -c.b],
-                                                      [c.b, c.a + c.b]]
-    return out
-
-
 def test_realified_certificate_is_basis_change_invariant():
     rng = random.Random(5)
     word = [(rng.randint(1, 10), rng.choice((1, -1))) for _ in range(5)]
@@ -319,8 +357,9 @@ def test_realified_certificate_is_basis_change_invariant():
     u[0, 7] = 3
     u[4, 2] = -2
     b3 = u.T @ b @ u
-    assert lat._det_exact(b3.tolist()) in (1, -1)
-    assert lat._signature_exact(b3.tolist()) == (18, 2)
+    det, sig = lat._det_and_signature(b3.tolist())
+    assert abs(det) == 1 and sig == (18, 2)
+    assert fraction_det_and_signature(b3.tolist()) == (det, sig)
     assert all(b3[i][i] % 2 == 0 for i in range(20))
 
 
@@ -345,7 +384,7 @@ def test_decompose_transported_instances():
     for _ in range(5):
         word = [(rng.randint(1, 10), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 6))]
-        eps = lat.apply(lat.word_matrix(word), eps0)
+        eps = lat.apply_word(word, eps0)
         pair = lat.decompose_minus6(eps)
         assert pair is not None
         x, y = pair

@@ -8,7 +8,9 @@ import pytest
 from trigonal import cli
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
-from trigonal.schreier import MAX_ROUNDS, bsgs_order, orbit_bfs
+from trigonal.schreier import (MAX_ROUNDS, apply_word, bsgs_order,
+                               inverse_permutation, invert_word, orbit_bfs,
+                               word_from_root)
 
 #: the basic orbits of Sp10(F3) on nonzero vectors: 3^2k - 1 and 3^(2k-1)
 #: for k = 5..1, whose product is |Sp10(F3)|
@@ -94,6 +96,35 @@ def test_orbit_bfs_on_the_generator_permutations_matches_brute_force():
                              [mot.base_class()])
     assert_matches_brute_bfs(sp.N_POINTS, spt.all_transvection_perms(),
                              [spt.basis_point(1)])
+
+
+def assert_sift_identity(gens, h, root):
+    """u^-1 h, for the tree element u carrying the root to each orbit point
+    p, is h followed by the inverse tree letters: the sift step of
+    bsgs_order."""
+    tree = orbit_bfs(h.size, gens, [root])
+    inverses = [inverse_permutation(g) for g in gens]
+    for p in tree.order:
+        word = word_from_root(tree, p)
+        u = np.arange(h.size)
+        for g, _ in word:              # u = g_last o ... o g_first
+            u = gens[g][u]
+        assert u[root] == p
+        sifted = apply_word(h, invert_word(word), gens, inverses)
+        assert (sifted == inverse_permutation(u)[h]).all()
+
+
+def test_sift_identity_on_s6():
+    rng = np.random.default_rng(0)
+    for root in range(6):
+        assert_sift_identity(S6, rng.permutation(6), root)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sift_identity_on_random_permutations(seed):
+    gens = random_permutations(seed, 90, 1 + seed % 3, 2 + seed % 2)
+    h = random_permutations(seed + 100, 90, 1, 1)[0]
+    assert_sift_identity(gens, h, 3 * seed)
 
 
 def test_sp10_orbit_sizes_multiply_to_the_order():
