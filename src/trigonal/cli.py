@@ -352,7 +352,7 @@ def check_sp10_order(ctx: Context):
     if not ctx.optional:
         return None, None, str(SP10_ORDER), {"reason": "enable with --optional"}
     gens = [sp.get_table().vector_perm(i) for i in range(1, sp.DIM + 1)]
-    order, certified, _ = bsgs_order(gens, SP10_ORDER, ctx.rng("bsgs"))
+    order, certified, _ = bsgs_order(gens, SP10_ORDER)
     ok = certified and order == SP10_ORDER
     return ok, str(order), str(SP10_ORDER), {"certified": bool(certified)}
 

@@ -1,5 +1,6 @@
 """Orbit enumeration with Schreier trees, and a permutation-group order
-certificate, for permutations stored as dense numpy index arrays.
+certificate from the stabilizer chain of a generator list, for permutations
+stored as dense numpy index arrays.
 
 A permutation on n points is an int array p of length n with image p[x].
 Composition (p after q) is the fancy index p[q].
@@ -124,83 +125,29 @@ def inverse_permutation(p: np.ndarray) -> np.ndarray:
 
 # -- order certificate -------------------------------------------------------------
 #
-# Randomized Schreier-Sims (Sims 1970; Seress, Permutation Group Algorithms,
-# 2003), used only as a *lower bound* certifier: every stored element fixes
-# the base points before its level, so the products of transversal elements
-# along the chain are distinct group elements, and the product of the orbit
-# sizes bounds the order from below.  When the product reaches a known upper
-# bound for the order, the order is certified exactly.
+# The suffix chain of the generators, in list order: H_k = <g_k, ..., g_last>
+# fixes b_k, the least point that g_k moves and every later generator fixes.
+# So H_(k+1) lies in the stabilizer of b_k in H_k, and |H_k| >= |H_k b_k| *
+# |H_(k+1)|; the product of the orbit sizes is a lower bound for the order of
+# <gens> (and divides it).  When it reaches a known upper bound, the order is
+# certified exactly.  The bound depends on the generator order: a list that
+# is not a chain bounds the order only weakly.
+def bsgs_order(gens, target: int):
+    """Lower-bound the order of <gens> by the suffix chain of the generators.
 
-MAX_ROUNDS = 4000
-
-
-# The strong generators are nested: level j keeps S(j), every stored element
-# fixing b_0..b_{j-1}, so a residue that sticks at level i joins S(0)..S(i).
-# The orbit at a level must grow when a deeper level does; with level-local
-# generators only a lucky random element would find that growth.
-#
-# A sift step replaces h by u^-1 h, where the tree element u carries b_i to
-# h(b_i).  That is h followed by the inverse tree letters, in reverse order:
-# apply_word(h, invert_word(word)) gathers h through one stored inverse per
-# letter, and each element is inverted once, when it is stored.
-def bsgs_order(gens, target: int, rng):
-    """Lower-bound the order of <gens> by a randomized stabilizer chain.
-
-    Stops as soon as the chain product reaches `target` (then the result is
-    exact for any group known to have order <= target), or after MAX_ROUNDS
-    random elements.  Returns (lower_bound, certified, orbit_sizes).
+    A level whose generator moves no point that the later ones fix counts 1.
+    Returns (lower_bound, lower_bound >= target, orbit_sizes), one orbit size
+    per generator in list order.
     """
     n_points = gens[0].size
-    identity = np.arange(n_points, dtype=np.int64)
-    base: list[int] = []
-    strong: list[list] = []            # strong[j] is S(j)
-    inverse: list[list] = []           # inverse[j][k] is strong[j][k]^-1
-    trees: list = []                   # trees[j]: orbit of base[j] under S(j)
-
-    def sift_and_add(h) -> None:
-        """Sift h through the chain; add the residue where it sticks."""
-        i = 0
-        while i < len(base) and trees[i].visited[h[base[i]]]:
-            word = word_from_root(trees[i], h[base[i]])
-            h = apply_word(h, invert_word(word), strong[i], inverse[i])
-            i += 1
-        if i == len(base):
-            if (h == identity).all():
-                return
-            base.append(int(np.argmax(h != identity)))
-            strong.append([])
-            inverse.append([])
-            trees.append(None)
-        h_inv = inverse_permutation(h)
-        for j in range(i + 1):
-            strong[j].append(h)
-            inverse[j].append(h_inv)
-            # an old tree stays a Schreier tree while h keeps its orbit
-            if j == i or not trees[j].visited[h[trees[j].order]].all():
-                trees[j] = orbit_bfs(n_points, strong[j], [base[j]])
-
-    def chain_product():
-        return math.prod(t.size for t in trees)
-
-    for g in gens:
-        sift_and_add(np.asarray(g, dtype=np.int64))
-
-    # product-replacement state for cheap pseudo-random elements
-    state = [np.asarray(g, dtype=np.int64) for g in gens]
-    while len(state) < 8:
-        state.append(state[rng.randrange(len(state))])
-
-    def random_element():
-        i = rng.randrange(len(state))
-        j = rng.randrange(len(state))
-        while j == i:
-            j = rng.randrange(len(state))
-        state[i] = state[i][state[j]]
-        return state[i]
-
-    rounds = 0
-    while chain_product() < target and rounds < MAX_ROUNDS:
-        rounds += 1
-        sift_and_add(random_element())
-    lb = chain_product()
-    return lb, lb >= target, [t.size for t in trees]
+    identity = np.arange(n_points)
+    fixed = np.ones(n_points, dtype=bool)   # fixed by every later generator
+    sizes = []
+    for k in reversed(range(len(gens))):
+        moved = gens[k] != identity
+        base = np.flatnonzero(moved & fixed)[:1]
+        sizes.append(orbit_bfs(n_points, gens[k:], base).size if base.size else 1)
+        fixed &= ~moved
+    sizes.reverse()
+    lb = math.prod(sizes)
+    return lb, lb >= target, sizes

@@ -1,6 +1,4 @@
-"""Schreier-tree BFS and the randomized Schreier-Sims order certificate."""
-
-import random
+"""Schreier-tree BFS and the stabilizer-chain order certificate."""
 
 import numpy as np
 import pytest
@@ -8,24 +6,19 @@ import pytest
 from trigonal import cli
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
-from trigonal.schreier import (MAX_ROUNDS, apply_word, bsgs_order,
-                               inverse_permutation, invert_word, orbit_bfs,
-                               word_from_root)
+from trigonal.schreier import (apply_word, bsgs_order, inverse_permutation,
+                               invert_word, orbit_bfs, word_from_root)
 
-#: the basic orbits of Sp10(F3) on nonzero vectors: 3^2k - 1 and 3^(2k-1)
-#: for k = 5..1, whose product is |Sp10(F3)|
-SP10_ORBIT_SIZES = [59048, 19683, 6560, 2187, 728, 243, 80, 27, 8, 3]
+#: the basic orbits of Sp(DIM, F3) on nonzero vectors along the transvection
+#: chain: 3^2k - 1 and 3^(2k-1) for k = DIM/2..1
+SP10_ORBIT_SIZES = [size for k in range(sp.DIM // 2, 0, -1)
+                    for size in (3 ** (2 * k) - 1, 3 ** (2 * k - 1))]
 
 #: S6 on range(6), generated by (0 1) and (0 1 2 3 4 5)
 S6 = [np.array([1, 0, 2, 3, 4, 5]), np.array([1, 2, 3, 4, 5, 0])]
 
-
-class CountingRandom(random.Random):
-    calls = 0
-
-    def randrange(self, *args):
-        self.calls += 1
-        return super().randrange(*args)
+#: S6 generated by the adjacent transpositions (0 1), ..., (4 5): a chain
+S6_ADJACENT = [np.array([*range(i), i + 1, i, *range(i + 2, 6)]) for i in range(5)]
 
 
 def brute_bfs(n_points, gens, seeds):
@@ -100,8 +93,9 @@ def test_orbit_bfs_on_the_generator_permutations_matches_brute_force():
 
 def assert_sift_identity(gens, h, root):
     """u^-1 h, for the tree element u carrying the root to each orbit point
-    p, is h followed by the inverse tree letters: the sift step of
-    bsgs_order."""
+    p, is h followed by the inverse tree letters: `apply_word` of an
+    inverted tree word, as Schreier generators and stabilizer filters use
+    it."""
     tree = orbit_bfs(h.size, gens, [root])
     inverses = [inverse_permutation(g) for g in gens]
     for p in tree.order:
@@ -127,30 +121,58 @@ def test_sift_identity_on_random_permutations(seed):
     assert_sift_identity(gens, h, 3 * seed)
 
 
+def group_order(gens):
+    """|<gens>| by closing the identity under the generators, on tuples."""
+    identity = tuple(range(gens[0].size))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(int(g[x]) for x in p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
 def test_sp10_orbit_sizes_multiply_to_the_order():
     assert np.prod(SP10_ORBIT_SIZES, dtype=object) == cli.SP10_ORDER
 
 
-@pytest.mark.parametrize("seed", [3, 9, 15, 17, 23, 39, 40])
-def test_sp10_certifies_on_seeds_that_used_to_stall(seed):
+def test_sp10_certifies_along_the_transvection_chain():
     table = sp.get_table()
     gens = [table.vector_perm(i) for i in range(1, sp.DIM + 1)]
-    order, certified, sizes = bsgs_order(gens, cli.SP10_ORDER,
-                                         random.Random(f"{seed}:bsgs"))
+    order, certified, sizes = bsgs_order(gens, cli.SP10_ORDER)
     assert (order, certified) == (cli.SP10_ORDER, True)
     assert sizes == SP10_ORBIT_SIZES
 
 
 def test_s6_certifies_720():
-    order, certified, sizes = bsgs_order(S6, 720, random.Random(0))
-    assert (order, certified) == (720, True)
-    assert sizes == [6, 5, 4, 3, 2]
+    assert bsgs_order(S6_ADJACENT, 720) == (720, True, [6, 5, 4, 3, 2])
 
 
-def test_inflated_target_gives_up_after_max_rounds():
-    rng = CountingRandom(0)
-    order, certified, sizes = bsgs_order(S6, 1440, rng)
-    assert (order, certified) == (720, False)
-    assert sizes == [6, 5, 4, 3, 2]
-    # each round draws at least two indices for its product replacement
-    assert rng.calls >= 2 * MAX_ROUNDS
+def test_inflated_target_is_not_certified():
+    assert bsgs_order(S6_ADJACENT, 1440) == (720, False, [6, 5, 4, 3, 2])
+
+
+def test_generator_order_matters():
+    # (0 1) moves no point that the 6-cycle fixes: its level counts 1
+    assert bsgs_order(S6, 720) == (6, False, [1, 6])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chain_bound_divides_the_group_order(seed):
+    rng = np.random.default_rng(seed)
+    n_points = 5 + seed % 3
+    gens = []
+    for _ in range(2 + seed % 3):
+        # a random permutation of a random subset of points, so that later
+        # generators often fix points that earlier ones move
+        g = np.arange(n_points)
+        support = rng.choice(n_points, rng.integers(2, n_points + 1), replace=False)
+        g[support] = rng.permutation(support)
+        gens.append(g)
+    order = group_order(gens)
+    bound, certified, sizes = bsgs_order(gens, order)
+    assert order % bound == 0 and len(sizes) == len(gens)
+    assert certified == (bound == order)
