@@ -147,6 +147,14 @@ def test_sp10_certifies_along_the_transvection_chain():
     assert sizes == SP10_ORBIT_SIZES
 
 
+@pytest.mark.parametrize("seed", [3, 9, 15, 17, 23, 39, 40])
+def test_sp10_certifies_on_seeds_that_used_to_stall(seed):
+    # these seeds stalled the randomized certifier; the chain takes no seed
+    row = cli.check_sp10_order(cli.Context(seed, True))
+    assert row == (True, str(cli.SP10_ORDER), str(cli.SP10_ORDER),
+                   {"certified": True})
+
+
 def test_s6_certifies_720():
     assert bsgs_order(S6_ADJACENT, 720) == (720, True, [6, 5, 4, 3, 2])
 
