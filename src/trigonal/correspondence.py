@@ -7,10 +7,11 @@
 where sigma_i is the projective transvection permutation and B_i the
 half-twist permutation.  The bijection is anchored at a base pair: the class
 rho_0 = ClassTable.base_class() and a point ell_0 found by search.  Candidate
-base points are pruned by stabilizer matching — every Schreier generator of
-the stabilizer of rho_0 on the class side must fix ell_0 on the point side —
-then each survivor is transported along the point-side Schreier tree and
-checked on all 10 x 29524 generator-point pairs.  No equivariance edge is
+base points are pruned by stabilizer matching: each Schreier generator of
+the stabilizer of rho_0 is a pair of tree paths that carry rho_0 to one
+class, and the same pair, read on the point side, must carry ell_0 to one
+point.  Each survivor is then transported along the point-side Schreier tree
+and checked on all 10 x 29524 generator-point pairs.  No equivariance edge is
 sampled; every one is verified.
 
 Cross-validation compares, for every class rho and every slot i = 1..10,
@@ -85,12 +86,13 @@ class Correspondence:
                 f"candidates passed full verification")
 
 
-def _fixed_points(words, gens, inv_gens) -> np.ndarray:
-    """The points every word fixes, ascending; each word is applied only to
-    the points still standing."""
+def _fixed_points(words, gens) -> np.ndarray:
+    """The points where every (lhs, rhs) word pair agrees, ascending; each
+    pair is applied only to the points still standing."""
     points = np.arange(N, dtype=np.int64)
-    for w in words:
-        points = points[apply_word(points, w, gens, inv_gens) == points]
+    for lhs, rhs in words:
+        points = points[apply_word(points, lhs, gens)
+                        == apply_word(points, rhs, gens)]
     return points
 
 
@@ -133,7 +135,6 @@ def build_bijection() -> Correspondence:
     mot = mo.get_table()
     s_gens = spt.all_transvection_perms()
     h_gens = mot.all_hurwitz_perms()
-    s_inv = [inverse_permutation(g) for g in s_gens]
     h_stack = np.stack(h_gens)
 
     rho0 = mot.base_class()
@@ -143,9 +144,9 @@ def build_bijection() -> Correspondence:
                            "on the classes")
     words = schreier_generator_words(class_orbit, h_gens, WORD_BUDGET)
 
-    # a point can be the image of rho_0 only if every word fixing rho_0
-    # also fixes it
-    candidates = _fixed_points(words, s_gens, s_inv)
+    # a point can be the image of rho_0 only if every Schreier generator
+    # fixing rho_0 also fixes it
+    candidates = _fixed_points(words, s_gens)
 
     winner = None
     passing = 0

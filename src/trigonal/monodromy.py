@@ -239,6 +239,7 @@ def confluence_labels(codes, pos: int) -> np.ndarray:
         raise IndexError(f"position must be in 0..{TUPLE_LEN - 1}, got {pos!r}")
     codes = np.atleast_2d(codes)
     nxt = (pos + 1) % TUPLE_LEN
+    # np.delete's Fortran-ordered copy beats copy-free column slices here
     rest = np.delete(codes, [pos, nxt], axis=1)
     same_rest = (rest == rest[:, :1]).all(axis=1)
     return np.where(codes[:, pos] != codes[:, nxt], 1,

@@ -3,7 +3,9 @@ certificate from the stabilizer chain of a generator list, for permutations
 stored as dense numpy index arrays.
 
 A permutation on n points is an int array p of length n with image p[x].
-Composition (p after q) is the fancy index p[q].
+Composition (p after q) is the fancy index p[q].  A word is a list of
+generator indices, applied first letter first, and a Schreier generator is a
+pair of such words: two forward tree paths that end at the same point.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ class OrbitResult:
 
     order: points in BFS order (seeds first, each level ascending);
     parent/parent_gen: the tree edge through which a point was first reached
-    (-1 entries for seeds and unvisited points); depth: distance from a seed.
+    (-1 for seeds and off the orbit); depth: distance from a seed, or -1.
     """
     order: np.ndarray
     parent: np.ndarray
     parent_gen: np.ndarray
     depth: np.ndarray
-    visited: np.ndarray
 
     @property
     def size(self) -> int:
@@ -70,51 +71,46 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
         depth[frontier] = d
         if frontier.size:
             order.append(frontier)
-    return OrbitResult(np.concatenate(order), parent, parent_gen, depth, visited)
+    return OrbitResult(np.concatenate(order), parent, parent_gen, depth)
 
 
-def word_from_root(res: OrbitResult, point: int):
-    """Tree word from the seed to a point, as [(gen_index, +1), ...] applied
-    first letter first."""
+def word_from_root(res: OrbitResult, point: int) -> list[int]:
+    """Tree word from the seed to a point."""
     letters = []
     p = int(point)
     while res.parent[p] != -1:
-        letters.append((int(res.parent_gen[p]), 1))
+        letters.append(int(res.parent_gen[p]))
         p = int(res.parent[p])
     letters.reverse()
     return letters
 
 
-def invert_word(word):
-    return [(g, -e) for g, e in reversed(word)]
-
-
-def apply_word(points, word, gens, inv_gens):
-    """Images of a point, or an array of points, under a word (first letter
-    applied first)."""
-    for g, e in word:
-        points = (gens[g] if e == 1 else inv_gens[g])[points]
+def apply_word(points, word, gens):
+    """Images of a point, or an array of points, under a word."""
+    for g in word:
+        points = gens[g][points]
     return points
 
 
 def schreier_generator_words(res: OrbitResult, gens, limit: int):
-    """Words fixing the BFS seed, from the first `limit` non-tree edges.
+    """Schreier generators of the seed's stabilizer, as word pairs (lhs, rhs)
+    from the first `limit` non-tree edges.
 
-    Each non-tree edge (p, g) yields tree(p) + [(g,+1)] + tree(g[p])^{-1};
-    scanning points in BFS order keeps the word lengths near-minimal
-    (bounded by 2*depth + 1).
+    The edge (p, g) gives lhs = tree(p) + [g] and rhs = tree(g[p]), two paths
+    from the seed to g[p]; their element rhs^-1 lhs fixes a point x exactly
+    when both words send x to the same point.  Scanning points in BFS order
+    keeps each path at most depth + 1 letters.
     """
-    words = []
+    pairs = []
     for p in res.order:
         for gi, g in enumerate(gens):
             q = int(g[p])
             if res.parent[q] == p and res.parent_gen[q] == gi:
                 continue  # the tree edge itself
-            w = word_from_root(res, p) + [(gi, 1)] + invert_word(word_from_root(res, q))
-            words.append(w)
-            if len(words) >= limit:
-                return words
-    return words
+            pairs.append((word_from_root(res, p) + [gi], word_from_root(res, q)))
+            if len(pairs) >= limit:
+                return pairs
+    return pairs
 
 
 def inverse_permutation(p: np.ndarray) -> np.ndarray:

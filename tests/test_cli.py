@@ -1,13 +1,13 @@
 """CLI subcommands: reports, exports, classification, exit codes.
 
-The commands run in-process through `cli.main(argv)`.  Five tests start a
+The commands run in-process through `cli.main(argv)`.  Six tests start a
 fresh interpreter through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
 caches, the test that `verify` and the exports leave `numpy.ma` unimported,
 the test that `trigonal.monodromy` imports nothing from the point side, the
-smoke test of the `python -m trigonal.cli` entry point, and the test that
-the benchmark's in-process driver still finds every package name it
-reaches.
+smoke test of the `python -m trigonal.cli` entry point, the test that the
+benchmark's in-process driver still finds every package name it reaches, and
+the test that its traced replays run to an "ok" oracle status.
 """
 
 import contextlib
@@ -240,6 +240,34 @@ def test_benchmark_driver_finds_every_name_it_reaches():
         "assert [s['name'] for s in tr.spans] == list(inproc.TABLE_STAGES)\n"
         "assert inproc.classify(cli, '001111111111', 1) == "
         "(0, 'RM\\ncross-check (line side): SG\\n')\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_replays_run_to_ok(tmp_path):
+    # the traced replays also reach the layer microbenchmark, the counters
+    # the wrapped calls report, the cli.CHECKS name check and the report
+    # oracle; run the verify, certify and query replays for one operation
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    code = (
+        "import sys; sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "from pathlib import Path\n"
+        "import inproc\n"
+        f"inproc.OUT = Path({str(tmp_path)!r})\n"
+        "statuses, _ = inproc.replay_verify(inproc.Tracer('verify'), 1, 0.0, False)\n"
+        "assert statuses == ['ok'], statuses\n"
+        "tr = inproc.Tracer('certify')\n"
+        "statuses, _ = inproc.replay_verify(tr, 1, 0.0, True)\n"
+        "assert statuses == ['ok'], statuses\n"
+        "metrics = {k: v['value'] for k, v in "
+        "inproc.layer_metrics(tr.finish()).items()}\n"
+        "assert metrics['correspondence.words_used'] == 64, metrics\n"
+        "assert metrics['schreier.bfs_depth.classes'] == 26, metrics\n"
+        "assert metrics['schreier.bsgs_certified_share'] == 1.0, metrics\n"
+        "statuses, _ = inproc.replay_query(inproc.Tracer('query'), 1, 0.0)\n"
+        "assert statuses and set(statuses) == {'ok'}, statuses\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr

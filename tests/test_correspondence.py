@@ -6,8 +6,7 @@ import pytest
 from trigonal import correspondence as co
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
-from trigonal.schreier import (apply_word, inverse_permutation, orbit_bfs,
-                               schreier_generator_words)
+from trigonal.schreier import apply_word, orbit_bfs, schreier_generator_words
 
 
 @pytest.fixture(scope="module")
@@ -46,19 +45,19 @@ def test_candidate_counts(corr):
 
 
 def test_survivor_pruning_equals_the_full_mask_route(corr):
-    # the route as built before: each word as a full permutation of the
-    # points, the candidates being the points every one of them fixes
+    # the route as built before: each word of a pair as a full permutation
+    # of the points, the candidates being the points where every pair agrees
     s_gens = sp.get_table().all_transvection_perms()
-    s_inv = [inverse_permutation(g) for g in s_gens]
     h_gens = mo.get_table().all_hurwitz_perms()
     tree = orbit_bfs(co.N, h_gens, [corr.base_class])
     identity = np.arange(co.N)
     for budget in (1, 2, 4, 8, 64):
         words = schreier_generator_words(tree, h_gens, budget)
         mask = np.ones(co.N, dtype=bool)
-        for w in words:
-            mask &= apply_word(identity, w, s_gens, s_inv) == identity
-        got = co._fixed_points(words, s_gens, s_inv)
+        for lhs, rhs in words:
+            mask &= (apply_word(identity, lhs, s_gens)
+                     == apply_word(identity, rhs, s_gens))
+        got = co._fixed_points(words, s_gens)
         assert got.tolist() == np.flatnonzero(mask).tolist(), budget
     assert corr.words_used == len(words) == 64
     assert corr.candidates_pruned == got.size == 1
@@ -120,28 +119,28 @@ def test_base_pair_line_class_is_h(corr):
 def test_stabilizer_words(corr):
     mot, spt = mo.get_table(), sp.get_table()
     h = mot.all_hurwitz_perms()
-    h_inv = [inverse_permutation(g) for g in h]
     s = spt.all_transvection_perms()
-    s_inv = [inverse_permutation(g) for g in s]
     words = schreier_generator_words(orbit_bfs(co.N, h, [corr.base_class]),
                                      h, 16)
     assert len(words) == 16
-    for w in words:
-        assert all(0 <= g < 10 and e in (1, -1) for g, e in w)
-        assert apply_word(corr.base_class, w, h, h_inv) == corr.base_class
-        # matched base points: the same word fixes the point-side base
-        assert apply_word(corr.base_point, w, s, s_inv) == corr.base_point
+    for lhs, rhs in words:
+        assert all(isinstance(g, int) and 0 <= g < 10 for g in lhs + rhs)
+        assert apply_word(corr.base_class, lhs, h) \
+            == apply_word(corr.base_class, rhs, h)
+        # matched base points: the same pair fixes the point-side base
+        assert apply_word(corr.base_point, lhs, s) \
+            == apply_word(corr.base_point, rhs, s)
 
 
 def test_lattice_side_words(corr):
     spt = sp.get_table()
     s = spt.all_transvection_perms()
-    s_inv = [inverse_permutation(g) for g in s]
     words = schreier_generator_words(orbit_bfs(co.N, s, [corr.base_point]),
                                      s, 8)
     assert len(words) == 8
-    for w in words:
-        assert apply_word(corr.base_point, w, s, s_inv) == corr.base_point
+    for lhs, rhs in words:
+        assert apply_word(corr.base_point, lhs, s) \
+            == apply_word(corr.base_point, rhs, s)
 
 
 def test_to_json(corr):

@@ -222,10 +222,10 @@ def test_flat_herm_is_the_gram_sum(x, y):
 
 def test_step_matrices_are_the_realified_triflections():
     for i in range(1, 11):
-        s, s_inv = lat.step_matrix(i, 1), lat.step_matrix(i, -1)
+        s, s_back = lat.step_matrix(i, 1), lat.step_matrix(i, -1)
         assert s.dtype == np.int64 and not s.flags.writeable
         assert (s == realify(lat.triflection(i))).all()
-        assert (s_inv == realify(lat.word_matrix([(i, -1)]))).all()
+        assert (s_back == realify(lat.word_matrix([(i, -1)]))).all()
 
 
 def test_preserves_form_accepts_tau_and_rejects_theta_and_a_perturbation():

@@ -7,7 +7,8 @@ from trigonal import cli
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
 from trigonal.schreier import (apply_word, bsgs_order, inverse_permutation,
-                               invert_word, orbit_bfs, word_from_root)
+                               orbit_bfs, schreier_generator_words,
+                               word_from_root)
 
 #: the basic orbits of Sp(DIM, F3) on nonzero vectors along the transvection
 #: chain: 3^2k - 1 and 3^(2k-1) for k = DIM/2..1
@@ -40,13 +41,13 @@ def brute_bfs(n_points, gens, seeds):
                     reached.append(q)
         level = sorted(reached)
         order += level
-    return order, parent, parent_gen, depth, [d != -1 for d in depth]
+    return order, parent, parent_gen, depth
 
 
 def assert_matches_brute_bfs(n_points, gens, seeds):
     res = orbit_bfs(n_points, gens, seeds)
     want = brute_bfs(n_points, gens, seeds)
-    for name, w in zip(("order", "parent", "parent_gen", "depth", "visited"), want):
+    for name, w in zip(("order", "parent", "parent_gen", "depth"), want):
         assert getattr(res, name).tolist() == w, name
     return res
 
@@ -78,7 +79,6 @@ def test_orbit_bfs_on_random_permutations_matches_brute_force(seed):
     if blocks > 1:
         # the seeds lie in the first block: the other blocks stay unvisited
         outside = np.arange(90 // blocks, 90)
-        assert not res.visited[outside].any()
         for name in ("parent", "parent_gen", "depth"):
             assert (getattr(res, name)[outside] == -1).all()
 
@@ -91,34 +91,40 @@ def test_orbit_bfs_on_the_generator_permutations_matches_brute_force():
                              [spt.basis_point(1)])
 
 
-def assert_sift_identity(gens, h, root):
-    """u^-1 h, for the tree element u carrying the root to each orbit point
-    p, is h followed by the inverse tree letters: `apply_word` of an
-    inverted tree word, as Schreier generators and stabilizer filters use
-    it."""
-    tree = orbit_bfs(h.size, gens, [root])
-    inverses = [inverse_permutation(g) for g in gens]
+def assert_pair_identity(gens, root):
+    """Each tree word, applied by `apply_word`, is the product of its
+    letters and carries the root to its point; each Schreier pair carries
+    the root to one point, and its element rhs^-1 lhs fixes exactly the
+    points that both words send to the same point."""
+    n = gens[0].size
+    tree = orbit_bfs(n, gens, [root])
     for p in tree.order:
         word = word_from_root(tree, p)
-        u = np.arange(h.size)
-        for g, _ in word:              # u = g_last o ... o g_first
+        u = np.arange(n)
+        for g in word:                 # u = g_last o ... o g_first
             u = gens[g][u]
         assert u[root] == p
-        sifted = apply_word(h, invert_word(word), gens, inverses)
-        assert (sifted == inverse_permutation(u)[h]).all()
+        assert (apply_word(np.arange(n), word, gens) == u).all()
+    pairs = schreier_generator_words(tree, gens, len(gens) * n)
+    assert len(pairs) == (len(gens) - 1) * tree.size + 1
+    for lhs, rhs in pairs:
+        assert apply_word(root, lhs, gens) == apply_word(root, rhs, gens)
+        lhs_perm = apply_word(np.arange(n), lhs, gens)
+        rhs_perm = apply_word(np.arange(n), rhs, gens)
+        element = inverse_permutation(rhs_perm)[lhs_perm]
+        assert element[root] == root
+        assert ((element == np.arange(n)) == (lhs_perm == rhs_perm)).all()
 
 
-def test_sift_identity_on_s6():
-    rng = np.random.default_rng(0)
+def test_pair_identity_on_s6():
     for root in range(6):
-        assert_sift_identity(S6, rng.permutation(6), root)
+        assert_pair_identity(S6, root)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_sift_identity_on_random_permutations(seed):
+def test_pair_identity_on_random_permutations(seed):
     gens = random_permutations(seed, 90, 1 + seed % 3, 2 + seed % 2)
-    h = random_permutations(seed + 100, 90, 1, 1)[0]
-    assert_sift_identity(gens, h, 3 * seed)
+    assert_pair_identity(gens, 3 * seed)
 
 
 def group_order(gens):
