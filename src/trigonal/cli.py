@@ -16,6 +16,9 @@ Exit codes: 0 success, 1 failed verification check, 2 invocation, input or
 output error (a write, flush or close that fails prints one error line).
 All structured output is UTF-8 JSON; report checks carry runtime_ms,
 which is the only field that varies between identical runs.
+
+`main` builds its argument parser once per process, on its first call and
+not at import, so in-process callers pay only for parsing and the command.
 """
 
 from __future__ import annotations
@@ -325,7 +328,7 @@ def check_minus6(ctx: Context):
     for _ in range(samples):
         word = [(rng.randint(1, la.RANK), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, 8))]
-        if la.decompose_minus6(la.apply_word(word, eps0)) is not None:
+        if la.decompose_minus6(la.apply_lattice_word(word, eps0)) is not None:
             decomposed += 1
     w = la.minus6_witness(eps0)
     observed = {
@@ -541,17 +544,20 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.cross_check and not 1 <= args.position <= sp.DIM:
-        lines.append("cross-check: unavailable at slots 0 and 11 "
-                     "(no generator acts there)")
+        lines.append("cross-check: unavailable at slots 0 and "
+                     f"{mo.TUPLE_LEN - 1} (no generator acts there)")
     elif args.cross_check:
-        alpha = np.identity(sp.DIM, dtype=np.int8)[args.position - 1]
+        alpha = np.zeros(sp.DIM, dtype=np.int8)
+        alpha[args.position - 1] = 1
         label = sp.line_labels(alpha, co.point_vectors(codes)[0])[0]
         lines.append(f"cross-check (line side): {sp.LINE_CLASSES[label]}")
     text = "".join(f"{line}\n" for line in lines)
     return _write(contextlib.nullcontext(sys.stdout), text)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call, not at import."""
     parser = argparse.ArgumentParser(
         prog="trigonal",
         description="exact certificates for the lattice, monodromy and "
@@ -577,15 +583,21 @@ def main(argv=None) -> int:
 
     p_classify = sub.add_parser("classify",
                                 help="confluence class of a tuple at a slot")
-    p_classify.add_argument("tuple", help="12 characters over {0,1,2}")
-    p_classify.add_argument("position", type=int, help="slot pair 0..11")
+    p_classify.add_argument("tuple",
+                            help=f"{mo.TUPLE_LEN} characters over {{0,1,2}}")
+    p_classify.add_argument("position", type=int,
+                            help=f"slot pair 0..{mo.TUPLE_LEN - 1}")
     p_classify.add_argument("--cross-check", action="store_true",
                             help="also report the line-side label of the "
                                  "tuple's point, from the closed form of the "
-                                 "bijection (slots 1..10; builds no table)")
+                                 f"bijection (slots 1..{sp.DIM}; builds no "
+                                 "table)")
     p_classify.set_defaults(fn=cmd_classify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

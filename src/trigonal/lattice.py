@@ -24,8 +24,9 @@ and fixing the orthogonal complement of a_i pointwise.  The ten triflections
 satisfy the braid relations of the A-chain.  This module defines them once,
 as s_i^e(x) = x + c_e * skew(x, a_i) * a_i with c_{+1} = tau and
 c_{-1} = tau^2 (so s_i^{-1} = s_i^2).  The matrices `triflection`,
-`word_matrix` and `step_matrix`, the vector action `apply_word` and the
-norm -6 walk of `decompose_minus6` are all derived from that formula.
+`word_matrix` and `step_matrix`, the vector action `apply_lattice_word`
+and the norm -6 walk of `decompose_minus6` are all derived from that
+formula.
 
 Flat Z-coordinates.  As a Z-module L is free of rank 20 with basis
 a_1, tau*a_1, a_2, tau*a_2, ...; the vector sum_k (p_k + q_k*tau) a_k has
@@ -257,7 +258,7 @@ def _walk(word, z: tuple) -> tuple:
     return z
 
 
-def apply_word(word, x: Vector) -> Vector:
+def apply_lattice_word(word, x: Vector) -> Vector:
     """The image of x under a word [(i, e), ...]; letters act in list order.
 
     Each letter is a generator index 1..10 with exponent e in {+1, -1}.
@@ -270,7 +271,7 @@ def word_matrix(word) -> Matrix:
 
     Column j is the image of a_j, so the first letter is applied first.
     """
-    return tuple(zip(*(apply_word(word, basis_vector(j))
+    return tuple(zip(*(apply_lattice_word(word, basis_vector(j))
                        for j in range(1, RANK + 1))))
 
 

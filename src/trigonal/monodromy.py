@@ -217,7 +217,8 @@ def code_strings(codes) -> list[str]:
 def parse_tuple_string(s: str) -> np.ndarray:
     """Validate and decode a 12-character code string over {0, 1, 2}."""
     if len(s) != TUPLE_LEN or any(ch not in "012" for ch in s):
-        raise ValueError("a monodromy tuple is 12 characters over {0,1,2}")
+        raise ValueError(f"a monodromy tuple is {TUPLE_LEN} characters "
+                         "over {0,1,2}")
     codes = np.array([int(ch) for ch in s], dtype=np.int8)
     if (codes == codes[0]).all():
         raise ValueError("monodromy not surjective: a constant tuple "

@@ -233,7 +233,7 @@ def test_criterion_10_minus6_certificates():
         for _ in range(samples):
             word = [(rng.randint(1, 10), rng.choice((1, -1)))
                     for _ in range(rng.randint(1, 8))]
-            eps = la.apply_word(word, eps0)
+            eps = la.apply_lattice_word(word, eps0)
             pair = la.decompose_minus6(eps)
             if pair is not None:
                 x, y = pair

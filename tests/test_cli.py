@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,7 @@ def test_verify_lattice_and_classify_cross_check_build_no_tables():
     code = (
         "import trigonal.cli as cli, trigonal.monodromy as mo, "
         "trigonal.sympf3 as sp\n"
+        "assert cli._parser.cache_info().currsize == 0, 'parser built at import'\n"
         "rows = cli.run_checks('lattice', seed=0, optional=False)\n"
         "assert [r['name'] for r in rows] == ['triflection_algebra', "
         "'realification_certificate', 'minus6_certificates', "
@@ -567,7 +569,9 @@ def test_classify_input_errors(capsys):
     code, _, err = run(capsys, ["classify", "011111111111", "0"])
     assert code == 2
     assert "not the identity" in err
-    assert run(capsys, ["classify", "00111111111x", "0"])[0] == 2
+    code, _, err = run(capsys, ["classify", "00111111111x", "0"])
+    assert code == 2
+    assert "a monodromy tuple is 12 characters over {0,1,2}" in err
     code, _, err = run(capsys, ["classify", "001111111111", "12"])
     assert code == 2
     assert "position" in err
@@ -577,6 +581,52 @@ def test_invocation_errors_exit_2(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
     assert run(capsys, ["verify", "nowhere"])[0] == 2
     assert run(capsys, [])[0] == 2
+
+
+CROSS_CHECK = (["classify", "001111111111", "1", "--cross-check"],
+               (0, "RM\ncross-check (line side): SG\n", ""))
+
+
+def test_main_builds_its_parser_once(capsys, tmp_path):
+    cli._parser.cache_clear()
+    assert cli._parser() is cli._parser()
+    argvs = (["verify", "lattice", "--out", str(tmp_path / "report.json")],
+             ["export", "gram", "--out", str(tmp_path / "gram.json")],
+             CROSS_CHECK[0])
+    assert [run(capsys, argvs[k % 3])[0] for k in range(20)] == [0] * 20
+    assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lattice", "--frobnicate"],
+    ["export", "everything"],
+    ["classify", "001111111111", "one"],
+], ids=["unknown_flag", "bad_choice", "non_integer_position"])
+def test_rejected_invocation_leaves_the_parser_usable(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: trigonal ")
+    assert run(capsys, CROSS_CHECK[0]) == CROSS_CHECK[1]
+
+
+def test_classify_help_is_the_same_on_every_call(capsys, monkeypatch):
+    # wide enough that argparse wraps no help line
+    monkeypatch.setenv("COLUMNS", "200")
+    first = run(capsys, ["classify", "--help"])
+    assert first == run(capsys, ["classify", "--help"])
+    code, out, _ = first
+    assert code == 0
+    for text in ("12 characters over {0,1,2}", "slot pair 0..11",
+                 "bijection (slots 1..10; builds no table)"):
+        assert text in out
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, since tomllib is missing on Python 3.10
+    pyproject = (Path(__file__).resolve().parent.parent
+                 / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]+)"$', pyproject, re.M) \
+        == [__version__]
 
 
 def test_sp10_constant_matches_formula():

@@ -127,15 +127,16 @@ def test_skew_twisted_antisymmetry():
 
 def test_triflection_on_its_own_mirror_vector():
     s1 = lat.triflection(1)
-    assert act(s1, A[1]) == lat.apply_word([(1, 1)], A[1]) == scale(TAU2, A[1])
+    assert (act(s1, A[1]) == lat.apply_lattice_word([(1, 1)], A[1])
+            == scale(TAU2, A[1]))
 
 
 def test_triflection_on_neighbour_and_far_vector():
     s1 = lat.triflection(1)
     assert act(s1, A[2]) == lat.vec_add(A[2], scale(-TAU, A[1]))
     assert act(s1, A[3]) == A[3]
-    assert lat.apply_word([(1, 1)], A[3]) == A[3]
-    assert lat.apply_word([(5, 1)], A[1]) == A[1]
+    assert lat.apply_lattice_word([(1, 1)], A[3]) == A[3]
+    assert lat.apply_lattice_word([(5, 1)], A[1]) == A[1]
 
 
 def test_triflection_matches_defining_formula():
@@ -146,7 +147,7 @@ def test_triflection_matches_defining_formula():
             x = rand_vector(rng)
             expected = lat.vec_add(
                 x, scale(TAU * lat.skew(x, A[i]), A[i]))
-            assert act(s, x) == lat.apply_word([(i, 1)], x) == expected
+            assert act(s, x) == lat.apply_lattice_word([(i, 1)], x) == expected
 
 
 def test_triflection_order_three():
@@ -201,7 +202,7 @@ def test_word_matrix_and_apply_word_agree():
             c = TAU if e == 1 else TAU2
             expected = lat.vec_add(
                 expected, scale(c * lat.skew(expected, A[i]), A[i]))
-        assert lat.apply_word(word, x) == expected == act(m, x)
+        assert lat.apply_lattice_word(word, x) == expected == act(m, x)
 
 
 # -- integer kernels on flat Z-coordinates ----------------------------------------
@@ -384,7 +385,7 @@ def test_decompose_transported_instances():
     for _ in range(5):
         word = [(rng.randint(1, 10), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 6))]
-        eps = lat.apply_word(word, eps0)
+        eps = lat.apply_lattice_word(word, eps0)
         pair = lat.decompose_minus6(eps)
         assert pair is not None
         x, y = pair

@@ -109,7 +109,7 @@ def test_reduction_intertwines_triflection_and_transvection():
         assert (sp.reduce_matrix(tri) == tv % 3).all()
         for _ in range(4):
             x = rand_vector(rng, 3)
-            lhs = sp.reduce_vector(lat.apply_word([(i, 1)], x))
+            lhs = sp.reduce_vector(lat.apply_lattice_word([(i, 1)], x))
             rhs = (tv @ sp.reduce_vector(x).astype(np.int64)) % 3
             assert (lhs == rhs).all()
 
