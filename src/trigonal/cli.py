@@ -64,12 +64,18 @@ CONVENTIONS = {
                    "coordinate 0 least significant",
 }
 
+
+def _index_note_sizes() -> list[tuple[int, int]]:
+    """NOTE_INDEX's (e, (3^e-1)/2): class orbit size, hyperplane points."""
+    return [(sp.DIM, mo.N_CLASSES), (sp.DIM - 1, (3 ** (sp.DIM - 1) - 1) // 2)]
+
+
 NOTE_INDEX = (
     "informational: by orbit-stabilizer, the index of a class stabilizer "
-    "equals the orbit size (3^10-1)/2 = 29524; the alternative value "
-    "(3^9-1)/2 = 9841 equals the number of points on a perpendicular "
+    "equals the orbit size (3^{}-1)/2 = {}; the alternative value "
+    "(3^{}-1)/2 = {} equals the number of points on a perpendicular "
     "hyperplane, not the index, and the computed orbit size is the one "
-    "reported.")
+    "reported.").format(*[x for size in _index_note_sizes() for x in size])
 NOTE_H_VARIANT = (
     "informational: the degenerate H configuration is implemented as "
     "t0 = t1 != t2 = ... = t11 (constant run starting at slot 2); a variant "
@@ -361,7 +367,10 @@ def check_sp10_order(ctx: Context):
 
 
 def check_discrepancy_notes(ctx: Context):
-    observed = {"index_note_present": NOTE_INDEX in REPORT_NOTES,
+    index_ok = NOTE_INDEX in REPORT_NOTES and all(
+        f"(3^{e}-1)/2 = {v}" in NOTE_INDEX and v == (3 ** e - 1) // 2
+        for e, v in _index_note_sizes())
+    observed = {"index_note_present": index_ok,
                 "h_variant_note_present": NOTE_H_VARIANT in REPORT_NOTES}
     expected = {"index_note_present": True, "h_variant_note_present": True}
     return observed == expected, observed, expected, None

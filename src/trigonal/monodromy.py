@@ -19,9 +19,11 @@ below is this arithmetic mod 3:
 
 Free choice of t_1..t_11 forces t_0, giving 3^11 - 3 = 177144 tuples; the
 simultaneous conjugation action acts freely, so there are exactly
-177144 / 6 = 29524 classes.  Each class is stored by its lexicographically
-least relabeling and indexed in lexicographic order of that 12-character
-code string (position 0 most significant).
+177144 / 6 = 29524 classes, indexed in key order (position 0 most
+significant) of their least relabeling.  That is the canonical form
+(0, t_1, ..., t_10, t_11) whose first nonzero letter is 1, as for the points,
+with t_11 forced by product one.  The rows are enumerated directly and
+certified as a transversal: their six relabelings are the raw tuples, once each.
 
 The ten half-twist moves act at adjacent slots (i, i+1), i = 1..10:
 
@@ -61,92 +63,95 @@ ALPHABET_PERMS = np.array(sorted(itertools.permutations(range(3))),
                           dtype=np.int8)
 
 _W12 = (3 ** np.arange(TUPLE_LEN - 1, -1, -1, dtype=np.int64))  # MSB first
+_SIGNS = np.resize(np.int8([1, -1]), TUPLE_LEN)  # product one: t @ _SIGNS = 0
 
 
 def codes_to_keys(codes: np.ndarray) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64) @ _W12
 
 
-def keys_to_codes(keys: np.ndarray) -> np.ndarray:
-    keys = np.asarray(keys, dtype=np.int64)
-    return np.stack([(keys // w) % 3 for w in _W12], axis=-1).astype(np.int8)
+def leading_digits(rows) -> np.ndarray:
+    """The first nonzero digit of each row, 0 for a zero row.  The canonical
+    form of both tables is the one of v, -v whose first nonzero digit is 1."""
+    rows = np.atleast_2d(rows)
+    lead = rows[:, -1].copy()
+    for column in rows.T[-2::-1]:           # right to left: the first wins
+        np.copyto(lead, column, where=column != 0)
+    return lead
 
 
-def canonical_keys(codes: np.ndarray) -> np.ndarray:
-    """Least base-3 key over the six simultaneous relabelings of each row.
+def canonicalize(rows) -> np.ndarray:
+    """Scale each row over F_3 by its first nonzero digit d (d * d = 1)."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
+    return rows * leading_digits(rows)[:, None] % 3
 
-    Relabeling by perm has key sum_c perm[c] * K_c, where K_c is the key of
-    the indicator row (codes == c); so the three indicator keys and one
-    (6, 3) @ (3, n) product give all six keys.  A letter outside {0, 1, 2}
-    raises ValueError: it lies in no indicator row, so the K_c of its row do
-    not sum to the key of the all-ones row.
-    """
-    codes = np.atleast_2d(codes)
-    indicator = np.stack([codes_to_keys(codes == c) for c in range(3)])
-    if (indicator.sum(axis=0) != _W12.sum()).any():
+
+def canonical_keys(codes) -> np.ndarray:
+    """The least key over each row's six relabelings: translate t_0, the most
+    significant letter, to 0 and canonicalize.  A letter outside {0, 1, 2}
+    raises ValueError, since translating mod 3 would wrap it."""
+    codes = np.atleast_2d(np.asarray(codes))
+    if ((codes < 0) | (codes > 2)).any():
         raise ValueError("transposition codes must lie in {0, 1, 2}")
-    return _least_relabeled_keys(indicator)
+    return codes_to_keys(canonicalize((codes - codes[:, :1]) % 3))
 
 
-def _least_relabeled_keys(indicator: np.ndarray) -> np.ndarray:
-    """min over the six relabelings perm of sum_c perm[c] * K_c, from the
-    (3, n) indicator keys K_c."""
-    return (ALPHABET_PERMS.astype(np.int64) @ indicator).min(axis=0)
+def transversal_raw_count(codes) -> int:
+    """Certify the rows as one per class; return the raw-tuple count.  Their
+    six relabelings, keyed ALPHABET_PERMS @ K by the keys K_c of the indicator
+    rows codes == c, must be distinct and be exactly the raw tuples,
+    enumerated here on their own; otherwise ValueError."""
+    indicator = np.stack([codes_to_keys(codes == c) for c in range(3)])
+    relabeled = ALPHABET_PERMS.astype(np.int64) @ indicator
+    marks = np.zeros(3 ** TUPLE_LEN, dtype=bool)
+    marks[relabeled] = True
+    marked = int(np.count_nonzero(marks))
+    # raw[t_0, key of t_1..t_11]: t_0 forced by product one, and the constant
+    # tuples (c, ..., c), free key c * (3^11 - 1) / 2, removed
+    free = TUPLE_LEN - 1
+    t = np.indices((3,) * free, dtype=np.int8).reshape(free, -1)
+    raw = -np.einsum("k,kn->n", _SIGNS[1:], t) % 3 == np.arange(3)[:, None]
+    raw[np.arange(3), np.arange(3) * ((3 ** free - 1) // 2)] = False
+    if marked != relabeled.size or not np.array_equal(marks, raw.reshape(-1)):
+        raise ValueError(f"{relabeled.size} relabelings mark {marked} tuples, "
+                         f"not the {np.count_nonzero(raw)} raw tuples")
+    return marked
 
 
 def product_is_one(codes) -> np.ndarray:
     """Whether t_11 * ... * t_0 is the identity for each row: the alternating
     sum t_0 - t_1 + t_2 - ... - t_11 is 0 mod 3."""
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.int8))
-    return (codes[:, 0::2].sum(axis=1, dtype=np.int8)
-            - codes[:, 1::2].sum(axis=1, dtype=np.int8)) % 3 == 0
+    return np.atleast_2d(np.asarray(codes, dtype=np.int8)) @ _SIGNS % 3 == 0
 
 
 class ClassTable:
     """All 29524 classes, canonical codes, and the half-twist permutations."""
 
     def __init__(self):
-        free = TUPLE_LEN - 1                     # t_1..t_11 are free
-        # t_0 = t_1 - t_2 + ... + t_11 and the indicator keys K_c of
-        # t_1..t_11 for every free tuple, built prefix by prefix: in the
-        # base-3 enumeration, appending t_k = d to the prefix of index p
-        # gives index 3p + d, adds (-1)^(k+1) d to t_0 and makes
-        # K_c(3p + d) = 3 K_c(p) + [d = c]
-        letters = np.arange(3, dtype=np.int8)
-        t0 = np.zeros(1, dtype=np.int8)
-        indicator = np.zeros((3, 1), dtype=np.int64)
-        unit = np.identity(3, dtype=np.int64)[:, None, :]
-        for k in range(1, TUPLE_LEN):
-            step = letters if k % 2 else -letters
-            t0 = ((t0[:, None] + step) % 3).reshape(-1)
-            indicator = (3 * indicator[:, :, None] + unit).reshape(3, -1)
-        # t_0's digit is the most significant
-        indicator += (t0 == letters[:, None]) * _W12[0]
-        keys = _least_relabeled_keys(indicator)
-        # only the three constant tuples relabel to all zeros, key 0
-        counts = np.bincount(keys)
-        self.raw_count = keys.size - int(counts[0])
+        # the canonical rows (0, t_1, ..., t_10, t_11), t_11 forced by product
+        # one; np.indices puts t_1 most significant, so they come in key order
+        free = TUPLE_LEN - 2
+        digits = np.indices((3,) * free, dtype=np.int8).reshape(free, -1).T
+        rows = digits[leading_digits(digits) == 1]
+        self.codes = np.column_stack(
+            (np.zeros_like(rows[:, 0]), rows, rows @ _SIGNS[1:-1] % 3))
+        self.keys = codes_to_keys(self.codes)
+        self.raw_count = transversal_raw_count(self.codes)
         assert self.raw_count == N_RAW
-        counts[0] = 0
-        uniq = np.flatnonzero(counts)            # ascending, as np.unique
-        assert uniq.size == N_CLASSES
-        assert (counts[uniq] == 6).all()         # the conjugation action is free
 
-        self.keys = uniq
-        self.codes = keys_to_codes(uniq)         # (29524, 12) canonical rows
         # a class has two rows with t_0 = 0, the canonical one and its
         # 1 <-> 2 swap c -> -c; both keys are below 3^11 and both are indexed
-        self.class_index = np.full(3 ** free, -1, dtype=np.int64)
-        for zero_led in (uniq, codes_to_keys(-self.codes % 3)):
+        self.class_index = np.full(3 ** (TUPLE_LEN - 1), -1, dtype=np.int64)
+        for zero_led in (self.keys, codes_to_keys(-self.codes % 3)):
             self.class_index[zero_led] = np.arange(N_CLASSES)
         self._perms: dict[int, np.ndarray] = {}
-
-        assert product_is_one(self.codes).all()
 
     # -- lookups ----------------------------------------------------------------
 
     def index_of_codes(self, codes) -> int:
-        codes = np.asarray(codes, dtype=np.int8)
+        codes = np.asarray(codes)
+        if codes.shape not in ((TUPLE_LEN,), (1, TUPLE_LEN)):
+            raise ValueError(f"a monodromy tuple is one row of {TUPLE_LEN} letters")
         idx = int(self.class_index[int(canonical_keys(codes)[0])])
         if idx < 0:
             raise ValueError("not a valid monodromy tuple")

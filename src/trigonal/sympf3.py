@@ -6,10 +6,10 @@ on the images alpha_i of the basis vectors.  Triflections descend to the
 symplectic transvections x -> x - symp(x, alpha_i) * alpha_i.
 
 Projective points are the (3^10 - 1)/2 = 29524 lines of F_3^10.  A line is
-represented by its canonical vector (first nonzero coordinate equal to 1) and
-indexed by the rank of that vector in ascending base-3 key order, where
-coordinate 0 is the least significant digit; the first point is the line of
-(1, 0, ..., 0).
+represented by its canonical vector (first nonzero coordinate equal to 1,
+the canonical form `monodromy` also uses for the classes) and indexed by the
+rank of that vector in ascending base-3 key order, where coordinate 0 is the
+least significant digit; the first point is the line of (1, 0, ..., 0).
 
 Lines are classified relative to a fixed line ell as
     H  : the line is ell itself,
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
+from .monodromy import canonicalize, leading_digits  # noqa: F401 (re-export)
 from .schreier import orbit_bfs
 
 DIM = lattice.RANK
@@ -108,20 +109,6 @@ def _transvect_keys(vectors: np.ndarray, keys: np.ndarray, i: int) -> np.ndarray
     return keys + (moved - vectors[:, g]).astype(np.int64) * POW3[g]
 
 
-_DOUBLE = np.array([0, 2, 1], dtype=np.int8)   # x -> 2x mod 3
-
-
-def canonicalize(vectors: np.ndarray) -> np.ndarray:
-    """Scale each nonzero row so its first nonzero coordinate is 1."""
-    v = np.atleast_2d(np.asarray(vectors, dtype=np.int8))
-    lead_pos = np.argmax(v != 0, axis=1)
-    lead = v[np.arange(v.shape[0]), lead_pos]
-    out = v.copy()
-    doubled = lead == 2
-    out[doubled] = _DOUBLE[out[doubled]]
-    return out
-
-
 def keys_of(vectors: np.ndarray) -> np.ndarray:
     return np.asarray(vectors, dtype=np.int64) @ POW3
 
@@ -136,15 +123,13 @@ class ProjectiveTable:
         digits = np.indices((3,) * DIM, dtype=np.int8).reshape(DIM, -1)
         self.vectors = digits[::-1].T                # all of F_3^10, row = key
 
-        # a row is canonical when its first nonzero coordinate is 1
-        lead = self.vectors[np.arange(N_VECTORS),
-                            np.argmax(self.vectors != 0, axis=1)]
-        self.keys = np.flatnonzero(lead == 1)       # ascending key order
+        # the rows whose first nonzero coordinate is 1, in ascending key order
+        self.keys = np.flatnonzero(leading_digits(self.vectors) == 1)
         assert self.keys.size == N_POINTS
         self.reps = self.vectors[self.keys]         # (29524, 10) canonical rows
         # v and 2v = -v span one point, so every nonzero key is indexed
         self.point_index = np.full(N_VECTORS, -1, dtype=np.int64)
-        for keys in (self.keys, keys_of(_DOUBLE[self.reps])):
+        for keys in (self.keys, keys_of(-self.reps % 3)):
             self.point_index[keys] = np.arange(N_POINTS)
 
         self._perms: dict[int, np.ndarray] = {}
@@ -214,7 +199,7 @@ def line_labels(vectors, ell) -> np.ndarray:
     v = np.atleast_2d(np.asarray(vectors, dtype=np.int8))
     e = np.asarray(ell, dtype=np.int8)
     # v spans the line of ell exactly when v = ell or v = 2 ell = -ell
-    same = (v == e).all(axis=1) | (v == _DOUBLE[e]).all(axis=1)
+    same = (v == e).all(axis=1) | (v == -e % 3).all(axis=1)
     return _label_codes(symp_with(v, e), same)
 
 

@@ -147,6 +147,32 @@ def test_notes_present_verbatim(full_report):
     assert "t0 = t1 != t2 = ... = t11" in cli.NOTE_H_VARIANT
 
 
+@pytest.mark.parametrize("wrong", ["note_number", "derived_size", "formula"])
+def test_discrepancy_notes_go_red_on_a_wrong_number(monkeypatch, tmp_path,
+                                                    wrong):
+    assert cli.check_discrepancy_notes(cli.Context(0, False))[0]
+
+    def note_says(old, new):
+        note = cli.NOTE_INDEX.replace(old, new)
+        monkeypatch.setattr(cli, "NOTE_INDEX", note)
+        monkeypatch.setattr(cli, "REPORT_NOTES", [note, *cli.REPORT_NOTES[1:]])
+
+    if wrong == "note_number":
+        note_says("= 9841", "= 9842")
+    elif wrong == "derived_size":
+        monkeypatch.setattr(cli.mo, "N_CLASSES", cli.mo.N_CLASSES + 1)
+    else:           # note and code agree on a size its formula does not give
+        monkeypatch.setattr(cli.mo, "N_CLASSES", cli.mo.N_CLASSES + 1)
+        note_says("= 29524", "= 29525")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "lattice", "--out", str(out)]) == 1
+    row = {c["name"]: c for c in json.loads(out.read_text())["checks"]}[
+        "discrepancy_notes"]
+    assert row["status"] == "fail"
+    assert row["observed"] == {"index_note_present": False,
+                               "h_variant_note_present": True}
+
+
 def test_verify_report_digests(full_report, tmp_path):
     assert __version__ == REPORT_VERSION
     code, rep = full_report
@@ -250,26 +276,34 @@ def test_benchmark_driver_finds_every_name_it_reaches():
 def test_benchmark_replays_run_to_ok(tmp_path):
     # the traced replays also reach the layer microbenchmark, the counters
     # the wrapped calls report, the cli.CHECKS name check and the report
-    # oracle; run the verify, certify and query replays for one operation
+    # oracle; run the verify, certify and query replays for one operation,
+    # and write each one's spans as JSON, as the replay process does
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     code = (
         "import sys; sys.dont_write_bytecode = True\n"
         f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import json\n"
         "from pathlib import Path\n"
         "import inproc\n"
         f"inproc.OUT = Path({str(tmp_path)!r})\n"
-        "statuses, _ = inproc.replay_verify(inproc.Tracer('verify'), 1, 0.0, False)\n"
+        "tr = inproc.Tracer('verify')\n"
+        "statuses, _ = inproc.replay_verify(tr, 1, 0.0, False)\n"
         "assert statuses == ['ok'], statuses\n"
+        "json.dumps(tr.finish())\n"
         "tr = inproc.Tracer('certify')\n"
         "statuses, _ = inproc.replay_verify(tr, 1, 0.0, True)\n"
         "assert statuses == ['ok'], statuses\n"
+        "spans = tr.finish()\n"
+        "json.dumps(spans)\n"
         "metrics = {k: v['value'] for k, v in "
-        "inproc.layer_metrics(tr.finish()).items()}\n"
+        "inproc.layer_metrics(spans).items()}\n"
         "assert metrics['correspondence.words_used'] == 64, metrics\n"
         "assert metrics['schreier.bfs_depth.classes'] == 26, metrics\n"
         "assert metrics['schreier.bsgs_certified_share'] == 1.0, metrics\n"
-        "statuses, _ = inproc.replay_query(inproc.Tracer('query'), 1, 0.0)\n"
+        "tr = inproc.Tracer('query')\n"
+        "statuses, _ = inproc.replay_query(tr, 1, 0.0)\n"
         "assert statuses and set(statuses) == {'ok'}, statuses\n"
+        "json.dumps(tr.finish())\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -125,8 +125,12 @@ def test_canonical_keys_equal_brute_force_on_moved_classes(table):
 
 
 def test_class_index_holds_both_zero_led_rows_of_each_class(table):
-    # every key below 3^11 is a 12-tuple with t_0 = 0
-    codes = mo.keys_to_codes(np.arange(3 ** (mo.TUPLE_LEN - 1)))
+    # every key below 3^11 is a 12-tuple with t_0 = 0; np.indices puts t_1
+    # most significant, so row k has key k
+    free = mo.TUPLE_LEN - 1
+    codes = np.zeros((3 ** free, mo.TUPLE_LEN), dtype=np.int8)
+    codes[:, 1:] = np.indices((3,) * free, dtype=np.int8).reshape(free, -1).T
+    assert (mo.codes_to_keys(codes) == np.arange(3 ** free)).all()
     valid = ((codes != codes[:, :1]).any(axis=1)
              & s3_product_is_one(codes))
     assert valid.sum() == 2 * mo.N_CLASSES
@@ -183,7 +187,8 @@ def test_hurwitz_order_three_or_fixed(table):
         # fixed exactly when the two slots carry equal letters
         same = table.codes[:, i] == table.codes[:, i + 1]
         assert (fixed == same).all()
-        assert int(fixed.sum()) == 9841  # 1 + (3^9 - 1) / 2 * ... see orbit tests
+        # the move fixes the classes with t_i = t_{i+1}: 1 H + 9840 SG
+        assert int(fixed.sum()) == (3 ** (mo.N_MOVES - 1) - 1) // 2
 
 
 def test_hurwitz_braid_relations(table):
@@ -274,3 +279,49 @@ def test_index_round_trip(table):
         # any relabeling resolves to the same class
         relabeled = mo.ALPHABET_PERMS[3][table.codes[int(idx)]]
         assert table.index_of_codes(relabeled) == int(idx)
+
+
+def test_index_of_codes_takes_one_row_of_twelve_letters(table):
+    base = [0, 0] + [1] * 10
+    assert table.index_of_codes([base]) == table.index_of_codes(base)
+    # a second row, here an invalid one, is not silently dropped
+    for bad in ([base, [0, 1] + [1] * 10], base[:-1], base + [1], [[base]]):
+        with pytest.raises(ValueError, match="one row of 12 letters"):
+            table.index_of_codes(bad)
+
+
+def test_transversal_certificate_accepts_the_class_rows(table):
+    assert mo.transversal_raw_count(table.codes) == mo.N_RAW
+    # any relabeling of each row is a transversal too
+    relabeled = mo.ALPHABET_PERMS[np.arange(mo.N_CLASSES) % 6, table.codes.T].T
+    assert mo.transversal_raw_count(relabeled) == mo.N_RAW
+
+
+def test_transversal_certificate_rejects_corrupted_rows(table):
+    # one class row replaced by a relabeling of another class's row
+    shared = table.codes.copy()
+    shared[7] = mo.ALPHABET_PERMS[4][shared[100]]
+    with pytest.raises(ValueError, match="177144 relabelings mark 177138 "
+                       "tuples, not the 177144 raw tuples"):
+        mo.transversal_raw_count(shared)
+    # one class row dropped
+    with pytest.raises(ValueError, match="177138 relabelings mark 177138 "
+                       "tuples, not the 177144 raw tuples"):
+        mo.transversal_raw_count(np.delete(table.codes, 7, axis=0))
+    # a row without product one, in place of its class
+    broken = table.codes.copy()
+    broken[7, -1] = (broken[7, -1] + 1) % 3
+    with pytest.raises(ValueError, match="not the 177144 raw tuples"):
+        mo.transversal_raw_count(broken)
+
+
+def test_canonical_form_is_first_nonzero_digit_one():
+    rows = np.indices((3,) * 4, dtype=np.int8).reshape(4, -1).T
+    lead = mo.leading_digits(rows)
+    for row, d in zip(rows.tolist(), lead.tolist()):
+        assert d == next((x for x in row if x), 0)
+    canonical = mo.canonicalize(rows)
+    # v and -v = 2v meet at the row whose first nonzero digit is 1
+    assert (canonical == mo.canonicalize(-rows % 3)).all()
+    assert (mo.leading_digits(canonical) == (lead != 0)).all()
+    assert (canonical[lead == 1] == rows[lead == 1]).all()
