@@ -138,7 +138,7 @@ def build_bijection() -> Correspondence:
     h_stack = np.stack(h_gens)
 
     rho0 = mot.base_class()
-    class_orbit = orbit_bfs(mo.N_CLASSES, h_gens, [rho0])
+    class_orbit = mo.orbit_R(rho0)
     if class_orbit.size != mo.N_CLASSES:
         raise RuntimeError("the half-twist moves do not act transitively "
                            "on the classes")
@@ -260,8 +260,9 @@ def cross_validate_classification(corr: Correspondence) -> dict:
             and agreements_swapped == report["total_checks"]:
         report["note"] = (
             "the two trichotomies agree exactly up to exchanging the RM and "
-            "SG labels on the line side: per slot, the 19683 classes with "
-            "distinct adjacent letters correspond to the 19683 lines not "
-            "perpendicular to the basis line, and the 9840 non-degenerate "
-            "equal-letter classes to the 9840 other perpendicular lines")
+            "SG labels on the line side: per slot, the {SG} classes with "
+            "distinct adjacent letters correspond to the {SG} lines not "
+            "perpendicular to the basis line, and the {RM} non-degenerate "
+            "equal-letter classes to the {RM} other perpendicular lines"
+        ).format(**sp.LINE_CLASS_COUNTS)
     return report

@@ -48,7 +48,7 @@ import itertools
 
 import numpy as np
 
-from .schreier import orbit_bfs
+from .schreier import OrbitResult, orbit_bfs
 
 TUPLE_LEN = 12
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
@@ -61,6 +61,7 @@ CONFLUENCE_CLASSES = ("H", "RM", "SG")
 # c -> +-c + a, which are all of Sym(F_3), as rows in lexicographic order.
 ALPHABET_PERMS = np.array(sorted(itertools.permutations(range(3))),
                           dtype=np.int8)
+_NEGATION = 1                       # ALPHABET_PERMS[1] = (0, 2, 1): c -> -c
 
 _W12 = (3 ** np.arange(TUPLE_LEN - 1, -1, -1, dtype=np.int64))  # MSB first
 _SIGNS = np.resize(np.int8([1, -1]), TUPLE_LEN)  # product one: t @ _SIGNS = 0
@@ -96,13 +97,24 @@ def canonical_keys(codes) -> np.ndarray:
     return codes_to_keys(canonicalize((codes - codes[:, :1]) % 3))
 
 
+def relabeled_keys(codes) -> np.ndarray:
+    """The keys of the six relabelings of each row, shape (6, n): row k of
+    the result relabels code c as ALPHABET_PERMS[k][c].  A key is linear in
+    the letters, so this is ALPHABET_PERMS @ K, with K_c the keys of the
+    indicator rows codes == c."""
+    indicator = np.stack([codes_to_keys(codes == c) for c in range(3)])
+    return ALPHABET_PERMS.astype(np.int64) @ indicator
+
+
 def transversal_raw_count(codes) -> int:
     """Certify the rows as one per class; return the raw-tuple count.  Their
-    six relabelings, keyed ALPHABET_PERMS @ K by the keys K_c of the indicator
-    rows codes == c, must be distinct and be exactly the raw tuples,
+    six relabelings must be distinct and be exactly the raw tuples,
     enumerated here on their own; otherwise ValueError."""
-    indicator = np.stack([codes_to_keys(codes == c) for c in range(3)])
-    relabeled = ALPHABET_PERMS.astype(np.int64) @ indicator
+    return _certify_transversal(relabeled_keys(codes))
+
+
+def _certify_transversal(relabeled: np.ndarray) -> int:
+    """`transversal_raw_count` on the rows' `relabeled_keys`."""
     marks = np.zeros(3 ** TUPLE_LEN, dtype=bool)
     marks[relabeled] = True
     marked = int(np.count_nonzero(marks))
@@ -132,19 +144,24 @@ class ClassTable:
         # one; np.indices puts t_1 most significant, so they come in key order
         free = TUPLE_LEN - 2
         digits = np.indices((3,) * free, dtype=np.int8).reshape(free, -1).T
-        rows = digits[leading_digits(digits) == 1]
-        self.codes = np.column_stack(
-            (np.zeros_like(rows[:, 0]), rows, rows @ _SIGNS[1:-1] % 3))
-        self.keys = codes_to_keys(self.codes)
-        self.raw_count = transversal_raw_count(self.codes)
+        position = np.flatnonzero(leading_digits(digits) == 1)
+        rows = digits[position]
+        last = rows @ _SIGNS[1:-1] % 3
+        self.codes = np.column_stack((np.zeros_like(rows[:, 0]), rows, last))
+        # row `position` of np.indices has key `position` over t_1..t_10,
+        # and t_0 = 0, so the key of the whole row appends the digit t_11
+        self.keys = 3 * position + last
+        relabeled = relabeled_keys(self.codes)
+        self.raw_count = _certify_transversal(relabeled)
         assert self.raw_count == N_RAW
 
         # a class has two rows with t_0 = 0, the canonical one and its
         # 1 <-> 2 swap c -> -c; both keys are below 3^11 and both are indexed
         self.class_index = np.full(3 ** (TUPLE_LEN - 1), -1, dtype=np.int64)
-        for zero_led in (self.keys, codes_to_keys(-self.codes % 3)):
+        for zero_led in (self.keys, relabeled[_NEGATION]):
             self.class_index[zero_led] = np.arange(N_CLASSES)
         self._perms: dict[int, np.ndarray] = {}
+        self._base_tree: OrbitResult | None = None   # see orbit_R
 
     # -- lookups ----------------------------------------------------------------
 
@@ -258,7 +275,17 @@ def classify_confluence_codes(codes, pos: int) -> str:
     return CONFLUENCE_CLASSES[int(confluence_labels(codes, pos)[0])]
 
 
-def orbit_R(seed_idx: int):
-    """BFS orbit (with Schreier tree) of a class under the ten moves."""
+def orbit_R(seed_idx: int) -> OrbitResult:
+    """BFS orbit (with Schreier tree) of a class under the ten moves.
+
+    The tree of the base class, which the Hurwitz check, the bijection
+    search and the orbit exports all read, is built once per table; any
+    other seed gets a fresh tree.
+    """
     t = get_table()
-    return orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), [int(seed_idx)])
+    seed_idx = int(seed_idx)
+    if seed_idx != t.base_class():
+        return orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), [seed_idx])
+    if t._base_tree is None:
+        t._base_tree = orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), [seed_idx])
+    return t._base_tree

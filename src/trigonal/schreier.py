@@ -74,6 +74,30 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     return OrbitResult(np.concatenate(order), parent, parent_gen, depth)
 
 
+def orbit_size(n_points: int, gens, seeds) -> int:
+    """The size of the orbit of the seeds, `orbit_bfs(...).size`, from a
+    visited mask alone: no tree, no depths and no BFS order.
+
+    The generators must be permutations, as for `orbit_bfs`: the fresh
+    images of one generator are then distinct, and `visited` keeps a point
+    that two generators reach from entering the next frontier twice.
+    """
+    visited = np.zeros(n_points, dtype=bool)
+    visited[np.asarray(seeds, dtype=np.int64)] = True
+    frontier = np.flatnonzero(visited)        # the seeds, each once
+    size = 0
+    while frontier.size:
+        size += frontier.size
+        fresh = []
+        for g in gens:
+            imgs = g[frontier]
+            pts = imgs[~visited[imgs]]
+            visited[pts] = True
+            fresh.append(pts)
+        frontier = np.concatenate(fresh)
+    return size
+
+
 def word_from_root(res: OrbitResult, point: int) -> list[int]:
     """Tree word from the seed to a point."""
     letters = []
@@ -142,7 +166,7 @@ def bsgs_order(gens, target: int):
     for k in reversed(range(len(gens))):
         moved = gens[k] != identity
         base = np.flatnonzero(moved & fixed)[:1]
-        sizes.append(orbit_bfs(n_points, gens[k:], base).size if base.size else 1)
+        sizes.append(orbit_size(n_points, gens[k:], base) if base.size else 1)
         fixed &= ~moved
     sizes.reverse()
     lb = math.prod(sizes)

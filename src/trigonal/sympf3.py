@@ -25,7 +25,7 @@ import numpy as np
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
 from .monodromy import canonicalize, leading_digits  # noqa: F401 (re-export)
-from .schreier import orbit_bfs
+from .schreier import orbit_bfs, orbit_size
 
 DIM = lattice.RANK
 N_VECTORS = 3 ** DIM            # 59049, including zero
@@ -34,6 +34,11 @@ N_POINTS = (3 ** DIM - 1) // 2  # 29524
 POW3 = (3 ** np.arange(DIM, dtype=np.int64))  # coordinate 0 least significant
 
 LINE_CLASSES = ("H", "RM", "SG")
+#: the lines of each class relative to a fixed line ell: ell-perp is a
+#: hyperplane of 3^(DIM-1) vectors, RM is its lines other than ell, and SG
+#: the 3^(DIM-1) points off it
+LINE_CLASS_COUNTS = {"H": 1, "RM": (3 ** (DIM - 1) - 1) // 2 - 1,
+                     "SG": 3 ** (DIM - 1)}
 
 
 def reduce_vector(x) -> np.ndarray:
@@ -168,9 +173,10 @@ class ProjectiveTable:
     def orbit_of_points(self, seeds):
         return orbit_bfs(N_POINTS, self.all_transvection_perms(), seeds)
 
-    def orbit_of_nonzero_vectors(self, seed_key: int):
+    def orbit_of_nonzero_vectors(self, seed_key: int) -> int:
+        """The size of the orbit of a vector key under the transvections."""
         gens = [self.vector_perm(i) for i in range(1, DIM + 1)]
-        return orbit_bfs(N_VECTORS, gens, [seed_key])
+        return orbit_size(N_VECTORS, gens, [seed_key])
 
 
 _TABLE: ProjectiveTable | None = None

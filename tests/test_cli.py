@@ -1,13 +1,15 @@
 """CLI subcommands: reports, exports, classification, exit codes.
 
-The commands run in-process through `cli.main(argv)`.  Six tests start a
-fresh interpreter through `fresh_python`: the no-tables test of
+The commands run in-process through `cli.main(argv)`.  The tests that need
+a fresh interpreter start one through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
-caches, the test that `verify` and the exports leave `numpy.ma` unimported,
+caches, the test that `verify all` builds the base class's Schreier tree
+once, the test that `verify` and the exports leave `numpy.ma` unimported,
 the test that `trigonal.monodromy` imports nothing from the point side, the
-smoke test of the `python -m trigonal.cli` entry point, the test that the
-benchmark's in-process driver still finds every package name it reaches, and
-the test that its traced replays run to an "ok" oracle status.
+tests of the `python -m trigonal.cli` entry point and of the heap freeze
+that only it makes, the test that the benchmark's in-process runner still
+finds every package name it reaches, and the test that its traced replays
+run to an "ok" oracle status.
 """
 
 import contextlib
@@ -173,6 +175,26 @@ def test_discrepancy_notes_go_red_on_a_wrong_number(monkeypatch, tmp_path,
                                "h_variant_note_present": True}
 
 
+def test_label_pairing_notes_are_the_same_at_rank_10(full_report):
+    # both notes are built from the derived trichotomy counts; at rank 10
+    # they must stay byte for byte what the report digests pin
+    _, rep = full_report
+    assert cli.sp.DIM == 10
+    assert cli.NOTE_LABEL_PAIRING == (
+        "informational: the confluence labels and the line labels agree "
+        "exactly up to exchanging RM and SG on the line side; per slot, the "
+        "19683 distinct-pair classes match the 19683 non-perpendicular lines "
+        "and the 9840 non-degenerate equal-pair classes match the 9840 "
+        "perpendicular lines (see the orbit_trichotomy check).")
+    row = {c["name"]: c for c in rep["checks"]}["orbit_trichotomy"]
+    assert row["details"]["note"] == (
+        "the two trichotomies agree exactly up to exchanging the RM and SG "
+        "labels on the line side: per slot, the 19683 classes with distinct "
+        "adjacent letters correspond to the 19683 lines not perpendicular to "
+        "the basis line, and the 9840 non-degenerate equal-letter classes to "
+        "the 9840 other perpendicular lines")
+
+
 def test_verify_report_digests(full_report, tmp_path):
     assert __version__ == REPORT_VERSION
     code, rep = full_report
@@ -309,6 +331,30 @@ def test_benchmark_replays_run_to_ok(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_verify_all_builds_the_base_class_tree_once():
+    # the Hurwitz check and the bijection search share one tree; the
+    # alternating class's orbit is counted without one
+    code = (
+        "import trigonal.cli as cli, trigonal.correspondence as co, "
+        "trigonal.monodromy as mo, trigonal.sympf3 as sp\n"
+        "calls = []\n"
+        "def counting(orbit_bfs):\n"
+        "    def counted(n_points, gens, seeds):\n"
+        "        if gens[0] is mo.get_table().hurwitz_perm(1):\n"
+        "            calls.append(list(seeds))\n"
+        "        return orbit_bfs(n_points, gens, seeds)\n"
+        "    return counted\n"
+        "for module in (mo, co, sp):\n"
+        "    module.orbit_bfs = counting(module.orbit_bfs)\n"
+        "rows = cli.run_checks('all', 0, False)\n"
+        "failed = [r['name'] for r in rows if r['status'] == 'fail']\n"
+        "assert failed == ['orbit_trichotomy'], rows\n"
+        "assert calls == [[mo.get_table().base_class()]], calls\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_and_exports_leave_numpy_ma_unimported(tmp_path):
     # importing numpy.ma costs a cold run about 11 ms and fractions about
     # 3 ms (with decimal), and no command needs either
@@ -349,6 +395,58 @@ def test_entry_point_exit_codes():
     assert proc.returncode == 2
     assert "not the identity" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_entry_point_verify_all_writes_the_pinned_report(tmp_path):
+    out = tmp_path / "report.json"
+    proc = fresh_python("-m", "trigonal.cli", "verify", "all",
+                        "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert report_digest(json.loads(out.read_text())) == REPORT_SHA256[False]
+    assert proc.stderr.endswith("12 checks, 1 failed\n")
+
+
+def test_entry_point_export_to_stdout_is_the_pinned_export():
+    proc = fresh_python("-m", "trigonal.cli", "export", "bijection")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() \
+        == EXPORT_SHA256[("bijection",)]
+
+
+def test_entry_point_unwritable_out_exits_2(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    proc = fresh_python("-m", "trigonal.cli", "verify", "all", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_only_the_entry_function_freezes_the_heap(tmp_path):
+    out = str(tmp_path / "report.json")
+    code = (
+        "import gc, sys\n"
+        "from trigonal import cli\n"
+        f"assert cli.main(['verify', 'monodromy', '--out', {out!r}]) == 0\n"
+        "assert cli.main(['classify', '001111111111', '1']) == 0\n"
+        "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+        "sys.argv = ['trigonal', 'classify', '001111111111', '1']\n"
+        "assert cli.console_main() == 0\n"
+        "assert gc.get_freeze_count() > 0\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "RM\nRM\n"
+
+
+def test_console_script_is_the_function_main_module_calls():
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text()
+    script, = re.findall(r'^trigonal = "trigonal\.cli:(\w+)"$', pyproject,
+                         re.M)
+    source = (root / "src" / "trigonal" / "cli.py").read_text()
+    called, = re.findall(r'^if __name__ == "__main__":\n'
+                         r'    sys\.exit\((\w+)\(\)\)\n\Z', source, re.M)
+    assert script == called == cli.console_main.__name__
 
 
 def test_verify_scope_exit_codes(capsys):

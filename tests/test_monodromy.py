@@ -290,6 +290,36 @@ def test_index_of_codes_takes_one_row_of_twelve_letters(table):
             table.index_of_codes(bad)
 
 
+def test_relabeled_keys_are_the_keys_of_the_relabeled_rows(table):
+    relabeled = mo.relabeled_keys(table.codes)
+    assert relabeled.shape == (6, mo.N_CLASSES)
+    for k, perm in enumerate(mo.ALPHABET_PERMS):
+        assert (relabeled[k] == mo.codes_to_keys(perm[table.codes])).all()
+    # the row that indexes each class's second zero-led row is c -> -c
+    assert (relabeled[mo._NEGATION]
+            == mo.codes_to_keys(-table.codes % 3)).all()
+    assert (table.class_index[relabeled[mo._NEGATION]]
+            == np.arange(mo.N_CLASSES)).all()
+
+
+def test_base_class_tree_is_built_once_per_table(monkeypatch):
+    table = mo.get_table()
+    base = table.base_class()
+    tree = mo.orbit_R(base)
+    assert mo.orbit_R(base) is tree
+    assert tree.size == mo.N_CLASSES and tree.order[0] == base
+    # any other seed gets a tree of its own, and leaves the memo alone
+    other = mo.orbit_R(table.index_of_string("010101010101"))
+    assert other is not mo.orbit_R(table.index_of_string("010101010101"))
+    assert mo.orbit_R(base) is tree
+    # the memo lives on the table: a new table builds a new tree
+    monkeypatch.setattr(mo, "_TABLE", None)
+    fresh = mo.orbit_R(mo.get_table().base_class())
+    assert fresh is not tree
+    for name in ("order", "parent", "parent_gen", "depth"):
+        assert (getattr(fresh, name) == getattr(tree, name)).all(), name
+
+
 def test_transversal_certificate_accepts_the_class_rows(table):
     assert mo.transversal_raw_count(table.codes) == mo.N_RAW
     # any relabeling of each row is a transversal too

@@ -7,7 +7,7 @@ from trigonal import cli
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
 from trigonal.schreier import (apply_word, bsgs_order, inverse_permutation,
-                               orbit_bfs, schreier_generator_words,
+                               orbit_bfs, orbit_size, schreier_generator_words,
                                word_from_root)
 
 #: the basic orbits of Sp(DIM, F3) on nonzero vectors along the transvection
@@ -89,6 +89,53 @@ def test_orbit_bfs_on_the_generator_permutations_matches_brute_force():
                              [mot.base_class()])
     assert_matches_brute_bfs(sp.N_POINTS, spt.all_transvection_perms(),
                              [spt.basis_point(1)])
+
+
+def assert_orbit_size_is_the_bfs_size(n_points, gens, seeds):
+    size = orbit_size(n_points, gens, seeds)
+    assert type(size) is int
+    assert size == orbit_bfs(n_points, gens, seeds).size
+    return size
+
+
+def test_orbit_size_on_s6():
+    for seeds in ([0], [5], [2, 2], []):
+        assert_orbit_size_is_the_bfs_size(6, S6, seeds)
+    # the subgroup <(0 1)> has orbits {0, 1} and fixed points
+    assert assert_orbit_size_is_the_bfs_size(6, S6[:1], [0]) == 2
+    assert assert_orbit_size_is_the_bfs_size(6, S6[:1], [0, 1, 4]) == 3
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_orbit_size_on_random_permutations(seed):
+    blocks = 1 + seed % 4
+    gens = random_permutations(seed, 120, blocks, 1 + seed % 3)
+    rng = np.random.default_rng(seed)
+    # one seed, several seeds, and seeds given twice, across blocks or not
+    for seeds in ([seed], rng.integers(0, 120, 3).tolist(),
+                  [seed, seed, 7 * seed % 120, seed]):
+        assert_orbit_size_is_the_bfs_size(120, gens, seeds)
+    if blocks > 1:
+        assert orbit_size(120, gens, [0]) <= 120 // blocks
+
+
+def test_orbit_size_on_the_generator_permutations():
+    mot, spt = mo.get_table(), sp.get_table()
+    hurwitz = mot.all_hurwitz_perms()
+    alternating = mot.index_of_string("010101010101")
+    for seeds in ([mot.base_class()], [alternating], [0, alternating, 0]):
+        assert assert_orbit_size_is_the_bfs_size(
+            mo.N_CLASSES, hurwitz, seeds) == mo.N_CLASSES
+    assert assert_orbit_size_is_the_bfs_size(
+        sp.N_POINTS, spt.all_transvection_perms(), [0]) == sp.N_POINTS
+    vectors = [spt.vector_perm(i) for i in range(1, sp.DIM + 1)]
+    assert assert_orbit_size_is_the_bfs_size(
+        sp.N_VECTORS, vectors, [1]) == sp.N_VECTORS - 1
+    assert assert_orbit_size_is_the_bfs_size(sp.N_VECTORS, vectors, [0]) == 1
+    # a suffix of the chain, as one level of `bsgs_order` runs it
+    assert assert_orbit_size_is_the_bfs_size(
+        sp.N_VECTORS, vectors[-2:], [sp.POW3[-2]]) == 8
+    assert spt.orbit_of_nonzero_vectors(1) == sp.N_VECTORS - 1
 
 
 def assert_pair_identity(gens, root):

@@ -225,8 +225,8 @@ def test_orbit_transitivity_on_points_and_vectors():
     assert res.size == 29524
     p = t.basis_point(1)
     assert t.transvection_perm(5)[p] == p  # transvection 5 fixes [alpha_1]
-    vres = t.orbit_of_nonzero_vectors(int(sp.keys_of(np.eye(10, dtype=np.int8)[0])))
-    assert vres.size == 3 ** 10 - 1
+    vsize = t.orbit_of_nonzero_vectors(int(sp.keys_of(np.eye(10, dtype=np.int8)[0])))
+    assert vsize == 3 ** 10 - 1
 
 
 def test_classify_line_examples():
