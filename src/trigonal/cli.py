@@ -364,12 +364,28 @@ def check_sp10_order(ctx: Context):
     return ok, str(order), str(SP10_ORDER), {"certified": bool(certified)}
 
 
+def _h_variant_holds() -> bool:
+    """Whether NOTE_H_VARIANT states `confluence_labels` on the non-constant
+    (a, a, b, c, ..., c): H at slot 0 exactly where t0 = t1 != t2 = ... =
+    t11, which product one makes the variant's t0 = t1, t3 = ... = t11."""
+    abc = np.indices((3, 3, 3), dtype=np.int8).reshape(3, -1).T
+    rows = np.repeat(abc[abc.min(axis=1) < abc.max(axis=1)],
+                     [2, 1, mo.TUPLE_LEN - 3], axis=1)
+    h = mo.confluence_labels(rows, 0) == 0
+    t0, t1, t2, t3 = rows[:, :4].T
+    variant = (t0 == t1) & (rows[:, 3:] == t3[:, None]).all(axis=1)
+    stated = variant & (t1 != t2) & (t2 == t3)
+    return bool((h == stated).all()
+                and (h == variant)[mo.product_is_one(rows)].all())
+
+
 def check_discrepancy_notes(ctx: Context):
     index_ok = NOTE_INDEX in REPORT_NOTES and all(
         f"(3^{e}-1)/2 = {v}" in NOTE_INDEX and v == (3 ** e - 1) // 2
         for e, v in _index_note_sizes())
+    h_variant_ok = NOTE_H_VARIANT in REPORT_NOTES and _h_variant_holds()
     observed = {"index_note_present": index_ok,
-                "h_variant_note_present": NOTE_H_VARIANT in REPORT_NOTES}
+                "h_variant_note_present": h_variant_ok}
     expected = {"index_note_present": True, "h_variant_note_present": True}
     return observed == expected, observed, expected, None
 
@@ -495,11 +511,9 @@ def _orbit_tree_json(res, side: str, seed: int) -> dict:
 
 
 def _orbit_trees():
-    spt, mot = sp.get_table(), mo.get_table()
-    proj = spt.orbit_of_points([0])
-    cls = mo.orbit_R(mot.base_class())
-    return ((proj, "projective", 0),
-            (cls, "classes", mot.base_class()))
+    base = mo.get_table().base_class()
+    return ((sp.get_table().orbit_of_points([0]), "projective", 0),
+            (mo.orbit_R(base), "classes", base))
 
 
 def _orbits_dot() -> bytes:

@@ -10,9 +10,9 @@ rho_0 = ClassTable.base_class() and a point ell_0 found by search.  Candidate
 base points are pruned by stabilizer matching: each Schreier generator of
 the stabilizer of rho_0 is a pair of tree paths that carry rho_0 to one
 class, and the same pair, read on the point side, must carry ell_0 to one
-point.  Each survivor is then transported along the point-side Schreier tree
-and checked on all 10 x 29524 generator-point pairs.  No equivariance edge is
-sampled; every one is verified.
+point.  From backward[rho_0] = ell_0, each survivor is transported along the
+class tree the search built, by backward[B_i(c)] = sigma_i(backward[c]),
+and must be a bijection whose inverse carries all 10 x 29524 edges.
 
 Cross-validation compares, for every class rho and every slot i = 1..10,
 the combinatorial confluence label of rho at i with the line label of
@@ -22,16 +22,8 @@ but excluded from the comparison.  The raw agreement count is reported
 together with the count after exchanging the RM and SG labels on one side,
 which makes the label pairing between the two trichotomies explicit.
 
-The searched bijection also has a closed form, `point_vectors`.  Read a
-class's transposition codes t_0..t_11 in F_3 and let d_k = t_k - t_{k-1}
-(k = 1..11).  Then forward^{-1}(class) = [v] with
-
-    v_i = sum of d_k over k <= i with k = i (mod 2),        i = 1..10,
-
-that is v_1 = d_1, v_2 = d_2 and v_i = d_i + v_{i-2}.  The six relabelings
-of the codes are the maps c -> +-c + a, which change v at most by its sign,
-so the formula needs no canonical representative.  The tests certify that
-it equals the searched `backward` on every class.
+The searched bijection also has a closed form, `point_vectors`, which the
+tests certify equal to the searched `backward` on every class.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ import numpy as np
 
 from . import monodromy as mo
 from . import sympf3 as sp
-from .schreier import (apply_word, inverse_permutation, orbit_bfs,
+from .schreier import (apply_word, inverse_permutation,
                        schreier_generator_words)
 
 N = sp.N_POINTS
@@ -65,14 +57,13 @@ class Correspondence:
     words_used: int
 
     def to_json(self) -> dict:
-        t = sp.get_table()
         return {
             "forward": self.forward.tolist(),
             "generators_checked": sp.DIM,
             "edges_verified": int(self.edges_verified),
             "base_pair": {
                 "point_index": int(self.base_point),
-                "point": [int(c) for c in t.rep(self.base_point)],
+                "point": sp.get_table().rep(self.base_point).tolist(),
                 "class_index": int(self.base_class),
                 "class": mo.get_table().class_string(self.base_class),
             },
@@ -96,37 +87,35 @@ def _fixed_points(words, gens) -> np.ndarray:
     return points
 
 
-def _transport(ell0: int, rho0: int, s_gens, h_stack: np.ndarray):
-    """forward with forward[ell0] = rho0, extended along the point BFS tree."""
-    tree = orbit_bfs(N, s_gens, [ell0])
-    if tree.size != N:
-        raise RuntimeError("the transvections do not act transitively "
-                           "on the projective points")
-    forward = np.full(N, -1, dtype=np.int64)
-    forward[ell0] = rho0
+def _transport(ell0: int, tree, s_stack: np.ndarray) -> np.ndarray:
+    """backward with backward[rho0] = ell0, rho0 the root of the class tree,
+    extended along it by backward[B_i(c)] = sigma_i(backward[c])."""
+    backward = np.full(N, -1, dtype=np.int64)
+    backward[tree.order[0]] = ell0
     depths = tree.depth[tree.order]          # non-decreasing along BFS order
     for d in range(1, int(depths[-1]) + 1):
-        pts = tree.order[np.searchsorted(depths, d):
+        cls = tree.order[np.searchsorted(depths, d):
                          np.searchsorted(depths, d + 1)]
-        forward[pts] = h_stack[tree.parent_gen[pts], forward[tree.parent[pts]]]
-    return forward
+        backward[cls] = s_stack[tree.parent_gen[cls], backward[tree.parent[cls]]]
+    return backward
 
 
-def _verify(forward: np.ndarray, s_gens, h_gens):
-    """(ok, first_failure); checks all 10 x 29524 edges plus bijectivity."""
+def _verify(backward: np.ndarray, s_gens, h_gens):
+    """(forward, None) when backward is a bijection and its inverse carries
+    all 10 x 29524 edges, else (None, the first failure)."""
+    if not (np.sort(backward) == np.arange(N)).all():
+        return None, {"reason": "backward is not a bijection"}
+    forward = inverse_permutation(backward)
     for gi in range(sp.DIM):
         lhs = forward[s_gens[gi]]
         rhs = h_gens[gi][forward]
         bad = np.flatnonzero(lhs != rhs)
         if bad.size:
             p = int(bad[0])
-            return False, {"generator": gi + 1, "point": p,
-                           "forward_of_image": int(lhs[p]),
-                           "image_of_forward": int(rhs[p])}
-    if not (np.sort(forward) == np.arange(N)).all():
-        return False, {"generator": None, "point": None,
-                       "reason": "forward is not injective"}
-    return True, None
+            return None, {"generator": gi + 1, "point": p,
+                          "forward_of_image": int(lhs[p]),
+                          "image_of_forward": int(rhs[p])}
+    return forward, None
 
 
 def build_bijection() -> Correspondence:
@@ -135,7 +124,7 @@ def build_bijection() -> Correspondence:
     mot = mo.get_table()
     s_gens = spt.all_transvection_perms()
     h_gens = mot.all_hurwitz_perms()
-    h_stack = np.stack(h_gens)
+    s_stack = np.stack(s_gens)
 
     rho0 = mot.base_class()
     class_orbit = mo.orbit_R(rho0)
@@ -148,33 +137,29 @@ def build_bijection() -> Correspondence:
     # fixing rho_0 also fixes it
     candidates = _fixed_points(words, s_gens)
 
-    winner = None
-    passing = 0
-    first_failure = None
-    for ell0 in candidates:
-        forward = _transport(int(ell0), rho0, s_gens, h_stack)
-        ok, failure = _verify(forward, s_gens, h_gens)
-        if ok:
-            passing += 1
-            if winner is None:
-                winner = (int(ell0), forward)
-        elif first_failure is None:
-            first_failure = {"candidate_point": int(ell0), **failure}
+    passing, failures = [], []
+    for ell0 in candidates.tolist():
+        backward = _transport(ell0, class_orbit, s_stack)
+        forward, failure = _verify(backward, s_gens, h_gens)
+        if forward is None:
+            failures.append({"candidate_point": ell0, **failure})
+        else:
+            passing.append((ell0, forward, backward))
 
-    if winner is None:
+    if not passing:
         raise RuntimeError(
             "no equivariant bijection found: "
             f"{candidates.size} pruned candidates all failed full "
-            f"verification; first failing edge: {first_failure}")
+            f"verification; first failing edge: {failures[0]}")
 
-    ell0, forward = winner
+    ell0, forward, backward = passing[0]
     return Correspondence(
         forward=forward,
-        backward=inverse_permutation(forward),
+        backward=backward,
         base_point=ell0,
         base_class=int(rho0),
         candidates_pruned=int(candidates.size),
-        candidates_passing=passing,
+        candidates_passing=len(passing),
         edges_verified=sp.DIM * N,
         words_used=len(words),
     )
@@ -229,18 +214,12 @@ def cross_validate_classification(corr: Correspondence) -> dict:
                 "confluence": mo.CONFLUENCE_CLASSES[int(comb[c])],
                 "line_class": sp.LINE_CLASSES[int(line[c])],
             }
-        comb_counts = np.bincount(comb, minlength=3)
-        line_counts = np.bincount(line, minlength=3)
         per_position.append({
             "position": i,
             "agreements": int(agree.sum()),
             "agreements_rm_sg_swapped": int(agree_swapped.sum()),
-            "confluence_counts": {"H": int(comb_counts[0]),
-                                  "RM": int(comb_counts[1]),
-                                  "SG": int(comb_counts[2])},
-            "line_counts": {"H": int(line_counts[0]),
-                            "RM": int(line_counts[1]),
-                            "SG": int(line_counts[2])},
+            "confluence_counts": sp.label_counts(comb),
+            "line_counts": sp.label_counts(line),
         })
         agreements += int(agree.sum())
         agreements_swapped += int(agree_swapped.sum())

@@ -57,6 +57,7 @@ from .eisenstein import (
     ZERO, ONE, TAU, TAU2, THETA,
     EisensteinInt, div_exact, divides,
 )
+from .schreier import generator_index
 
 RANK = 10
 
@@ -88,17 +89,12 @@ GRAM: Matrix = _gram()
 
 def basis_vector(i: int) -> Vector:
     """The basis vector a_i, 1 <= i <= 10."""
-    _check_index(i)
-    return tuple(ONE if k == i - 1 else ZERO for k in range(RANK))
+    g = generator_index(i, RANK) - 1
+    return tuple(ONE if k == g else ZERO for k in range(RANK))
 
 
 def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
-
-
-def _check_index(i: int):
-    if not isinstance(i, int) or not 1 <= i <= RANK:
-        raise IndexError(f"generator index must be in 1..{RANK}, got {i!r}")
 
 
 def _flat(x: Vector) -> tuple:
@@ -253,8 +249,7 @@ def _step(z: tuple, i: int, e: int) -> tuple:
 
 def _walk(word, z: tuple) -> tuple:
     for i, e in word:
-        _check_index(i)
-        z = _step(z, i, e)
+        z = _step(z, generator_index(i, RANK), e)
     return z
 
 
@@ -280,13 +275,13 @@ def triflection(i: int) -> Matrix:
     return word_matrix([(i, 1)])
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)   # True and 1.0 are not 1
 def step_matrix(i: int, e: int = 1) -> np.ndarray:
     """The read-only 20x20 int64 matrix of s_i^e on the Z-basis.
 
     Column k is `_step` of the k-th unit vector.
     """
-    _check_index(i)
+    i = generator_index(i, RANK)
     unit = np.identity(2 * RANK, dtype=int).tolist()
     return _int64([_step(tuple(u), i, e) for u in unit]).T
 

@@ -48,7 +48,7 @@ import itertools
 
 import numpy as np
 
-from .schreier import OrbitResult, orbit_bfs
+from .schreier import OrbitResult, generator_index, orbit_bfs
 
 TUPLE_LEN = 12
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
@@ -184,9 +184,7 @@ class ClassTable:
 
     def hurwitz_perm(self, i: int) -> np.ndarray:
         """Permutation of class indices from the move at slots (i, i+1)."""
-        if not 1 <= i <= N_MOVES:
-            raise IndexError(
-                f"generator index must be in 1..{N_MOVES}, got {i!r}")
+        i = generator_index(i, N_MOVES)
         if i not in self._perms:
             # the move (u, v) -> (v, -u - v) at slots i, i+1 changes two
             # digits of the key; it keeps t_0 = 0, so the moved row is one of

@@ -16,6 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def generator_index(i, n: int) -> int:
+    """A 1-based generator index, the one rule on both sides: an integer 1..n
+    (numpy's too) as a plain int; TypeError for bool or float."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise TypeError(f"generator index must be an integer, got {i!r}")
+    if not 1 <= i <= n:
+        raise IndexError(f"generator index must be in 1..{n}, got {i!r}")
+    return int(i)
+
+
 @dataclass
 class OrbitResult:
     """BFS forest of a generator action.

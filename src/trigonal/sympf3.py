@@ -25,7 +25,7 @@ import numpy as np
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
 from .monodromy import canonicalize, leading_digits  # noqa: F401 (re-export)
-from .schreier import orbit_bfs, orbit_size
+from .schreier import generator_index, orbit_bfs, orbit_size
 
 DIM = lattice.RANK
 N_VECTORS = 3 ** DIM            # 59049, including zero
@@ -72,8 +72,7 @@ def symp(x, y) -> int:
 
 def transvection(i: int) -> np.ndarray:
     """Matrix of x -> x - symp(x, alpha_i) * alpha_i (column convention)."""
-    lattice._check_index(i)
-    g = i - 1
+    g = generator_index(i, DIM) - 1
     m = np.identity(DIM, dtype=np.int8)
     m[g, :] = (m[g, :] - SYMP_GRAM[:, g]) % 3
     return m
@@ -147,13 +146,13 @@ class ProjectiveTable:
 
     def basis_point(self, i: int) -> int:
         """The point [alpha_i], 1 <= i <= 10."""
-        lattice._check_index(i)
-        return int(self.point_index[POW3[i - 1]])
+        return int(self.point_index[POW3[generator_index(i, DIM) - 1]])
 
     # -- actions -------------------------------------------------------------
 
     def transvection_perm(self, i: int) -> np.ndarray:
         """The permutation of point indices induced by transvection i."""
+        i = generator_index(i, DIM)
         if i not in self._perms:
             perm = self.point_index[_transvect_keys(self.reps, self.keys, i)]
             assert (perm >= 0).all()
@@ -162,6 +161,7 @@ class ProjectiveTable:
 
     def vector_perm(self, i: int) -> np.ndarray:
         """The permutation of all 3^10 vector keys (0 is fixed)."""
+        i = generator_index(i, DIM)
         if i not in self._vec_perms:
             keys = np.arange(N_VECTORS, dtype=np.int64)   # row k of vectors has key k
             self._vec_perms[i] = _transvect_keys(self.vectors, keys, i)
@@ -232,6 +232,9 @@ def stabilizer_orbit_sizes(ell_idx: int, table: ProjectiveTable | None = None) -
     those orbits; acceptance criterion 8 certifies this by enumerating the
     orbits of stabilizer words.
     """
-    codes = line_class_vector(ell_idx, table)
-    counts = np.bincount(codes, minlength=3)
-    return {"H": int(counts[0]), "RM": int(counts[1]), "SG": int(counts[2])}
+    return label_counts(line_class_vector(ell_idx, table))
+
+
+def label_counts(labels) -> dict:
+    """Counts of the label codes 0=H, 1=RM, 2=SG of either trichotomy."""
+    return dict(zip(LINE_CLASSES, np.bincount(labels, minlength=3).tolist()))

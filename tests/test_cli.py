@@ -3,13 +3,14 @@
 The commands run in-process through `cli.main(argv)`.  The tests that need
 a fresh interpreter start one through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
-caches, the test that `verify all` builds the base class's Schreier tree
-once, the test that `verify` and the exports leave `numpy.ma` unimported,
-the test that `trigonal.monodromy` imports nothing from the point side, the
-tests of the `python -m trigonal.cli` entry point and of the heap freeze
-that only it makes, the test that the benchmark's in-process runner still
-finds every package name it reaches, and the test that its traced replays
-run to an "ok" oracle status.
+caches, the tests that `verify all` builds one class tree and one point
+tree and that `export bijection` builds only the class tree, the test that
+`verify` and the exports leave `numpy.ma` unimported, the test that
+`trigonal.monodromy` imports nothing from the point side, the tests of the
+`python -m trigonal.cli` entry point and of the heap freeze that only it
+makes, the test that the benchmark's in-process runner still finds every
+package name it reaches, and the test that its traced replays run to an
+"ok" oracle status.
 """
 
 import contextlib
@@ -175,6 +176,29 @@ def test_discrepancy_notes_go_red_on_a_wrong_number(monkeypatch, tmp_path,
                                "h_variant_note_present": True}
 
 
+def test_h_variant_note_goes_red_when_the_rule_changes(monkeypatch, tmp_path):
+    assert cli._h_variant_holds()
+    labels = mo.confluence_labels
+
+    def variant_rule(codes, pos):
+        # the variant wording made the rule: H at slot 0 when t0 = t1 and
+        # t3 = ... = t11, whatever t2 is
+        codes = np.atleast_2d(codes)
+        h = (codes[:, 0] == codes[:, 1]) \
+            & (codes[:, 3:] == codes[:, 3:4]).all(axis=1)
+        return np.where(h & (pos == 0), np.int8(0), labels(codes, pos))
+
+    monkeypatch.setattr(cli.mo, "confluence_labels", variant_rule)
+    assert not cli._h_variant_holds()
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "lattice", "--out", str(out)]) == 1
+    row = {c["name"]: c for c in json.loads(out.read_text())["checks"]}[
+        "discrepancy_notes"]
+    assert row["status"] == "fail"
+    assert row["observed"] == {"index_note_present": True,
+                               "h_variant_note_present": False}
+
+
 def test_label_pairing_notes_are_the_same_at_rank_10(full_report):
     # both notes are built from the derived trichotomy counts; at rank 10
     # they must stay byte for byte what the report digests pin
@@ -331,28 +355,52 @@ def test_benchmark_replays_run_to_ok(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+#: fresh-interpreter prelude that records every `orbit_bfs` call, on either
+#: side, as (side, seeds): it wraps the name in every package module that
+#: holds it, schreier's own included
+COUNT_TREES = (
+    "import sys\n"
+    "import trigonal.cli as cli, trigonal.correspondence as co, "
+    "trigonal.monodromy as mo, trigonal.schreier as schreier\n"
+    "assert not hasattr(co, 'orbit_bfs'), 'correspondence builds a tree'\n"
+    "calls = []\n"
+    "def counted(n_points, gens, seeds, bfs=schreier.orbit_bfs):\n"
+    "    side = 'classes' if gens[0] is mo.get_table().hurwitz_perm(1) "
+    "else 'other'\n"
+    "    calls.append((side, list(seeds)))\n"
+    "    return bfs(n_points, gens, seeds)\n"
+    "for name, module in list(sys.modules.items()):\n"
+    "    if name.startswith('trigonal') and hasattr(module, 'orbit_bfs'):\n"
+    "        module.orbit_bfs = counted\n"
+)
+
+
 def test_verify_all_builds_the_base_class_tree_once():
-    # the Hurwitz check and the bijection search share one tree; the
-    # alternating class's orbit is counted without one
-    code = (
-        "import trigonal.cli as cli, trigonal.correspondence as co, "
-        "trigonal.monodromy as mo, trigonal.sympf3 as sp\n"
-        "calls = []\n"
-        "def counting(orbit_bfs):\n"
-        "    def counted(n_points, gens, seeds):\n"
-        "        if gens[0] is mo.get_table().hurwitz_perm(1):\n"
-        "            calls.append(list(seeds))\n"
-        "        return orbit_bfs(n_points, gens, seeds)\n"
-        "    return counted\n"
-        "for module in (mo, co, sp):\n"
-        "    module.orbit_bfs = counting(module.orbit_bfs)\n"
+    # the Hurwitz check, the bijection search and its transport share one
+    # class tree; the symplectic row builds the one point tree; every other
+    # orbit is counted without a tree
+    code = COUNT_TREES + (
         "rows = cli.run_checks('all', 0, False)\n"
         "failed = [r['name'] for r in rows if r['status'] == 'fail']\n"
         "assert failed == ['orbit_trichotomy'], rows\n"
-        "assert calls == [[mo.get_table().base_class()]], calls\n"
+        "expected = [('classes', [mo.get_table().base_class()]), "
+        "('other', [0])]\n"
+        "assert calls == expected, calls\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_export_bijection_builds_only_the_base_class_tree(tmp_path):
+    out = str(tmp_path / "bijection.json")
+    code = COUNT_TREES + (
+        f"assert cli.main(['export', 'bijection', '--out', {out!r}]) == 0\n"
+        "assert calls == [('classes', [mo.get_table().base_class()])], calls\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+    assert digest == EXPORT_SHA256[("bijection",)]
 
 
 def test_verify_and_exports_leave_numpy_ma_unimported(tmp_path):

@@ -1,8 +1,11 @@
 """The equivariant bijection and the trichotomy cross-validation."""
 
+import json
+
 import numpy as np
 import pytest
 
+from trigonal import cli
 from trigonal import correspondence as co
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
@@ -193,3 +196,37 @@ def test_base_pair_slot1_instance(corr):
     assert sp.symp(spt.rep(a1), spt.rep(corr.base_point)) != 0
     assert a1 != corr.base_point
     assert sp.classify_line(a1, corr.base_point, spt) == "SG"
+
+
+@pytest.mark.parametrize("slot, swap, failure", [
+    (10, (0, 1), "{'candidate_point': 11073, 'generator': 10, 'point': 0, "
+                 "'forward_of_image': 5467, 'image_of_forward': 16402}"),
+    (5, (100, 200), "{'candidate_point': 11073, "
+                    "'reason': 'backward is not a bijection'}"),
+], ids=["first_failing_edge", "not_a_bijection"])
+def test_a_corrupted_transvection_fails_the_bijection(monkeypatch, tmp_path,
+                                                      slot, swap, failure):
+    # two swapped images of one transvection permutation leave the base
+    # point a candidate, so the failure comes from the transport and the
+    # exhaustive check, not from the pruning
+    spt, mot = sp.get_table(), mo.get_table()
+    perm = spt.transvection_perm(slot).copy()
+    perm[list(swap)] = perm[list(swap[::-1])]
+    monkeypatch.setitem(spt._perms, slot, perm)
+    h_gens = mot.all_hurwitz_perms()
+    words = schreier_generator_words(mo.orbit_R(mot.base_class()), h_gens,
+                                     co.WORD_BUDGET)
+    assert co._fixed_points(words, spt.all_transvection_perms()).tolist() \
+        == [11073]
+    message = ("no equivariant bijection found: 1 pruned candidates all "
+               f"failed full verification; first failing edge: {failure}")
+    with pytest.raises(RuntimeError) as exc:
+        co.build_bijection()
+    assert str(exc.value) == message
+
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "correspondence", "--out", str(out)]) == 1
+    row = {c["name"]: c for c in json.loads(out.read_text())["checks"]}[
+        "equivariant_bijection"]
+    assert row["status"] == "fail"
+    assert row["observed"] == f"error: RuntimeError: {message}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trigonal import cli
+from trigonal import lattice as la
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
 from trigonal.schreier import (apply_word, bsgs_order, inverse_permutation,
@@ -237,3 +238,43 @@ def test_chain_bound_divides_the_group_order(seed):
     bound, certified, sizes = bsgs_order(gens, order)
     assert order % bound == 0 and len(sizes) == len(gens)
     assert certified == (bound == order)
+
+
+#: every function of a 1-based generator index, on both sides; the table
+#: methods get a fresh table each, so only this test fills their caches
+INDEXED = {
+    "ClassTable.hurwitz_perm": lambda: mo.ClassTable().hurwitz_perm,
+    "ProjectiveTable.transvection_perm":
+        lambda: sp.ProjectiveTable().transvection_perm,
+    "ProjectiveTable.vector_perm": lambda: sp.ProjectiveTable().vector_perm,
+    "ProjectiveTable.basis_point": lambda: sp.ProjectiveTable().basis_point,
+    "sympf3.transvection": lambda: sp.transvection,
+    "lattice.basis_vector": lambda: la.basis_vector,
+    "lattice.triflection": lambda: la.triflection,
+    "lattice.step_matrix": lambda: la.step_matrix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_generator_indices_follow_one_rule_on_both_sides(name):
+    fn = INDEXED[name]()
+
+    def same(a, b):
+        return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    # numpy integers are the plain int, also once the slot is cached
+    for i in (1, 3, 10):
+        want = fn(np.int64(i))
+        assert same(fn(i), want)
+        assert same(fn(np.uint8(i)), want)
+    # with slots 1 and 3 cached, True and 3.0 must still be refused
+    for bad in (True, False, np.bool_(True), 3.0, np.float64(1.0)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            fn(bad)
+    for bad in (0, 11, -1, np.int64(0), np.int16(11)):
+        with pytest.raises(IndexError, match=r"must be in 1\.\.10"):
+            fn(bad)
+    table = getattr(fn, "__self__", None)
+    for cache in ("_perms", "_vec_perms"):
+        keys = getattr(table, cache, {})
+        assert all(type(k) is int for k in keys), keys
