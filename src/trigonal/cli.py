@@ -104,26 +104,26 @@ def _json_bytes(obj) -> bytes:
 
 
 class Context:
-    """The run's seed and options, and the bijection built once per run."""
+    """The run's seed and options, and the bijection built once per run:
+    a build that raises is not retried, and raises again for each check."""
 
     def __init__(self, seed: int, optional: bool):
         self.seed = seed
         self.optional = optional
-        self._corr = None
-        self._cross = None
+        self._corr: co.Correspondence | Exception | None = None
 
     def rng(self, tag: str) -> Random:
         return Random(f"{self.seed}:{tag}")
 
     def corr(self) -> co.Correspondence:
         if self._corr is None:
-            self._corr = co.build_bijection()
+            try:
+                self._corr = co.build_bijection()
+            except Exception as exc:
+                self._corr = exc
+        if isinstance(self._corr, Exception):
+            raise self._corr
         return self._corr
-
-    def cross(self) -> dict:
-        if self._cross is None:
-            self._cross = co.cross_validate_classification(self.corr())
-        return self._cross
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +194,17 @@ def check_triflection_algebra(ctx: Context):
 
 
 def _f3_rank(m: np.ndarray) -> int:
+    """The rank of m over F_3, by Gauss-Jordan elimination."""
     a = m.astype(np.int64) % 3
     rank = 0
     for col in range(a.shape[1]):
         pivots = np.flatnonzero(a[rank:, col]) + rank
-        if pivots.size == 0:
-            continue
-        p = pivots[0]
-        a[[rank, p]] = a[[p, rank]]
-        a[rank] = (a[rank] * (1 if a[rank, col] == 1 else 2)) % 3
-        others = np.flatnonzero(a[:, col])
-        others = others[others != rank]
-        a[others] = (a[others] - np.outer(a[others, col], a[rank])) % 3
-        rank += 1
-        if rank == a.shape[0]:
-            break
+        if pivots.size:
+            a[[rank, pivots[0]]] = a[[pivots[0], rank]]
+            a[rank] = a[rank] * a[rank, col] % 3       # d * d = 1 in F_3
+            others = np.arange(len(a)) != rank
+            a[others] = (a[others] - np.outer(a[others, col], a[rank])) % 3
+            rank += 1
     return rank
 
 
@@ -292,14 +288,14 @@ def check_equivariant_bijection(ctx: Context):
     details = {"summary": corr.summary(),
                "candidates_pruned": corr.candidates_pruned,
                "candidates_passing": corr.candidates_passing,
-               "base_pair": corr.to_json()["base_pair"]}
+               "base_pair": corr.base_pair()}
     return observed == expected, observed, expected, details
 
 
 def check_orbit_trichotomy(ctx: Context):
     corr = ctx.corr()
-    sizes = sp.stabilizer_orbit_sizes(corr.base_point, sp.get_table())
-    cross = ctx.cross()
+    sizes = sp.stabilizer_orbit_sizes(corr.base_point)
+    cross = co.cross_validate_classification(corr)
     observed = {"stabilizer_orbit_sizes": sizes,
                 "agreements": cross["agreements"],
                 "total_checks": cross["total_checks"]}

@@ -56,17 +56,20 @@ class Correspondence:
     edges_verified: int
     words_used: int
 
+    def base_pair(self) -> dict:
+        return {
+            "point_index": int(self.base_point),
+            "point": sp.get_table().rep(self.base_point).tolist(),
+            "class_index": int(self.base_class),
+            "class": mo.get_table().class_string(self.base_class),
+        }
+
     def to_json(self) -> dict:
         return {
             "forward": self.forward.tolist(),
             "generators_checked": sp.DIM,
             "edges_verified": int(self.edges_verified),
-            "base_pair": {
-                "point_index": int(self.base_point),
-                "point": sp.get_table().rep(self.base_point).tolist(),
-                "class_index": int(self.base_class),
-                "class": mo.get_table().class_string(self.base_class),
-            },
+            "base_pair": self.base_pair(),
         }
 
     def summary(self) -> str:
@@ -196,13 +199,11 @@ def cross_validate_classification(corr: Correspondence) -> dict:
     spt = sp.get_table()
     mot = mo.get_table()
     per_position = []
-    agreements = 0
-    agreements_swapped = 0
     first_disagreement = None
 
     for i in range(1, sp.DIM + 1):
         comb = mo.confluence_labels(mot.codes, i)
-        line = sp.line_class_vector(spt.basis_point(i), spt)[corr.backward]
+        line = sp.line_class_vector(spt.basis_point(i))[corr.backward]
         agree = comb == line
         agree_swapped = comb == _LABEL_SWAP[line]
         if first_disagreement is None and not agree.all():
@@ -221,9 +222,10 @@ def cross_validate_classification(corr: Correspondence) -> dict:
             "confluence_counts": sp.label_counts(comb),
             "line_counts": sp.label_counts(line),
         })
-        agreements += int(agree.sum())
-        agreements_swapped += int(agree_swapped.sum())
 
+    agreements = sum(row["agreements"] for row in per_position)
+    agreements_swapped = sum(row["agreements_rm_sg_swapped"]
+                             for row in per_position)
     report = {
         "total_checks": sp.DIM * N,
         "agreements": agreements,
@@ -231,9 +233,6 @@ def cross_validate_classification(corr: Correspondence) -> dict:
         "per_position": per_position,
         "first_disagreement": first_disagreement,
         "excluded_positions": [0, mo.TUPLE_LEN - 1],
-        "excluded_reason": "slots 0 and 11 carry no generator and no pinned "
-                           "basis line; they are classified combinatorially "
-                           "but not compared",
     }
     if agreements != report["total_checks"] \
             and agreements_swapped == report["total_checks"]:

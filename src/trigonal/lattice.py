@@ -65,24 +65,10 @@ Vector = tuple  # length-10 tuple of EisensteinInt
 Matrix = tuple  # 10x10 nested tuple of EisensteinInt, row major
 
 
-def _gram():
-    rows = []
-    for i in range(RANK):
-        row = []
-        for j in range(RANK):
-            if i == j:
-                row.append(EisensteinInt(-3))
-            elif j == i + 1:
-                row.append(THETA)
-            elif j == i - 1:
-                row.append(-THETA)
-            else:
-                row.append(ZERO)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-GRAM: Matrix = _gram()
+#: the chain's entries GRAM[i][i + d] by the offset d; zero off the chain
+_CHAIN = {0: EisensteinInt(-3), 1: THETA, -1: -THETA}
+GRAM: Matrix = tuple(tuple(_CHAIN.get(j - i, ZERO) for j in range(RANK))
+                     for i in range(RANK))
 
 
 # -- vectors ------------------------------------------------------------------
@@ -143,16 +129,10 @@ _SCALARS = (ONE, TAU)  # multipliers giving the Z-basis order a_i, tau*a_i
 def _form_components() -> tuple[np.ndarray, np.ndarray]:
     """The 20x20 integer matrices A and B of herm on the Z-basis:
     herm(x, y) = x^T A y + (x^T B y) tau."""
-    a = [[0] * (2 * RANK) for _ in range(2 * RANK)]
-    b = [[0] * (2 * RANK) for _ in range(2 * RANK)]
-    for i in range(RANK):
-        for j in range(RANK):
-            for si, s in enumerate(_SCALARS):
-                for sj, t in enumerate(_SCALARS):
-                    h = s * t.conj() * GRAM[i][j]
-                    a[2 * i + si][2 * j + sj] = h.a
-                    b[2 * i + si][2 * j + sj] = h.b
-    return _int64(a), _int64(b)
+    h = [[s * t.conj() * GRAM[i][j] for j in range(RANK) for t in _SCALARS]
+         for i in range(RANK) for s in _SCALARS]
+    return (_int64([[c.a for c in row] for row in h]),
+            _int64([[c.b for c in row] for row in h]))
 
 
 @functools.cache
@@ -220,6 +200,16 @@ def preserves_realified_form(r: np.ndarray) -> bool:
 _COEFF = {1: TAU, -1: TAU2}
 
 
+def _exponent(e) -> int:
+    """A letter's exponent, the one rule: the integer 1 or -1 (numpy's too)
+    as a plain int; TypeError for bool, float or else, ValueError for others."""
+    if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
+        raise TypeError(f"exponent must be an integer, got {e!r}")
+    if e not in _COEFF:
+        raise ValueError(f"exponent must be 1 or -1, got {e!r}")
+    return int(e)
+
+
 @functools.cache
 def _step_rows(i: int, e: int) -> tuple:
     """The first flat coordinate 2i-2 that s_i^e changes, and the integer
@@ -249,7 +239,7 @@ def _step(z: tuple, i: int, e: int) -> tuple:
 
 def _walk(word, z: tuple) -> tuple:
     for i, e in word:
-        z = _step(z, generator_index(i, RANK), e)
+        z = _step(z, generator_index(i, RANK), _exponent(e))
     return z
 
 
@@ -275,13 +265,14 @@ def triflection(i: int) -> Matrix:
     return word_matrix([(i, 1)])
 
 
-@functools.lru_cache(maxsize=None, typed=True)   # True and 1.0 are not 1
 def step_matrix(i: int, e: int = 1) -> np.ndarray:
-    """The read-only 20x20 int64 matrix of s_i^e on the Z-basis.
+    """The read-only 20x20 int64 matrix of s_i^e on the Z-basis; column k is
+    `_step` of the k-th unit vector."""
+    return _step_matrix(generator_index(i, RANK), _exponent(e))
 
-    Column k is `_step` of the k-th unit vector.
-    """
-    i = generator_index(i, RANK)
+
+@functools.cache
+def _step_matrix(i: int, e: int) -> np.ndarray:
     unit = np.identity(2 * RANK, dtype=int).tolist()
     return _int64([_step(tuple(u), i, e) for u in unit]).T
 
@@ -380,6 +371,7 @@ def realify_and_certify() -> dict:
 # -- norm -6 vectors ---------------------------------------------------------------
 
 _MOVES = tuple((i, e) for i in range(1, RANK + 1) for e in (1, -1))
+SEARCH_BOUND = 8    # the longest word from a_1 + a_2 decompose_minus6 tries
 
 
 @functools.cache
@@ -401,19 +393,19 @@ def _seed_ball(radius: int) -> dict:
     return ball
 
 
-def decompose_minus6(eps: Vector, search_bound: int = 8):
+def decompose_minus6(eps: Vector):
     """Split a norm -6 vector as x + y with herm(x,x) = herm(y,y) = -3
     and herm(x, y) = theta.
 
     The search is a meet-in-the-middle walk in the triflection Cayley graph:
-    any eps reachable from a_1 + a_2 by a word of length <= search_bound is
+    any eps reachable from a_1 + a_2 by a word of length <= SEARCH_BOUND is
     decomposed.  Returns (x, y), or None when the bound is exhausted (which
     is never a refutation: the walk only explores a finite ball).
     """
     start = _flat(eps)
     if _form(start, start) != (-6, 0):
         raise ValueError("decompose_minus6 requires herm(eps, eps) = -6")
-    fwd_radius = search_bound // 2
+    fwd_radius = SEARCH_BOUND // 2
     ball = _seed_ball(fwd_radius)
 
     def _reconstruct(meet: tuple, back_word):
@@ -429,7 +421,7 @@ def decompose_minus6(eps: Vector, search_bound: int = 8):
         return _reconstruct(start, ())
     seen = {start: ()}
     frontier = [start]
-    for _ in range(search_bound - fwd_radius):
+    for _ in range(SEARCH_BOUND - fwd_radius):
         nxt = []
         for z in frontier:
             w = seen[z]
@@ -470,9 +462,7 @@ def minus6_witness(eps: Vector):
     if herm(eps, eps) != EisensteinInt(-6):
         raise ValueError("minus6_witness requires herm(eps, eps) = -6")
     three = EisensteinInt(3)
-    indices = [i for i in range(1, RANK + 1) if not eps[i - 1]]
-    indices += [i for i in range(1, RANK + 1) if eps[i - 1]]
-    for i in indices:
+    for i in sorted(range(1, RANK + 1), key=lambda i: bool(eps[i - 1])):
         x = basis_vector(i)
         value = herm(eps, x)
         if divides(three, value):

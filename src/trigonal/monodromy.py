@@ -17,13 +17,15 @@ below is this arithmetic mod 3:
   * conjugation by x -> +-x + a sends code c to +-c + 2a, so the induced
     relabelings of codes are all six permutations of F_3.
 
-Free choice of t_1..t_11 forces t_0, giving 3^11 - 3 = 177144 tuples; the
-simultaneous conjugation action acts freely, so there are exactly
-177144 / 6 = 29524 classes, indexed in key order (position 0 most
-significant) of their least relabeling.  That is the canonical form
-(0, t_1, ..., t_10, t_11) whose first nonzero letter is 1, as for the points,
-with t_11 forced by product one.  The rows are enumerated directly and
-certified as a transversal: their six relabelings are the raw tuples, once each.
+Free choice of t_1..t_11 forces t_0, giving 3^11 - 3 = 177144 raw tuples
+(the rule is `broken_rules`); conjugation acts freely, so there are exactly
+177144 / 6 = 29524 classes, in key order (position 0 most significant) of
+their least relabeling, the canonical form (0, t_1, ..., t_10, t_11) whose
+first nonzero letter is 1, as for the points, with t_11 forced by product
+one.  The rows are enumerated directly and certified as a transversal:
+their six relabelings are the raw tuples, once each.  So a class is the
+line +-(t_1, ..., t_10) of F_3^10, looked up as points are: `signed_index`
+over the base-3 keys of (t_1, ..., t_10), t_1 most significant.
 
 The ten half-twist moves act at adjacent slots (i, i+1), i = 1..10:
 
@@ -87,14 +89,12 @@ def canonicalize(rows) -> np.ndarray:
     return rows * leading_digits(rows)[:, None] % 3
 
 
-def canonical_keys(codes) -> np.ndarray:
-    """The least key over each row's six relabelings: translate t_0, the most
-    significant letter, to 0 and canonicalize.  A letter outside {0, 1, 2}
-    raises ValueError, since translating mod 3 would wrap it."""
-    codes = np.atleast_2d(np.asarray(codes))
-    if ((codes < 0) | (codes > 2)).any():
-        raise ValueError("transposition codes must lie in {0, 1, 2}")
-    return codes_to_keys(canonicalize((codes - codes[:, :1]) % 3))
+def signed_index(size: int, keys, negated_keys) -> np.ndarray:
+    """The index of rows that stand for lines +-v: the key of row r and that
+    of its negative map to r, every other key in range(size) to -1."""
+    index = np.full(size, -1, dtype=np.int64)
+    index[keys] = index[negated_keys] = np.arange(len(keys))
+    return index
 
 
 def relabeled_keys(codes) -> np.ndarray:
@@ -136,6 +136,31 @@ def product_is_one(codes) -> np.ndarray:
     return np.atleast_2d(np.asarray(codes, dtype=np.int8)) @ _SIGNS % 3 == 0
 
 
+#: the tuple rule, in the order it is applied; a raw 12-tuple breaks none
+TUPLE_RULES = (
+    "transposition codes must lie in {0, 1, 2}",
+    "monodromy not surjective: a constant tuple generates a group of order 2",
+    "the ordered product of the twelve transpositions is not the identity")
+
+
+def broken_rules(codes) -> np.ndarray:
+    """Per (n, 12) code row, the index of the first of TUPLE_RULES it
+    breaks, or -1 for a raw tuple."""
+    codes = np.atleast_2d(np.asarray(codes))
+    letters = ((codes == 0) | (codes == 1) | (codes == 2)).all(axis=1)
+    constant = (codes == codes[:, :1]).all(axis=1)
+    return np.where(~letters, 0, np.where(constant, 1, np.where(
+        product_is_one(codes), -1, 2)))
+
+
+def _check_tuple(codes: np.ndarray) -> np.ndarray:
+    """One code row, if raw; else ValueError naming the rule it breaks."""
+    broken = int(broken_rules(codes)[0])
+    if broken >= 0:
+        raise ValueError(TUPLE_RULES[broken])
+    return codes
+
+
 class ClassTable:
     """All 29524 classes, canonical codes, and the half-twist permutations."""
 
@@ -155,11 +180,10 @@ class ClassTable:
         self.raw_count = _certify_transversal(relabeled)
         assert self.raw_count == N_RAW
 
-        # a class has two rows with t_0 = 0, the canonical one and its
-        # 1 <-> 2 swap c -> -c; both keys are below 3^11 and both are indexed
-        self.class_index = np.full(3 ** (TUPLE_LEN - 1), -1, dtype=np.int64)
-        for zero_led in (self.keys, relabeled[_NEGATION]):
-            self.class_index[zero_led] = np.arange(N_CLASSES)
+        # a class has two rows with t_0 = 0, the canonical one and its swap
+        # c -> -c; a zero-led key // 3 is the key of (t_1, ..., t_10)
+        self.class_index = signed_index(3 ** free, position,
+                                        relabeled[_NEGATION] // 3)
         self._perms: dict[int, np.ndarray] = {}
         self._base_tree: OrbitResult | None = None   # see orbit_R
 
@@ -169,10 +193,8 @@ class ClassTable:
         codes = np.asarray(codes)
         if codes.shape not in ((TUPLE_LEN,), (1, TUPLE_LEN)):
             raise ValueError(f"a monodromy tuple is one row of {TUPLE_LEN} letters")
-        idx = int(self.class_index[int(canonical_keys(codes)[0])])
-        if idx < 0:
-            raise ValueError("not a valid monodromy tuple")
-        return idx
+        codes = _check_tuple(codes.reshape(TUPLE_LEN))
+        return int(self.class_index[codes_to_keys((codes - codes[0]) % 3) // 3])
 
     def class_string(self, idx: int) -> str:
         return code_strings(self.codes[idx])[0]
@@ -193,7 +215,7 @@ class ClassTable:
             v = self.codes[:, i + 1].astype(np.int64)
             moved = (self.keys + (v - u) * _W12[i]
                      + ((-u - v) % 3 - v) * _W12[i + 1])
-            perm = self.class_index[moved]
+            perm = self.class_index[moved // 3]
             assert (perm >= 0).all()
             self._perms[i] = perm
         return self._perms[i]
@@ -235,18 +257,11 @@ def code_strings(codes) -> list[str]:
 
 
 def parse_tuple_string(s: str) -> np.ndarray:
-    """Validate and decode a 12-character code string over {0, 1, 2}."""
+    """Decode a 12-character code string over {0, 1, 2} that is raw."""
     if len(s) != TUPLE_LEN or any(ch not in "012" for ch in s):
         raise ValueError(f"a monodromy tuple is {TUPLE_LEN} characters "
                          "over {0,1,2}")
-    codes = np.array([int(ch) for ch in s], dtype=np.int8)
-    if (codes == codes[0]).all():
-        raise ValueError("monodromy not surjective: a constant tuple "
-                         "generates a group of order 2")
-    if not product_is_one(codes)[0]:
-        raise ValueError("the ordered product of the twelve transpositions "
-                         "is not the identity")
-    return codes
+    return _check_tuple(np.array([int(ch) for ch in s], dtype=np.int8))
 
 
 def confluence_labels(codes, pos: int) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
-from .monodromy import canonicalize, leading_digits  # noqa: F401 (re-export)
+from .monodromy import (canonicalize,  # noqa: F401 (re-export)
+                        leading_digits, signed_index)
 from .schreier import generator_index, orbit_bfs, orbit_size
 
 DIM = lattice.RANK
@@ -132,9 +133,8 @@ class ProjectiveTable:
         assert self.keys.size == N_POINTS
         self.reps = self.vectors[self.keys]         # (29524, 10) canonical rows
         # v and 2v = -v span one point, so every nonzero key is indexed
-        self.point_index = np.full(N_VECTORS, -1, dtype=np.int64)
-        for keys in (self.keys, keys_of(-self.reps % 3)):
-            self.point_index[keys] = np.arange(N_POINTS)
+        self.point_index = signed_index(N_VECTORS, self.keys,
+                                        keys_of(-self.reps % 3))
 
         self._perms: dict[int, np.ndarray] = {}
         self._vec_perms: dict[int, np.ndarray] = {}
@@ -209,22 +209,22 @@ def line_labels(vectors, ell) -> np.ndarray:
     return _label_codes(symp_with(v, e), same)
 
 
-def classify_line(m_idx: int, ell_idx: int, table: ProjectiveTable | None = None) -> str:
+def classify_line(m_idx: int, ell_idx: int) -> str:
     """Class of the line m relative to the fixed line ell: H, RM or SG."""
-    table = table or get_table()
+    table = get_table()
     return LINE_CLASSES[int(line_labels(table.rep(m_idx), table.rep(ell_idx))[0])]
 
 
-def line_class_vector(ell_idx: int, table: ProjectiveTable | None = None) -> np.ndarray:
+def line_class_vector(ell_idx: int) -> np.ndarray:
     """Classes of every point relative to ell, coded 0=H, 1=RM, 2=SG.
 
-    The rows of `table.reps` are canonical and row ell_idx is ell, so the
-    only H is the index itself."""
-    table = table or get_table()
+    The rows of the table's `reps` are canonical and row ell_idx is ell, so
+    the only H is the index itself."""
+    table = get_table()
     return _label_codes(symp_with(table.reps, table.rep(ell_idx)), ell_idx)
 
 
-def stabilizer_orbit_sizes(ell_idx: int, table: ProjectiveTable | None = None) -> dict:
+def stabilizer_orbit_sizes(ell_idx: int) -> dict:
     """Counts of the three line labels relative to ell; sums to 29524.
 
     This counts labels, not orbits.  The counts equal the orbit sizes of the
@@ -232,7 +232,7 @@ def stabilizer_orbit_sizes(ell_idx: int, table: ProjectiveTable | None = None) -
     those orbits; acceptance criterion 8 certifies this by enumerating the
     orbits of stabilizer words.
     """
-    return label_counts(line_class_vector(ell_idx, table))
+    return label_counts(line_class_vector(ell_idx))
 
 
 def label_counts(labels) -> dict:

@@ -165,14 +165,14 @@ def test_criterion_08_orbit_trichotomy(corr):
             orbit_bfs(n, s_gens, [corr.base_point]), s_gens, 64)
         stab = [inverse_permutation(apply_word(np.arange(n), rhs, s_gens))
                 [apply_word(np.arange(n), lhs, s_gens)] for lhs, rhs in words]
-        labels = sp.line_class_vector(corr.base_point, spt)
+        labels = sp.line_class_vector(corr.base_point)
         orbits = sorted(_orbit_partition(n, stab), key=len)
         orbit_sizes = [o.size for o in orbits]
         orbits_ok = (len(words) == 64
                      and orbit_sizes == [1, 9840, 19683]
                      and all(np.array_equal(o, np.flatnonzero(labels == c))
                              for c, o in enumerate(orbits))  # H, RM, SG
-                     and sp.stabilizer_orbit_sizes(corr.base_point, spt)
+                     and sp.stabilizer_orbit_sizes(corr.base_point)
                      == {"H": 1, "RM": 9840, "SG": 19683})
 
         # pairing: sigma_i fixes [p] iff symp(p, alpha_i) = 0 (line H or RM)
@@ -182,7 +182,7 @@ def test_criterion_08_orbit_trichotomy(corr):
         for i in range(1, 11):
             fix_s = _fixed(spt.transvection_perm(i))
             fix_b = _fixed(mot.hurwitz_perm(i))
-            line = sp.line_class_vector(spt.basis_point(i), spt)
+            line = sp.line_class_vector(spt.basis_point(i))
             conf = mo.confluence_labels(mot.codes, i)
             pairing_ok = pairing_ok and bool(
                 fix_s.size == fix_b.size == 9841

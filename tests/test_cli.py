@@ -272,6 +272,39 @@ def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
     assert not observed["reduce_triflection_equals_transvection_reduce"]
 
 
+def test_a_failed_bijection_build_runs_once_per_verify(monkeypatch, tmp_path):
+    calls = []
+
+    def broken():
+        calls.append(None)
+        raise RuntimeError("no equivariant bijection found")
+
+    monkeypatch.setattr(cli.co, "build_bijection", broken)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "correspondence", "--out", str(out)]) == 1
+    assert len(calls) == 1
+    rows = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
+    both = [rows[name] for name in ("equivariant_bijection", "orbit_trichotomy")]
+    assert [r["status"] for r in both] == ["fail", "fail"]
+    assert both[0]["observed"] == both[1]["observed"] \
+        == "error: RuntimeError: no equivariant bijection found"
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_minus6_row_passes_on_seeds_that_walk_back(monkeypatch, seed):
+    # these seeds sample vectors outside the ball that decompose_minus6
+    # grows from a_1 + a_2, so their row also certifies the walk back
+    la, seen = cli.la, []
+    decompose = la.decompose_minus6
+    monkeypatch.setattr(la, "decompose_minus6",
+                        lambda eps: seen.append(eps) or decompose(eps))
+    rows = cli.run_checks("lattice", seed, False)
+    row = next(r for r in rows if r["name"] == "minus6_certificates")
+    assert row["status"] == "pass"
+    ball = la._seed_ball(la.SEARCH_BOUND // 2)
+    assert any(la._flat(eps) not in ball for eps in seen)
+
+
 def test_export_digests(tmp_path):
     for args, digest in EXPORT_SHA256.items():
         out = tmp_path / "export"

@@ -157,6 +157,15 @@ def test_to_json(corr):
     assert blob["base_pair"]["point"] == [0, 1] * 5
 
 
+def test_bijection_row_reads_the_base_pair_without_to_json(corr, monkeypatch):
+    assert corr.base_pair() == corr.to_json()["base_pair"]
+    monkeypatch.setattr(co, "build_bijection", lambda: corr)
+    monkeypatch.setattr(co.Correspondence, "to_json",
+                        lambda self: pytest.fail("the row built to_json"))
+    ok, _, _, details = cli.check_equivariant_bijection(cli.Context(0, False))
+    assert ok and details["base_pair"] == corr.base_pair()
+
+
 def test_cross_validation_report(corr):
     rep = co.cross_validate_classification(corr)
     assert rep["total_checks"] == 295240
@@ -182,7 +191,7 @@ def test_cross_validation_counterexample(corr):
     i, c = d["position"], d["class_index"]
     assert mo.classify_confluence_codes(mot.codes[c], i) == d["confluence"]
     ell = int(corr.backward[c])
-    assert sp.classify_line(spt.basis_point(i), ell, spt) == d["line_class"]
+    assert sp.classify_line(spt.basis_point(i), ell) == d["line_class"]
     assert d["confluence"] != d["line_class"]
 
 
@@ -195,7 +204,7 @@ def test_base_pair_slot1_instance(corr):
     a1 = spt.basis_point(1)
     assert sp.symp(spt.rep(a1), spt.rep(corr.base_point)) != 0
     assert a1 != corr.base_point
-    assert sp.classify_line(a1, corr.base_point, spt) == "SG"
+    assert sp.classify_line(a1, corr.base_point) == "SG"
 
 
 @pytest.mark.parametrize("slot, swap, failure", [

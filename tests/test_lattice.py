@@ -205,6 +205,36 @@ def test_word_matrix_and_apply_word_agree():
         assert lat.apply_lattice_word(word, x) == expected == act(m, x)
 
 
+#: every function that takes the exponent of a letter
+EXPONENT_TAKERS = {
+    "apply_lattice_word": lambda e: lat.apply_lattice_word([(1, e)], A[2]),
+    "word_matrix": lambda e: lat.word_matrix([(1, e)]),
+    "step_matrix": lambda e: lat.step_matrix(1, e),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_TAKERS))
+def test_exponents_follow_one_rule(name):
+    fn = EXPONENT_TAKERS[name]
+
+    def same(a, b):
+        return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    # numpy integers are the plain int, also once the exponent is cached
+    for e in (1, -1):
+        want = fn(e)
+        assert same(fn(np.int64(e)), want)
+        assert same(fn(np.int8(e)), want)
+    assert not same(fn(1), fn(-1))
+    for bad in (True, False, np.bool_(True), 1.0, -1.0, np.float64(1.0),
+                "1", None):
+        with pytest.raises(TypeError, match="exponent must be an integer"):
+            fn(bad)
+    for bad in (0, 2, -2, np.int64(3)):
+        with pytest.raises(ValueError, match="exponent must be 1 or -1"):
+            fn(bad)
+
+
 # -- integer kernels on flat Z-coordinates ----------------------------------------
 
 @given(vectors, st.integers(1, 10), st.sampled_from((1, -1)))
@@ -393,6 +423,18 @@ def test_decompose_transported_instances():
         assert lat.herm(x, x) == EisensteinInt(-3)
         assert lat.herm(y, y) == EisensteinInt(-3)
         assert lat.herm(x, y) == THETA
+
+
+def test_decompose_walks_back_from_outside_the_seed_ball():
+    # a word of length 6 > SEARCH_BOUND // 2 that the ball from a_1 + a_2
+    # does not reach, so the split is found by walking back from eps
+    word = [(3, 1), (7, -1), (2, 1), (4, 1), (5, -1), (4, 1)]
+    eps = lat.apply_lattice_word(word, lat.vec_add(A[1], A[2]))
+    assert lat._flat(eps) not in lat._seed_ball(lat.SEARCH_BOUND // 2)
+    x, y = lat.decompose_minus6(eps)
+    assert lat.vec_add(x, y) == eps
+    assert lat.herm(x, x) == lat.herm(y, y) == EisensteinInt(-3)
+    assert lat.herm(x, y) == THETA
 
 
 def test_minus6_witness_identity_instance():

@@ -105,41 +105,72 @@ def test_classes_are_canonical_and_sorted(table):
     assert (mo.codes_to_keys(table.codes) == table.keys).all()
 
 
-def test_canonical_keys_equal_brute_force_on_raw_tuples(table, every_tuple):
-    # every 12-tuple, filtered to the raw tuples: non-constant, product one
-    raw = every_tuple[(every_tuple != every_tuple[:, :1]).any(axis=1)
-                      & s3_product_is_one(every_tuple)]
+def indexed_classes(table, codes):
+    """The classes of (n, 12) code rows read through class_index: t_0
+    translated to 0, then the key of (t_1, ..., t_10), t_1 most
+    significant."""
+    digits = (codes[:, 1:-1] - codes[:, :1]) % 3
+    return table.class_index[digits.astype(np.int64)
+                             @ 3 ** np.arange(mo.N_MOVES - 1, -1, -1)]
+
+
+def test_class_lookup_equals_brute_force_on_raw_tuples(table, every_tuple):
+    # of every 12-tuple, the tuple rule passes exactly the raw ones:
+    # non-constant, product one; the constant ones break the constant rule
+    constant = (every_tuple == every_tuple[:, :1]).all(axis=1)
+    raw_mask = ~constant & s3_product_is_one(every_tuple)
+    broken = mo.broken_rules(every_tuple)
+    assert ((broken == -1) == raw_mask).all()
+    assert ((broken == 1) == constant).all()
+    assert (broken[~raw_mask & ~constant] == 2).all()
+    raw = every_tuple[raw_mask]
     assert raw.shape[0] == mo.N_RAW
     brute = brute_canonical_keys(raw)
-    assert (mo.canonical_keys(raw) == brute).all()
+    assert (table.keys[indexed_classes(table, raw)] == brute).all()
     keys, counts = np.unique(brute, return_counts=True)
     assert (keys == table.keys).all() and (counts == 6).all()
+    # index_of_codes reads the same entry, on a sample
+    for row in raw[::1009]:
+        assert table.keys[table.index_of_codes(row)] \
+            == brute_canonical_keys(row[None])[0]
 
 
-def test_canonical_keys_equal_brute_force_on_moved_classes(table):
+def test_class_lookup_equals_brute_force_on_moved_classes(table):
     for i in range(1, 11):
         moved = mo.hurwitz_move_codes(table.codes, i)
         brute = brute_canonical_keys(moved)
-        assert (mo.canonical_keys(moved) == brute).all()
+        assert (table.keys[indexed_classes(table, moved)] == brute).all()
         assert (table.keys[table.hurwitz_perm(i)] == brute).all()
+        for row, key in zip(moved[::997], brute[::997]):
+            assert table.keys[table.index_of_codes(row)] == key
 
 
 def test_class_index_holds_both_zero_led_rows_of_each_class(table):
-    # every key below 3^11 is a 12-tuple with t_0 = 0; np.indices puts t_1
+    # every key below 3^10 is a tuple (t_1, ..., t_10); np.indices puts t_1
     # most significant, so row k has key k
-    free = mo.TUPLE_LEN - 1
+    free = mo.N_MOVES
+    digits = np.indices((3,) * free, dtype=np.int8).reshape(free, -1).T
+    assert (digits.astype(np.int64) @ 3 ** np.arange(free - 1, -1, -1)
+            == np.arange(3 ** free)).all()
+    # completed to the zero-led row by the t_11 that gives product one
     codes = np.zeros((3 ** free, mo.TUPLE_LEN), dtype=np.int8)
-    codes[:, 1:] = np.indices((3,) * free, dtype=np.int8).reshape(free, -1).T
-    assert (mo.codes_to_keys(codes) == np.arange(3 ** free)).all()
-    valid = ((codes != codes[:, :1]).any(axis=1)
-             & s3_product_is_one(codes))
-    assert valid.sum() == 2 * mo.N_CLASSES
-    assert table.class_index.size == 3 ** 11
-    assert (table.class_index[~valid] == -1).all()
-    brute = brute_canonical_keys(codes[valid])
+    codes[:, 1:-1] = digits
+    last = np.full(3 ** free, -1)
+    for c in range(3):
+        codes[:, -1] = c
+        last[s3_product_is_one(codes)] = c
+    assert (last >= 0).all()
+    codes[:, -1] = last
+    # only key 0, the constant tuple, is no class
+    assert table.class_index.size == 3 ** 10
+    assert table.class_index[0] == -1
+    assert (codes[1:] != codes[1:, :1]).any(axis=1).all()
+    brute = brute_canonical_keys(codes[1:])
     want = np.searchsorted(table.keys, brute)
     assert (table.keys[want] == brute).all()
-    assert (table.class_index[valid] == want).all()
+    assert (table.class_index[1:] == want).all()
+    # two keys per class: its row and the row's negative
+    assert (np.bincount(want, minlength=mo.N_CLASSES) == 2).all()
 
 
 def test_class_strings_equal_the_per_element_definition(table):
@@ -148,12 +179,19 @@ def test_class_strings_equal_the_per_element_definition(table):
     assert [table.class_string(i) for i in range(mo.N_CLASSES)] == want
 
 
-def test_canonical_keys_reject_letters_outside_0_1_2(table):
-    for bad in (3, -1):
-        with pytest.raises(ValueError, match=r"\{0, 1, 2\}"):
-            mo.canonical_keys([0, 0] + [1] * 9 + [bad])
-        with pytest.raises(ValueError):
-            table.index_of_codes([bad] + [1] * 11)
+def test_both_entry_points_reject_a_tuple_by_the_same_rule(table):
+    for s, rule in (("000000000000", 1), ("011111111111", 2)):
+        with pytest.raises(ValueError) as parsed:
+            mo.parse_tuple_string(s)
+        with pytest.raises(ValueError) as looked_up:
+            table.index_of_codes([int(ch) for ch in s])
+        assert str(parsed.value) == str(looked_up.value) == mo.TUPLE_RULES[rule]
+    # 4 and -2 are 1 mod 3: translating t_0 must not wrap them into a
+    # class, nor may a cast truncate 1.5 to 1
+    for bad in (3, -1, 4, -2, 1.5):
+        for codes in ([bad] + [1] * 11, [0, 0] + [1] * 9 + [bad]):
+            with pytest.raises(ValueError, match=r"\{0, 1, 2\}"):
+                table.index_of_codes(codes)
 
 
 def test_every_class_has_product_one(table):
@@ -298,7 +336,7 @@ def test_relabeled_keys_are_the_keys_of_the_relabeled_rows(table):
     # the row that indexes each class's second zero-led row is c -> -c
     assert (relabeled[mo._NEGATION]
             == mo.codes_to_keys(-table.codes % 3)).all()
-    assert (table.class_index[relabeled[mo._NEGATION]]
+    assert (table.class_index[relabeled[mo._NEGATION] // 3]
             == np.arange(mo.N_CLASSES)).all()
 
 
