@@ -37,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from . import correspondence as co
+from . import f3
 from . import lattice as la
 from . import monodromy as mo
 from . import sympf3 as sp
@@ -193,21 +194,6 @@ def check_triflection_algebra(ctx: Context):
     return observed == expected, observed, expected, details
 
 
-def _f3_rank(m: np.ndarray) -> int:
-    """The rank of m over F_3, by Gauss-Jordan elimination."""
-    a = m.astype(np.int64) % 3
-    rank = 0
-    for col in range(a.shape[1]):
-        pivots = np.flatnonzero(a[rank:, col]) + rank
-        if pivots.size:
-            a[[rank, pivots[0]]] = a[[pivots[0], rank]]
-            a[rank] = a[rank] * a[rank, col] % 3       # d * d = 1 in F_3
-            others = np.arange(len(a)) != rank
-            a[others] = (a[others] - np.outer(a[others, col], a[rank])) % 3
-            rank += 1
-    return rank
-
-
 def _mod_theta_checks():
     """Each triflection reduces to its transvection, as matrices over F_3
     and as the congruence Red * R(s_i) = T_i * Red (mod 3) on the Z-basis;
@@ -227,7 +213,7 @@ def _mod_theta_checks():
 
 def check_mod_theta(ctx: Context):
     observed, details = _families(_mod_theta_checks())
-    observed["rank"] = _f3_rank(sp.SYMP_GRAM)
+    observed["rank"] = f3.rank(sp.SYMP_GRAM)
     if observed["rank"] != sp.DIM and details is None:
         details = {"first_failure": "rank"}
     expected = {"reduce_triflection_equals_transvection_reduce": True,
@@ -249,7 +235,7 @@ def check_hurwitz_action(ctx: Context):
               for i in range(sp.DIM) for j in range(i + 2, sp.DIM))
     orbit_base = mo.orbit_R(t.base_class()).size
     orbit_alt = orbit_size(mo.N_CLASSES, perms,
-                           [t.index_of_string("010101010101")])
+                           [t.index_of_string("01" * (mo.TUPLE_LEN // 2))])
     observed = {"order_divides_three": order_div_3,
                 "trivial_and_order_three_points": both,
                 "braid_relations": braid and far,
@@ -364,7 +350,7 @@ def _h_variant_holds() -> bool:
     """Whether NOTE_H_VARIANT states `confluence_labels` on the non-constant
     (a, a, b, c, ..., c): H at slot 0 exactly where t0 = t1 != t2 = ... =
     t11, which product one makes the variant's t0 = t1, t3 = ... = t11."""
-    abc = np.indices((3, 3, 3), dtype=np.int8).reshape(3, -1).T
+    abc = f3.all_rows(3)
     rows = np.repeat(abc[abc.min(axis=1) < abc.max(axis=1)],
                      [2, 1, mo.TUPLE_LEN - 3], axis=1)
     h = mo.confluence_labels(rows, 0) == 0

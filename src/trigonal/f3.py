@@ -1,0 +1,57 @@
+"""F_3, the one encoding of lines that both tables share, and the rank.
+
+RANK is the rank of the lattice, the dimension of its reduction mod theta,
+and the number of half-twist moves: the one statement of the rank.
+
+Both tables enumerate lines +-v of F_3^n by canonical rows, the one of v,
+-v whose first nonzero digit is 1 (`leading_digits`), read off `all_rows`;
+both look a line up in a `signed_index` over the base-3 keys of its two
+representatives.  The key maps themselves stay with their tables, since
+each table's digit order is part of its export bytes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+RANK = 10
+
+
+def all_rows(n: int) -> np.ndarray:
+    """F_3^n as int8 rows: row k holds the base-3 digits of k, the first
+    column most significant.  The rows are a transposed view, so each
+    column is contiguous, which the column-wise readers depend on."""
+    return np.indices((3,) * n, dtype=np.int8).reshape(n, -1).T
+
+
+def leading_digits(rows) -> np.ndarray:
+    """The first nonzero digit of each row, 0 for a zero row.  The canonical
+    form of both tables is the one of v, -v whose first nonzero digit is 1."""
+    rows = np.atleast_2d(rows)
+    lead = rows[:, -1].copy()
+    for column in rows.T[-2::-1]:           # right to left: the first wins
+        np.copyto(lead, column, where=column != 0)
+    return lead
+
+
+def signed_index(size: int, keys, negated_keys) -> np.ndarray:
+    """The index of rows that stand for lines +-v: the key of row r and that
+    of its negative map to r, every other key in range(size) to -1."""
+    index = np.full(size, -1, dtype=np.int64)
+    index[keys] = index[negated_keys] = np.arange(len(keys))
+    return index
+
+
+def rank(m) -> int:
+    """The rank of m over F_3, by Gauss-Jordan elimination."""
+    a = np.array(m, dtype=np.int64) % 3
+    r = 0
+    for col in range(a.shape[1]):
+        pivots = np.flatnonzero(a[r:, col]) + r
+        if pivots.size:
+            a[[r, pivots[0]]] = a[[pivots[0], r]]
+            a[r] = a[r] * a[r, col] % 3             # d * d = 1 in F_3
+            others = np.arange(len(a)) != r
+            a[others] = (a[others] - np.outer(a[others, col], a[r])) % 3
+            r += 1
+    return r

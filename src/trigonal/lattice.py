@@ -57,9 +57,8 @@ from .eisenstein import (
     ZERO, ONE, TAU, TAU2, THETA,
     EisensteinInt, div_exact, divides,
 )
+from .f3 import RANK
 from .schreier import generator_index
-
-RANK = 10
 
 Vector = tuple  # length-10 tuple of EisensteinInt
 Matrix = tuple  # 10x10 nested tuple of EisensteinInt, row major
@@ -162,11 +161,6 @@ def herm(x: Vector, y: Vector) -> EisensteinInt:
     Computed on flat Z-coordinates as x^T A y + (x^T B y) * tau.
     """
     return EisensteinInt(*_form(_flat(x), _flat(y)))
-
-
-def skew(x: Vector, y: Vector) -> EisensteinInt:
-    """herm(x, y) / theta, an exact Eisenstein integer."""
-    return div_exact(herm(x, y), THETA)
 
 
 # -- matrices ------------------------------------------------------------------

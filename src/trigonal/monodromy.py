@@ -24,7 +24,7 @@ their least relabeling, the canonical form (0, t_1, ..., t_10, t_11) whose
 first nonzero letter is 1, as for the points, with t_11 forced by product
 one.  The rows are enumerated directly and certified as a transversal:
 their six relabelings are the raw tuples, once each.  So a class is the
-line +-(t_1, ..., t_10) of F_3^10, looked up as points are: `signed_index`
+line +-(t_1, ..., t_10) of F_3^10, looked up as points are: `f3.signed_index`
 over the base-3 keys of (t_1, ..., t_10), t_1 most significant.
 
 The ten half-twist moves act at adjacent slots (i, i+1), i = 1..10:
@@ -50,9 +50,10 @@ import itertools
 
 import numpy as np
 
+from .f3 import RANK, all_rows, leading_digits, signed_index
 from .schreier import OrbitResult, generator_index, orbit_bfs
 
-TUPLE_LEN = 12
+TUPLE_LEN = RANK + 2
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
 N_CLASSES = N_RAW // 6              # 29524
 N_MOVES = TUPLE_LEN - 2             # half-twists at slots (i, i+1), i = 1..10
@@ -73,30 +74,6 @@ def codes_to_keys(codes: np.ndarray) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64) @ _W12
 
 
-def leading_digits(rows) -> np.ndarray:
-    """The first nonzero digit of each row, 0 for a zero row.  The canonical
-    form of both tables is the one of v, -v whose first nonzero digit is 1."""
-    rows = np.atleast_2d(rows)
-    lead = rows[:, -1].copy()
-    for column in rows.T[-2::-1]:           # right to left: the first wins
-        np.copyto(lead, column, where=column != 0)
-    return lead
-
-
-def canonicalize(rows) -> np.ndarray:
-    """Scale each row over F_3 by its first nonzero digit d (d * d = 1)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int8))
-    return rows * leading_digits(rows)[:, None] % 3
-
-
-def signed_index(size: int, keys, negated_keys) -> np.ndarray:
-    """The index of rows that stand for lines +-v: the key of row r and that
-    of its negative map to r, every other key in range(size) to -1."""
-    index = np.full(size, -1, dtype=np.int64)
-    index[keys] = index[negated_keys] = np.arange(len(keys))
-    return index
-
-
 def relabeled_keys(codes) -> np.ndarray:
     """The keys of the six relabelings of each row, shape (6, n): row k of
     the result relabels code c as ALPHABET_PERMS[k][c].  A key is linear in
@@ -106,23 +83,19 @@ def relabeled_keys(codes) -> np.ndarray:
     return ALPHABET_PERMS.astype(np.int64) @ indicator
 
 
-def transversal_raw_count(codes) -> int:
-    """Certify the rows as one per class; return the raw-tuple count.  Their
-    six relabelings must be distinct and be exactly the raw tuples,
-    enumerated here on their own; otherwise ValueError."""
-    return _certify_transversal(relabeled_keys(codes))
-
-
-def _certify_transversal(relabeled: np.ndarray) -> int:
-    """`transversal_raw_count` on the rows' `relabeled_keys`."""
+def transversal_raw_count(relabeled: np.ndarray) -> int:
+    """Certify rows as one per class from their `relabeled_keys`; return
+    the raw-tuple count.  The six relabelings must be distinct and be
+    exactly the raw tuples, enumerated here on their own; otherwise
+    ValueError."""
     marks = np.zeros(3 ** TUPLE_LEN, dtype=bool)
     marks[relabeled] = True
     marked = int(np.count_nonzero(marks))
     # raw[t_0, key of t_1..t_11]: t_0 forced by product one, and the constant
     # tuples (c, ..., c), free key c * (3^11 - 1) / 2, removed
     free = TUPLE_LEN - 1
-    t = np.indices((3,) * free, dtype=np.int8).reshape(free, -1)
-    raw = -np.einsum("k,kn->n", _SIGNS[1:], t) % 3 == np.arange(3)[:, None]
+    t = all_rows(free)
+    raw = -np.einsum("nk,k->n", t, _SIGNS[1:]) % 3 == np.arange(3)[:, None]
     raw[np.arange(3), np.arange(3) * ((3 ** free - 1) // 2)] = False
     if marked != relabeled.size or not np.array_equal(marks, raw.reshape(-1)):
         raise ValueError(f"{relabeled.size} relabelings mark {marked} tuples, "
@@ -166,23 +139,22 @@ class ClassTable:
 
     def __init__(self):
         # the canonical rows (0, t_1, ..., t_10, t_11), t_11 forced by product
-        # one; np.indices puts t_1 most significant, so they come in key order
-        free = TUPLE_LEN - 2
-        digits = np.indices((3,) * free, dtype=np.int8).reshape(free, -1).T
+        # one; all_rows puts t_1 most significant, so they come in key order
+        digits = all_rows(N_MOVES)
         position = np.flatnonzero(leading_digits(digits) == 1)
         rows = digits[position]
         last = rows @ _SIGNS[1:-1] % 3
         self.codes = np.column_stack((np.zeros_like(rows[:, 0]), rows, last))
-        # row `position` of np.indices has key `position` over t_1..t_10,
+        # row `position` of all_rows has key `position` over t_1..t_10,
         # and t_0 = 0, so the key of the whole row appends the digit t_11
         self.keys = 3 * position + last
         relabeled = relabeled_keys(self.codes)
-        self.raw_count = _certify_transversal(relabeled)
+        self.raw_count = transversal_raw_count(relabeled)
         assert self.raw_count == N_RAW
 
         # a class has two rows with t_0 = 0, the canonical one and its swap
         # c -> -c; a zero-led key // 3 is the key of (t_1, ..., t_10)
-        self.class_index = signed_index(3 ** free, position,
+        self.class_index = signed_index(3 ** N_MOVES, position,
                                         relabeled[_NEGATION] // 3)
         self._perms: dict[int, np.ndarray] = {}
         self._base_tree: OrbitResult | None = None   # see orbit_R
@@ -225,7 +197,7 @@ class ClassTable:
 
     def base_class(self) -> int:
         """The class of (t_0, t_1) = ((12), (12)), t_2..t_11 = (23)."""
-        return self.index_of_codes([0, 0] + [1] * 10)
+        return self.index_of_codes([0, 0] + [1] * N_MOVES)
 
 
 _TABLE: ClassTable | None = None
@@ -239,16 +211,6 @@ def get_table() -> ClassTable:
 
 
 # -- tuple-level utilities ------------------------------------------------------
-
-def hurwitz_move_codes(codes, i: int) -> np.ndarray:
-    """The move at (i, i+1) on explicit 12-tuples, 0 <= i <= 10."""
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.int8)).copy()
-    u = codes[:, i].copy()
-    v = codes[:, i + 1].copy()
-    codes[:, i] = v
-    codes[:, i + 1] = (-u - v) % 3
-    return codes
-
 
 def code_strings(codes) -> list[str]:
     """The 12-character strings of (n, 12) code rows, decoded in one pass."""

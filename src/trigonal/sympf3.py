@@ -7,7 +7,7 @@ symplectic transvections x -> x - symp(x, alpha_i) * alpha_i.
 
 Projective points are the (3^10 - 1)/2 = 29524 lines of F_3^10.  A line is
 represented by its canonical vector (first nonzero coordinate equal to 1,
-the canonical form `monodromy` also uses for the classes) and indexed by the
+the canonical form of `f3` that the classes use too) and indexed by the
 rank of that vector in ascending base-3 key order, where coordinate 0 is the
 least significant digit; the first point is the line of (1, 0, ..., 0).
 
@@ -24,8 +24,7 @@ import numpy as np
 
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
-from .monodromy import (canonicalize,  # noqa: F401 (re-export)
-                        leading_digits, signed_index)
+from .f3 import all_rows, leading_digits, signed_index
 from .schreier import generator_index, orbit_bfs, orbit_size
 
 DIM = lattice.RANK
@@ -40,11 +39,6 @@ LINE_CLASSES = ("H", "RM", "SG")
 #: the 3^(DIM-1) points off it
 LINE_CLASS_COUNTS = {"H": 1, "RM": (3 ** (DIM - 1) - 1) // 2 - 1,
                      "SG": 3 ** (DIM - 1)}
-
-
-def reduce_vector(x) -> np.ndarray:
-    """Reduce a lattice vector mod theta to a vector over F_3."""
-    return np.array([reduce_mod_theta(c) for c in x], dtype=np.int8)
 
 
 def reduce_matrix(m) -> np.ndarray:
@@ -63,12 +57,6 @@ def reduction_matrix() -> np.ndarray:
 #:                        = (GRAM[i][j] / theta) mod theta
 SYMP_GRAM = reduce_matrix([[div_exact(c, THETA) for c in row]
                            for row in lattice.GRAM])
-
-
-def symp(x, y) -> int:
-    """The alternating form, from the reduction of skew."""
-    return int(np.asarray(x, dtype=np.int64) @ SYMP_GRAM.astype(np.int64)
-               @ np.asarray(y, dtype=np.int64)) % 3
 
 
 def transvection(i: int) -> np.ndarray:
@@ -122,11 +110,10 @@ class ProjectiveTable:
     """Canonical line representatives, index lookups and generator actions."""
 
     def __init__(self):
-        # np.indices puts its last axis least significant; reversing the
-        # axes makes coordinate 0 the least significant digit, so row k of
-        # `vectors` is the vector with key k
-        digits = np.indices((3,) * DIM, dtype=np.int8).reshape(DIM, -1)
-        self.vectors = digits[::-1].T                # all of F_3^10, row = key
+        # all_rows puts its first column most significant; reversing the
+        # columns makes coordinate 0 the least significant digit, so row k
+        # of `vectors` is the vector with key k
+        self.vectors = all_rows(DIM)[:, ::-1]       # all of F_3^10, row = key
 
         # the rows whose first nonzero coordinate is 1, in ascending key order
         self.keys = np.flatnonzero(leading_digits(self.vectors) == 1)

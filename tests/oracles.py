@@ -1,0 +1,65 @@
+"""Reference routes the tests compare the package against.
+
+Each oracle is written from its definition, independently of the code it
+checks, and is defined here once for every test module.  None of them is
+called by a command, so none of them lives in the package.
+"""
+
+import numpy as np
+
+from trigonal import lattice as lat
+from trigonal import sympf3 as sp
+from trigonal.eisenstein import THETA, div_exact, reduce_mod_theta
+
+
+def f3_rank(m):
+    """Row reduction over F_3, written independently of the module under test."""
+    a = np.array(m, dtype=np.int64) % 3
+    rank = 0
+    for col in range(a.shape[1]):
+        piv = None
+        for r in range(rank, a.shape[0]):
+            if a[r, col] % 3:
+                piv = r
+                break
+        if piv is None:
+            continue
+        a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = (a[rank] * pow(int(a[rank, col]), -1, 3)) % 3
+        for r in range(a.shape[0]):
+            if r != rank and a[r, col]:
+                a[r] = (a[r] - a[r, col] * a[rank]) % 3
+        rank += 1
+    return rank
+
+
+def brute_canonicalize(v):
+    """Rows scaled by 2 where the first nonzero coordinate is 2."""
+    lead = v[np.arange(v.shape[0]), np.argmax(v != 0, axis=1)]
+    return np.where((lead == 2)[:, None], (2 * v) % 3, v)
+
+
+def skew(x, y):
+    """The rescaled form herm(x, y) / theta, an exact Eisenstein integer."""
+    return div_exact(lat.herm(x, y), THETA)
+
+
+def reduce_vector(x):
+    """A lattice vector reduced mod theta, coordinate by coordinate."""
+    return np.array([reduce_mod_theta(c) for c in x], dtype=np.int8)
+
+
+def symp(x, y):
+    """The alternating form x^T SYMP_GRAM y over F_3."""
+    return int(np.asarray(x, dtype=np.int64) @ sp.SYMP_GRAM.astype(np.int64)
+               @ np.asarray(y, dtype=np.int64)) % 3
+
+
+def hurwitz_move_codes(codes, i):
+    """The move (u, v) -> (v, -u - v) at slots (i, i+1) of explicit code
+    rows, 0 <= i <= 10."""
+    codes = np.atleast_2d(np.asarray(codes, dtype=np.int8)).copy()
+    u, v = codes[:, i].copy(), codes[:, i + 1].copy()
+    codes[:, i] = v
+    codes[:, i + 1] = (-u - v) % 3
+    return codes

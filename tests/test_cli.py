@@ -5,8 +5,10 @@ a fresh interpreter start one through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
 caches, the tests that `verify all` builds one class tree and one point
 tree and that `export bijection` builds only the class tree, the test that
-`verify` and the exports leave `numpy.ma` unimported, the test that
-`trigonal.monodromy` imports nothing from the point side, the tests of the
+`verify` and the exports leave `numpy.ma` unimported, the tests that
+`trigonal.monodromy` imports nothing from the point side and
+`trigonal.f3` nothing from the package, the call survey of the commands
+(profiled from before the package import), the tests of the
 `python -m trigonal.cli` entry point and of the heap freeze that only it
 makes, the test that the benchmark's in-process runner still finds every
 package name it reaches, and the test that its traced replays run to an
@@ -272,6 +274,13 @@ def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
     assert not observed["reduce_triflection_equals_transvection_reduce"]
 
 
+def test_mod_theta_row_names_a_rank_failure(monkeypatch):
+    monkeypatch.setattr(cli.f3, "rank", lambda m: cli.f3.RANK - 1)
+    ok, observed, _, details = cli.check_mod_theta(cli.Context(0, False))
+    assert not ok and details == {"first_failure": "rank"}
+    assert observed["rank"] == cli.f3.RANK - 1
+
+
 def test_a_failed_bijection_build_runs_once_per_verify(monkeypatch, tmp_path):
     calls = []
 
@@ -467,6 +476,82 @@ def test_monodromy_imports_nothing_from_the_point_side():
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_f3_imports_no_other_trigonal_module():
+    # both sides read the F_3 layer, so it reads neither side
+    code = (
+        "import sys\n"
+        "import trigonal.f3\n"
+        "loaded = {m for m in sys.modules if m.startswith('trigonal.')}\n"
+        "assert loaded == {'trigonal.f3'}, sorted(loaded)\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: the `src/trigonal` functions that no command calls, each with the reason
+#: it stays; a new function that only tests call fails the survey below
+UNCALLED = {
+    "cli._cannot_write": "the error line of an unwritable output",
+    "cli.console_main": "the process entry point around `main`",
+    "eisenstein.EisensteinInt.__setattr__": "the immutability guard",
+    "eisenstein.EisensteinInt.__sub__": "ring arithmetic (ROADMAP item 13)",
+    "eisenstein.EisensteinInt.__rsub__": "ring arithmetic (ROADMAP item 13)",
+    "eisenstein.EisensteinInt.__hash__": "value semantics (ROADMAP item 13)",
+    "eisenstein.EisensteinInt.__repr__": "value semantics (ROADMAP item 13)",
+    "eisenstein.EisensteinInt.__str__": "value semantics (ROADMAP item 13)",
+    "lattice.compose": "a benchmark micro-probe (ROADMAP item 5)",
+    "sympf3.classify_line": "the benchmark's query replay wraps it",
+}
+
+#: fresh-interpreter survey: every `src/trigonal` function, found with ast,
+#: that `verify all --optional`, the five exports and two `classify
+#: --cross-check` runs never call; profiling starts before the import, since
+#: module bodies call functions too
+CALL_SURVEY = """
+import ast, contextlib, io, json, pathlib, sys, tempfile
+called = set()
+def hook(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(hook)
+import trigonal.cli as cli
+with tempfile.TemporaryDirectory() as tmp:
+    out = str(pathlib.Path(tmp) / "out")
+    assert cli.main(["verify", "all", "--optional", "--out", out]) == 1
+    for what in (["gram"], ["classes"], ["bijection"], ["orbits"],
+                 ["orbits", "--format", "dot"]):
+        assert cli.main(["export", *what, "--out", out]) == 0, what
+with contextlib.redirect_stdout(io.StringIO()):
+    for pos in ("1", "0"):
+        argv = ["classify", "001111111111", pos, "--cross-check"]
+        assert cli.main(argv) == 0, pos
+sys.setprofile(None)
+
+def defined(body, prefix):
+    # (first line of its code object, qualified name) of each function
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from defined(node.body, prefix + node.name + ".")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield first, prefix + node.name
+            yield from defined(node.body, prefix + node.name + ".<locals>.")
+
+src = pathlib.Path(cli.__file__).parent
+uncalled = sorted(
+    f"{path.stem}.{name}" for path in src.glob("*.py")
+    for line, name in defined(ast.parse(path.read_text()).body, "")
+    if (str(path), line) not in called)
+print(json.dumps(uncalled))
+"""
+
+
+def test_commands_call_every_function_but_the_pinned_ones():
+    proc = fresh_python("-c", CALL_SURVEY)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted(UNCALLED)
 
 
 def test_entry_point_exit_codes():

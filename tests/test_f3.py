@@ -1,0 +1,49 @@
+"""The F_3 layer both tables share: rows, canonical lines and the rank."""
+
+import numpy as np
+import pytest
+
+from trigonal import f3
+from trigonal import sympf3 as sp
+
+from oracles import brute_canonicalize, f3_rank
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_row_k_of_all_rows_is_the_base3_digits_of_k(n):
+    rows = f3.all_rows(n)
+    assert rows.dtype == np.int8 and rows.shape == (3 ** n, n)
+    for k in range(3 ** n):
+        digits = [(k // 3 ** (n - 1 - j)) % 3 for j in range(n)]
+        assert rows[k].tolist() == digits
+    # the columns are contiguous, as the column-wise readers expect
+    assert rows.T.flags.c_contiguous
+
+
+def test_canonical_form_is_first_nonzero_digit_one():
+    rows = f3.all_rows(4)
+    lead = f3.leading_digits(rows)
+    for row, d in zip(rows.tolist(), lead.tolist()):
+        assert d == next((x for x in row if x), 0)
+    canonical = brute_canonicalize(rows)
+    # v and -v = 2v meet at the row whose first nonzero digit is 1
+    assert (canonical == brute_canonicalize(-rows % 3)).all()
+    assert (f3.leading_digits(canonical) == (lead != 0)).all()
+    assert (canonical[lead == 1] == rows[lead == 1]).all()
+
+
+def test_rank_equals_the_row_reduction_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        rows, cols = rng.integers(1, 13, size=2)
+        m = rng.integers(0, 3, size=(rows, cols))
+        assert f3.rank(m) == f3_rank(m), m
+    # rank-deficient products of thin factors
+    for _ in range(100):
+        rows, cols = rng.integers(1, 13, size=2)
+        inner = rng.integers(1, 5)
+        m = (rng.integers(0, 3, size=(rows, inner))
+             @ rng.integers(0, 3, size=(inner, cols))) % 3
+        assert f3.rank(m) == f3_rank(m) <= inner, m
+    assert f3.rank(np.zeros((4, 5), dtype=np.int8)) == 0
+    assert f3.rank(sp.SYMP_GRAM) == f3.RANK
