@@ -302,7 +302,9 @@ def check_realification(ctx: Context):
     observed = {"is_even": bool(cert["is_even"]),
                 "abs_det": int(cert["abs_det"]),
                 "signature": list(cert["signature"])}
-    expected = {"is_even": True, "abs_det": 1, "signature": [18, 2]}
+    # 2 * RANK real directions, two of them negative (see `lattice`)
+    expected = {"is_even": True, "abs_det": 1,
+                "signature": [2 * la.RANK - 2, 2]}
     return observed == expected, observed, expected, None
 
 
@@ -340,8 +342,8 @@ def check_minus6(ctx: Context):
 def check_sp10_order(ctx: Context):
     if not ctx.optional:
         return None, None, str(SP10_ORDER), {"reason": "enable with --optional"}
-    gens = [sp.get_table().vector_perm(i) for i in range(1, sp.DIM + 1)]
-    order, certified, _ = bsgs_order(gens, SP10_ORDER)
+    perms, signs = sp.get_table().transvections()
+    order, certified, _ = bsgs_order(perms, SP10_ORDER, signs)
     ok = certified and order == SP10_ORDER
     return ok, str(order), str(SP10_ORDER), {"certified": bool(certified)}
 

@@ -90,7 +90,7 @@ def _fixed_points(words, gens) -> np.ndarray:
     return points
 
 
-def _transport(ell0: int, tree, s_stack: np.ndarray) -> np.ndarray:
+def _transport(ell0: int, tree, s_gens: np.ndarray) -> np.ndarray:
     """backward with backward[rho0] = ell0, rho0 the root of the class tree,
     extended along it by backward[B_i(c)] = sigma_i(backward[c])."""
     backward = np.full(N, -1, dtype=np.int64)
@@ -99,7 +99,7 @@ def _transport(ell0: int, tree, s_stack: np.ndarray) -> np.ndarray:
     for d in range(1, int(depths[-1]) + 1):
         cls = tree.order[np.searchsorted(depths, d):
                          np.searchsorted(depths, d + 1)]
-        backward[cls] = s_stack[tree.parent_gen[cls], backward[tree.parent[cls]]]
+        backward[cls] = s_gens[tree.parent_gen[cls], backward[tree.parent[cls]]]
     return backward
 
 
@@ -125,9 +125,8 @@ def build_bijection() -> Correspondence:
     """Search, transport and exhaustively verify the equivariant bijection."""
     spt = sp.get_table()
     mot = mo.get_table()
-    s_gens = spt.all_transvection_perms()
+    s_gens = spt.all_transvection_perms()      # one (DIM, N) array
     h_gens = mot.all_hurwitz_perms()
-    s_stack = np.stack(s_gens)
 
     rho0 = mot.base_class()
     class_orbit = mo.orbit_R(rho0)
@@ -142,7 +141,7 @@ def build_bijection() -> Correspondence:
 
     passing, failures = [], []
     for ell0 in candidates.tolist():
-        backward = _transport(ell0, class_orbit, s_stack)
+        backward = _transport(ell0, class_orbit, s_gens)
         forward, failure = _verify(backward, s_gens, h_gens)
         if forward is None:
             failures.append({"candidate_point": ell0, **failure})

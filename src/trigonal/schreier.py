@@ -6,6 +6,11 @@ A permutation on n points is an int array p of length n with image p[x].
 Composition (p after q) is the fancy index p[q].  A word is a list of
 generator indices, applied first letter first, and a Schreier generator is a
 pair of such words: two forward tree paths that end at the same point.
+
+A signed permutation is a permutation g with a boolean mask s: it sends the
+signed point +p to -g[p] where s[p] is set, else to +g[p], and -p to the
+opposite sign.  The transvections act so on the vectors +-rep(p) of the
+projective points, which spares the dense action on all 3^10 vectors.
 """
 
 from __future__ import annotations
@@ -84,27 +89,46 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     return OrbitResult(np.concatenate(order), parent, parent_gen, depth)
 
 
-def orbit_size(n_points: int, gens, seeds) -> int:
+def orbit_size(n_points: int, gens, seeds, signs=None) -> int:
     """The size of the orbit of the seeds, `orbit_bfs(...).size`, from a
     visited mask alone: no tree, no depths and no BFS order.
 
     The generators must be permutations, as for `orbit_bfs`: the fresh
     images of one generator are then distinct, and `visited` keeps a point
     that two generators reach from entering the next frontier twice.
+
+    With `signs`, one boolean mask per generator, the generators act on
+    signed points (see the module docstring), and the one seed p stands for
+    +p.  Its orbit covers the orbit of p once, or twice: each point takes
+    the sign of its first visit, and the orbit holds both signs exactly when
+    some edge q -> g[q] disagrees with them, that is when a Schreier
+    generator of the stabilizer of p sends +p to -p.
     """
     visited = np.zeros(n_points, dtype=bool)
     visited[np.asarray(seeds, dtype=np.int64)] = True
     frontier = np.flatnonzero(visited)        # the seeds, each once
+    if signs is not None and frontier.size != 1:
+        raise ValueError("a signed orbit takes one seed")
+    negative = np.zeros(n_points, dtype=bool)  # the first-visit signs
     size = 0
     while frontier.size:
         size += frontier.size
         fresh = []
-        for g in gens:
+        for gi, g in enumerate(gens):
             imgs = g[frontier]
-            pts = imgs[~visited[imgs]]
+            new = ~visited[imgs]
+            pts = imgs[new]
             visited[pts] = True
+            if signs is not None:
+                parents = frontier[new]
+                negative[pts] = negative[parents] ^ signs[gi][parents]
             fresh.append(pts)
         frontier = np.concatenate(fresh)
+    if signs is not None:
+        orbit = np.flatnonzero(visited)
+        if any((negative[g[orbit]] != negative[orbit] ^ s[orbit]).any()
+               for g, s in zip(gens, signs)):
+            return 2 * size
     return size
 
 
@@ -161,9 +185,11 @@ def inverse_permutation(p: np.ndarray) -> np.ndarray:
 # |H_(k+1)|; the product of the orbit sizes is a lower bound for the order of
 # <gens> (and divides it).  When it reaches a known upper bound, the order is
 # certified exactly.  The bound depends on the generator order: a list that
-# is not a chain bounds the order only weakly.
-def bsgs_order(gens, target: int):
-    """Lower-bound the order of <gens> by the suffix chain of the generators.
+# is not a chain bounds the order only weakly.  On signed points a generator
+# moves +p when it moves p or its mask flips p, and the orbits are signed.
+def bsgs_order(gens, target: int, signs=None):
+    """Lower-bound the order of <gens> by the suffix chain of the generators,
+    signed by `signs` (one mask per generator) if given.
 
     A level whose generator moves no point that the later ones fix counts 1.
     Returns (lower_bound, lower_bound >= target, orbit_sizes), one orbit size
@@ -175,8 +201,12 @@ def bsgs_order(gens, target: int):
     sizes = []
     for k in reversed(range(len(gens))):
         moved = gens[k] != identity
+        if signs is not None:
+            moved |= signs[k]
         base = np.flatnonzero(moved & fixed)[:1]
-        sizes.append(orbit_size(n_points, gens[k:], base) if base.size else 1)
+        sizes.append(orbit_size(n_points, gens[k:], base,
+                                None if signs is None else signs[k:])
+                     if base.size else 1)
         fixed &= ~moved
     sizes.reverse()
     lb = math.prod(sizes)

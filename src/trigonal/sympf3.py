@@ -10,6 +10,9 @@ represented by its canonical vector (first nonzero coordinate equal to 1,
 the canonical form of `f3` that the classes use too) and indexed by the
 rank of that vector in ascending base-3 key order, where coordinate 0 is the
 least significant digit; the first point is the line of (1, 0, ..., 0).
+A transvection sends rep(p) to +rep(q) or -rep(q), where q is the image
+point; one sign mask per transvection records which, so the orbit of a
+vector and the order of Sp_10(F_3) are read off the point action.
 
 Lines are classified relative to a fixed line ell as
     H  : the line is ell itself,
@@ -123,7 +126,8 @@ class ProjectiveTable:
         self.point_index = signed_index(N_VECTORS, self.keys,
                                         keys_of(-self.reps % 3))
 
-        self._perms: dict[int, np.ndarray] = {}
+        self._transvection_perms: np.ndarray | None = None   # (DIM, N_POINTS)
+        self._transvection_signs: np.ndarray | None = None   # (DIM, N_POINTS)
         self._vec_perms: dict[int, np.ndarray] = {}
 
     # -- lookups -------------------------------------------------------------
@@ -137,33 +141,61 @@ class ProjectiveTable:
 
     # -- actions -------------------------------------------------------------
 
+    def all_transvection_perms(self) -> np.ndarray:
+        """The ten point permutations, stored once as the rows of one
+        (DIM, N_POINTS) array: row i - 1 is transvection i."""
+        if self._transvection_perms is None:
+            perms = np.empty((DIM, N_POINTS), dtype=np.int64)
+            for g in range(DIM):
+                perms[g] = self.point_index[_transvect_keys(self.reps,
+                                                            self.keys, g + 1)]
+            assert (perms >= 0).all()
+            self._transvection_perms = perms
+        return self._transvection_perms
+
+    def transvections(self) -> tuple[np.ndarray, np.ndarray]:
+        """The transvections on signed points, as (perms, signs): they send
+        the vector rep(p) to -rep(q) where signs[i - 1, p] is set, else to
+        +rep(q), with q = perms[i - 1, p].
+
+        Only the vector orbit and the order chain read the signs, so they
+        are built on first use, apart from the permutations that the
+        exports read too."""
+        perms = self.all_transvection_perms()
+        if self._transvection_signs is None:
+            signs = np.empty((DIM, N_POINTS), dtype=bool)
+            for g in range(DIM):
+                images = _transvect_keys(self.reps, self.keys, g + 1)
+                # an image is -rep(q) exactly when its key is not rep(q)'s
+                np.not_equal(self.keys[perms[g]], images, out=signs[g])
+            self._transvection_signs = signs
+        return perms, self._transvection_signs
+
     def transvection_perm(self, i: int) -> np.ndarray:
         """The permutation of point indices induced by transvection i."""
-        i = generator_index(i, DIM)
-        if i not in self._perms:
-            perm = self.point_index[_transvect_keys(self.reps, self.keys, i)]
-            assert (perm >= 0).all()
-            self._perms[i] = perm
-        return self._perms[i]
+        return self.all_transvection_perms()[generator_index(i, DIM) - 1]
 
     def vector_perm(self, i: int) -> np.ndarray:
-        """The permutation of all 3^10 vector keys (0 is fixed)."""
+        """The permutation of all 3^10 vector keys (0 is fixed): the dense
+        form of the signed action, which no command reads."""
         i = generator_index(i, DIM)
         if i not in self._vec_perms:
             keys = np.arange(N_VECTORS, dtype=np.int64)   # row k of vectors has key k
             self._vec_perms[i] = _transvect_keys(self.vectors, keys, i)
         return self._vec_perms[i]
 
-    def all_transvection_perms(self):
-        return [self.transvection_perm(i) for i in range(1, DIM + 1)]
-
     def orbit_of_points(self, seeds):
         return orbit_bfs(N_POINTS, self.all_transvection_perms(), seeds)
 
     def orbit_of_nonzero_vectors(self, seed_key: int) -> int:
-        """The size of the orbit of a vector key under the transvections."""
-        gens = [self.vector_perm(i) for i in range(1, DIM + 1)]
-        return orbit_size(N_VECTORS, gens, [seed_key])
+        """The size of the orbit of a nonzero vector key under the
+        transvections, on signed points.  They are linear, so the orbit of
+        -v is that of v negated: only the line of the key matters."""
+        point = int(self.point_index[seed_key])
+        if point < 0:
+            raise ValueError(f"the key {seed_key} is not a nonzero vector")
+        perms, signs = self.transvections()
+        return orbit_size(N_POINTS, perms, [point], signs)
 
 
 _TABLE: ProjectiveTable | None = None

@@ -502,6 +502,9 @@ UNCALLED = {
     "eisenstein.EisensteinInt.__repr__": "value semantics (ROADMAP item 13)",
     "eisenstein.EisensteinInt.__str__": "value semantics (ROADMAP item 13)",
     "lattice.compose": "a benchmark micro-probe (ROADMAP item 5)",
+    "sympf3.ProjectiveTable.vector_perm":
+        "the tests' dense reference for the signed action, and the "
+        "benchmark's `sympf3.vector_perms` stage (ROADMAP item 6a)",
     "sympf3.classify_line": "the benchmark's query replay wraps it",
 }
 

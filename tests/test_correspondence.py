@@ -215,29 +215,35 @@ def test_base_pair_slot1_instance(corr):
     (5, (100, 200), "{'candidate_point': 11073, "
                     "'reason': 'backward is not a bijection'}"),
 ], ids=["first_failing_edge", "not_a_bijection"])
-def test_a_corrupted_transvection_fails_the_bijection(monkeypatch, tmp_path,
-                                                      slot, swap, failure):
+def test_a_corrupted_transvection_fails_the_bijection(tmp_path, slot, swap,
+                                                      failure):
     # two swapped images of one transvection permutation leave the base
     # point a candidate, so the failure comes from the transport and the
     # exhaustive check, not from the pruning
     spt, mot = sp.get_table(), mo.get_table()
-    perm = spt.transvection_perm(slot).copy()
-    perm[list(swap)] = perm[list(swap[::-1])]
-    monkeypatch.setitem(spt._perms, slot, perm)
-    h_gens = mot.all_hurwitz_perms()
-    words = schreier_generator_words(mo.orbit_R(mot.base_class()), h_gens,
-                                     co.WORD_BUDGET)
-    assert co._fixed_points(words, spt.all_transvection_perms()).tolist() \
-        == [11073]
-    message = ("no equivariant bijection found: 1 pruned candidates all "
-               f"failed full verification; first failing edge: {failure}")
-    with pytest.raises(RuntimeError) as exc:
-        co.build_bijection()
-    assert str(exc.value) == message
+    # build_bijection reads the rows of this one array in place: patch a
+    # row and put it back, so that no later test sees the corruption
+    s_gens = spt.all_transvection_perms()
+    row = s_gens[slot - 1].copy()
+    s_gens[slot - 1, list(swap)] = row[list(swap[::-1])]
+    try:
+        assert (spt.transvection_perm(slot) != row).sum() == 2
+        h_gens = mot.all_hurwitz_perms()
+        words = schreier_generator_words(mo.orbit_R(mot.base_class()),
+                                         h_gens, co.WORD_BUDGET)
+        assert co._fixed_points(words, s_gens).tolist() == [11073]
+        message = ("no equivariant bijection found: 1 pruned candidates all "
+                   f"failed full verification; first failing edge: {failure}")
+        with pytest.raises(RuntimeError) as exc:
+            co.build_bijection()
+        assert str(exc.value) == message
 
-    out = tmp_path / "report.json"
-    assert cli.main(["verify", "correspondence", "--out", str(out)]) == 1
-    row = {c["name"]: c for c in json.loads(out.read_text())["checks"]}[
-        "equivariant_bijection"]
-    assert row["status"] == "fail"
-    assert row["observed"] == f"error: RuntimeError: {message}"
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "correspondence", "--out", str(out)]) == 1
+        report = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert report["equivariant_bijection"]["status"] == "fail"
+        assert report["equivariant_bijection"]["observed"] \
+            == f"error: RuntimeError: {message}"
+    finally:
+        s_gens[slot - 1] = row
+    assert (spt.transvection_perm(slot) == row).all()

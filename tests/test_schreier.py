@@ -137,6 +137,103 @@ def test_orbit_size_on_the_generator_permutations():
     assert assert_orbit_size_is_the_bfs_size(
         sp.N_VECTORS, vectors[-2:], [sp.POW3[-2]]) == 8
     assert spt.orbit_of_nonzero_vectors(1) == sp.N_VECTORS - 1
+    assert spt.orbit_of_nonzero_vectors(2) == sp.N_VECTORS - 1  # -(1, 0, ...)
+    with pytest.raises(ValueError, match="not a nonzero vector"):
+        spt.orbit_of_nonzero_vectors(0)
+
+
+def doubled(gens, signs):
+    """The signed permutations as plain ones on 2n points: +p is p, and -p
+    is p + n."""
+    n = gens[0].size
+    return [np.concatenate([g + n * s, g + n * ~s]) for g, s in zip(gens, signs)]
+
+
+def brute_signed_orbit(gens, signs, seed):
+    """The orbit of +seed, closed in plain Python on (point, negative)."""
+    seen, todo = {(seed, False)}, [(seed, False)]
+    while todo:
+        p, neg = todo.pop()
+        for g, s in zip(gens, signs):
+            q = (int(g[p]), neg != bool(s[p]))
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+def test_signed_orbit_size_on_hand_made_groups():
+    swap = np.array([1, 0])
+    # (0 1) on two points: a sign on one edge makes it a 4-cycle of
+    # +0, -1, -0, +1; on both edges it is the swap of +0 and -1 again
+    for mask, size in (([0, 0], 2), ([1, 0], 4), ([0, 1], 4), ([1, 1], 2)):
+        signs = [np.array(mask, dtype=bool)]
+        assert orbit_size(2, [swap], [0], signs) == size, mask
+        assert len(brute_signed_orbit([swap], signs, 0)) == size
+    # a generator that fixes the point and flips it is -1 itself
+    one = np.array([0])
+    assert orbit_size(1, [one], [0], [np.array([True])]) == 2
+    assert orbit_size(1, [one], [0], [np.array([False])]) == 1
+    # the 3-cycle with every sign set has order 6 on signed points
+    cycle = np.array([1, 2, 0])
+    assert orbit_size(3, [cycle], [0], [np.ones(3, dtype=bool)]) == 6
+    # two swaps that each keep one sign per point, +0 <-> -1 and +0 <-> +1:
+    # only together do they reach both signs of 1, and then of 0
+    both, plain = np.ones(2, dtype=bool), np.zeros(2, dtype=bool)
+    assert orbit_size(2, [swap, swap], [0], [both, plain]) == 4
+    assert len(brute_signed_orbit([swap, swap], [both, plain], 0)) == 4
+
+
+def test_a_signed_orbit_takes_one_seed():
+    signs = [np.zeros(6, dtype=bool)] * 2
+    for seeds in ([0, 1], [], np.arange(6)):
+        with pytest.raises(ValueError, match="one seed"):
+            orbit_size(6, S6, seeds, signs)
+    assert orbit_size(6, S6, [2, 2], signs) == 6      # one seed, given twice
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_signed_orbits_and_chain_equal_the_doubled_action(seed):
+    rng = np.random.default_rng(seed)
+    n_points = 4 + seed % 4
+    gens = []
+    for _ in range(1 + seed % 3):
+        g = np.arange(n_points)
+        support = rng.choice(n_points, rng.integers(2, n_points + 1), replace=False)
+        g[support] = rng.permutation(support)
+        gens.append(g)
+    signs = [rng.random(n_points) < 0.2 * (seed % 5) for _ in gens]
+    plain = doubled(gens, signs)
+    for p in range(n_points):
+        size = orbit_size(n_points, gens, [p], signs)
+        assert size == orbit_size(2 * n_points, plain, [p])
+        assert size == len(brute_signed_orbit(gens, signs, p))
+    # +p and -p are fixed together, so the least base on 2n points is the
+    # least signed base +p: the two chains agree level by level
+    order = group_order(plain)
+    assert bsgs_order(gens, order, signs) == bsgs_order(plain, order)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_signed_orbit_size_equals_the_vector_orbit_on_every_suffix(seed):
+    table = sp.get_table()
+    perms, signs = table.transvections()
+    dense = [table.vector_perm(i) for i in range(1, sp.DIM + 1)]
+    rng = np.random.default_rng(seed)
+    keys = [int(sp.POW3[seed]), *rng.integers(1, sp.N_VECTORS, 2).tolist()]
+    for k in range(sp.DIM):
+        for key in keys:
+            want = orbit_size(sp.N_VECTORS, dense[k:], [key])
+            point = int(table.point_index[key])
+            assert orbit_size(sp.N_POINTS, perms[k:], [point], signs[k:]) \
+                == want, (k, key)
+    # transvection 10 alone moves alpha_9, which pairs with alpha_10, along
+    # the 3-cycle alpha_9 - j alpha_10 that misses -alpha_9: no doubling
+    alpha9 = int(sp.POW3[sp.DIM - 2])
+    res = orbit_bfs(sp.N_VECTORS, dense[-1:], [alpha9])
+    assert res.size == 3 and res.depth[2 * alpha9] == -1    # key of -alpha_9
+    point = int(table.point_index[alpha9])
+    assert orbit_size(sp.N_POINTS, perms[-1:], [point], signs[-1:]) == 3
 
 
 def assert_pair_identity(gens, root):
@@ -193,12 +290,23 @@ def test_sp10_orbit_sizes_multiply_to_the_order():
     assert np.prod(SP10_ORBIT_SIZES, dtype=object) == cli.SP10_ORDER
 
 
-def test_sp10_certifies_along_the_transvection_chain():
-    table = sp.get_table()
-    gens = [table.vector_perm(i) for i in range(1, sp.DIM + 1)]
-    order, certified, sizes = bsgs_order(gens, cli.SP10_ORDER)
+def test_sp10_certifies_along_the_transvection_chain(monkeypatch):
+    # the command's chain runs on signed points
+    runs = []
+
+    def recorded(*args):
+        runs.append(bsgs_order(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "bsgs_order", recorded)
+    assert cli.check_sp10_order(cli.Context(0, True))[0] is True
+    (order, certified, sizes), = runs
     assert (order, certified) == (cli.SP10_ORDER, True)
     assert sizes == SP10_ORBIT_SIZES
+    # the dense reference: the same chain on all 3^10 vector keys
+    table = sp.get_table()
+    dense = [table.vector_perm(i) for i in range(1, sp.DIM + 1)]
+    assert bsgs_order(dense, cli.SP10_ORDER) == (order, certified, sizes)
 
 
 @pytest.mark.parametrize("seed", [3, 9, 15, 17, 23, 39, 40])
@@ -275,6 +383,10 @@ def test_generator_indices_follow_one_rule_on_both_sides(name):
         with pytest.raises(IndexError, match=r"must be in 1\.\.10"):
             fn(bad)
     table = getattr(fn, "__self__", None)
-    for cache in ("_perms", "_vec_perms"):
+    for cache in ("_perms", "_vec_perms"):   # the per-slot caches
         keys = getattr(table, cache, {})
         assert all(type(k) is int for k in keys), keys
+    # the point side keeps its transvections in arrays, a row per slot
+    for cache in ("_transvection_perms", "_transvection_signs"):
+        rows = getattr(table, cache, None)
+        assert rows is None or rows.shape == (sp.DIM, sp.N_POINTS), cache

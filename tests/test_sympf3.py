@@ -168,11 +168,16 @@ def test_point_index_maps_every_nonzero_vector_to_its_line():
 
 def test_generator_permutations_equal_the_matrix_route():
     t = sp.get_table()
+    perms, signs = t.transvections()
     for i in range(1, 11):
         m = sp.transvection(i).astype(np.int64)
         assert (t.vector_perm(i) == sp.keys_of((t.vectors @ m.T) % 3)).all()
-        imgs = brute_canonicalize((t.reps @ m.T) % 3)
+        images = (t.reps @ m.T) % 3
+        imgs = brute_canonicalize(images)
         assert (t.transvection_perm(i) == t.point_index[sp.keys_of(imgs)]).all()
+        assert t.transvection_perm(i).base is perms      # one array, a row each
+        # the sign is set where the image of a canonical row is not canonical
+        assert (signs[i - 1] == (imgs != images).any(axis=1)).all()
 
 
 def test_generator_permutations_reject_indices_outside_1_10():
