@@ -6,7 +6,8 @@ verify [scope]   run the check suites (scope: all, lattice, symplectic,
                  monodromy, correspondence) and emit a JSON report; exit 0
                  iff no check failed, 1 on a failed check
 export WHAT      write a deterministic artifact (gram, bijection, orbits,
-                 classes) as JSON, or the orbit Schreier forest as DOT
+                 classes) as JSON, or the orbit Schreier forest as DOT; the
+                 orbit exports are rendered and written BLOCK rows at a time
 classify T POS   classify a 12-character monodromy tuple at a slot pair;
                  --cross-check adds the line-side label of the tuple's point,
                  from the closed form of the bijection (slots 1..10 only;
@@ -442,16 +443,19 @@ def _open_out(out_path: str | None):
         return None
 
 
-def _write(out, data) -> int:
-    """Write data to `out`, flush it and leave its context (closing a file).
+def _write(out, chunks) -> int:
+    """Write the chunks to `out` one at a time, flush it and leave its
+    context (closing a file).
 
-    Returns 2, after printing the error line, if any of the three fails.
-    Closing flushes again whatever a failed write left in the buffer, so the
-    close is guarded too.
+    Returns 2, after printing the error line, if a write, the flush or the
+    close fails.  Closing flushes again whatever a failed write left in the
+    buffer, so the close is guarded too.
     """
     try:
         with out as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
+                del chunk       # freed before the next chunk is rendered
             fh.flush()
     except OSError as exc:
         return _cannot_write(getattr(fh, "name", "<stdout>"), exc)
@@ -475,7 +479,7 @@ def cmd_verify(args) -> int:
         "notes": REPORT_NOTES,
         "failed": failed,
     }
-    if _write(out, _json_bytes(report)):
+    if _write(out, [_json_bytes(report)]):
         return 2
     for c in checks:
         print(f"{c['status'].upper():7s} {c['name']} "
@@ -484,36 +488,102 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _orbit_tree_json(res, side: str, seed: int) -> dict:
-    return {
-        "side": side,
-        "seed": int(seed),
-        "size": int(res.size),
-        "parent": res.parent.tolist(),
-        "generator": [g or None for g in (res.parent_gen + 1).tolist()],
-    }
+#: rows that `_render` turns into text at a time: the orbit exports hold
+#: one block of text, never a Python int per tree entry
+BLOCK = 2048
+
+
+def _render(pieces: tuple[bytes, ...], *columns: np.ndarray,
+            null: bool = False) -> bytes:
+    """Rows `pieces[0] col0 pieces[1] col1 ... pieces[-1]` as bytes, one row
+    per entry of the integer columns, each integer in ASCII decimal (a 0 as
+    `null` when `null` is set).
+
+    Each field is right-aligned in a fixed-width uint8 grid padded with zero
+    bytes, which the final compaction drops.
+    """
+    widths = [len(str(max(int(c.max(initial=0)), -int(c.min(initial=0))))) + 1
+              for c in columns]               # one more column for a sign
+    if null:
+        widths = [max(w, len(b"null")) for w in widths]
+    grid = np.zeros((len(columns[0]), sum(map(len, pieces)) + sum(widths)),
+                    dtype=np.uint8)
+    at = 0
+    for piece, col, width in zip(pieces, columns, widths):
+        grid[:, at:at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
+        at += len(piece) + width
+        field = grid[:, at - width:at]
+        rest = np.abs(col)
+        for j in range(width - 1, 0, -1):     # units first; 0 pads
+            digit = rest % 10 + ord("0")
+            field[:, j] = digit if j == width - 1 else np.where(rest, digit, 0)
+            rest //= 10
+        neg = np.flatnonzero(col < 0)
+        if neg.size:                          # the sign left of the top digit
+            field[neg, (field[neg] == 0).sum(axis=1) - 1] = ord("-")
+        if null:
+            field[col == 0] = np.frombuffer(b"null".rjust(width, b"\0"),
+                                            dtype=np.uint8)
+    grid[:, at:] = np.frombuffer(pieces[-1], dtype=np.uint8)
+    return grid[grid != 0].tobytes()
+
+
+def _json_ints(values: np.ndarray, shift: int = 0, null: bool = False):
+    """The JSON list of the integers `values + shift` (a 0 as null when
+    `null` is set), as chunks of at most BLOCK entries."""
+    yield b"["
+    for start in range(0, values.size, BLOCK):     # no comma before the first
+        yield _render((b",", b""), values[start:start + BLOCK] + shift,
+                      null=null)[0 if start else 1:]
+    yield b"]"
+
+
+def _orbit_tree_json(res, side: str, seed: int):
+    """One forest as compact JSON with sorted keys, in chunks: the generator
+    that reached each point (1-based, null for seeds and off the orbit) and
+    its parent (-1 there)."""
+    yield b'{"generator":'
+    yield from _json_ints(res.parent_gen, shift=1, null=True)
+    yield b',"parent":'
+    yield from _json_ints(res.parent)
+    yield (f',"seed":{int(seed)},"side":{json.dumps(side)},'
+           f'"size":{int(res.size)}}}').encode()
+
+
+def _orbits_json(trees):
+    """`export orbits`: both forests keyed by side, as `_json_bytes` would
+    write them, in chunks."""
+    sep = b"{"
+    for res, side, seed in sorted(trees, key=lambda tree: tree[1]):
+        yield sep + json.dumps(side).encode() + b":"
+        yield from _orbit_tree_json(res, side, seed)
+        sep = b","
+    yield b"}\n"
+
+
+def _orbits_dot(trees):
+    """`export orbits --format dot`: both forests as one DOT digraph, one
+    cluster per side and one edge line per tree edge, in chunks."""
+    yield b"digraph schreier_forest {\n"
+    for res, side, seed in trees:
+        prefix = side[0]
+        yield (f'  subgraph cluster_{side} {{ label="{side}";\n'
+               f'    {prefix}{seed} [shape=doublecircle];\n').encode()
+        edge = (f"    {prefix}".encode(), f" -> {prefix}".encode(),
+                b' [label="', b'"];\n')
+        for start in range(0, res.parent.size, BLOCK):
+            parent = res.parent[start:start + BLOCK]
+            child = np.flatnonzero(parent >= 0)
+            yield _render(edge, parent[child], child + start,
+                          res.parent_gen[start:start + BLOCK][child] + 1)
+        yield b"  }\n"
+    yield b"}\n"
 
 
 def _orbit_trees():
     base = mo.get_table().base_class()
     return ((sp.get_table().orbit_of_points([0]), "projective", 0),
             (mo.orbit_R(base), "classes", base))
-
-
-def _orbits_dot() -> bytes:
-    parts = ["digraph schreier_forest {\n"]
-    for res, side, seed in _orbit_trees():
-        prefix = side[0]
-        children = np.flatnonzero(res.parent >= 0)
-        edges = np.stack([res.parent[children], children,
-                          res.parent_gen[children] + 1], axis=1)
-        edge = f'    {prefix}%d -> {prefix}%d [label="%d"];\n'
-        parts += [f'  subgraph cluster_{side} {{ label="{side}";\n'
-                  f'    {prefix}{seed} [shape=doublecircle];\n',
-                  edge * children.size % tuple(edges.ravel().tolist()),
-                  "  }\n"]
-    parts.append("}\n")
-    return "".join(parts).encode("utf-8")
 
 
 def cmd_export(args) -> int:
@@ -525,20 +595,18 @@ def cmd_export(args) -> int:
     if out is None:
         return 2
     if args.what == "gram":
-        data = _json_bytes({"gram": la.matrix_to_json(la.GRAM)})
+        chunks = [_json_bytes({"gram": la.matrix_to_json(la.GRAM)})]
     elif args.what == "classes":
         t = mo.get_table()
-        data = _json_bytes({"count": int(t.codes.shape[0]),
-                            "classes": mo.code_strings(t.codes)})
+        chunks = [_json_bytes({"count": int(t.codes.shape[0]),
+                               "classes": mo.code_strings(t.codes)})]
     elif args.what == "bijection":
-        data = _json_bytes(co.build_bijection().to_json())
-    elif args.format == "dot":           # orbits; argparse restricts `what`
-        data = _orbits_dot()
-    else:
-        trees = {side: _orbit_tree_json(res, side, seed)
-                 for res, side, seed in _orbit_trees()}
-        data = _json_bytes(trees)
-    return _write(out, data)
+        chunks = [_json_bytes(co.build_bijection().to_json())]
+    else:                                 # orbits; argparse restricts `what`
+        trees = _orbit_trees()            # built before the first byte
+        render = _orbits_dot if args.format == "dot" else _orbits_json
+        chunks = render(trees)
+    return _write(out, chunks)
 
 
 def cmd_classify(args) -> int:
@@ -557,7 +625,7 @@ def cmd_classify(args) -> int:
         label = sp.line_labels(alpha, co.point_vectors(codes)[0])[0]
         lines.append(f"cross-check (line side): {sp.LINE_CLASSES[label]}")
     text = "".join(f"{line}\n" for line in lines)
-    return _write(contextlib.nullcontext(sys.stdout), text)
+    return _write(contextlib.nullcontext(sys.stdout), [text])
 
 
 @functools.cache

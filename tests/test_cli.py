@@ -24,7 +24,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -671,17 +673,21 @@ def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, args):
 class FullStream:
     """A stream whose `fails` method raises ENOSPC, as on a full device.
 
-    Like a buffered file, it keeps what a failed write or flush did not
-    write, and then its close, which flushes, fails as well.  It stands for
-    a file opened by `--out` and, through `buffer`, for stdout and its byte
-    buffer.
+    `fails` is "write", "flush", "close", "later_write" (the LATER_WRITE-th
+    write fails, after the ones before it went through) or None (nothing
+    fails).  Like a buffered file, it keeps what a failed write or flush did
+    not write, and then its close, which flushes, fails as well.  It stands
+    for a file opened by `--out` and, through `buffer`, for stdout and its
+    byte buffer.  `written` counts the bytes of the writes that went through.
     """
 
-    def __init__(self, name: str, fails: str):
+    def __init__(self, name: str, fails: str | None):
         self.name = name
         self.fails = fails
         self.pending = False
         self.buffer = self
+        self.writes = 0
+        self.written = 0
 
     def _call(self, method: str):
         if method == self.fails or (method == "close" and self.pending):
@@ -689,7 +695,11 @@ class FullStream:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     def write(self, data):
+        self.writes += 1
+        if self.writes == LATER_WRITE:
+            self._call("later_write")
         self._call("write")
+        self.written += len(data)
         return len(data)
 
     def flush(self):
@@ -705,9 +715,30 @@ class FullStream:
         self.close()
 
 
-@pytest.mark.parametrize("fails", ["write", "flush", "close"])
-@pytest.mark.parametrize("args", [["export", "gram"], ["verify", "lattice"]],
-                         ids=["export", "verify"])
+#: the write that fails in the "later_write" cases: one that carries a
+#: rendered block of either orbit export, well past its first chunk
+LATER_WRITE = 10
+
+#: commands that write one chunk, and the orbit exports, which write many
+ONE_CHUNK = {"export": ["export", "gram"], "verify": ["verify", "lattice"],
+             "classify": ["classify", "001111111111", "1"]}
+STREAMED = {"export_orbits": ["export", "orbits"],
+            "export_orbits_dot": ["export", "orbits", "--format", "dot"]}
+
+
+def write_error_cases(commands, failures):
+    """(args, fails) for each command with each failure, and for the
+    streamed exports also with a failure on a later chunk."""
+    cases = [pytest.param(args, fails, id=f"{name}-{fails}")
+             for name, args in {**commands, **STREAMED}.items()
+             for fails in failures]
+    return cases + [pytest.param(args, "later_write", id=f"{name}-later_write")
+                    for name, args in STREAMED.items()]
+
+
+@pytest.mark.parametrize("args, fails", write_error_cases(
+    {k: ONE_CHUNK[k] for k in ("export", "verify")},
+    ["write", "flush", "close"]))
 def test_write_error_on_out_exits_2(capsys, monkeypatch, args, fails):
     monkeypatch.setattr(cli, "open",
                         lambda path, mode: FullStream(path, fails),
@@ -718,10 +749,8 @@ def test_write_error_on_out_exits_2(capsys, monkeypatch, args, fails):
         f"error: cannot write full.json: {os.strerror(errno.ENOSPC)}"]
 
 
-@pytest.mark.parametrize("fails", ["write", "flush"])
-@pytest.mark.parametrize("args", [["export", "gram"], ["verify", "lattice"],
-                                  ["classify", "001111111111", "1"]],
-                         ids=["export", "verify", "classify"])
+@pytest.mark.parametrize("args, fails",
+                         write_error_cases(ONE_CHUNK, ["write", "flush"]))
 def test_write_error_on_stdout_exits_2(capsys, monkeypatch, args, fails):
     # stdout is flushed, never closed, so only write and flush can fail
     monkeypatch.setattr(sys, "stdout", FullStream("<stdout>", fails))
@@ -794,9 +823,84 @@ def test_orbit_exports_equal_the_per_element_reference():
     trees = cli._orbit_trees()
     assert [side for _, side, _ in trees] == ["projective", "classes"]
     for res, side, seed in trees:
-        assert (cli._json_bytes(cli._orbit_tree_json(res, side, seed))
+        assert (b"".join(cli._orbit_tree_json(res, side, seed)) + b"\n"
                 == cli._json_bytes(reference_orbit_tree_json(res, side, seed)))
-    assert cli._orbits_dot() == reference_orbits_dot(trees)
+    assert b"".join(cli._orbits_json(trees)) == cli._json_bytes(
+        {side: reference_orbit_tree_json(res, side, seed)
+         for res, side, seed in trees})
+    assert b"".join(cli._orbits_dot(trees)) == reference_orbits_dot(trees)
+
+
+#: what the block renderer must spell: the root's -1, 0 (null in a generator
+#: list), one and two digits, and the largest class index
+RENDER_VALUES = np.array([-1, 0, 9, 10, mo.N_CLASSES - 1])
+#: lengths around the block boundaries
+RENDER_LENGTHS = [1, cli.BLOCK - 1, cli.BLOCK, cli.BLOCK + 1,
+                  2 * cli.BLOCK + 1]
+
+
+def cycled(length: int, start: int = 0) -> np.ndarray:
+    """`length` entries cycling through RENDER_VALUES from index `start`."""
+    return np.resize(np.roll(RENDER_VALUES, -start), length)
+
+
+@pytest.mark.parametrize("null", [False, True], ids=["ints", "null"])
+@pytest.mark.parametrize("length", RENDER_LENGTHS)
+def test_json_ints_equal_json_dumps(length, null):
+    for start in range(RENDER_VALUES.size):     # length 1 meets every value
+        values = cycled(length, start)
+        expected = json.dumps(
+            [None if null and v == 0 else v for v in values.tolist()],
+            separators=(",", ":")).encode()
+        assert b"".join(cli._json_ints(values, null=null)) == expected
+        assert b"".join(cli._json_ints(values - 1, shift=1,
+                                       null=null)) == expected
+
+
+@pytest.mark.parametrize("length", RENDER_LENGTHS)
+def test_render_equals_the_per_element_format(length):
+    a, b, c = (cycled(length, start).tolist() for start in range(3))
+    edges = "".join(f'    p{x} -> p{y} [label="{z}"];\n'
+                    for x, y, z in zip(a, b, c))
+    assert cli._render((b"    p", b" -> p", b' [label="', b'"];\n'),
+                       *map(np.array, (a, b, c))) == edges.encode()
+    nulls = "".join(f"<{'null' if x == 0 else x}>" for x in a)
+    assert cli._render((b"<", b">"), np.array(a), null=True) == nulls.encode()
+
+
+@pytest.mark.parametrize("length", RENDER_LENGTHS)
+def test_orbit_exports_of_any_length_equal_the_reference(length):
+    # forests with seeds (-1, generator null) among edges of every width
+    trees = [(SimpleNamespace(parent=cycled(length, start),
+                              parent_gen=np.resize([-1, 0, 8, 9], length),
+                              size=length), side, 0)
+             for start, side in enumerate(["projective", "classes"])]
+    assert b"".join(cli._orbits_json(trees)) == cli._json_bytes(
+        {side: reference_orbit_tree_json(res, side, seed)
+         for res, side, seed in trees})
+    assert b"".join(cli._orbits_dot(trees)) == reference_orbits_dot(trees)
+
+
+@pytest.mark.parametrize("args, divisor", [(["orbits"], 3),
+                                           (["orbits", "--format", "dot"], 4)],
+                         ids=["json", "dot"])
+def test_orbit_exports_hold_one_block_of_text(monkeypatch, args, divisor):
+    # with the tables and trees built, writing an orbit export to a sink
+    # allocates at most a fraction of its length at once: whole text
+    # rendered before the first write would take 3.5 to 14 times its length
+    trees = cli._orbit_trees()
+    monkeypatch.setattr(cli, "_orbit_trees", lambda: trees)
+    sink = FullStream("sink", None)
+    monkeypatch.setattr(cli, "open", lambda path, mode: sink, raising=False)
+    cli._parser()
+    tracemalloc.start()
+    try:
+        code = cli.main(["export", *args, "--out", "sink"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.written / divisor, (peak, sink.written)
 
 
 def test_export_dot_rejected_elsewhere(capsys):
