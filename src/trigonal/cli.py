@@ -235,8 +235,8 @@ def check_hurwitz_action(ctx: Context):
     far = all((perms[i][perms[j]] == perms[j][perms[i]]).all()
               for i in range(sp.DIM) for j in range(i + 2, sp.DIM))
     orbit_base = mo.orbit_R(t.base_class()).size
-    orbit_alt = orbit_size(mo.N_CLASSES, perms,
-                           [t.index_of_string("01" * (mo.TUPLE_LEN // 2))])
+    alternating = t.index_of_string(mo.alternating_tuple(mo.TUPLE_LEN))
+    orbit_alt = orbit_size(mo.N_CLASSES, perms, [alternating])
     observed = {"order_divides_three": order_div_3,
                 "trivial_and_order_three_points": both,
                 "braid_relations": braid and far,
@@ -303,9 +303,8 @@ def check_realification(ctx: Context):
     observed = {"is_even": bool(cert["is_even"]),
                 "abs_det": int(cert["abs_det"]),
                 "signature": list(cert["signature"])}
-    # 2 * RANK real directions, two of them negative (see `lattice`)
     expected = {"is_even": True, "abs_det": 1,
-                "signature": [2 * la.RANK - 2, 2]}
+                "signature": list(la.realified_signature(la.RANK))}
     return observed == expected, observed, expected, None
 
 

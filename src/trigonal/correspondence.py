@@ -95,10 +95,11 @@ def _transport(ell0: int, tree, s_gens: np.ndarray) -> np.ndarray:
     extended along it by backward[B_i(c)] = sigma_i(backward[c])."""
     backward = np.full(N, -1, dtype=np.int64)
     backward[tree.order[0]] = ell0
-    depths = tree.depth[tree.order]          # non-decreasing along BFS order
-    for d in range(1, int(depths[-1]) + 1):
-        cls = tree.order[np.searchsorted(depths, d):
-                         np.searchsorted(depths, d + 1)]
+    # the BFS order lists the levels in turn, so level d ends at ends[d]
+    # (counted once: a scalar search per level in the narrow depths is slow)
+    ends = np.cumsum(np.bincount(tree.depth[tree.order]))
+    for d in range(1, ends.size):
+        cls = tree.order[ends[d - 1]:ends[d]]
         backward[cls] = s_gens[tree.parent_gen[cls], backward[tree.parent[cls]]]
     return backward
 
@@ -191,20 +192,21 @@ def cross_validate_classification(corr: Correspondence) -> dict:
     """Compare the confluence labels with the line labels over slots 1..10.
 
     For slot i the line side classifies [alpha_i] relative to the point
-    forward^{-1}(rho).  Returns per-slot tallies, total raw agreements,
-    total agreements after exchanging RM and SG on the line side, and the
-    first raw disagreement (if any) as a concrete counterexample.
+    forward^{-1}(rho).  Returns the total raw agreements, the total after
+    exchanging RM and SG on the line side, and the first raw disagreement
+    (if any) as a concrete counterexample.
     """
     spt = sp.get_table()
     mot = mo.get_table()
-    per_position = []
+    agreements = agreements_swapped = 0
     first_disagreement = None
 
     for i in range(1, sp.DIM + 1):
         comb = mo.confluence_labels(mot.codes, i)
         line = sp.line_class_vector(spt.basis_point(i))[corr.backward]
         agree = comb == line
-        agree_swapped = comb == _LABEL_SWAP[line]
+        agreements += int(np.count_nonzero(agree))
+        agreements_swapped += int(np.count_nonzero(comb == _LABEL_SWAP[line]))
         if first_disagreement is None and not agree.all():
             c = int(np.flatnonzero(~agree)[0])
             first_disagreement = {
@@ -214,22 +216,11 @@ def cross_validate_classification(corr: Correspondence) -> dict:
                 "confluence": mo.CONFLUENCE_CLASSES[int(comb[c])],
                 "line_class": sp.LINE_CLASSES[int(line[c])],
             }
-        per_position.append({
-            "position": i,
-            "agreements": int(agree.sum()),
-            "agreements_rm_sg_swapped": int(agree_swapped.sum()),
-            "confluence_counts": sp.label_counts(comb),
-            "line_counts": sp.label_counts(line),
-        })
 
-    agreements = sum(row["agreements"] for row in per_position)
-    agreements_swapped = sum(row["agreements_rm_sg_swapped"]
-                             for row in per_position)
     report = {
         "total_checks": sp.DIM * N,
         "agreements": agreements,
         "agreements_rm_sg_swapped": agreements_swapped,
-        "per_position": per_position,
         "first_disagreement": first_disagreement,
         "excluded_positions": [0, mo.TUPLE_LEN - 1],
     }

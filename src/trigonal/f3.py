@@ -6,8 +6,9 @@ and the number of half-twist moves: the one statement of the rank.
 Both tables enumerate lines +-v of F_3^n by canonical rows, the one of v,
 -v whose first nonzero digit is 1 (`leading_digits`), read off `all_rows`;
 both look a line up in a `signed_index` over the base-3 keys of its two
-representatives.  The key maps themselves stay with their tables, since
-each table's digit order is part of its export bytes.
+representatives, the second from `negated_keys`.  The digit weights stay
+with their tables, since each table's digit order is part of its export
+bytes.
 """
 
 from __future__ import annotations
@@ -34,11 +35,36 @@ def leading_digits(rows) -> np.ndarray:
     return lead
 
 
-def signed_index(size: int, keys, negated_keys) -> np.ndarray:
+def negated_keys(rows, weights) -> np.ndarray:
+    """The keys sum_j w_j * (-x_j mod 3) of the negated rows -x, read from
+    the int8 digits one column at a time, so no (n, k) int64 copy is made."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.int64)
+    for column, weight in zip(np.asarray(rows).T, weights):
+        keys += (-column % 3) * weight
+    return keys
+
+
+def digit_sums(coefficients) -> np.ndarray:
+    """sum_j c_j * x_j mod 3 for every row x of `all_rows(len(c))`, in row
+    order, as uint8: built one digit at a time, first column most
+    significant, so no all_rows matrix is made."""
+    sums = np.zeros(1, dtype=np.uint8)
+    letters = np.arange(3, dtype=np.uint8)
+    for c in coefficients:
+        sums = ((sums[:, None] + letters * np.uint8(c % 3)) % 3).reshape(-1)
+    return sums
+
+
+def signed_index(size: int, keys, negated) -> np.ndarray:
     """The index of rows that stand for lines +-v: the key of row r and that
-    of its negative map to r, every other key in range(size) to -1."""
-    index = np.full(size, -1, dtype=np.int64)
-    index[keys] = index[negated_keys] = np.arange(len(keys))
+    of its negative map to r, every other key in range(size) to -1.
+
+    The values are row positions, int32 to halve the table; the arrays
+    read through it as indices are widened to int64 by their owners."""
+    assert len(keys) < 2 ** 31
+    index = np.full(size, -1, dtype=np.int32)
+    index[keys] = index[negated] = np.arange(len(keys), dtype=np.int32)
     return index
 
 

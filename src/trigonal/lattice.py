@@ -350,6 +350,16 @@ def _det_and_signature(rows) -> tuple[int, tuple[int, int]]:
     return (prev if n == len(a) else 0), (pos, neg)
 
 
+def realified_signature(rank: int) -> tuple[int, int]:
+    """The signature the realified chain form of `rank` must have, from an
+    integer count.  The chain Gram has the hermitian eigenvalues
+    -3 + 2*sqrt(3)*cos(pi*k/(rank + 1)), k = 1..rank, and one is positive
+    exactly when cos(pi*k/(rank + 1)) > cos(pi/6), that is 6k < rank + 1;
+    each positive one gives two negative directions of -(2/3)*Re herm."""
+    positive = sum(1 for k in range(1, rank + 1) if 6 * k < rank + 1)
+    return 2 * rank - 2 * positive, 2 * positive
+
+
 def realify_and_certify() -> dict:
     """Certificate for the rescaled real form: even, unimodular, signature (18, 2).
 

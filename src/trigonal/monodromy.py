@@ -46,11 +46,10 @@ combinatorially:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .f3 import RANK, all_rows, leading_digits, signed_index
+from .f3 import (RANK, all_rows, digit_sums, leading_digits, negated_keys,
+                 signed_index)
 from .schreier import OrbitResult, generator_index, orbit_bfs
 
 TUPLE_LEN = RANK + 2
@@ -60,12 +59,6 @@ N_MOVES = TUPLE_LEN - 2             # half-twists at slots (i, i+1), i = 1..10
 
 CONFLUENCE_CLASSES = ("H", "RM", "SG")
 
-# The six relabelings of codes induced by simultaneous conjugation: the maps
-# c -> +-c + a, which are all of Sym(F_3), as rows in lexicographic order.
-ALPHABET_PERMS = np.array(sorted(itertools.permutations(range(3))),
-                          dtype=np.int8)
-_NEGATION = 1                       # ALPHABET_PERMS[1] = (0, 2, 1): c -> -c
-
 _W12 = (3 ** np.arange(TUPLE_LEN - 1, -1, -1, dtype=np.int64))  # MSB first
 _SIGNS = np.resize(np.int8([1, -1]), TUPLE_LEN)  # product one: t @ _SIGNS = 0
 
@@ -74,31 +67,43 @@ def codes_to_keys(codes: np.ndarray) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64) @ _W12
 
 
-def relabeled_keys(codes) -> np.ndarray:
-    """The keys of the six relabelings of each row, shape (6, n): row k of
-    the result relabels code c as ALPHABET_PERMS[k][c].  A key is linear in
-    the letters, so this is ALPHABET_PERMS @ K, with K_c the keys of the
-    indicator rows codes == c."""
-    indicator = np.stack([codes_to_keys(codes == c) for c in range(3)])
-    return ALPHABET_PERMS.astype(np.int64) @ indicator
+def relabeled_keys(keys, negated):
+    """The keys of the six relabelings of code rows, one array at a time,
+    from the keys of the rows and of their negations c -> -c.
+
+    The relabelings are the permutations p of (0, 1, 2) in lexicographic
+    order, which send code c to p[c].  A key is linear in the letters:
+    with K_c the key of the indicator row of c, a row has key K_1 + 2K_2,
+    its negation 2K_1 + K_2, and K_0 + K_1 + K_2 = S, the key of the
+    all-ones row; the key of the relabeling p is p[0]K_0 + p[1]K_1 + p[2]K_2.
+    """
+    s = (3 ** TUPLE_LEN - 1) // 2
+    yield keys                        # (0, 1, 2)
+    yield negated                     # (0, 2, 1)
+    yield s + keys - negated          # (1, 0, 2)
+    yield s - keys + negated          # (1, 2, 0)
+    yield 2 * s - negated             # (2, 0, 1)
+    yield 2 * s - keys                # (2, 1, 0)
 
 
-def transversal_raw_count(relabeled: np.ndarray) -> int:
-    """Certify rows as one per class from their `relabeled_keys`; return
-    the raw-tuple count.  The six relabelings must be distinct and be
-    exactly the raw tuples, enumerated here on their own; otherwise
-    ValueError."""
+def transversal_raw_count(keys, negated) -> int:
+    """Certify code rows as one per class from their keys and the keys of
+    their negations; return the raw-tuple count.  The six relabelings must
+    be distinct and be exactly the raw tuples, enumerated here on their
+    own; otherwise ValueError."""
     marks = np.zeros(3 ** TUPLE_LEN, dtype=bool)
-    marks[relabeled] = True
+    for relabeled in relabeled_keys(keys, negated):
+        marks[relabeled] = True
     marked = int(np.count_nonzero(marks))
     # raw[t_0, key of t_1..t_11]: t_0 forced by product one, and the constant
     # tuples (c, ..., c), free key c * (3^11 - 1) / 2, removed
     free = TUPLE_LEN - 1
-    t = all_rows(free)
-    raw = -np.einsum("nk,k->n", t, _SIGNS[1:]) % 3 == np.arange(3)[:, None]
+    forced = digit_sums(-_SIGNS[1:])
+    raw = forced == np.arange(3, dtype=np.uint8)[:, None]
     raw[np.arange(3), np.arange(3) * ((3 ** free - 1) // 2)] = False
-    if marked != relabeled.size or not np.array_equal(marks, raw.reshape(-1)):
-        raise ValueError(f"{relabeled.size} relabelings mark {marked} tuples, "
+    relabelings = 6 * len(keys)
+    if marked != relabelings or not np.array_equal(marks, raw.reshape(-1)):
+        raise ValueError(f"{relabelings} relabelings mark {marked} tuples, "
                          f"not the {np.count_nonzero(raw)} raw tuples")
     return marked
 
@@ -143,21 +148,21 @@ class ClassTable:
         digits = all_rows(N_MOVES)
         position = np.flatnonzero(leading_digits(digits) == 1)
         rows = digits[position]
+        del digits                    # freed before the certificate's marks
         last = rows @ _SIGNS[1:-1] % 3
         self.codes = np.column_stack((np.zeros_like(rows[:, 0]), rows, last))
         # row `position` of all_rows has key `position` over t_1..t_10,
         # and t_0 = 0, so the key of the whole row appends the digit t_11
         self.keys = 3 * position + last
-        relabeled = relabeled_keys(self.codes)
-        self.raw_count = transversal_raw_count(relabeled)
+        # a class has two rows with t_0 = 0, the canonical one and its
+        # negation c -> -c, whose key over t_1..t_10 is `negated`
+        negated = negated_keys(rows, _W12[2:])
+        self.raw_count = transversal_raw_count(self.keys,
+                                               3 * negated + -last % 3)
         assert self.raw_count == N_RAW
-
-        # a class has two rows with t_0 = 0, the canonical one and its swap
-        # c -> -c; a zero-led key // 3 is the key of (t_1, ..., t_10)
-        self.class_index = signed_index(3 ** N_MOVES, position,
-                                        relabeled[_NEGATION] // 3)
-        self._perms: dict[int, np.ndarray] = {}
-        self._base_tree: OrbitResult | None = None   # see orbit_R
+        self.class_index = signed_index(3 ** N_MOVES, position, negated)
+        self._hurwitz_perms: np.ndarray | None = None   # (N_MOVES, N_CLASSES)
+        self._base_tree: OrbitResult | None = None      # see orbit_R
 
     # -- lookups ----------------------------------------------------------------
 
@@ -176,24 +181,28 @@ class ClassTable:
 
     # -- the half-twist action ----------------------------------------------------
 
+    def all_hurwitz_perms(self) -> np.ndarray:
+        """The ten class permutations, stored once as the rows of one
+        (N_MOVES, N_CLASSES) int64 array: row i - 1 is the move at slots
+        (i, i+1)."""
+        if self._hurwitz_perms is None:
+            perms = np.empty((N_MOVES, N_CLASSES), dtype=np.int64)
+            for i in range(1, N_MOVES + 1):
+                # the move (u, v) -> (v, -u - v) at slots i, i+1 changes two
+                # digits of the key; it keeps t_0 = 0, so the moved row is
+                # one of the two indexed rows of its class
+                u = self.codes[:, i].astype(np.int64)
+                v = self.codes[:, i + 1].astype(np.int64)
+                moved = (self.keys + (v - u) * _W12[i]
+                         + ((-u - v) % 3 - v) * _W12[i + 1])
+                perms[i - 1] = self.class_index[moved // 3]   # widened here
+            assert (perms >= 0).all()
+            self._hurwitz_perms = perms
+        return self._hurwitz_perms
+
     def hurwitz_perm(self, i: int) -> np.ndarray:
         """Permutation of class indices from the move at slots (i, i+1)."""
-        i = generator_index(i, N_MOVES)
-        if i not in self._perms:
-            # the move (u, v) -> (v, -u - v) at slots i, i+1 changes two
-            # digits of the key; it keeps t_0 = 0, so the moved row is one of
-            # the two indexed rows of its class
-            u = self.codes[:, i].astype(np.int64)
-            v = self.codes[:, i + 1].astype(np.int64)
-            moved = (self.keys + (v - u) * _W12[i]
-                     + ((-u - v) % 3 - v) * _W12[i + 1])
-            perm = self.class_index[moved // 3]
-            assert (perm >= 0).all()
-            self._perms[i] = perm
-        return self._perms[i]
-
-    def all_hurwitz_perms(self):
-        return [self.hurwitz_perm(i) for i in range(1, N_MOVES + 1)]
+        return self.all_hurwitz_perms()[generator_index(i, N_MOVES) - 1]
 
     def base_class(self) -> int:
         """The class of (t_0, t_1) = ((12), (12)), t_2..t_11 = (23)."""
@@ -248,6 +257,13 @@ def classify_confluence_codes(codes, pos: int) -> str:
     """Collapse classification of one 12-tuple at slots (pos, pos+1 mod 12)."""
     codes = np.asarray(codes, dtype=np.int8).reshape(1, TUPLE_LEN)
     return CONFLUENCE_CLASSES[int(confluence_labels(codes, pos)[0])]
+
+
+def alternating_tuple(length: int) -> str:
+    """The code string of the raw tuple (0, 1, 0, 1, ..., 0, x) of even
+    `length`, with x forced by product one: the alternating sum is
+    -(length/2 - 1) - x, so x = 1 - length/2 mod 3."""
+    return "01" * (length // 2 - 1) + "0" + str((1 - length // 2) % 3)
 
 
 def orbit_R(seed_idx: int) -> OrbitResult:

@@ -38,6 +38,11 @@ class OrbitResult:
     order: points in BFS order (seeds first, each level ascending);
     parent/parent_gen: the tree edge through which a point was first reached
     (-1 for seeds and off the orbit); depth: distance from a seed, or -1.
+
+    `order` and `parent` are int64, since numpy reads them as indices and
+    would convert a narrower index array on every gather; `parent_gen` and
+    `depth` are values, stored in the narrowest signed type that holds the
+    generator count and the point count.
     """
     order: np.ndarray
     parent: np.ndarray
@@ -59,8 +64,9 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     does not depend on timing.
     """
     parent = np.full(n_points, -1, dtype=np.int64)
-    parent_gen = np.full(n_points, -1, dtype=np.int64)
-    depth = np.full(n_points, -1, dtype=np.int64)
+    parent_gen = np.full(n_points, -1,
+                         dtype=np.min_scalar_type(-1 - len(gens)))
+    depth = np.full(n_points, -1, dtype=np.min_scalar_type(-1 - n_points))
     visited = np.zeros(n_points, dtype=bool)
     reached = np.zeros(n_points, dtype=bool)     # the level being built
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
-from .f3 import all_rows, leading_digits, signed_index
+from .f3 import all_rows, leading_digits, negated_keys, signed_index
 from .schreier import generator_index, orbit_bfs, orbit_size
 
 DIM = lattice.RANK
@@ -105,10 +105,6 @@ def _transvect_keys(vectors: np.ndarray, keys: np.ndarray, i: int) -> np.ndarray
     return keys + (moved - vectors[:, g]).astype(np.int64) * POW3[g]
 
 
-def keys_of(vectors: np.ndarray) -> np.ndarray:
-    return np.asarray(vectors, dtype=np.int64) @ POW3
-
-
 class ProjectiveTable:
     """Canonical line representatives, index lookups and generator actions."""
 
@@ -116,19 +112,19 @@ class ProjectiveTable:
         # all_rows puts its first column most significant; reversing the
         # columns makes coordinate 0 the least significant digit, so row k
         # of `vectors` is the vector with key k
-        self.vectors = all_rows(DIM)[:, ::-1]       # all of F_3^10, row = key
+        vectors = all_rows(DIM)[:, ::-1]            # all of F_3^10, row = key
 
         # the rows whose first nonzero coordinate is 1, in ascending key order
-        self.keys = np.flatnonzero(leading_digits(self.vectors) == 1)
+        self.keys = np.flatnonzero(leading_digits(vectors) == 1)
         assert self.keys.size == N_POINTS
-        self.reps = self.vectors[self.keys]         # (29524, 10) canonical rows
+        self.reps = vectors[self.keys]              # (29524, 10) canonical rows
+        del vectors                                 # no command reads F_3^10
         # v and 2v = -v span one point, so every nonzero key is indexed
         self.point_index = signed_index(N_VECTORS, self.keys,
-                                        keys_of(-self.reps % 3))
+                                        negated_keys(self.reps, POW3))
 
         self._transvection_perms: np.ndarray | None = None   # (DIM, N_POINTS)
         self._transvection_signs: np.ndarray | None = None   # (DIM, N_POINTS)
-        self._vec_perms: dict[int, np.ndarray] = {}
 
     # -- lookups -------------------------------------------------------------
 
@@ -177,12 +173,11 @@ class ProjectiveTable:
 
     def vector_perm(self, i: int) -> np.ndarray:
         """The permutation of all 3^10 vector keys (0 is fixed): the dense
-        form of the signed action, which no command reads."""
+        form of the signed action, which no command reads.  It rebuilds
+        the rows of F_3^10, which the table does not keep."""
         i = generator_index(i, DIM)
-        if i not in self._vec_perms:
-            keys = np.arange(N_VECTORS, dtype=np.int64)   # row k of vectors has key k
-            self._vec_perms[i] = _transvect_keys(self.vectors, keys, i)
-        return self._vec_perms[i]
+        vectors = all_rows(DIM)[:, ::-1]            # row k has key k
+        return _transvect_keys(vectors, np.arange(N_VECTORS, dtype=np.int64), i)
 
     def orbit_of_points(self, seeds):
         return orbit_bfs(N_POINTS, self.all_transvection_perms(), seeds)

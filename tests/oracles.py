@@ -5,11 +5,20 @@ checks, and is defined here once for every test module.  None of them is
 called by a command, so none of them lives in the package.
 """
 
+import itertools
+
 import numpy as np
 
 from trigonal import lattice as lat
 from trigonal import sympf3 as sp
-from trigonal.eisenstein import THETA, div_exact, reduce_mod_theta
+from trigonal.eisenstein import (ONE, TAU, THETA, ZERO, EisensteinInt,
+                                 div_exact, reduce_mod_theta)
+
+#: the six relabelings of codes induced by simultaneous conjugation, the
+#: maps c -> +-c + a, which are all of Sym(F_3), as rows in lexicographic
+#: order: row k sends code c to ALPHABET_PERMS[k][c]
+ALPHABET_PERMS = np.array(sorted(itertools.permutations(range(3))),
+                          dtype=np.int8)
 
 
 def f3_rank(m):
@@ -39,6 +48,11 @@ def brute_canonicalize(v):
     return np.where((lead == 2)[:, None], (2 * v) % 3, v)
 
 
+def keys_of(vectors):
+    """The base-3 keys of the point side, coordinate 0 least significant."""
+    return np.asarray(vectors, dtype=np.int64) @ sp.POW3
+
+
 def skew(x, y):
     """The rescaled form herm(x, y) / theta, an exact Eisenstein integer."""
     return div_exact(lat.herm(x, y), THETA)
@@ -63,3 +77,21 @@ def hurwitz_move_codes(codes, i):
     codes[:, i] = v
     codes[:, i + 1] = (-u - v) % 3
     return codes
+
+
+def realified_chain_gram(rank):
+    """The 2*rank x 2*rank Gram matrix of -(2/3) * Re herm on the Z-basis
+    a_1, tau*a_1, a_2, ... of the chain lattice of `rank`, from its
+    definition: herm(a_i, a_i) = -3, herm(a_i, a_{i+1}) = theta =
+    -herm(a_{i+1}, a_i), herm(s*x, t*y) = s * conj(t) * herm(x, y), and
+    Re(a + b*tau) = a + b/2."""
+    chain = {0: EisensteinInt(-3), 1: THETA, -1: -THETA}
+    rows = []
+    for i, s in itertools.product(range(rank), (ONE, TAU)):
+        row = []
+        for j, t in itertools.product(range(rank), (ONE, TAU)):
+            h = s * t.conj() * chain.get(j - i, ZERO)
+            assert (2 * h.a + h.b) % 3 == 0
+            row.append(-(2 * h.a + h.b) // 3)
+        rows.append(row)
+    return rows

@@ -202,9 +202,12 @@ def test_criterion_08_orbit_trichotomy(corr):
             and cross["agreements"] == 10
             and cross["agreements_rm_sg_swapped"] == 295240
             and h_fibers
-            and all(row["confluence_counts"] == {"H": 1, "RM": 19683, "SG": 9840}
-                    and row["line_counts"] == {"H": 1, "RM": 9840, "SG": 19683}
-                    for row in cross["per_position"]))
+            and all(sp.label_counts(mo.confluence_labels(mot.codes, i))
+                    == {"H": 1, "RM": 19683, "SG": 9840}
+                    and sp.label_counts(sp.line_class_vector(
+                        spt.basis_point(i))[corr.backward])
+                    == {"H": 1, "RM": 9840, "SG": 19683}
+                    for i in range(1, 11)))
         ok = orbits_ok and pairing_ok and counts_ok
     report(8, "orbit trichotomy", ok, 120, t,
            f"stabilizer orbits={orbit_sizes} = line labels: {orbits_ok}; "

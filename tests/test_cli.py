@@ -37,6 +37,8 @@ from trigonal import __version__, cli
 from trigonal import monodromy as mo
 from trigonal.eisenstein import TAU2
 
+from oracles import ALPHABET_PERMS
+
 #: SHA-256 of the bytes each export writes
 EXPORT_SHA256 = {
     ("gram",): "352c83c5a30a611c53f604edc557f13d"
@@ -409,7 +411,7 @@ COUNT_TREES = (
     "assert not hasattr(co, 'orbit_bfs'), 'correspondence builds a tree'\n"
     "calls = []\n"
     "def counted(n_points, gens, seeds, bfs=schreier.orbit_bfs):\n"
-    "    side = 'classes' if gens[0] is mo.get_table().hurwitz_perm(1) "
+    "    side = 'classes' if gens is mo.get_table().all_hurwitz_perms() "
     "else 'other'\n"
     "    calls.append((side, list(seeds)))\n"
     "    return bfs(n_points, gens, seeds)\n"
@@ -958,7 +960,7 @@ def test_classify_any_text_exits_0_or_2(text, pos, cross):
        st.integers(1, 10))
 def test_classify_cross_check_exchanges_rm_and_sg(idx, relabel, pos):
     t = mo.get_table()
-    codes = mo.ALPHABET_PERMS[relabel][t.codes[idx]]
+    codes = ALPHABET_PERMS[relabel][t.codes[idx]]
     code, out, err = classify_exit(["classify", "".join(map(str, codes)),
                                     str(pos), "--cross-check"])
     assert (code, err) == (0, "")

@@ -47,3 +47,23 @@ def test_rank_equals_the_row_reduction_oracle():
         assert f3.rank(m) == f3_rank(m) <= inner, m
     assert f3.rank(np.zeros((4, 5), dtype=np.int8)) == 0
     assert f3.rank(sp.SYMP_GRAM) == f3.RANK
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_negated_keys_and_digit_sums_equal_the_all_rows_route(n):
+    rows = f3.all_rows(n)
+    rng = np.random.default_rng(n)
+    msb_first = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    coefficients = rng.integers(-4, 5, size=n)
+    # both digit orders: first column most significant, and reversed
+    for weights in (msb_first, msb_first[::-1]):
+        negated = (-rows.astype(np.int64) % 3) @ weights
+        assert (f3.negated_keys(rows, weights) == negated).all()
+        assert (f3.negated_keys(rows[::7], weights) == negated[::7]).all()
+    sums = f3.digit_sums(coefficients)
+    assert sums.dtype == np.uint8
+    assert (sums == rows.astype(np.int64) @ coefficients % 3).all()
+    # the last column most significant: the coefficients reversed
+    reversed_rows = rows[:, ::-1].astype(np.int64)
+    assert (f3.digit_sums(coefficients[::-1])
+            == reversed_rows @ coefficients % 3).all()

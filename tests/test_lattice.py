@@ -17,7 +17,7 @@ from trigonal.eisenstein import (
 )
 from trigonal import lattice as lat
 
-from oracles import skew
+from oracles import realified_chain_gram, skew
 
 
 A = [None] + [lat.basis_vector(i) for i in range(1, 11)]  # 1-based
@@ -369,6 +369,19 @@ def test_realify_certificate():
     assert cert["is_even"] is True
     assert cert["abs_det"] == 1
     assert cert["signature"] == (18, 2)
+
+
+@pytest.mark.parametrize("rank", range(2, 23, 2))
+def test_realified_signature_is_the_eigenvalue_count(rank):
+    # the count the certificate expects, against the exact signature of the
+    # chain Gram built from its definition; rank 10 is the package's own
+    gram = realified_chain_gram(rank)
+    det, signature = lat._det_and_signature(gram)
+    assert det != 0
+    assert lat.realified_signature(rank) == signature
+    if rank == lat.RANK:
+        assert gram == lat.realified_gram()
+        assert signature == (18, 2)
 
 
 def test_realify_certificate_against_float_oracle():

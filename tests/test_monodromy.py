@@ -7,7 +7,7 @@ import pytest
 
 from trigonal import monodromy as mo
 
-from oracles import hurwitz_move_codes
+from oracles import ALPHABET_PERMS, hurwitz_move_codes
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +79,11 @@ def test_reflection_coding_equals_the_s3_reference(every_tuple):
     code_of = {int(e): c for c, e in enumerate(S3_T)}
     induced = [[code_of[int(S3_MUL[S3_MUL[g, S3_T[c]], S3_INV[g]])]
                 for c in range(3)] for g in range(6)]
-    assert sorted(induced) == mo.ALPHABET_PERMS.tolist()
+    assert sorted(induced) == ALPHABET_PERMS.tolist()
 
 
 def test_alphabet_perms_are_all_of_s3():
-    perms = {tuple(int(x) for x in row) for row in mo.ALPHABET_PERMS}
+    perms = {tuple(int(x) for x in row) for row in ALPHABET_PERMS}
     assert perms == set(itertools.permutations(range(3)))
 
 
@@ -268,7 +268,7 @@ def test_classify_conjugation_invariant(table):
     rng = np.random.default_rng(11)
     for idx in rng.integers(0, mo.N_CLASSES, size=20):
         codes = table.codes[int(idx)]
-        for perm in mo.ALPHABET_PERMS:
+        for perm in ALPHABET_PERMS:
             relabeled = perm[codes]
             for pos in (0, 3, 11):
                 assert (mo.classify_confluence_codes(relabeled, pos)
@@ -317,7 +317,7 @@ def test_index_round_trip(table):
         s = table.class_string(int(idx))
         assert table.index_of_string(s) == int(idx)
         # any relabeling resolves to the same class
-        relabeled = mo.ALPHABET_PERMS[3][table.codes[int(idx)]]
+        relabeled = ALPHABET_PERMS[3][table.codes[int(idx)]]
         assert table.index_of_codes(relabeled) == int(idx)
 
 
@@ -330,15 +330,36 @@ def test_index_of_codes_takes_one_row_of_twelve_letters(table):
             table.index_of_codes(bad)
 
 
+def seeded_raw_rows(table, n, seed):
+    """n seeded raw tuples that are not class rows: t_1..t_11 drawn, t_0
+    forced by product one, constant and canonical rows dropped."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 3, size=(n, mo.TUPLE_LEN)).astype(np.int8)
+    signs = np.resize([1, -1], mo.TUPLE_LEN)
+    codes[:, 0] = -(codes[:, 1:] @ signs[1:]) % 3
+    codes = codes[(codes != codes[:, :1]).any(axis=1)]
+    codes = codes[~np.isin(mo.codes_to_keys(codes), table.keys)]
+    assert (mo.broken_rules(codes) == -1).all() and len(codes) > n // 2
+    return codes
+
+
 def test_relabeled_keys_are_the_keys_of_the_relabeled_rows(table):
-    relabeled = mo.relabeled_keys(table.codes)
-    assert relabeled.shape == (6, mo.N_CLASSES)
-    for k, perm in enumerate(mo.ALPHABET_PERMS):
-        assert (relabeled[k] == mo.codes_to_keys(perm[table.codes])).all()
+    # the six key identities, on the class rows and on raw rows that are
+    # not canonical
+    for codes in (table.codes, seeded_raw_rows(table, 5000, 8)):
+        keys = mo.codes_to_keys(codes)
+        negated = mo.codes_to_keys(-codes % 3)
+        relabeled = list(mo.relabeled_keys(keys, negated))
+        assert len(relabeled) == len(ALPHABET_PERMS) == 6
+        for k, perm in enumerate(ALPHABET_PERMS):
+            assert (relabeled[k] == mo.codes_to_keys(perm[codes])).all(), perm
+
+
+def test_class_index_holds_the_negated_row_of_each_class(table):
     # the row that indexes each class's second zero-led row is c -> -c
-    assert (relabeled[mo._NEGATION]
-            == mo.codes_to_keys(-table.codes % 3)).all()
-    assert (table.class_index[relabeled[mo._NEGATION] // 3]
+    negated = mo.codes_to_keys(-table.codes % 3)
+    assert (table.class_index[negated // 3] == np.arange(mo.N_CLASSES)).all()
+    assert (table.class_index[table.keys // 3]
             == np.arange(mo.N_CLASSES)).all()
 
 
@@ -361,20 +382,21 @@ def test_base_class_tree_is_built_once_per_table(monkeypatch):
 
 
 def certify(codes):
-    return mo.transversal_raw_count(mo.relabeled_keys(codes))
+    return mo.transversal_raw_count(mo.codes_to_keys(codes),
+                                    mo.codes_to_keys(-codes % 3))
 
 
 def test_transversal_certificate_accepts_the_class_rows(table):
     assert certify(table.codes) == mo.N_RAW
     # any relabeling of each row is a transversal too
-    relabeled = mo.ALPHABET_PERMS[np.arange(mo.N_CLASSES) % 6, table.codes.T].T
+    relabeled = ALPHABET_PERMS[np.arange(mo.N_CLASSES) % 6, table.codes.T].T
     assert certify(relabeled) == mo.N_RAW
 
 
 def test_transversal_certificate_rejects_corrupted_rows(table):
     # one class row replaced by a relabeling of another class's row
     shared = table.codes.copy()
-    shared[7] = mo.ALPHABET_PERMS[4][shared[100]]
+    shared[7] = ALPHABET_PERMS[4][shared[100]]
     with pytest.raises(ValueError, match="177144 relabelings mark 177138 "
                        "tuples, not the 177144 raw tuples"):
         certify(shared)
@@ -387,3 +409,18 @@ def test_transversal_certificate_rejects_corrupted_rows(table):
     broken[7, -1] = (broken[7, -1] + 1) % 3
     with pytest.raises(ValueError, match="not the 177144 raw tuples"):
         certify(broken)
+
+
+@pytest.mark.parametrize("rank", range(2, 23, 2))
+def test_alternating_tuple_is_raw_at_every_even_rank(rank):
+    length = rank + 2
+    text = mo.alternating_tuple(length)
+    assert len(text) == length and text[:-1] == "01" * (length // 2 - 1) + "0"
+    # a raw tuple: letters in F_3, product one, not constant
+    codes = np.array([int(ch) for ch in text])
+    assert set(text) <= set("012")
+    assert codes @ np.resize([1, -1], length) % 3 == 0
+    assert len(set(text)) > 1
+    if length == mo.TUPLE_LEN:
+        assert text == "010101010101"
+        assert mo.broken_rules(codes) == -1

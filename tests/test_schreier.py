@@ -383,10 +383,8 @@ def test_generator_indices_follow_one_rule_on_both_sides(name):
         with pytest.raises(IndexError, match=r"must be in 1\.\.10"):
             fn(bad)
     table = getattr(fn, "__self__", None)
-    for cache in ("_perms", "_vec_perms"):   # the per-slot caches
-        keys = getattr(table, cache, {})
-        assert all(type(k) is int for k in keys), keys
-    # the point side keeps its transvections in arrays, a row per slot
-    for cache in ("_transvection_perms", "_transvection_signs"):
+    # both sides keep their generators in arrays, a row per slot
+    for cache in ("_hurwitz_perms", "_transvection_perms",
+                  "_transvection_signs"):
         rows = getattr(table, cache, None)
         assert rows is None or rows.shape == (sp.DIM, sp.N_POINTS), cache

@@ -9,7 +9,8 @@ from trigonal import lattice as lat
 from trigonal import sympf3 as sp
 from trigonal.eisenstein import THETA, EisensteinInt, reduce_mod_theta
 
-from oracles import brute_canonicalize, f3_rank, reduce_vector, skew, symp
+from oracles import (brute_canonicalize, f3_rank, keys_of, reduce_vector, skew,
+                     symp)
 
 
 def scale(c, x):
@@ -104,25 +105,32 @@ def test_projective_enumeration():
     lead = t.reps[np.arange(29524), np.argmax(t.reps != 0, axis=1)]
     assert (lead == 1).all()
     # no duplicates and scaling by 2 gives no new canonical rows
-    assert np.unique(sp.keys_of(t.reps)).size == 29524
-    assert (sp.keys_of(brute_canonicalize((t.reps * 2) % 3))
-            == sp.keys_of(t.reps)).all()
+    assert np.unique(keys_of(t.reps)).size == 29524
+    assert (keys_of(brute_canonicalize((t.reps * 2) % 3))
+            == keys_of(t.reps)).all()
+
+
+def every_vector():
+    """F_3^10 in key order, coordinate 0 least significant: digits by ten
+    divmod passes, as the table was built before it stopped keeping them."""
+    keys = np.arange(sp.N_VECTORS, dtype=np.int64)
+    return np.stack([(keys // 3 ** i) % 3 for i in range(10)],
+                    axis=1).astype(np.int8)
 
 
 def test_projective_table_equals_the_canonicalize_route():
-    # the table as built before: digits by ten divmod passes, then the
-    # canonical keys of every nonzero vector, deduplicated; each point is
-    # indexed at the key of its canonical vector v and at the key of 2v
-    keys = np.arange(sp.N_VECTORS, dtype=np.int64)
-    vectors = np.stack([(keys // 3 ** i) % 3 for i in range(10)],
-                       axis=1).astype(np.int8)
-    canon_keys = np.unique(sp.keys_of(brute_canonicalize(vectors[1:])))
+    # the table as built before: the canonical keys of every nonzero vector,
+    # deduplicated; each point is indexed at the key of its canonical vector
+    # v and at the key of 2v.  The index holds row positions, as int32
+    vectors = every_vector()
+    canon_keys = np.unique(keys_of(brute_canonicalize(vectors[1:])))
     reps = vectors[canon_keys]
-    point_index = np.full(sp.N_VECTORS, -1, dtype=np.int64)
-    point_index[canon_keys] = np.arange(sp.N_POINTS, dtype=np.int64)
-    point_index[sp.keys_of((2 * reps) % 3)] = np.arange(sp.N_POINTS)
+    point_index = np.full(sp.N_VECTORS, -1, dtype=np.int32)
+    point_index[canon_keys] = np.arange(sp.N_POINTS)
+    point_index[keys_of((2 * reps) % 3)] = np.arange(sp.N_POINTS)
     t = sp.get_table()
-    for got, want in ((t.vectors, vectors), (t.reps, reps), (t.keys, canon_keys),
+    assert not hasattr(t, "vectors")          # no kept copy of F_3^10
+    for got, want in ((t.reps, reps), (t.keys, canon_keys),
                       (t.point_index, point_index)):
         assert got.dtype == want.dtype
         assert got.shape == want.shape
@@ -138,12 +146,12 @@ def test_index_round_trip_and_basis_points():
     rng = random.Random(13)
     for _ in range(50):
         idx = rng.randrange(29524)
-        assert t.point_index[sp.keys_of(t.rep(idx))] == idx
-        assert t.point_index[sp.keys_of(t.rep(idx) * 2 % 3)] == idx
+        assert t.point_index[keys_of(t.rep(idx))] == idx
+        assert t.point_index[keys_of(t.rep(idx) * 2 % 3)] == idx
     assert t.basis_point(1) == 0
     e = np.identity(10, dtype=np.int8)
     for i in range(1, 11):
-        assert t.basis_point(i) == t.point_index[sp.keys_of(e[i - 1])]
+        assert t.basis_point(i) == t.point_index[keys_of(e[i - 1])]
         assert (t.rep(t.basis_point(i)) == e[i - 1]).all()
     for i in (0, 11):
         with pytest.raises(IndexError):
@@ -163,18 +171,20 @@ def test_transvection_perms_are_permutations_of_order_three():
 def test_point_index_maps_every_nonzero_vector_to_its_line():
     t = sp.get_table()
     assert t.point_index[0] == -1
-    assert (t.reps[t.point_index[1:]] == brute_canonicalize(t.vectors[1:])).all()
+    vectors = every_vector()
+    assert (t.reps[t.point_index[1:]] == brute_canonicalize(vectors[1:])).all()
 
 
 def test_generator_permutations_equal_the_matrix_route():
     t = sp.get_table()
     perms, signs = t.transvections()
+    vectors = every_vector()
     for i in range(1, 11):
         m = sp.transvection(i).astype(np.int64)
-        assert (t.vector_perm(i) == sp.keys_of((t.vectors @ m.T) % 3)).all()
+        assert (t.vector_perm(i) == keys_of((vectors @ m.T) % 3)).all()
         images = (t.reps @ m.T) % 3
         imgs = brute_canonicalize(images)
-        assert (t.transvection_perm(i) == t.point_index[sp.keys_of(imgs)]).all()
+        assert (t.transvection_perm(i) == t.point_index[keys_of(imgs)]).all()
         assert t.transvection_perm(i).base is perms      # one array, a row each
         # the sign is set where the image of a canonical row is not canonical
         assert (signs[i - 1] == (imgs != images).any(axis=1)).all()
@@ -206,7 +216,7 @@ def test_orbit_transitivity_on_points_and_vectors():
     assert res.size == 29524
     p = t.basis_point(1)
     assert t.transvection_perm(5)[p] == p  # transvection 5 fixes [alpha_1]
-    vsize = t.orbit_of_nonzero_vectors(int(sp.keys_of(np.eye(10, dtype=np.int8)[0])))
+    vsize = t.orbit_of_nonzero_vectors(int(keys_of(np.eye(10, dtype=np.int8)[0])))
     assert vsize == 3 ** 10 - 1
 
 
@@ -219,11 +229,11 @@ def test_classify_line_examples():
 
 
 def test_symp_with_equals_the_dense_form():
-    t = sp.get_table()
-    x = t.vectors.astype(np.int64)
+    vectors = every_vector()
+    x = vectors.astype(np.int64)
     dense_w = np.array([1, 2, 1, 1, 2, 2, 1, 2, 1, 1], dtype=np.int8)
     for w in [*np.identity(10, dtype=np.int8), dense_w]:
-        got = sp.symp_with(t.vectors, w)
+        got = sp.symp_with(vectors, w)
         assert (got == x @ sp.SYMP_GRAM.astype(np.int64) @ w % 3).all()
 
 
