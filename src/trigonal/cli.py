@@ -196,17 +196,17 @@ def check_triflection_algebra(ctx: Context):
 
 
 def _mod_theta_checks():
-    """Each triflection reduces to its transvection, as matrices over F_3
-    and as the congruence Red * R(s_i) = T_i * Red (mod 3) on the Z-basis;
-    then the reduced form is alternating."""
+    """Each triflection reduces to its transvection, as the congruence
+    Red * R(s_i) = T_i * Red (mod 3) on the Z-basis: column 2j of R(s_i) is
+    s_i(a_j) and column 2j+1 is tau*s_i(a_j), so it says reduce(s_i(a_j)) =
+    T_i e_j for every j; then the reduced form is alternating."""
     red = sp.reduction_matrix()
     for i in range(1, sp.DIM + 1):
         tv = sp.transvection(i).astype(np.int64)
-        reduced = (sp.reduce_matrix(la.triflection(i)) == tv % 3).all()
         step = la.matmul(red, la.step_matrix(i, 1))
         congruent = ((step - la.matmul(tv, red)) % 3 == 0).all()
         yield ("reduce_triflection_equals_transvection_reduce",
-               f"generator {i}", bool(reduced and congruent))
+               f"generator {i}", bool(congruent))
     g = sp.SYMP_GRAM.astype(np.int64)
     yield "antisymmetric", "antisymmetric", bool((((g + g.T) % 3) == 0).all())
     yield "zero_diagonal", "zero_diagonal", bool((np.diag(g) % 3 == 0).all())
@@ -310,7 +310,7 @@ def check_realification(ctx: Context):
 
 def check_minus6(ctx: Context):
     rng = ctx.rng("minus6")
-    eps0 = la.vec_add(la.basis_vector(1), la.basis_vector(2))
+    eps0 = la.MINUS6_SEED
     decomposed = 0
     samples = 100
     for _ in range(samples):
@@ -594,7 +594,8 @@ def cmd_export(args) -> int:
     if out is None:
         return 2
     if args.what == "gram":
-        chunks = [_json_bytes({"gram": la.matrix_to_json(la.GRAM)})]
+        chunks = [_json_bytes(
+            {"gram": [[c.to_json() for c in row] for row in la.GRAM]})]
     elif args.what == "classes":
         t = mo.get_table()
         chunks = [_json_bytes({"count": int(t.codes.shape[0]),

@@ -31,14 +31,21 @@ formula.
 Flat Z-coordinates.  As a Z-module L is free of rank 20 with basis
 a_1, tau*a_1, a_2, tau*a_2, ...; the vector sum_k (p_k + q_k*tau) a_k has
 the flat coordinates (p_1, q_1, p_2, q_2, ...), a tuple of 20 Python ints.
-This is the one coordinate system of the integer kernels: `_step` moves
-flat tuples; `herm` pairs them through the two integer matrices A and B of
-herm(x, y) = x^T A y + (x^T B y) * tau; `step_matrix` gives the 20x20
-integer matrix of a triflection on this basis; `preserves_realified_form`
-checks R^T A R = A and R^T B R = B; and `realify_and_certify` certifies the
-Gram matrix -(2A + B)/3.  The public functions still take and return
-tuples of EisensteinInt.  Integer matrix products go through `matmul`,
-which raises OverflowError instead of letting an int64 entry wrap.
+This is the one form of a vector, at the API too: `basis_vector`,
+`apply_lattice_word`, `decompose_minus6` and `minus6_witness` take and
+return flat tuples; `_step` moves them; `herm` pairs them through the two
+integer matrices A and B of herm(x, y) = x^T A y + (x^T B y) * tau and
+returns the pair (x^T A y, x^T B y); `step_matrix` gives the 20x20 integer
+matrix of a triflection on this basis; `preserves_realified_form` checks
+R^T A R = A and R^T B R = B; and `realify_and_certify` certifies the Gram
+matrix -(2A + B)/3.  Integer matrix products go through `matmul`, which
+raises OverflowError instead of letting an int64 entry wrap.
+
+EisensteinInt remains only where a value is divided or printed: the chain
+`GRAM` (the source of A, B and the `_step` rows, and the `export gram`
+JSON), the minus-6 witness's value and its divisibility tests, and the
+10x10 matrices of `word_matrix`, `triflection` and `compose`, which no
+command path builds.
 
 The real part of the form, rescaled by -2/3, turns the rank-20 underlying
 Z-module into an even unimodular quadratic lattice of signature (18, 2);
@@ -60,7 +67,6 @@ from .eisenstein import (
 from .f3 import RANK
 from .schreier import generator_index
 
-Vector = tuple  # length-10 tuple of EisensteinInt
 Matrix = tuple  # 10x10 nested tuple of EisensteinInt, row major
 
 
@@ -72,22 +78,15 @@ GRAM: Matrix = tuple(tuple(_CHAIN.get(j - i, ZERO) for j in range(RANK))
 
 # -- vectors ------------------------------------------------------------------
 
-def basis_vector(i: int) -> Vector:
-    """The basis vector a_i, 1 <= i <= 10."""
+def basis_vector(i: int) -> tuple:
+    """The flat coordinates of the basis vector a_i, 1 <= i <= 10: the unit
+    tuple of 20 ints with its 1 at index 2i - 2."""
     g = generator_index(i, RANK) - 1
-    return tuple(ONE if k == g else ZERO for k in range(RANK))
+    return tuple(int(k == 2 * g) for k in range(2 * RANK))
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _flat(x: Vector) -> tuple:
-    """The flat Z-coordinates (p_1, q_1, ...) of x = sum (p_k + q_k tau) a_k."""
-    return tuple(n for c in x for n in (c.a, c.b))
-
-
-def _unflat(z) -> Vector:
+def _unflat(z) -> tuple:
+    """The EisensteinInt coordinates p_k + q_k*tau of the flat vector z."""
     return tuple(EisensteinInt(p, q) for p, q in zip(z[::2], z[1::2]))
 
 
@@ -143,24 +142,18 @@ def _herm_rows() -> tuple:
                  for p in range(2 * RANK))
 
 
-def _form(zx: tuple, zy: tuple) -> tuple[int, int]:
-    """herm on flat Z-coordinates, as (x^T A y, x^T B y)."""
+def herm(x: tuple, y: tuple) -> tuple[int, int]:
+    """The hermitian form on flat coordinates, linear in x and
+    conjugate-linear in y: the pair (re, im) of herm(x, y) = re + im*tau,
+    that is (x^T A y, x^T B y)."""
     re = im = 0
-    for xp, row in zip(zx, _herm_rows()):
+    for xp, row in zip(x, _herm_rows()):
         if xp:
             for q, ca, cb in row:
-                t = xp * zy[q]
+                t = xp * y[q]
                 re += ca * t
                 im += cb * t
     return re, im
-
-
-def herm(x: Vector, y: Vector) -> EisensteinInt:
-    """The hermitian form; linear in x, conjugate-linear in y.
-
-    Computed on flat Z-coordinates as x^T A y + (x^T B y) * tau.
-    """
-    return EisensteinInt(*_form(_flat(x), _flat(y)))
 
 
 # -- matrices ------------------------------------------------------------------
@@ -231,18 +224,15 @@ def _step(z: tuple, i: int, e: int) -> tuple:
                      sum([c * z[j] for j, c in im])) + z[k + 2:])
 
 
-def _walk(word, z: tuple) -> tuple:
-    for i, e in word:
-        z = _step(z, generator_index(i, RANK), _exponent(e))
-    return z
-
-
-def apply_lattice_word(word, x: Vector) -> Vector:
-    """The image of x under a word [(i, e), ...]; letters act in list order.
+def apply_lattice_word(word, z: tuple) -> tuple:
+    """The image of the flat vector z under a word [(i, e), ...]; letters
+    act in list order.
 
     Each letter is a generator index 1..10 with exponent e in {+1, -1}.
     """
-    return _unflat(_walk(word, _flat(x)))
+    for i, e in word:
+        z = _step(z, generator_index(i, RANK), _exponent(e))
+    return z
 
 
 def word_matrix(word) -> Matrix:
@@ -250,7 +240,7 @@ def word_matrix(word) -> Matrix:
 
     Column j is the image of a_j, so the first letter is applied first.
     """
-    return tuple(zip(*(apply_lattice_word(word, basis_vector(j))
+    return tuple(zip(*(_unflat(apply_lattice_word(word, basis_vector(j)))
                        for j in range(1, RANK + 1))))
 
 
@@ -269,12 +259,6 @@ def step_matrix(i: int, e: int = 1) -> np.ndarray:
 def _step_matrix(i: int, e: int) -> np.ndarray:
     unit = np.identity(2 * RANK, dtype=int).tolist()
     return _int64([_step(tuple(u), i, e) for u in unit]).T
-
-
-# -- serialization --------------------------------------------------------------
-
-def matrix_to_json(m: Matrix) -> list:
-    return [[c.to_json() for c in row] for row in m]
 
 
 # -- realification ----------------------------------------------------------------
@@ -376,14 +360,15 @@ def realify_and_certify() -> dict:
 
 _MOVES = tuple((i, e) for i in range(1, RANK + 1) for e in (1, -1))
 SEARCH_BOUND = 8    # the longest word from a_1 + a_2 decompose_minus6 tries
+#: a_1 + a_2, the norm -6 vector every decomposition walk starts from
+MINUS6_SEED = tuple(map(operator.add, basis_vector(1), basis_vector(2)))
 
 
 @functools.cache
 def _seed_ball(radius: int) -> dict:
     """Words of length <= radius from a_1 + a_2, keyed by their flat image."""
-    seed = _flat(vec_add(basis_vector(1), basis_vector(2)))
-    ball = {seed: ()}
-    frontier = [seed]
+    ball = {MINUS6_SEED: ()}
+    frontier = [MINUS6_SEED]
     for _ in range(radius):
         nxt = []
         for z in frontier:
@@ -397,17 +382,17 @@ def _seed_ball(radius: int) -> dict:
     return ball
 
 
-def decompose_minus6(eps: Vector):
-    """Split a norm -6 vector as x + y with herm(x,x) = herm(y,y) = -3
-    and herm(x, y) = theta.
+def decompose_minus6(eps: tuple):
+    """Split the flat norm -6 vector eps as x + y with herm(x,x) =
+    herm(y,y) = -3 and herm(x, y) = theta.
 
     The search is a meet-in-the-middle walk in the triflection Cayley graph:
     any eps reachable from a_1 + a_2 by a word of length <= SEARCH_BOUND is
-    decomposed.  Returns (x, y), or None when the bound is exhausted (which
-    is never a refutation: the walk only explores a finite ball).
+    decomposed.  Returns the flat pair (x, y), or None when the bound is
+    exhausted (which is never a refutation: the walk only explores a finite
+    ball).  ArithmeticError if a split it finds fails one of its identities.
     """
-    start = _flat(eps)
-    if _form(start, start) != (-6, 0):
+    if herm(eps, eps) != (-6, 0):
         raise ValueError("decompose_minus6 requires herm(eps, eps) = -6")
     fwd_radius = SEARCH_BOUND // 2
     ball = _seed_ball(fwd_radius)
@@ -415,16 +400,20 @@ def decompose_minus6(eps: Vector):
     def _reconstruct(meet: tuple, back_word):
         # a_1+a_2 --ball[meet]--> meet <--back_word-- eps
         u = ball[meet] + tuple((i, -e) for i, e in reversed(back_word))
-        zx, zy = (_walk(u, _flat(basis_vector(k))) for k in (1, 2))
-        assert tuple(map(operator.add, zx, zy)) == start
-        assert _form(zx, zx) == _form(zy, zy) == (-3, 0)
-        assert _form(zx, zy) == (THETA.a, THETA.b)
-        return _unflat(zx), _unflat(zy)
+        zx, zy = (apply_lattice_word(u, basis_vector(k)) for k in (1, 2))
+        if tuple(map(operator.add, zx, zy)) != eps:
+            raise ArithmeticError("decompose_minus6: x + y != eps")
+        if not herm(zx, zx) == herm(zy, zy) == (-3, 0):
+            raise ArithmeticError("decompose_minus6: "
+                                  "herm(x, x) = herm(y, y) = -3 fails")
+        if herm(zx, zy) != (THETA.a, THETA.b):
+            raise ArithmeticError("decompose_minus6: herm(x, y) = theta fails")
+        return zx, zy
 
-    if start in ball:
-        return _reconstruct(start, ())
-    seen = {start: ()}
-    frontier = [start]
+    if eps in ball:
+        return _reconstruct(eps, ())
+    seen = {eps: ()}
+    frontier = [eps]
     for _ in range(SEARCH_BOUND - fwd_radius):
         nxt = []
         for z in frontier:
@@ -445,35 +434,35 @@ def decompose_minus6(eps: Vector):
 class Minus6Witness(NamedTuple):
     """Evidence that the norm -6 vector eps admits no integral hexaflection.
 
-    index/vector: the basis vector x = a_index with herm(eps, x) not in
-    3*Z[tau]; value: herm(eps, x); hexaflection_nonintegral: True when the
-    map z -> z + herm(z, eps)/3 * eps indeed moves x outside the lattice.
+    index: the basis vector x = a_index with herm(eps, x) not in 3*Z[tau];
+    value: herm(eps, x); hexaflection_nonintegral: True when the map
+    z -> z + herm(z, eps)/3 * eps indeed moves x outside the lattice.
     """
     index: int
-    vector: Vector
     value: EisensteinInt
     hexaflection_nonintegral: bool
 
 
-def minus6_witness(eps: Vector):
-    """Search basis vectors for x with herm(eps, x) not divisible by 3.
+def minus6_witness(eps: tuple):
+    """Search basis vectors for x with herm(eps, x) not divisible by 3,
+    for the flat norm -6 vector eps.
 
     Basis vectors outside the support of eps are scanned first (in index
     order), mirroring the usual way such a witness is exhibited; support
     vectors follow as a fallback.  Returns a Minus6Witness, or None if no
     basis vector witnesses non-integrality.
     """
-    if herm(eps, eps) != EisensteinInt(-6):
+    if herm(eps, eps) != (-6, 0):
         raise ValueError("minus6_witness requires herm(eps, eps) = -6")
     three = EisensteinInt(3)
-    for i in sorted(range(1, RANK + 1), key=lambda i: bool(eps[i - 1])):
-        x = basis_vector(i)
-        value = herm(eps, x)
+    coords = _unflat(eps)
+    for i in sorted(range(1, RANK + 1), key=lambda i: bool(coords[i - 1])):
+        value = EisensteinInt(*herm(eps, basis_vector(i)))
         if divides(three, value):
             continue
         # herm(x, eps) = conj(value); the hexaflection sends x to
         # x + herm(x, eps)/3 * eps, not in L iff some coordinate fails.
         hx = value.conj()
-        nonintegral = any(not divides(three, hx * c) for c in eps if c)
-        return Minus6Witness(i, x, value, nonintegral)
+        nonintegral = any(not divides(three, hx * c) for c in coords if c)
+        return Minus6Witness(i, value, nonintegral)
     return None

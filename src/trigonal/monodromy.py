@@ -1,6 +1,7 @@
-"""Degree-3 cover monodromy data on twelve marked points, up to conjugation.
+"""Degree-3 cover monodromy data on TUPLE_LEN marked points, up to conjugation.
 
-A datum is a 12-tuple (t_0, ..., t_11) of transpositions in S_3 whose ordered
+TUPLE_LEN = RANK + 2, and the sizes below are those of RANK = 10: a datum
+is a 12-tuple (t_0, ..., t_11) of transpositions in S_3 whose ordered
 product t_11 * t_10 * ... * t_0 is the identity and which uses at least two
 distinct transpositions.  Transpositions are coded
 
@@ -118,7 +119,8 @@ def product_is_one(codes) -> np.ndarray:
 TUPLE_RULES = (
     "transposition codes must lie in {0, 1, 2}",
     "monodromy not surjective: a constant tuple generates a group of order 2",
-    "the ordered product of the twelve transpositions is not the identity")
+    f"the ordered product of the {TUPLE_LEN} transpositions is not the "
+    "identity")
 
 
 def broken_rules(codes) -> np.ndarray:

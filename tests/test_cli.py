@@ -315,7 +315,23 @@ def test_minus6_row_passes_on_seeds_that_walk_back(monkeypatch, seed):
     row = next(r for r in rows if r["name"] == "minus6_certificates")
     assert row["status"] == "pass"
     ball = la._seed_ball(la.SEARCH_BOUND // 2)
-    assert any(la._flat(eps) not in ball for eps in seen)
+    assert any(eps not in ball for eps in seen)
+
+
+def test_minus6_row_fails_on_a_split_that_breaks_its_identities(monkeypatch):
+    # a walk that drops its last letter builds a split whose sum is not eps;
+    # the check is explicit, so it holds under `python -O` too
+    la = cli.la
+    eps = la.apply_lattice_word([(3, 1), (7, -1), (2, 1)], la.MINUS6_SEED)
+    walk = la.apply_lattice_word
+    monkeypatch.setattr(la, "apply_lattice_word",
+                        lambda word, z: walk(word[:-1], z))
+    with pytest.raises(ArithmeticError, match=r"x \+ y != eps"):
+        la.decompose_minus6(eps)
+    rows = cli.run_checks("lattice", 0, False)
+    row = next(r for r in rows if r["name"] == "minus6_certificates")
+    assert row["status"] == "fail"
+    assert row["observed"].startswith("error: ArithmeticError")
 
 
 def test_export_digests(tmp_path):
@@ -505,7 +521,13 @@ UNCALLED = {
     "eisenstein.EisensteinInt.__hash__": "value semantics (ROADMAP item 13)",
     "eisenstein.EisensteinInt.__repr__": "value semantics (ROADMAP item 13)",
     "eisenstein.EisensteinInt.__str__": "value semantics (ROADMAP item 13)",
+    "eisenstein.EisensteinInt.__eq__":
+        "value semantics the tests read (ROADMAP item 13)",
     "lattice.compose": "a benchmark micro-probe (ROADMAP item 5)",
+    "lattice.triflection":
+        "perfbench span and micro-probe (ROADMAP item 5, after 6a)",
+    "lattice.word_matrix":
+        "perfbench span and micro-probe (ROADMAP item 5, after 6a)",
     "sympf3.ProjectiveTable.vector_perm":
         "the tests' dense reference for the signed action, and the "
         "benchmark's `sympf3.vector_perms` stage (ROADMAP item 6a)",
@@ -577,6 +599,16 @@ def test_entry_point_verify_all_writes_the_pinned_report(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert report_digest(json.loads(out.read_text())) == REPORT_SHA256[False]
     assert proc.stderr.endswith("12 checks, 1 failed\n")
+
+
+def test_entry_point_verify_all_under_python_O_writes_the_pinned_report(
+        tmp_path):
+    # -O strips assert statements; no certificate may rest on one
+    out = tmp_path / "report.json"
+    proc = fresh_python("-O", "-m", "trigonal.cli", "verify", "all",
+                        "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert report_digest(json.loads(out.read_text())) == REPORT_SHA256[False]
 
 
 def test_entry_point_export_to_stdout_is_the_pinned_export():

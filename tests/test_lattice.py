@@ -5,6 +5,7 @@ defining relations tau^2 = tau - 1, theta = -1 + 2*tau:
     tau*theta = tau - 2, 1 + tau*theta = tau^2, tau^2*theta = -tau - 1.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,50 +16,34 @@ from hypothesis import given, strategies as st
 from trigonal.eisenstein import (
     ZERO, ONE, TAU, TAU2, THETA, EisensteinInt, div_exact, divides,
 )
+from trigonal import cli
 from trigonal import lattice as lat
 
-from oracles import realified_chain_gram, skew
+from oracles import (eisenstein, flat, realified_chain_gram, realify,
+                     scalar_matrix, scale, skew, vec_add)
 
 
-A = [None] + [lat.basis_vector(i) for i in range(1, 11)]  # 1-based
-IDENTITY = tuple(tuple(ONE if i == j else ZERO for j in range(10))
-                 for i in range(10))
-
-
-def scale(c, x):
-    return tuple(c * a for a in x)
+A = [None] + [lat.basis_vector(i) for i in range(1, 11)]  # 1-based, flat
+IDENTITY = scalar_matrix(ONE)
 
 
 def rand_vector(rng, bound=4):
-    return tuple(EisensteinInt(rng.randint(-bound, bound),
-                               rng.randint(-bound, bound))
-                 for _ in range(10))
+    """A flat vector; its coordinates p_k, q_k are drawn in that order."""
+    return tuple(rng.randint(-bound, bound) for _ in range(20))
 
 
 def rand_scalar(rng, bound=4):
     return EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
 
 
-def scalar_matrix(c):
-    return tuple(tuple(c if i == j else ZERO for j in range(10))
-                 for i in range(10))
-
-
-def realify(m):
-    """The 20x20 integer matrix of the Z-linear action of m on the Z-basis
-    a_1, tau*a_1, a_2, ...: a + b*tau acts as the block [[a, -b], [b, a+b]]."""
-    out = np.zeros((20, 20), dtype=object)
-    for i in range(10):
-        for j in range(10):
-            c = m[i][j]
-            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[c.a, -c.b],
-                                                      [c.b, c.a + c.b]]
-    return out
+def herm_value(x, y):
+    """herm(x, y) of two flat vectors as an Eisenstein integer."""
+    return EisensteinInt(*lat.herm(x, y))
 
 
 def act(m, x):
     """The matrix-vector product m*x, through realify on flat coordinates."""
-    return lat._unflat(tuple(realify(m) @ np.array(lat._flat(x), dtype=object)))
+    return tuple(realify(m) @ np.array(x, dtype=object))
 
 
 def preserves_form(m):
@@ -66,13 +51,15 @@ def preserves_form(m):
 
 
 def gram_herm(x, y):
-    """herm as the sum of x_i * GRAM[i][j] * conj(y_j), in EisensteinInt."""
+    """herm as the sum of x_i * GRAM[i][j] * conj(y_j), in EisensteinInt,
+    for two flat vectors."""
+    x, y = eisenstein(x), eisenstein(y)
     return sum((x[i] * lat.GRAM[i][j] * y[j].conj()
                 for i in range(10) for j in range(10)), ZERO)
 
 
 scalars = st.builds(EisensteinInt, st.integers(-50, 50), st.integers(-50, 50))
-vectors = st.tuples(*[scalars] * 10)
+vectors = st.tuples(*[scalars] * 10).map(flat)
 
 
 # -- Gram and form ------------------------------------------------------------
@@ -90,12 +77,13 @@ def test_gram_chain_values():
 def test_herm_on_basis_matches_gram():
     for i in range(1, 11):
         for j in range(1, 11):
-            assert lat.herm(A[i], A[j]) == lat.GRAM[i - 1][j - 1]
+            assert herm_value(A[i], A[j]) == lat.GRAM[i - 1][j - 1]
 
 
 def test_herm_of_minus6_vector():
-    eps = lat.vec_add(A[1], A[2])
-    assert lat.herm(eps, eps) == EisensteinInt(-6)
+    eps = lat.MINUS6_SEED
+    assert eps == vec_add(A[1], A[2])
+    assert herm_value(eps, eps) == EisensteinInt(-6)
 
 
 def test_herm_is_sesquilinear_and_theta_valued():
@@ -103,11 +91,11 @@ def test_herm_is_sesquilinear_and_theta_valued():
     for _ in range(40):
         x, y = rand_vector(rng), rand_vector(rng)
         lam = rand_scalar(rng)
-        assert lat.herm(scale(lam, x), y) == lam * lat.herm(x, y)
-        assert lat.herm(x, scale(lam, y)) == lam.conj() * lat.herm(x, y)
-        assert lat.herm(y, x) == lat.herm(x, y).conj()
-        assert divides(THETA, lat.herm(x, y))
-        d = lat.herm(x, x)
+        assert herm_value(scale(lam, x), y) == lam * herm_value(x, y)
+        assert herm_value(x, scale(lam, y)) == lam.conj() * herm_value(x, y)
+        assert herm_value(y, x) == herm_value(x, y).conj()
+        assert divides(THETA, herm_value(x, y))
+        d = herm_value(x, x)
         assert d.b == 0 and d.a % 3 == 0  # diagonal values are integers in 3Z
 
 
@@ -135,7 +123,7 @@ def test_triflection_on_its_own_mirror_vector():
 
 def test_triflection_on_neighbour_and_far_vector():
     s1 = lat.triflection(1)
-    assert act(s1, A[2]) == lat.vec_add(A[2], scale(-TAU, A[1]))
+    assert act(s1, A[2]) == vec_add(A[2], scale(-TAU, A[1]))
     assert act(s1, A[3]) == A[3]
     assert lat.apply_lattice_word([(1, 1)], A[3]) == A[3]
     assert lat.apply_lattice_word([(5, 1)], A[1]) == A[1]
@@ -147,8 +135,7 @@ def test_triflection_matches_defining_formula():
         s = lat.triflection(i)
         for _ in range(6):
             x = rand_vector(rng)
-            expected = lat.vec_add(
-                x, scale(TAU * skew(x, A[i]), A[i]))
+            expected = vec_add(x, scale(TAU * skew(x, A[i]), A[i]))
             assert act(s, x) == lat.apply_lattice_word([(i, 1)], x) == expected
 
 
@@ -202,7 +189,7 @@ def test_word_matrix_and_apply_word_agree():
         expected = x                  # the defining formula, letter by letter
         for i, e in word:
             c = TAU if e == 1 else TAU2
-            expected = lat.vec_add(
+            expected = vec_add(
                 expected, scale(c * skew(expected, A[i]), A[i]))
         assert lat.apply_lattice_word(word, x) == expected == act(m, x)
 
@@ -242,15 +229,16 @@ def test_exponents_follow_one_rule(name):
 @given(vectors, st.integers(1, 10), st.sampled_from((1, -1)))
 def test_flat_step_is_the_defining_formula(x, i, e):
     c = TAU if e == 1 else TAU2
-    expected = lat.vec_add(
+    expected = vec_add(
         x, scale(c * div_exact(gram_herm(x, A[i]), THETA), A[i]))
-    assert lat._step(lat._flat(x), i, e) == lat._flat(expected)
-    assert lat._unflat(lat._flat(x)) == x
+    assert lat._step(x, i, e) == expected
+    assert flat(eisenstein(x)) == x
+    assert lat._unflat(x) == eisenstein(x)
 
 
 @given(vectors, vectors)
 def test_flat_herm_is_the_gram_sum(x, y):
-    assert lat.herm(x, y) == gram_herm(x, y)
+    assert herm_value(x, y) == gram_herm(x, y)
 
 
 def test_step_matrices_are_the_realified_triflections():
@@ -412,21 +400,21 @@ def test_realified_certificate_is_basis_change_invariant():
 # -- norm -6 vectors ------------------------------------------------------------
 
 def test_decompose_identity_instance():
-    eps = lat.vec_add(A[1], A[2])
+    eps = lat.MINUS6_SEED
     pair = lat.decompose_minus6(eps)
     assert pair == (A[1], A[2])
 
 
 def test_decompose_rejects_wrong_norm():
     with pytest.raises(ValueError):
-        lat.decompose_minus6((ZERO,) * 10)
+        lat.decompose_minus6((0,) * 20)
     with pytest.raises(ValueError):
         lat.decompose_minus6(A[1])
 
 
 def test_decompose_transported_instances():
     rng = random.Random(6)
-    eps0 = lat.vec_add(A[1], A[2])
+    eps0 = lat.MINUS6_SEED
     for _ in range(5):
         word = [(rng.randint(1, 10), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 6))]
@@ -434,36 +422,36 @@ def test_decompose_transported_instances():
         pair = lat.decompose_minus6(eps)
         assert pair is not None
         x, y = pair
-        assert lat.vec_add(x, y) == eps
-        assert lat.herm(x, x) == EisensteinInt(-3)
-        assert lat.herm(y, y) == EisensteinInt(-3)
-        assert lat.herm(x, y) == THETA
+        assert vec_add(x, y) == eps
+        assert herm_value(x, x) == EisensteinInt(-3)
+        assert herm_value(y, y) == EisensteinInt(-3)
+        assert herm_value(x, y) == THETA
 
 
 def test_decompose_walks_back_from_outside_the_seed_ball():
     # a word of length 6 > SEARCH_BOUND // 2 that the ball from a_1 + a_2
     # does not reach, so the split is found by walking back from eps
     word = [(3, 1), (7, -1), (2, 1), (4, 1), (5, -1), (4, 1)]
-    eps = lat.apply_lattice_word(word, lat.vec_add(A[1], A[2]))
-    assert lat._flat(eps) not in lat._seed_ball(lat.SEARCH_BOUND // 2)
+    eps = lat.apply_lattice_word(word, lat.MINUS6_SEED)
+    assert eps not in lat._seed_ball(lat.SEARCH_BOUND // 2)
     x, y = lat.decompose_minus6(eps)
-    assert lat.vec_add(x, y) == eps
-    assert lat.herm(x, x) == lat.herm(y, y) == EisensteinInt(-3)
-    assert lat.herm(x, y) == THETA
+    assert vec_add(x, y) == eps
+    assert herm_value(x, x) == herm_value(y, y) == EisensteinInt(-3)
+    assert herm_value(x, y) == THETA
 
 
 def test_minus6_witness_identity_instance():
-    eps = lat.vec_add(A[1], A[2])
+    eps = lat.MINUS6_SEED
     w = lat.minus6_witness(eps)
     assert w is not None
-    assert w.index == 3 and w.vector == A[3]
+    assert w.index == 3 and herm_value(eps, A[w.index]) == w.value
     assert w.value == THETA
     assert not divides(EisensteinInt(3), w.value)
     assert w.hexaflection_nonintegral
 
 
 def test_minus6_witness_shifted_instance():
-    eps = lat.vec_add(A[2], A[3])
+    eps = vec_add(A[2], A[3])
     w = lat.minus6_witness(eps)
     assert w.index == 1
     assert w.value == -THETA
@@ -479,13 +467,17 @@ def test_minus6_witness_requires_norm_minus6():
 
 def test_matrix_round_trip():
     m = lat.triflection(4)
-    data = lat.matrix_to_json(m)
+    data = [[c.to_json() for c in row] for row in m]
     assert tuple(tuple(EisensteinInt(*p) for p in row) for row in data) == m
     assert data[3][3] == [-1, 1]  # tau^2 at the mirror slot
 
 
-def test_gram_json_shape():
-    data = lat.matrix_to_json(lat.GRAM)
+def test_gram_json_shape(tmp_path):
+    out = tmp_path / "gram.json"
+    assert cli.main(["export", "gram", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())["gram"]
+    assert tuple(tuple(EisensteinInt(*p) for p in row)
+                 for row in data) == lat.GRAM
     assert data[0][0] == [-3, 0]
     assert data[0][1] == [-1, 2]
     assert data[1][0] == [1, -2]

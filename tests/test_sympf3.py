@@ -9,28 +9,23 @@ from trigonal import lattice as lat
 from trigonal import sympf3 as sp
 from trigonal.eisenstein import THETA, EisensteinInt, reduce_mod_theta
 
-from oracles import (brute_canonicalize, f3_rank, keys_of, reduce_vector, skew,
-                     symp)
-
-
-def scale(c, x):
-    return tuple(c * a for a in x)
+from oracles import (brute_canonicalize, f3_rank, keys_of, reduce_vector,
+                     scale, skew, symp, vec_add)
 
 
 def rand_vector(rng, bound):
-    return tuple(EisensteinInt(rng.randint(-bound, bound),
-                               rng.randint(-bound, bound))
-                 for _ in range(10))
+    """A flat vector; its coordinates p_k, q_k are drawn in that order."""
+    return tuple(rng.randint(-bound, bound) for _ in range(20))
 
 
 def test_reduction_of_basis_and_theta_multiples():
     a1 = lat.basis_vector(1)
     assert (reduce_vector(a1) == np.eye(10, dtype=np.int8)[0]).all()
-    assert (reduce_vector(scale(2, a1))
+    assert (reduce_vector(scale(EisensteinInt(2), a1))
             == 2 * np.eye(10, dtype=np.int8)[0]).all()
     tau_a1 = scale(EisensteinInt(0, 1), a1)
     assert (reduce_vector(tau_a1) == (2 * np.eye(10, dtype=np.int8)[0])).all()
-    theta_x = scale(THETA, lat.vec_add(a1, lat.basis_vector(5)))
+    theta_x = scale(THETA, vec_add(a1, lat.basis_vector(5)))
     assert not reduce_vector(theta_x).any()
 
 
