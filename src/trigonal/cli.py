@@ -224,15 +224,15 @@ def check_mod_theta(ctx: Context):
 
 def check_hurwitz_action(ctx: Context):
     t = mo.get_table()
-    ident = np.arange(mo.N_CLASSES)
     perms = t.all_hurwitz_perms()
-    order_div_3 = all((p[p[p]] == ident).all() for p in perms)
+    ident = np.arange(mo.N_CLASSES, dtype=perms.dtype)
+    take = np.take                     # p after q, for int32 p and q
+    order_div_3 = all((take(p, take(p, p)) == ident).all() for p in perms)
     both = all(bool((p == ident).any()) and bool((p != ident).any())
                for p in perms)
-    braid = all((perms[i][perms[i + 1][perms[i]]]
-                 == perms[i + 1][perms[i][perms[i + 1]]]).all()
-                for i in range(sp.DIM - 1))
-    far = all((perms[i][perms[j]] == perms[j][perms[i]]).all()
+    braid = all((take(p, take(q, p)) == take(q, take(p, q))).all()
+                for p, q in zip(perms, perms[1:]))
+    far = all((take(perms[i], perms[j]) == take(perms[j], perms[i])).all()
               for i in range(sp.DIM) for j in range(i + 2, sp.DIM))
     orbit_base = mo.orbit_R(t.base_class()).size
     alternating = t.index_of_string(mo.alternating_tuple(mo.TUPLE_LEN))
@@ -263,13 +263,14 @@ def check_symplectic_transitivity(ctx: Context):
 def check_equivariant_bijection(ctx: Context):
     corr = ctx.corr()
     spt, mot = sp.get_table(), mo.get_table()
-    n = co.N
+    forward, backward = corr.forward, corr.backward
+    ident = np.arange(co.N, dtype=forward.dtype)
     edges = sum(
-        int((corr.forward[spt.transvection_perm(i)]
-             == mot.hurwitz_perm(i)[corr.forward]).sum())
+        int((np.take(forward, spt.transvection_perm(i))
+             == np.take(mot.hurwitz_perm(i), forward)).sum())
         for i in range(1, sp.DIM + 1))
-    inverse = bool((corr.backward[corr.forward] == np.arange(n)).all()
-                   and (corr.forward[corr.backward] == np.arange(n)).all())
+    inverse = bool((np.take(backward, forward) == ident).all()
+                   and (np.take(forward, backward) == ident).all())
     observed = {"edges_verified": edges, "mutually_inverse": inverse}
     expected = {"edges_verified": sp.DIM * co.N, "mutually_inverse": True}
     details = {"summary": corr.summary(),

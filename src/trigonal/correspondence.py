@@ -93,14 +93,17 @@ def _fixed_points(words, gens) -> np.ndarray:
 def _transport(ell0: int, tree, s_gens: np.ndarray) -> np.ndarray:
     """backward with backward[rho0] = ell0, rho0 the root of the class tree,
     extended along it by backward[B_i(c)] = sigma_i(backward[c])."""
-    backward = np.full(N, -1, dtype=np.int64)
+    backward = np.full(N, -1, dtype=np.int32)
     backward[tree.order[0]] = ell0
     # the BFS order lists the levels in turn, so level d ends at ends[d]
     # (counted once: a scalar search per level in the narrow depths is slow)
-    ends = np.cumsum(np.bincount(tree.depth[tree.order]))
+    ends = np.cumsum(np.bincount(np.take(tree.depth, tree.order)))
     for d in range(1, ends.size):
-        cls = tree.order[ends[d - 1]:ends[d]]
-        backward[cls] = s_gens[tree.parent_gen[cls], backward[tree.parent[cls]]]
+        cls = tree.order[ends[d - 1]:ends[d]].astype(np.intp)
+        # s_gens[gen, point] as one gather from the flat (DIM * N) array
+        flat = (tree.parent_gen[cls].astype(np.intp) * N
+                + np.take(backward, tree.parent[cls]))
+        backward[cls] = np.take(s_gens, flat)
     return backward
 
 
@@ -111,8 +114,8 @@ def _verify(backward: np.ndarray, s_gens, h_gens):
         return None, {"reason": "backward is not a bijection"}
     forward = inverse_permutation(backward)
     for gi in range(sp.DIM):
-        lhs = forward[s_gens[gi]]
-        rhs = h_gens[gi][forward]
+        lhs = np.take(forward, s_gens[gi])
+        rhs = np.take(h_gens[gi], forward)
         bad = np.flatnonzero(lhs != rhs)
         if bad.size:
             p = int(bad[0])
@@ -203,7 +206,7 @@ def cross_validate_classification(corr: Correspondence) -> dict:
 
     for i in range(1, sp.DIM + 1):
         comb = mo.confluence_labels(mot.codes, i)
-        line = sp.line_class_vector(spt.basis_point(i))[corr.backward]
+        line = np.take(sp.line_class_vector(spt.basis_point(i)), corr.backward)
         agree = comb == line
         agreements += int(np.count_nonzero(agree))
         agreements_swapped += int(np.count_nonzero(comb == _LABEL_SWAP[line]))

@@ -60,8 +60,9 @@ def signed_index(size: int, keys, negated) -> np.ndarray:
     """The index of rows that stand for lines +-v: the key of row r and that
     of its negative map to r, every other key in range(size) to -1.
 
-    The values are row positions, int32 to halve the table; the arrays
-    read through it as indices are widened to int64 by their owners."""
+    The values are row positions, int32 to halve the table, like every
+    index and key array of both tables; gathers through them use np.take
+    (see `schreier`)."""
     assert len(keys) < 2 ** 31
     index = np.full(size, -1, dtype=np.int32)
     index[keys] = index[negated] = np.arange(len(keys), dtype=np.int32)

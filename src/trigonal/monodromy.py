@@ -90,22 +90,26 @@ def relabeled_keys(keys, negated):
 def transversal_raw_count(keys, negated) -> int:
     """Certify code rows as one per class from their keys and the keys of
     their negations; return the raw-tuple count.  The six relabelings must
-    be distinct and be exactly the raw tuples, enumerated here on their
-    own; otherwise ValueError."""
+    be distinct and be exactly the raw tuples; otherwise ValueError.
+
+    The one mask marks the relabelings.  Every marked tuple must be raw:
+    its t_0 is the one that product one forces from t_1..t_11, and it is
+    no constant tuple (c, ..., c), key c * (3^12 - 1) / 2.  There are N_RAW
+    raw tuples, 3^11 free choices less the 3 constant ones, so
+    6 * len(keys) = N_RAW distinct marks are all of them."""
     marks = np.zeros(3 ** TUPLE_LEN, dtype=bool)
     for relabeled in relabeled_keys(keys, negated):
         marks[relabeled] = True
     marked = int(np.count_nonzero(marks))
-    # raw[t_0, key of t_1..t_11]: t_0 forced by product one, and the constant
-    # tuples (c, ..., c), free key c * (3^11 - 1) / 2, removed
-    free = TUPLE_LEN - 1
+    by_t0 = marks.reshape(3, -1)              # [t_0, key of t_1..t_11]
     forced = digit_sums(-_SIGNS[1:])
-    raw = forced == np.arange(3, dtype=np.uint8)[:, None]
-    raw[np.arange(3), np.arange(3) * ((3 ** free - 1) // 2)] = False
+    constant = np.arange(3) * ((3 ** TUPLE_LEN - 1) // 2)
+    raw = (sum(np.count_nonzero(by_t0[t0][forced == t0]) for t0 in range(3))
+           == marked and not marks[constant].any())
     relabelings = 6 * len(keys)
-    if marked != relabelings or not np.array_equal(marks, raw.reshape(-1)):
+    if not raw or marked != relabelings or marked != N_RAW:
         raise ValueError(f"{relabelings} relabelings mark {marked} tuples, "
-                         f"not the {np.count_nonzero(raw)} raw tuples")
+                         f"not the {N_RAW} raw tuples")
     return marked
 
 
@@ -155,7 +159,7 @@ class ClassTable:
         self.codes = np.column_stack((np.zeros_like(rows[:, 0]), rows, last))
         # row `position` of all_rows has key `position` over t_1..t_10,
         # and t_0 = 0, so the key of the whole row appends the digit t_11
-        self.keys = 3 * position + last
+        self.keys = (3 * position + last).astype(np.int32)
         # a class has two rows with t_0 = 0, the canonical one and its
         # negation c -> -c, whose key over t_1..t_10 is `negated`
         negated = negated_keys(rows, _W12[2:])
@@ -185,10 +189,10 @@ class ClassTable:
 
     def all_hurwitz_perms(self) -> np.ndarray:
         """The ten class permutations, stored once as the rows of one
-        (N_MOVES, N_CLASSES) int64 array: row i - 1 is the move at slots
+        (N_MOVES, N_CLASSES) int32 array: row i - 1 is the move at slots
         (i, i+1)."""
         if self._hurwitz_perms is None:
-            perms = np.empty((N_MOVES, N_CLASSES), dtype=np.int64)
+            perms = np.empty((N_MOVES, N_CLASSES), dtype=np.int32)
             for i in range(1, N_MOVES + 1):
                 # the move (u, v) -> (v, -u - v) at slots i, i+1 changes two
                 # digits of the key; it keeps t_0 = 0, so the moved row is
@@ -197,7 +201,7 @@ class ClassTable:
                 v = self.codes[:, i + 1].astype(np.int64)
                 moved = (self.keys + (v - u) * _W12[i]
                          + ((-u - v) % 3 - v) * _W12[i + 1])
-                perms[i - 1] = self.class_index[moved // 3]   # widened here
+                perms[i - 1] = self.class_index[moved // 3]
             assert (perms >= 0).all()
             self._hurwitz_perms = perms
         return self._hurwitz_perms

@@ -2,8 +2,12 @@
 certificate from the stabilizer chain of a generator list, for permutations
 stored as dense numpy index arrays.
 
-A permutation on n points is an int array p of length n with image p[x].
-Composition (p after q) is the fancy index p[q].  A word is a list of
+A permutation on n points is an int array p of length n with image p[x],
+stored int32: every point count here is below 2^31.  Composition (p after
+q) is the gather np.take(p, q).  numpy's fancy index p[q] converts a
+non-intp q to intp element by element, which on 29524 points takes twice
+as long as np.take (106 against 54 us); so an int32 array that drives
+several scatters is widened once, with astype(np.intp).  A word is a list of
 generator indices, applied first letter first, and a Schreier generator is a
 pair of such words: two forward tree paths that end at the same point.
 
@@ -39,10 +43,10 @@ class OrbitResult:
     parent/parent_gen: the tree edge through which a point was first reached
     (-1 for seeds and off the orbit); depth: distance from a seed, or -1.
 
-    `order` and `parent` are int64, since numpy reads them as indices and
-    would convert a narrower index array on every gather; `parent_gen` and
-    `depth` are values, stored in the narrowest signed type that holds the
-    generator count and the point count.
+    `order` and `parent` are int32, like the permutations, and are read
+    through np.take or widened once (see the module docstring);
+    `parent_gen` and `depth` are values, stored in the narrowest signed
+    type that holds the generator count and the point count.
     """
     order: np.ndarray
     parent: np.ndarray
@@ -63,7 +67,7 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     point is claimed by the first edge that reaches it, so the Schreier tree
     does not depend on timing.
     """
-    parent = np.full(n_points, -1, dtype=np.int64)
+    parent = np.full(n_points, -1, dtype=np.int32)
     parent_gen = np.full(n_points, -1,
                          dtype=np.min_scalar_type(-1 - len(gens)))
     depth = np.full(n_points, -1, dtype=np.min_scalar_type(-1 - n_points))
@@ -80,7 +84,7 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
         # a permutation sends distinct parents to distinct points, so points
         # collide only across generators, where `visited` keeps the first
         for gi, g in enumerate(gens):
-            imgs = g[frontier]
+            imgs = g[frontier].astype(np.intp)   # a gather and four scatters
             fresh = ~visited[imgs]
             pts = imgs[fresh]
             visited[pts] = True
@@ -92,7 +96,8 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
         depth[frontier] = d
         if frontier.size:
             order.append(frontier)
-    return OrbitResult(np.concatenate(order), parent, parent_gen, depth)
+    return OrbitResult(np.concatenate(order, dtype=np.int32), parent,
+                       parent_gen, depth)
 
 
 def orbit_size(n_points: int, gens, seeds, signs=None) -> int:
@@ -121,7 +126,7 @@ def orbit_size(n_points: int, gens, seeds, signs=None) -> int:
         size += frontier.size
         fresh = []
         for gi, g in enumerate(gens):
-            imgs = g[frontier]
+            imgs = g[frontier].astype(np.intp)
             new = ~visited[imgs]
             pts = imgs[new]
             visited[pts] = True
@@ -132,7 +137,8 @@ def orbit_size(n_points: int, gens, seeds, signs=None) -> int:
         frontier = np.concatenate(fresh)
     if signs is not None:
         orbit = np.flatnonzero(visited)
-        if any((negative[g[orbit]] != negative[orbit] ^ s[orbit]).any()
+        if any((np.take(negative, g[orbit])
+                != negative[orbit] ^ s[orbit]).any()
                for g, s in zip(gens, signs)):
             return 2 * size
     return size
@@ -152,7 +158,7 @@ def word_from_root(res: OrbitResult, point: int) -> list[int]:
 def apply_word(points, word, gens):
     """Images of a point, or an array of points, under a word."""
     for g in word:
-        points = gens[g][points]
+        points = np.take(gens[g], points)
     return points
 
 
@@ -202,7 +208,7 @@ def bsgs_order(gens, target: int, signs=None):
     per generator in list order.
     """
     n_points = gens[0].size
-    identity = np.arange(n_points)
+    identity = np.arange(n_points, dtype=gens[0].dtype)
     fixed = np.ones(n_points, dtype=bool)   # fixed by every later generator
     sizes = []
     for k in reversed(range(len(gens))):

@@ -115,7 +115,7 @@ class ProjectiveTable:
         vectors = all_rows(DIM)[:, ::-1]            # all of F_3^10, row = key
 
         # the rows whose first nonzero coordinate is 1, in ascending key order
-        self.keys = np.flatnonzero(leading_digits(vectors) == 1)
+        self.keys = np.flatnonzero(leading_digits(vectors) == 1).astype(np.int32)
         assert self.keys.size == N_POINTS
         self.reps = vectors[self.keys]              # (29524, 10) canonical rows
         del vectors                                 # no command reads F_3^10
@@ -139,33 +139,30 @@ class ProjectiveTable:
 
     def all_transvection_perms(self) -> np.ndarray:
         """The ten point permutations, stored once as the rows of one
-        (DIM, N_POINTS) array: row i - 1 is transvection i."""
+        (DIM, N_POINTS) int32 array: row i - 1 is transvection i.
+
+        Their sign masks (see `transvections`) are read off the same
+        images, so both are built in one pass: each transvection's images
+        are computed once per table."""
         if self._transvection_perms is None:
-            perms = np.empty((DIM, N_POINTS), dtype=np.int64)
+            perms = np.empty((DIM, N_POINTS), dtype=np.int32)
+            signs = np.empty((DIM, N_POINTS), dtype=bool)
             for g in range(DIM):
-                perms[g] = self.point_index[_transvect_keys(self.reps,
-                                                            self.keys, g + 1)]
+                images = _transvect_keys(self.reps, self.keys, g + 1)
+                perms[g] = self.point_index[images]
+                # an image is -rep(q) exactly when its key is not rep(q)'s
+                np.not_equal(np.take(self.keys, perms[g]), images,
+                             out=signs[g])
             assert (perms >= 0).all()
             self._transvection_perms = perms
+            self._transvection_signs = signs
         return self._transvection_perms
 
     def transvections(self) -> tuple[np.ndarray, np.ndarray]:
         """The transvections on signed points, as (perms, signs): they send
         the vector rep(p) to -rep(q) where signs[i - 1, p] is set, else to
-        +rep(q), with q = perms[i - 1, p].
-
-        Only the vector orbit and the order chain read the signs, so they
-        are built on first use, apart from the permutations that the
-        exports read too."""
-        perms = self.all_transvection_perms()
-        if self._transvection_signs is None:
-            signs = np.empty((DIM, N_POINTS), dtype=bool)
-            for g in range(DIM):
-                images = _transvect_keys(self.reps, self.keys, g + 1)
-                # an image is -rep(q) exactly when its key is not rep(q)'s
-                np.not_equal(self.keys[perms[g]], images, out=signs[g])
-            self._transvection_signs = signs
-        return perms, self._transvection_signs
+        +rep(q), with q = perms[i - 1, p]."""
+        return self.all_transvection_perms(), self._transvection_signs
 
     def transvection_perm(self, i: int) -> np.ndarray:
         """The permutation of point indices induced by transvection i."""

@@ -915,6 +915,42 @@ def test_orbit_exports_of_any_length_equal_the_reference(length):
     assert b"".join(cli._orbits_dot(trees)) == reference_orbits_dot(trees)
 
 
+#: in a fresh interpreter, since the tables are cached per process: the
+#: tracemalloc peak of the default checks above the import, and the bytes
+#: of the arrays that the two tables and the base class tree keep
+MEMORY_SURVEY = """
+import json, tracemalloc
+import numpy as np
+from trigonal import cli, monodromy as mo, sympf3 as sp
+tracemalloc.start()
+cli.run_checks("all", 0, False)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+mot = mo.get_table()
+kept = [value for owner in (mot, sp.get_table(), mo.orbit_R(mot.base_class()))
+        for value in vars(owner).values() if isinstance(value, np.ndarray)]
+print(json.dumps([peak, sum(array.nbytes for array in kept)]))
+"""
+
+
+def test_verify_keeps_its_index_arrays_int32():
+    # the peak was 5.48 MiB with every index and key array int32, and
+    # 8.41 MiB when the permutations, keys and trees were int64
+    proc = fresh_python("-c", MEMORY_SURVEY)
+    assert proc.returncode == 0, proc.stderr
+    peak, kept = json.loads(proc.stdout)
+    assert peak < 6.3e6, peak
+    # int32: each side's permutations and keys, both line indexes over
+    # F_3^rank and the tree's order and parent; narrower, per point: the
+    # class codes, the point rows, the sign masks, the tree's int8
+    # generators and its depths in the narrowest type that holds n
+    n, rank = mo.N_CLASSES, mo.N_MOVES
+    index_entries = 2 * (rank + 1) * n + 2 * 3 ** rank + 2 * n
+    depth_bytes = np.min_scalar_type(-1 - n).itemsize
+    narrow_bytes = ((rank + 2) + rank + rank + 1 + depth_bytes) * n
+    assert kept <= 4 * index_entries + narrow_bytes, kept
+
+
 @pytest.mark.parametrize("args, divisor", [(["orbits"], 3),
                                            (["orbits", "--format", "dot"], 4)],
                          ids=["json", "dot"])

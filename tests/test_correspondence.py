@@ -256,34 +256,37 @@ def test_a_corrupted_transvection_fails_the_bijection(tmp_path, slot, swap,
 
 # -- what the tables keep -------------------------------------------------------
 
-def test_index_arrays_are_int64_and_line_indexes_int32(corr):
-    # numpy converts a non-intp index array on every gather: on a random
-    # permutation q of 29524 points, q[q] took 94-99 us with int32 against
-    # 34-63 us with int64 (Intel Xeon, numpy 2.4).  So every array read as
-    # an index is int64, and the two line indexes, whose values are row
-    # positions that are only gathered, are int32
+def test_index_and_key_arrays_are_int32(corr):
+    # every value is a point, a class or a key below 3^12 < 2^31, so the
+    # arrays are int32 and gathered with np.take: on random permutations
+    # of 29524 points (one CPU, best of 7), p64[q64] took 51 us, p32[q32]
+    # 106 us, since numpy converts a non-intp index on every fancy index,
+    # and np.take(p32, q32) 54 us (Intel Xeon, numpy 2.4)
     spt, mot = sp.get_table(), mo.get_table()
     tree = mo.orbit_R(mot.base_class())
     indices = {"hurwitz": mot.all_hurwitz_perms(),
                "transvections": spt.all_transvection_perms(),
                "order": tree.order, "parent": tree.parent,
-               "forward": corr.forward, "backward": corr.backward}
+               "forward": corr.forward, "backward": corr.backward,
+               "class keys": mot.keys, "point keys": spt.keys,
+               "class index": mot.class_index,
+               "point index": spt.point_index}
     for name, array in indices.items():
-        assert array.dtype == np.int64, name
+        assert array.dtype == np.int32, name
     for i in range(1, sp.DIM + 1):
-        assert mot.hurwitz_perm(i).dtype == np.int64
-        assert spt.transvection_perm(i).dtype == np.int64
-    assert mot.class_index.dtype == spt.point_index.dtype == np.int32
+        assert mot.hurwitz_perm(i).dtype == np.int32
+        assert spt.transvection_perm(i).dtype == np.int32
     # the tree's values: ten generators and depths below 29524
     assert tree.parent_gen.dtype == np.int8 and tree.depth.dtype == np.int16
 
 
-@pytest.mark.parametrize("build, bound", [(mo.ClassTable, 5e6),
+@pytest.mark.parametrize("build, bound", [(mo.ClassTable, 3.3e6),
                                           (sp.ProjectiveTable, 2.5e6)])
 def test_table_builds_stay_under_their_tracemalloc_bounds(build, bound):
     # after one warm-up build: the class table's certificate marks the six
-    # relabelings one at a time, and neither table keeps or makes an int64
-    # copy of its rows or a copy of F_3^10 beyond the build
+    # relabelings one at a time in its one mask (peak 2.70 MB), and neither
+    # table keeps or makes an int64 copy of its rows or a copy of F_3^10
+    # beyond the build
     build()
     tracemalloc.start()
     try:

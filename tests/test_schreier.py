@@ -1,7 +1,11 @@
 """Schreier-tree BFS and the stabilizer-chain order certificate."""
 
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigonal import cli
 from trigonal import lattice as la
@@ -346,6 +350,44 @@ def test_chain_bound_divides_the_group_order(seed):
     bound, certified, sizes = bsgs_order(gens, order)
     assert order % bound == 0 and len(sizes) == len(gens)
     assert certified == (bound == order)
+
+
+@st.composite
+def signed_permutation_sets(draw):
+    """A few permutations of a few points, a sign mask per permutation,
+    seeds and a word."""
+    n = draw(st.integers(1, 9))
+    count = draw(st.integers(1, 4))
+    gens = [np.array(draw(st.permutations(range(n)))) for _ in range(count)]
+    signs = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+             for _ in range(count)]
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    word = draw(st.lists(st.integers(0, count - 1), max_size=6))
+    return gens, signs, seeds, word
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_permutation_sets())
+def test_kernels_are_dtype_blind(case):
+    # the tables store their permutations int32 and the kernels gather
+    # through them with np.take: each result equals that of int64 copies
+    gens, signs, seeds, word = case
+    n = gens[0].size
+    wide, narrow = ([g.astype(t) for g in gens] for t in (np.int64, np.int32))
+    for a, b in zip(astuple(orbit_bfs(n, wide, seeds)),
+                    astuple(orbit_bfs(n, narrow, seeds))):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert orbit_size(n, wide, seeds) == orbit_size(n, narrow, seeds)
+    assert orbit_size(n, wide, seeds[:1], signs) \
+        == orbit_size(n, narrow, seeds[:1], signs)
+    for points in (np.arange(n), seeds[0]):
+        assert np.array_equal(apply_word(points, word, wide),
+                              apply_word(points, word, narrow))
+    for g, h in zip(wide, narrow):
+        assert np.array_equal(inverse_permutation(g), inverse_permutation(h))
+    target = math.factorial(n)
+    assert bsgs_order(wide, target) == bsgs_order(narrow, target)
+    assert bsgs_order(wide, target, signs) == bsgs_order(narrow, target, signs)
 
 
 #: every function of a 1-based generator index, on both sides; the table

@@ -125,7 +125,8 @@ def test_projective_table_equals_the_canonicalize_route():
     point_index[keys_of((2 * reps) % 3)] = np.arange(sp.N_POINTS)
     t = sp.get_table()
     assert not hasattr(t, "vectors")          # no kept copy of F_3^10
-    for got, want in ((t.reps, reps), (t.keys, canon_keys),
+    # the keys, like every index or key array, are int32
+    for got, want in ((t.reps, reps), (t.keys, canon_keys.astype(np.int32)),
                       (t.point_index, point_index)):
         assert got.dtype == want.dtype
         assert got.shape == want.shape
