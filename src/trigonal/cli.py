@@ -158,34 +158,39 @@ def _families(checks) -> tuple[dict, dict | None]:
     return observed, None if first is None else {"first_failure": first}
 
 
+def _braid_relations(gens, compose, one, order_family: str):
+    """The A-chain presentation of the generators gens[0], gens[1], ...
+    (generator i is gens[i - 1]) as (family, label, holds) triples in check
+    order: each has order dividing three (family `order_family`), and in
+    family braid_relations adjacent ones braid and the others commute.
+    `compose(p, q)` is the product p after q, `one` the identity."""
+    def same(lhs, rhs):
+        return bool((functools.reduce(compose, lhs)
+                     == functools.reduce(compose, rhs)).all())
+
+    for i, s in enumerate(gens, 1):
+        yield order_family, f"order_three {i}", same([s] * 3, [one])
+    for i, (s, t) in enumerate(zip(gens, gens[1:]), 1):
+        yield ("braid_relations", f"braid {i},{i + 1}",
+               same([s, t, s], [t, s, t]))
+    for i, s in enumerate(gens, 1):
+        for j, t in enumerate(gens[i + 1:], i + 2):
+            yield "braid_relations", f"commute {i},{j}", same([s, t], [t, s])
+
+
 def _triflection_relations():
     """The algebra of the ten triflections as identities between products
     of their 20x20 integer matrices on the Z-basis, in check order."""
-    gens = range(1, la.RANK + 1)
-    s = {i: la.step_matrix(i, 1) for i in gens}
+    s = [la.step_matrix(i, 1) for i in range(1, la.RANK + 1)]
     one = np.identity(2 * la.RANK, dtype=np.int64)
-
-    def same(lhs, rhs):
-        return bool((functools.reduce(la.matmul, lhs)
-                     == functools.reduce(la.matmul, rhs)).all())
-
-    for i in gens:
-        yield "order_three", f"order_three {i}", same([s[i]] * 3, [one])
+    yield from _braid_relations(s, la.matmul, one, "order_three")
+    for i, si in enumerate(s, 1):
         yield ("order_three", f"inverse {i}",
-               same([s[i], la.step_matrix(i, -1)], [one]))
-    for i in gens:
+               bool((la.matmul(si, la.step_matrix(i, -1)) == one).all()))
         yield ("preserves_form", f"preserves_form {i}",
-               la.preserves_realified_form(s[i]))
+               la.preserves_realified_form(si))
         yield ("integral_entries", f"integral_entries {i}",
-               np.issubdtype(s[i].dtype, np.integer))
-    for i in range(1, la.RANK):
-        j = i + 1
-        yield ("braid_relations", f"braid {i},{j}",
-               same([s[i], s[j], s[i]], [s[j], s[i], s[j]]))
-    for i in gens:
-        for j in range(i + 2, la.RANK + 1):
-            yield ("braid_relations", f"commute {i},{j}",
-                   same([s[i], s[j]], [s[j], s[i]]))
+               np.issubdtype(si.dtype, np.integer))
 
 
 def check_triflection_algebra(ctx: Context):
@@ -226,33 +231,25 @@ def check_hurwitz_action(ctx: Context):
     t = mo.get_table()
     perms = t.all_hurwitz_perms()
     ident = np.arange(mo.N_CLASSES, dtype=perms.dtype)
-    take = np.take                     # p after q, for int32 p and q
-    order_div_3 = all((take(p, take(p, p)) == ident).all() for p in perms)
-    both = all(bool((p == ident).any()) and bool((p != ident).any())
-               for p in perms)
-    braid = all((take(p, take(q, p)) == take(q, take(p, q))).all()
-                for p, q in zip(perms, perms[1:]))
-    far = all((take(perms[i], perms[j]) == take(perms[j], perms[i])).all()
-              for i in range(sp.DIM) for j in range(i + 2, sp.DIM))
-    orbit_base = mo.orbit_R(t.base_class()).size
+    observed, details = _families(_braid_relations(
+        perms, np.take, ident, "order_divides_three"))
+    observed["trivial_and_order_three_points"] = all(
+        bool((p == ident).any()) and bool((p != ident).any()) for p in perms)
+    observed["orbit_from_base"] = mo.orbit_R(t.base_class()).size
     alternating = t.index_of_string(mo.alternating_tuple(mo.TUPLE_LEN))
-    orbit_alt = orbit_size(mo.N_CLASSES, perms, [alternating])
-    observed = {"order_divides_three": order_div_3,
-                "trivial_and_order_three_points": both,
-                "braid_relations": braid and far,
-                "orbit_from_base": int(orbit_base),
-                "orbit_from_alternating": int(orbit_alt)}
+    observed["orbit_from_alternating"] = orbit_size(mo.N_CLASSES, perms,
+                                                    [alternating])
     expected = {"order_divides_three": True,
                 "trivial_and_order_three_points": True,
                 "braid_relations": True,
                 "orbit_from_base": mo.N_CLASSES,
                 "orbit_from_alternating": mo.N_CLASSES}
-    return observed == expected, observed, expected, None
+    return observed == expected, observed, expected, details
 
 
 def check_symplectic_transitivity(ctx: Context):
     t = sp.get_table()
-    points = t.orbit_of_points([0]).size
+    points = orbit_size(sp.N_POINTS, t.all_transvection_perms(), [0])
     vectors = t.orbit_of_nonzero_vectors(1)  # key 1 = (1, 0, ..., 0)
     observed = {"point_orbit": int(points), "nonzero_vector_orbit": vectors}
     expected = {"point_orbit": sp.N_POINTS,

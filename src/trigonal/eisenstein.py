@@ -14,22 +14,19 @@ Division by theta is done through the exact identity 1/theta = -theta/3.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
+
+@dataclass(frozen=True, slots=True)
 class EisensteinInt:
     """The Eisenstein integer a + b*tau, with tau^2 = tau - 1.
 
-    Instances are immutable value objects: they hash, compare by value and
-    support +, -, * against each other and against plain ints.
+    Instances are immutable value objects: they hash, compare by value with
+    each other and support +, -, * against each other and against plain ints.
     """
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EisensteinInt is immutable")
+    a: int
+    b: int = 0
 
     # -- ring structure ----------------------------------------------------
 
@@ -78,20 +75,8 @@ class EisensteinInt:
 
     # -- value semantics ----------------------------------------------------
 
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def __repr__(self):
-        return f"EisensteinInt({self.a}, {self.b})"
 
     def __str__(self):
         if self.b == 0:

@@ -26,7 +26,8 @@ as s_i^e(x) = x + c_e * skew(x, a_i) * a_i with c_{+1} = tau and
 c_{-1} = tau^2 (so s_i^{-1} = s_i^2).  The matrices `triflection`,
 `word_matrix` and `step_matrix`, the vector action `apply_lattice_word`
 and the norm -6 walk of `decompose_minus6` are all derived from that
-formula.
+formula; that walk is `_walk`, the one breadth-first walk of the
+triflection Cayley graph, which also builds the seed ball.
 
 Flat Z-coordinates.  As a Z-module L is free of rank 20 with basis
 a_1, tau*a_1, a_2, tau*a_2, ...; the vector sum_k (p_k + q_k*tau) a_k has
@@ -364,22 +365,30 @@ SEARCH_BOUND = 8    # the longest word from a_1 + a_2 decompose_minus6 tries
 MINUS6_SEED = tuple(map(operator.add, basis_vector(1), basis_vector(2)))
 
 
+def _walk(start: tuple, radius: int):
+    """(z, word) with start --word--> z for each flat vector z within
+    `radius` steps of `start` in the triflection Cayley graph: breadth
+    first, each z once and as soon as it is found (moves in _MOVES order),
+    with the first word found for it, a shortest one."""
+    seen = {start}
+    yield start, ()
+    frontier = [(start, ())]
+    for _ in range(radius):
+        nxt = []
+        for z, w in frontier:
+            for i, e in _MOVES:
+                y = _step(z, i, e)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append((y, w + ((i, e),)))
+                    yield nxt[-1]
+        frontier = nxt
+
+
 @functools.cache
 def _seed_ball(radius: int) -> dict:
     """Words of length <= radius from a_1 + a_2, keyed by their flat image."""
-    ball = {MINUS6_SEED: ()}
-    frontier = [MINUS6_SEED]
-    for _ in range(radius):
-        nxt = []
-        for z in frontier:
-            w = ball[z]
-            for i, e in _MOVES:
-                y = _step(z, i, e)
-                if y not in ball:
-                    ball[y] = w + ((i, e),)
-                    nxt.append(y)
-        frontier = nxt
-    return ball
+    return dict(_walk(MINUS6_SEED, radius))
 
 
 def decompose_minus6(eps: tuple):
@@ -396,38 +405,20 @@ def decompose_minus6(eps: tuple):
         raise ValueError("decompose_minus6 requires herm(eps, eps) = -6")
     fwd_radius = SEARCH_BOUND // 2
     ball = _seed_ball(fwd_radius)
-
-    def _reconstruct(meet: tuple, back_word):
-        # a_1+a_2 --ball[meet]--> meet <--back_word-- eps
-        u = ball[meet] + tuple((i, -e) for i, e in reversed(back_word))
-        zx, zy = (apply_lattice_word(u, basis_vector(k)) for k in (1, 2))
-        if tuple(map(operator.add, zx, zy)) != eps:
-            raise ArithmeticError("decompose_minus6: x + y != eps")
-        if not herm(zx, zx) == herm(zy, zy) == (-3, 0):
-            raise ArithmeticError("decompose_minus6: "
-                                  "herm(x, x) = herm(y, y) = -3 fails")
-        if herm(zx, zy) != (THETA.a, THETA.b):
-            raise ArithmeticError("decompose_minus6: herm(x, y) = theta fails")
-        return zx, zy
-
-    if eps in ball:
-        return _reconstruct(eps, ())
-    seen = {eps: ()}
-    frontier = [eps]
-    for _ in range(SEARCH_BOUND - fwd_radius):
-        nxt = []
-        for z in frontier:
-            w = seen[z]
-            for i, e in _MOVES:
-                y = _step(z, i, e)
-                if y in seen:
-                    continue
-                wy = w + ((i, e),)
-                if y in ball:
-                    return _reconstruct(y, wy)
-                seen[y] = wy
-                nxt.append(y)
-        frontier = nxt
+    for z, back_word in _walk(eps, SEARCH_BOUND - fwd_radius):
+        if z in ball:
+            # a_1+a_2 --ball[z]--> z <--back_word-- eps
+            u = ball[z] + tuple((i, -e) for i, e in reversed(back_word))
+            zx, zy = (apply_lattice_word(u, basis_vector(k)) for k in (1, 2))
+            if tuple(map(operator.add, zx, zy)) != eps:
+                raise ArithmeticError("decompose_minus6: x + y != eps")
+            if not herm(zx, zx) == herm(zy, zy) == (-3, 0):
+                raise ArithmeticError("decompose_minus6: "
+                                      "herm(x, x) = herm(y, y) = -3 fails")
+            if herm(zx, zy) != (THETA.a, THETA.b):
+                raise ArithmeticError("decompose_minus6: "
+                                      "herm(x, y) = theta fails")
+            return zx, zy
     return None
 
 

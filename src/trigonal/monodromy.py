@@ -47,6 +47,8 @@ combinatorially:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .f3 import (RANK, all_rows, digit_sums, leading_digits, negated_keys,
@@ -176,7 +178,8 @@ class ClassTable:
         codes = np.asarray(codes)
         if codes.shape not in ((TUPLE_LEN,), (1, TUPLE_LEN)):
             raise ValueError(f"a monodromy tuple is one row of {TUPLE_LEN} letters")
-        codes = _check_tuple(codes.reshape(TUPLE_LEN))
+        # signed, so that translating t_0 to 0 cannot wrap an unsigned type
+        codes = _check_tuple(codes.reshape(TUPLE_LEN)).astype(np.int64)
         return int(self.class_index[codes_to_keys((codes - codes[0]) % 3) // 3])
 
     def class_string(self, idx: int) -> str:
@@ -215,14 +218,9 @@ class ClassTable:
         return self.index_of_codes([0, 0] + [1] * N_MOVES)
 
 
-_TABLE: ClassTable | None = None
-
-
+@functools.cache
 def get_table() -> ClassTable:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = ClassTable()
-    return _TABLE
+    return ClassTable()
 
 
 # -- tuple-level utilities ------------------------------------------------------

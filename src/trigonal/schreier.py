@@ -58,6 +58,18 @@ class OrbitResult:
         return int(self.order.size)
 
 
+def _seed_mask(n_points: int, seeds) -> np.ndarray:
+    """The boolean mask of the seeds in range(n_points); IndexError for a
+    seed outside it, which numpy would otherwise read from the end."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    bad = seeds[(seeds < 0) | (seeds >= n_points)]
+    if bad.size:
+        raise IndexError(f"seed {bad[0]} is not in range({n_points})")
+    mask = np.zeros(n_points, dtype=bool)
+    mask[seeds] = True
+    return mask
+
+
 def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     """Deterministic BFS orbit of the seeds under the generator arrays.
 
@@ -71,11 +83,10 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     parent_gen = np.full(n_points, -1,
                          dtype=np.min_scalar_type(-1 - len(gens)))
     depth = np.full(n_points, -1, dtype=np.min_scalar_type(-1 - n_points))
-    visited = np.zeros(n_points, dtype=bool)
+    visited = _seed_mask(n_points, seeds)
     reached = np.zeros(n_points, dtype=bool)     # the level being built
 
-    frontier = np.asarray(sorted(set(seeds)), dtype=np.int64)
-    visited[frontier] = True
+    frontier = np.flatnonzero(visited)           # the seeds, each once
     depth[frontier] = 0
     order = [frontier]
     d = 0
@@ -115,8 +126,7 @@ def orbit_size(n_points: int, gens, seeds, signs=None) -> int:
     some edge q -> g[q] disagrees with them, that is when a Schreier
     generator of the stabilizer of p sends +p to -p.
     """
-    visited = np.zeros(n_points, dtype=bool)
-    visited[np.asarray(seeds, dtype=np.int64)] = True
+    visited = _seed_mask(n_points, seeds)
     frontier = np.flatnonzero(visited)        # the seeds, each once
     if signs is not None and frontier.size != 1:
         raise ValueError("a signed orbit takes one seed")

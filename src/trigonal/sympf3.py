@@ -23,6 +23,8 @@ giving counts {H: 1, RM: (3^9-1)/2 - 1 = 9840, SG: 3^9 = 19683}.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import lattice
@@ -183,21 +185,17 @@ class ProjectiveTable:
         """The size of the orbit of a nonzero vector key under the
         transvections, on signed points.  They are linear, so the orbit of
         -v is that of v negated: only the line of the key matters."""
-        point = int(self.point_index[seed_key])
+        in_range = 0 <= seed_key < N_VECTORS
+        point = int(self.point_index[seed_key]) if in_range else -1
         if point < 0:
             raise ValueError(f"the key {seed_key} is not a nonzero vector")
         perms, signs = self.transvections()
         return orbit_size(N_POINTS, perms, [point], signs)
 
 
-_TABLE: ProjectiveTable | None = None
-
-
+@functools.cache
 def get_table() -> ProjectiveTable:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = ProjectiveTable()
-    return _TABLE
+    return ProjectiveTable()
 
 
 # -- classification ------------------------------------------------------------

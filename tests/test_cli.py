@@ -3,8 +3,9 @@
 The commands run in-process through `cli.main(argv)`.  The tests that need
 a fresh interpreter start one through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
-caches, the tests that `verify all` builds one class tree and one point
-tree and that `export bijection` builds only the class tree, the test that
+caches, the runs of the whole program at ranks 4 and 6, which set the rank
+before the package reads it, the tests that `verify all` and `export
+bijection` build only the base class tree, the test that
 `verify` and the exports leave `numpy.ma` unimported, the tests that
 `trigonal.monodromy` imports nothing from the point side and
 `trigonal.f3` nothing from the package, the call survey of the commands
@@ -303,6 +304,27 @@ def test_a_failed_bijection_build_runs_once_per_verify(monkeypatch, tmp_path):
         == "error: RuntimeError: no equivariant bijection found"
 
 
+def test_a_corrupted_hurwitz_permutation_names_its_first_failing_relation(
+        monkeypatch, tmp_path):
+    table = mo.get_table()
+    mo.orbit_R(table.base_class())   # the shared tree is built uncorrupted
+    # move 3 sends the alternating class a to b and b to c; with p[a] and
+    # p[b] swapped, a and c form a 2-cycle, so move 3 no longer has order 3
+    perms = table.all_hurwitz_perms().copy()
+    a = table.index_of_string("010101010101")
+    b = perms[2, a]
+    perms[2, [a, b]] = perms[2, [b, a]]
+    monkeypatch.setattr(table, "_hurwitz_perms", perms)
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["verify", "all", "--out", str(out)]) == 1
+    rows = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
+    row = rows["hurwitz_action"]
+    assert row["status"] == "fail"
+    assert row["details"] == {"first_failure": "order_three 3"}
+    assert row["observed"]["order_divides_three"] is False
+
+
 @pytest.mark.parametrize("seed", [2, 4])
 def test_minus6_row_passes_on_seeds_that_walk_back(monkeypatch, seed):
     # these seeds sample vectors outside the ball that decompose_minus6
@@ -354,7 +376,8 @@ def test_verify_lattice_and_classify_cross_check_build_no_tables():
         "assert all(r['status'] == 'pass' for r in rows), rows\n"
         "assert cli.main(['classify', '001111111111', '1', "
         "'--cross-check']) == 0\n"
-        "assert mo._TABLE is None and sp._TABLE is None, 'tables were built'\n"
+        "assert mo.get_table.cache_info().currsize == 0 == "
+        "sp.get_table.cache_info().currsize, 'tables were built'\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -417,6 +440,53 @@ def test_benchmark_replays_run_to_ok(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+#: per rank below 10: the base pair at alpha_2 + alpha_4 + ..., and the
+#: SHA-256 of `export bijection`
+SMALL_RANKS = {
+    4: ([0, 1, 0, 1], "001111",
+        "947ad7f21520547525626e4fee4f819fd77cf0cf73a9e7366c678992641e66a0"),
+    6: ([0, 1, 0, 1, 0, 1], "00111111",
+        "0ed212e4e7e6411ab6db7879010025076abfd9e1b882fa7f0954322e8b807ed2"),
+}
+
+#: fresh-interpreter run of the whole program at the rank argv[1], set
+#: before the package reads it: `verify all --optional` and two `export
+#: bijection` runs, through the file argv[2]
+AT_RANK = """
+import hashlib, json, pathlib, sys
+import trigonal.f3
+trigonal.f3.RANK = int(sys.argv[1])
+import trigonal.cli as cli
+out = pathlib.Path(sys.argv[2])
+code = cli.main(["verify", "all", "--optional", "--out", str(out)])
+checks = json.loads(out.read_text())["checks"]
+digests = []
+for _ in range(2):
+    assert cli.main(["export", "bijection", "--out", str(out)]) == 0
+    digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+print(json.dumps({"code": code, "checks": checks, "digests": digests}))
+"""
+
+
+@pytest.mark.parametrize("rank", sorted(SMALL_RANKS))
+def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
+    proc = fresh_python("-c", AT_RANK, str(rank), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    rows = {r["name"]: r for r in run["checks"]}
+    assert run["code"] == 1
+    assert [name for name, r in rows.items() if r["status"] == "fail"] \
+        == ["orbit_trichotomy"]
+    assert rows["R_count"]["observed"] == (3 ** rank - 1) // 2
+    assert rows["sp10_order"]["status"] == "pass"
+    bijection = rows["equivariant_bijection"]
+    assert bijection["status"] == "pass"
+    point, klass, digest = SMALL_RANKS[rank]
+    base = bijection["details"]["base_pair"]
+    assert (base["point"], base["class"]) == (point, klass)
+    assert run["digests"] == [digest, digest]
+
+
 #: fresh-interpreter prelude that records every `orbit_bfs` call, on either
 #: side, as (side, seeds): it wraps the name in every package module that
 #: holds it, schreier's own included
@@ -439,15 +509,13 @@ COUNT_TREES = (
 
 def test_verify_all_builds_the_base_class_tree_once():
     # the Hurwitz check, the bijection search and its transport share one
-    # class tree; the symplectic row builds the one point tree; every other
-    # orbit is counted without a tree
+    # class tree; every other orbit, the symplectic row's point orbit
+    # included, is counted without a tree
     code = COUNT_TREES + (
         "rows = cli.run_checks('all', 0, False)\n"
         "failed = [r['name'] for r in rows if r['status'] == 'fail']\n"
         "assert failed == ['orbit_trichotomy'], rows\n"
-        "expected = [('classes', [mo.get_table().base_class()]), "
-        "('other', [0])]\n"
-        "assert calls == expected, calls\n"
+        "assert calls == [('classes', [mo.get_table().base_class()])], calls\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -515,23 +583,21 @@ def test_f3_imports_no_other_trigonal_module():
 UNCALLED = {
     "cli._cannot_write": "the error line of an unwritable output",
     "cli.console_main": "the process entry point around `main`",
-    "eisenstein.EisensteinInt.__setattr__": "the immutability guard",
-    "eisenstein.EisensteinInt.__sub__": "ring arithmetic (ROADMAP item 13)",
-    "eisenstein.EisensteinInt.__rsub__": "ring arithmetic (ROADMAP item 13)",
-    "eisenstein.EisensteinInt.__hash__": "value semantics (ROADMAP item 13)",
-    "eisenstein.EisensteinInt.__repr__": "value semantics (ROADMAP item 13)",
-    "eisenstein.EisensteinInt.__str__": "value semantics (ROADMAP item 13)",
-    "eisenstein.EisensteinInt.__eq__":
-        "value semantics the tests read (ROADMAP item 13)",
-    "lattice.compose": "a benchmark micro-probe (ROADMAP item 5)",
+    "eisenstein.EisensteinInt.__sub__":
+        "ring arithmetic, with + and *, that the tests' ring axioms read",
+    "eisenstein.EisensteinInt.__rsub__":
+        "ring arithmetic, with + and *, that the tests' ring axioms read",
+    "eisenstein.EisensteinInt.__str__": "`div_exact`'s error message",
+    "lattice.compose": "perfbench's micro-probe only (ROADMAP item 14)",
     "lattice.triflection":
-        "perfbench span and micro-probe (ROADMAP item 5, after 6a)",
+        "perfbench's span and micro-probe only (ROADMAP item 14)",
     "lattice.word_matrix":
-        "perfbench span and micro-probe (ROADMAP item 5, after 6a)",
+        "perfbench's span and micro-probe only (ROADMAP item 14)",
     "sympf3.ProjectiveTable.vector_perm":
-        "the tests' dense reference for the signed action, and the "
-        "benchmark's `sympf3.vector_perms` stage (ROADMAP item 6a)",
-    "sympf3.classify_line": "the benchmark's query replay wraps it",
+        "the tests' dense reference for the signed action, and perfbench's "
+        "`sympf3.vector_perms` stage (ROADMAP item 14)",
+    "sympf3.classify_line": "perfbench's query replay wraps it only "
+                            "(ROADMAP item 14)",
 }
 
 #: fresh-interpreter survey: every `src/trigonal` function, found with ast,

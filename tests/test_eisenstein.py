@@ -80,7 +80,6 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         x.a = 5
     assert hash(EisensteinInt(1, 2)) == hash(EisensteinInt(1, 2))
-    assert EisensteinInt(3, 0) == 3
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 """Monodromy classes, the half-twist action, and confluence classes."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -330,6 +331,25 @@ def test_index_of_codes_takes_one_row_of_twelve_letters(table):
             table.index_of_codes(bad)
 
 
+def test_index_of_codes_reads_unsigned_and_list_copies(table):
+    # t_0 is translated to 0 in a signed type: in uint8, 1 - 2 would wrap
+    # to 255 = 0 mod 3, and (2, ..., 2, 1, 1) would read as (0, 1, 2, ..., 2)
+    codes = np.array([2] * 10 + [1, 1], dtype=np.int8)
+    assert table.class_string(table.index_of_codes(codes)) == "000000000011"
+    for k in range(0, mo.N_CLASSES, 997):
+        for perm in ALPHABET_PERMS[ALPHABET_PERMS[:, 0] != 0]:
+            codes = perm[table.codes[k]]                   # t_0 != 0
+            for copy in (codes.astype(np.uint8), codes.astype(np.uint16),
+                         codes.astype(np.int64), codes.tolist()):
+                assert table.index_of_codes(copy) == k, (k, perm, copy)
+
+
+def test_orbit_R_rejects_a_seed_outside_the_classes():
+    for seed in (-1, mo.N_CLASSES):
+        with pytest.raises(IndexError, match=f"seed {seed} is not in range"):
+            mo.orbit_R(seed)
+
+
 def seeded_raw_rows(table, n, seed):
     """n seeded raw tuples that are not class rows: t_1..t_11 drawn, t_0
     forced by product one, constant and canonical rows dropped."""
@@ -374,7 +394,7 @@ def test_base_class_tree_is_built_once_per_table(monkeypatch):
     assert other is not mo.orbit_R(table.index_of_string("010101010101"))
     assert mo.orbit_R(base) is tree
     # the memo lives on the table: a new table builds a new tree
-    monkeypatch.setattr(mo, "_TABLE", None)
+    monkeypatch.setattr(mo, "get_table", functools.cache(mo.ClassTable))
     fresh = mo.orbit_R(mo.get_table().base_class())
     assert fresh is not tree
     for name in ("order", "parent", "parent_gen", "depth"):

@@ -142,8 +142,22 @@ def test_orbit_size_on_the_generator_permutations():
         sp.N_VECTORS, vectors[-2:], [sp.POW3[-2]]) == 8
     assert spt.orbit_of_nonzero_vectors(1) == sp.N_VECTORS - 1
     assert spt.orbit_of_nonzero_vectors(2) == sp.N_VECTORS - 1  # -(1, 0, ...)
-    with pytest.raises(ValueError, match="not a nonzero vector"):
-        spt.orbit_of_nonzero_vectors(0)
+    # the key 0 is the zero vector; -1 would read the last key, 3^10 - 1
+    for key in (0, -1, sp.N_VECTORS):
+        with pytest.raises(ValueError, match="not a nonzero vector"):
+            spt.orbit_of_nonzero_vectors(key)
+
+
+def test_orbits_reject_seeds_outside_the_points():
+    # numpy would read the seed -1 as the last point
+    signs = [np.zeros(6, dtype=bool)] * 2
+    for seeds in ([-1], [6], [0, 6], [-7, 2]):
+        with pytest.raises(IndexError, match="is not in range\\(6\\)"):
+            orbit_bfs(6, S6, seeds)
+        with pytest.raises(IndexError, match="is not in range\\(6\\)"):
+            orbit_size(6, S6, seeds)
+    with pytest.raises(IndexError, match="seed -1 is not in range"):
+        orbit_size(6, S6, [-1], signs)
 
 
 def doubled(gens, signs):
