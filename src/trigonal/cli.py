@@ -180,7 +180,18 @@ def _braid_relations(gens, compose, one, order_family: str):
 
 def _triflection_relations():
     """The algebra of the ten triflections as identities between products
-    of their 20x20 integer matrices on the Z-basis, in check order."""
+    of their 20x20 integer matrices on the Z-basis, in check order.
+
+    Integrality comes first, from the Gram matrix: s_i(a_j) = a_j + tau *
+    (herm(a_j, a_i) / theta) * a_i and tau is a unit, so s_i has integer
+    entries exactly when theta divides column i of GRAM.  Without it there
+    are no integer matrices to compose, and nothing else is checked."""
+    integral = [all(divides(THETA, row[g]) for row in la.GRAM)
+                for g in range(la.RANK)]
+    for i, holds in enumerate(integral, 1):
+        yield "integral_entries", f"integral_entries {i}", holds
+    if not all(integral):
+        return
     s = [la.step_matrix(i, 1) for i in range(1, la.RANK + 1)]
     one = np.identity(2 * la.RANK, dtype=np.int64)
     yield from _braid_relations(s, la.matmul, one, "order_three")
@@ -189,8 +200,6 @@ def _triflection_relations():
                bool((la.matmul(si, la.step_matrix(i, -1)) == one).all()))
         yield ("preserves_form", f"preserves_form {i}",
                la.preserves_realified_form(si))
-        yield ("integral_entries", f"integral_entries {i}",
-               np.issubdtype(si.dtype, np.integer))
 
 
 def check_triflection_algebra(ctx: Context):
@@ -248,10 +257,9 @@ def check_hurwitz_action(ctx: Context):
 
 
 def check_symplectic_transitivity(ctx: Context):
-    t = sp.get_table()
-    points = orbit_size(sp.N_POINTS, t.all_transvection_perms(), [0])
-    vectors = t.orbit_of_nonzero_vectors(1)  # key 1 = (1, 0, ..., 0)
-    observed = {"point_orbit": int(points), "nonzero_vector_orbit": vectors}
+    # key 1 = (1, 0, ..., 0), the vector of point 0
+    points, vectors = sp.get_table().orbit_of_nonzero_vectors(1)
+    observed = {"point_orbit": points, "nonzero_vector_orbit": vectors}
     expected = {"point_orbit": sp.N_POINTS,
                 "nonzero_vector_orbit": sp.N_VECTORS - 1}
     return observed == expected, observed, expected, None
@@ -607,6 +615,10 @@ def cmd_export(args) -> int:
     return _write(out, chunks)
 
 
+#: row i - 1 is alpha_i, the basis vector of the line a cross-check reads
+_BASIS = np.identity(sp.DIM, dtype=np.int8)
+
+
 def cmd_classify(args) -> int:
     try:
         codes = mo.parse_tuple_string(args.tuple)
@@ -618,9 +630,11 @@ def cmd_classify(args) -> int:
         lines.append("cross-check: unavailable at slots 0 and "
                      f"{mo.TUPLE_LEN - 1} (no generator acts there)")
     elif args.cross_check:
-        alpha = np.zeros(sp.DIM, dtype=np.int8)
-        alpha[args.position - 1] = 1
-        label = sp.line_labels(alpha, co.point_vectors(codes)[0])[0]
+        # the trichotomy is symmetric, so the label of [alpha_i] relative to
+        # the tuple's point is that of the point relative to [alpha_i], the
+        # orientation of the cross-validation
+        label = sp.line_labels(co.point_vectors(codes),
+                               _BASIS[args.position - 1])[0]
         lines.append(f"cross-check (line side): {sp.LINE_CLASSES[label]}")
     text = "".join(f"{line}\n" for line in lines)
     return _write(contextlib.nullcontext(sys.stdout), [text])

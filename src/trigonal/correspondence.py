@@ -171,21 +171,34 @@ def build_bijection() -> Correspondence:
     )
 
 
+def _closed_form_matrix() -> np.ndarray:
+    """P = D S, the (TUPLE_LEN, DIM) int8 matrix of the closed form: D sends
+    a code row t to (d_1, ..., d_DIM), d_k = t_k - t_{k-1}, and column i of S
+    sums d_k over k <= i, k = i (mod 2).  Its entries are 0 and +-1, at most
+    DIM / 2 of each sign in a column, so a product with letters 0..2 stays
+    within +-DIM and int8 is exact."""
+    d = (np.eye(mo.TUPLE_LEN, sp.DIM, -1, dtype=np.int8)
+         - np.eye(mo.TUPLE_LEN, sp.DIM, dtype=np.int8))
+    k = np.arange(1, sp.DIM + 1)
+    s = ((k[:, None] <= k) & ((k - k[:, None]) % 2 == 0)).astype(np.int8)
+    return d @ s
+
+
+P = _closed_form_matrix()
+
+
 def point_vectors(codes) -> np.ndarray:
     """The closed form of forward^{-1}: (n, 12) code rows -> (n, 10) vectors.
 
     Row r of the result spans the point of the class of code row r:
     v_i = sum of d_k over k <= i, k = i (mod 2), with d_k = t_k - t_{k-1}
-    mod 3, i.e. v_1 = d_1, v_2 = d_2 and v_i = d_i + v_{i-2}.  Any of the six
-    relabelings of a row gives the same point, so rows need not be
-    canonical.  No table is built.
+    mod 3, i.e. v_1 = d_1, v_2 = d_2 and v_i = d_i + v_{i-2}.  This map is
+    F_3-linear, v = t P mod 3.  Any of the six relabelings of a row gives
+    the same point, so rows need not be canonical: every column of P sums
+    to 0, and a relabeling c -> +-c + a only changes the sign of v.  No
+    table is built.
     """
-    t = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-    d = np.diff(t[:, :sp.DIM + 1], axis=1)          # d_1 .. d_10
-    v = np.empty_like(d)
-    v[:, 0::2] = np.cumsum(d[:, 0::2], axis=1)      # odd i: d_1 + d_3 + ...
-    v[:, 1::2] = np.cumsum(d[:, 1::2], axis=1)      # even i: d_2 + d_4 + ...
-    return (v % 3).astype(np.int8)
+    return np.atleast_2d(np.asarray(codes, dtype=np.int8)) @ P % 3
 
 
 _LABEL_SWAP = np.array([0, 2, 1], dtype=np.int8)  # exchange RM and SG codes

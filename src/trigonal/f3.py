@@ -4,11 +4,12 @@ RANK is the rank of the lattice, the dimension of its reduction mod theta,
 and the number of half-twist moves: the one statement of the rank.
 
 Both tables enumerate lines +-v of F_3^n by canonical rows, the one of v,
--v whose first nonzero digit is 1 (`leading_digits`), read off `all_rows`;
-both look a line up in a `signed_index` over the base-3 keys of its two
-representatives, the second from `negated_keys`.  The digit weights stay
-with their tables, since each table's digit order is part of its export
-bytes.
+-v whose first nonzero digit is 1: one block of keys per position of that
+leading 1, whose earlier digits are 0 and later digits free, with the rows
+read off the keys by `key_digits`.  Both look a line up in a
+`signed_index` over the base-3 keys of its two representatives, the second
+from `negated_keys`.  The digit weights stay with their tables, since each
+table's digit order is part of its export bytes.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ def all_rows(n: int) -> np.ndarray:
     return np.indices((3,) * n, dtype=np.int8).reshape(n, -1).T
 
 
-def leading_digits(rows) -> np.ndarray:
-    """The first nonzero digit of each row, 0 for a zero row.  The canonical
-    form of both tables is the one of v, -v whose first nonzero digit is 1."""
-    rows = np.atleast_2d(rows)
-    lead = rows[:, -1].copy()
-    for column in rows.T[-2::-1]:           # right to left: the first wins
-        np.copyto(lead, column, where=column != 0)
-    return lead
+def key_digits(keys, weights) -> np.ndarray:
+    """The base-3 digits of keys as int8 rows: column j holds the digit of
+    weight weights[j], keys // w_j % 3.  As in `all_rows`, the rows are a
+    transposed view, so each column is contiguous."""
+    keys = np.asarray(keys)
+    digits = np.empty((len(weights), len(keys)), dtype=np.int8)
+    for column, weight in zip(digits, weights):
+        np.remainder(keys // int(weight), 3, out=column, casting="unsafe")
+    return digits.T
 
 
 def negated_keys(rows, weights) -> np.ndarray:

@@ -51,8 +51,7 @@ import functools
 
 import numpy as np
 
-from .f3 import (RANK, all_rows, digit_sums, leading_digits, negated_keys,
-                 signed_index)
+from .f3 import RANK, digit_sums, key_digits, negated_keys, signed_index
 from .schreier import OrbitResult, generator_index, orbit_bfs
 
 TUPLE_LEN = RANK + 2
@@ -128,15 +127,24 @@ TUPLE_RULES = (
     f"the ordered product of the {TUPLE_LEN} transpositions is not the "
     "identity")
 
+#: the first broken rule, -1 for none, by the bits (letters broken,
+#: constant, product broken) read as 4, 2, 1: the earlier rule wins
+_FIRST_BROKEN = np.array([-1, 2, 1, 1, 0, 0, 0, 0], dtype=np.int8)
+
 
 def broken_rules(codes) -> np.ndarray:
     """Per (n, 12) code row, the index of the first of TUPLE_RULES it
-    breaks, or -1 for a raw tuple."""
-    codes = np.atleast_2d(np.asarray(codes))
-    letters = ((codes == 0) | (codes == 1) | (codes == 2)).all(axis=1)
-    constant = (codes == codes[:, :1]).all(axis=1)
-    return np.where(~letters, 0, np.where(constant, 1, np.where(
-        product_is_one(codes), -1, 2)))
+    breaks, or -1 for a raw tuple.
+
+    The rows are cast to int8 once, for all three rules; a letter is in
+    {0, 1, 2} when the cast keeps it (no float, no wrap) and it lies in
+    0..2 as a byte (no negative)."""
+    codes = np.atleast_2d(codes)
+    t = codes.astype(np.int8)
+    letters_broken = ((t != codes) | (t.view(np.uint8) > 2)).any(axis=1)
+    constant = (t == t[:, :1]).all(axis=1)
+    return _FIRST_BROKEN[4 * letters_broken + 2 * constant
+                         + (t @ _SIGNS % 3 != 0)]
 
 
 def _check_tuple(codes: np.ndarray) -> np.ndarray:
@@ -152,15 +160,17 @@ class ClassTable:
 
     def __init__(self):
         # the canonical rows (0, t_1, ..., t_10, t_11), t_11 forced by product
-        # one; all_rows puts t_1 most significant, so they come in key order
-        digits = all_rows(N_MOVES)
-        position = np.flatnonzero(leading_digits(digits) == 1)
-        rows = digits[position]
-        del digits                    # freed before the certificate's marks
+        # one, in key order over t_1..t_10, t_1 most significant: one block
+        # per slot of the leading 1, with m free digits after it, is the run
+        # of keys 3^m .. 2 * 3^m - 1
+        position = np.concatenate([
+            np.arange(3 ** m, 2 * 3 ** m, dtype=np.int32)
+            for m in range(N_MOVES)])
+        rows = key_digits(position, _W12[2:])
         last = rows @ _SIGNS[1:-1] % 3
         self.codes = np.column_stack((np.zeros_like(rows[:, 0]), rows, last))
-        # row `position` of all_rows has key `position` over t_1..t_10,
-        # and t_0 = 0, so the key of the whole row appends the digit t_11
+        # t_0 = 0, so the key of the whole row appends the digit t_11 to
+        # the key `position` over t_1..t_10
         self.keys = (3 * position + last).astype(np.int32)
         # a class has two rows with t_0 = 0, the canonical one and its
         # negation c -> -c, whose key over t_1..t_10 is `negated`
@@ -232,11 +242,25 @@ def code_strings(codes) -> list[str]:
 
 
 def parse_tuple_string(s: str) -> np.ndarray:
-    """Decode a 12-character code string over {0, 1, 2} that is raw."""
-    if len(s) != TUPLE_LEN or any(ch not in "012" for ch in s):
+    """Decode a 12-character code string over {0, 1, 2} that is raw.
+
+    The letters are the string's UTF-8 bytes less ord("0"): any other
+    character is a byte outside 0..2, or more than one byte.  A lone
+    surrogate, which argv can hold, is encoded as "?"."""
+    codes = (np.frombuffer(s.encode(errors="replace"), dtype=np.int8)
+             - ord("0"))
+    broken = int(broken_rules(codes)[0]) if codes.size == TUPLE_LEN else 0
+    if broken == 0:
         raise ValueError(f"a monodromy tuple is {TUPLE_LEN} characters "
                          "over {0,1,2}")
-    return _check_tuple(np.array([int(ch) for ch in s], dtype=np.int8))
+    if broken > 0:
+        raise ValueError(TUPLE_RULES[broken])
+    return codes
+
+
+#: row pos masks the ten slots other than pos and pos + 1 mod 12
+_OTHER_SLOTS = ~(np.identity(TUPLE_LEN, dtype=bool)
+                 | np.roll(np.identity(TUPLE_LEN, dtype=bool), 1, axis=1))
 
 
 def confluence_labels(codes, pos: int) -> np.ndarray:
@@ -249,12 +273,10 @@ def confluence_labels(codes, pos: int) -> np.ndarray:
     if not 0 <= pos < TUPLE_LEN:
         raise IndexError(f"position must be in 0..{TUPLE_LEN - 1}, got {pos!r}")
     codes = np.atleast_2d(codes)
-    nxt = (pos + 1) % TUPLE_LEN
-    # np.delete's Fortran-ordered copy beats copy-free column slices here
-    rest = np.delete(codes, [pos, nxt], axis=1)
-    same_rest = (rest == rest[:, :1]).all(axis=1)
-    return np.where(codes[:, pos] != codes[:, nxt], 1,
-                    np.where(same_rest, 0, 2)).astype(np.int8)
+    rest = codes[:, _OTHER_SLOTS[pos]]
+    return np.where(codes[:, pos] != codes[:, (pos + 1) % TUPLE_LEN],
+                    np.int8(1), np.where((rest == rest[:, :1]).all(axis=1),
+                                         np.int8(0), np.int8(2)))
 
 
 def classify_confluence_codes(codes, pos: int) -> str:

@@ -112,8 +112,15 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
 
 
 def orbit_size(n_points: int, gens, seeds, signs=None) -> int:
-    """The size of the orbit of the seeds, `orbit_bfs(...).size`, from a
-    visited mask alone: no tree, no depths and no BFS order.
+    """The size of the orbit of the seeds, signed by `signs` if given: the
+    second of `orbit_sizes`."""
+    return orbit_sizes(n_points, gens, seeds, signs)[1]
+
+
+def orbit_sizes(n_points: int, gens, seeds, signs=None) -> tuple[int, int]:
+    """The sizes of the orbit of the seeds, `orbit_bfs(...).size`, and of
+    their signed orbit (the same without `signs`), from one traversal with
+    a visited mask alone: no tree, no depths and no BFS order.
 
     The generators must be permutations, as for `orbit_bfs`: the fresh
     images of one generator are then distinct, and `visited` keeps a point
@@ -150,8 +157,8 @@ def orbit_size(n_points: int, gens, seeds, signs=None) -> int:
         if any((np.take(negative, g[orbit])
                 != negative[orbit] ^ s[orbit]).any()
                for g, s in zip(gens, signs)):
-            return 2 * size
-    return size
+            return size, 2 * size
+    return size, size
 
 
 def word_from_root(res: OrbitResult, point: int) -> list[int]:

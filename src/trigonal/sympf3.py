@@ -29,8 +29,8 @@ import numpy as np
 
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
-from .f3 import all_rows, leading_digits, negated_keys, signed_index
-from .schreier import generator_index, orbit_bfs, orbit_size
+from .f3 import all_rows, key_digits, negated_keys, signed_index
+from .schreier import generator_index, orbit_bfs, orbit_sizes
 
 DIM = lattice.RANK
 N_VECTORS = 3 ** DIM            # 59049, including zero
@@ -72,27 +72,32 @@ def transvection(i: int) -> np.ndarray:
     return m
 
 
-def _dot_mod3(vectors: np.ndarray, c) -> np.ndarray:
-    """x . c mod 3 for every row x of the int8 array `vectors`, as uint8.
+#: SYMP_GRAM as int64, cast once for the products with int64 vectors
+_SYMP_GRAM64 = SYMP_GRAM.astype(np.int64)
+
+
+def _dot_mod3(vectors: np.ndarray, c: list) -> np.ndarray:
+    """x . c mod 3 for every row x of the int8 array `vectors`, as uint8,
+    with c a list of ints 0..2.
 
     Only the columns where c is nonzero are read.  The rows have entries
     0..2, so the sum stays unsigned, where numpy's remainder is faster than
     on signed types.
     """
-    c = np.asarray(c, dtype=np.int64) % 3
-    columns = np.asarray(vectors, dtype=np.int8).view(np.uint8)
-    total = np.zeros(vectors.shape[0], dtype=np.uint8)
-    for j in np.flatnonzero(c):
-        total += int(c[j]) * columns[:, j]
+    columns = vectors.view(np.uint8)
+    total = np.zeros(len(columns), dtype=np.uint8)
+    for j, cj in enumerate(c):
+        if cj:
+            total += cj * columns[:, j]
     return total % 3
 
 
 def symp_with(vectors: np.ndarray, w) -> np.ndarray:
-    """symp(x, w) for every row x of `vectors`: x . (SYMP_GRAM w), whose
-    only nonzero entries, two for a basis vector w under the chain form,
-    are read."""
-    return _dot_mod3(vectors, SYMP_GRAM.astype(np.int64)
-                     @ np.asarray(w, dtype=np.int64))
+    """symp(x, w) for every row x of the int8 array `vectors`: x .
+    (SYMP_GRAM w), whose only nonzero entries, two for a basis vector w
+    under the chain form, are read."""
+    return _dot_mod3(vectors, (_SYMP_GRAM64 @ np.asarray(w, dtype=np.int64)
+                               % 3).tolist())
 
 
 def _transvect_keys(vectors: np.ndarray, keys: np.ndarray, i: int) -> np.ndarray:
@@ -103,7 +108,7 @@ def _transvect_keys(vectors: np.ndarray, keys: np.ndarray, i: int) -> np.ndarray
     applied to x; so the key moves by (x'_g - x_g) * 3^g.
     """
     g = i - 1
-    moved = _dot_mod3(vectors, transvection(i)[g])
+    moved = _dot_mod3(vectors, transvection(i)[g].tolist())
     return keys + (moved - vectors[:, g]).astype(np.int64) * POW3[g]
 
 
@@ -111,16 +116,16 @@ class ProjectiveTable:
     """Canonical line representatives, index lookups and generator actions."""
 
     def __init__(self):
-        # all_rows puts its first column most significant; reversing the
-        # columns makes coordinate 0 the least significant digit, so row k
-        # of `vectors` is the vector with key k
-        vectors = all_rows(DIM)[:, ::-1]            # all of F_3^10, row = key
-
-        # the rows whose first nonzero coordinate is 1, in ascending key order
-        self.keys = np.flatnonzero(leading_digits(vectors) == 1).astype(np.int32)
+        # the vectors whose first nonzero coordinate is 1, in ascending key
+        # order (coordinate 0 least significant): one block per coordinate
+        # p of the leading 1, the keys 3^p mod 3^(p+1)
+        canonical = np.zeros(N_VECTORS, dtype=bool)
+        for weight in POW3.tolist():
+            canonical[weight::3 * weight] = True
+        self.keys = np.flatnonzero(canonical).astype(np.int32)
+        del canonical                       # freed before the index is built
         assert self.keys.size == N_POINTS
-        self.reps = vectors[self.keys]              # (29524, 10) canonical rows
-        del vectors                                 # no command reads F_3^10
+        self.reps = key_digits(self.keys, POW3)     # (29524, 10) canonical rows
         # v and 2v = -v span one point, so every nonzero key is indexed
         self.point_index = signed_index(N_VECTORS, self.keys,
                                         negated_keys(self.reps, POW3))
@@ -181,16 +186,17 @@ class ProjectiveTable:
     def orbit_of_points(self, seeds):
         return orbit_bfs(N_POINTS, self.all_transvection_perms(), seeds)
 
-    def orbit_of_nonzero_vectors(self, seed_key: int) -> int:
-        """The size of the orbit of a nonzero vector key under the
-        transvections, on signed points.  They are linear, so the orbit of
-        -v is that of v negated: only the line of the key matters."""
+    def orbit_of_nonzero_vectors(self, seed_key: int) -> tuple[int, int]:
+        """The sizes of the orbits of the line and of the nonzero vector of
+        a key under the transvections, from one traversal of the signed
+        points.  They are linear, so the orbit of -v is that of v negated:
+        only the line of the key matters."""
         in_range = 0 <= seed_key < N_VECTORS
         point = int(self.point_index[seed_key]) if in_range else -1
         if point < 0:
             raise ValueError(f"the key {seed_key} is not a nonzero vector")
         perms, signs = self.transvections()
-        return orbit_size(N_POINTS, perms, [point], signs)
+        return orbit_sizes(N_POINTS, perms, [point], signs)
 
 
 @functools.cache
@@ -204,7 +210,7 @@ def _label_codes(s: np.ndarray, is_ell) -> np.ndarray:
     """The one statement of the rule, coded 0=H, 1=RM, 2=SG: H for the line
     ell itself (`is_ell`, a mask or an index), otherwise RM when
     symp(v, ell) = 0 (`s`), otherwise SG."""
-    out = np.where(s == 0, np.int8(1), np.int8(2))
+    out = np.int8(1) + (s != 0)
     out[is_ell] = 0
     return out
 

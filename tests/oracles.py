@@ -43,6 +43,16 @@ def f3_rank(m):
     return rank
 
 
+def leading_digits(rows):
+    """The first nonzero digit of each row, 0 for a zero row: the canonical
+    row of a line +-v is the one whose first nonzero digit is 1."""
+    rows = np.atleast_2d(rows)
+    lead = rows[:, -1].copy()
+    for column in rows.T[-2::-1]:           # right to left: the first wins
+        np.copyto(lead, column, where=column != 0)
+    return lead
+
+
 def brute_canonicalize(v):
     """Rows scaled by 2 where the first nonzero coordinate is 2."""
     lead = v[np.arange(v.shape[0]), np.argmax(v != 0, axis=1)]
@@ -121,6 +131,31 @@ def hurwitz_move_codes(codes, i):
     codes[:, i] = v
     codes[:, i + 1] = (-u - v) % 3
     return codes
+
+
+def confluence_labels_by_deletion(codes, pos):
+    """The confluence rule of (n, len) code rows at slots (pos, pos+1 mod
+    len), 0=H, 1=RM, 2=SG, with the other letters copied out by np.delete:
+    RM when the two letters differ, else H when the others are all equal,
+    else SG."""
+    codes = np.atleast_2d(codes)
+    nxt = (pos + 1) % codes.shape[1]
+    rest = np.delete(codes, [pos, nxt], axis=1)
+    same_rest = (rest == rest[:, :1]).all(axis=1)
+    return np.where(codes[:, pos] != codes[:, nxt], 1,
+                    np.where(same_rest, 0, 2))
+
+
+def point_vectors_by_differences(codes):
+    """The closed form of the bijection on (n, len) code rows, summed as
+    written: v_i = sum of d_k over k <= i, k = i (mod 2), d_k = t_k - t_{k-1},
+    for i = 1..len-2, mod 3."""
+    t = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+    d = np.diff(t[:, :-1], axis=1)                  # d_1 .. d_{len-2}
+    v = np.empty_like(d)
+    v[:, 0::2] = np.cumsum(d[:, 0::2], axis=1)      # odd i: d_1 + d_3 + ...
+    v[:, 1::2] = np.cumsum(d[:, 1::2], axis=1)      # even i: d_2 + d_4 + ...
+    return v % 3
 
 
 def realified_chain_gram(rank):

@@ -36,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 import trigonal
 from trigonal import __version__, cli
 from trigonal import monodromy as mo
-from trigonal.eisenstein import TAU2
+from trigonal.eisenstein import TAU2, EisensteinInt
 
 from oracles import ALPHABET_PERMS
 
@@ -279,6 +279,19 @@ def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
     assert not observed["reduce_triflection_equals_transvection_reduce"]
 
 
+def test_integral_entries_go_red_on_a_gram_entry_theta_does_not_divide(
+        monkeypatch):
+    # herm(a_4, a_5) = theta becomes 1, which theta does not divide, so s_5
+    # is no longer integral; the step matrices are not composed at all
+    gram = [list(row) for row in cli.la.GRAM]
+    gram[3][4] = EisensteinInt(1)
+    monkeypatch.setattr(cli.la, "GRAM", tuple(map(tuple, gram)))
+    ok, observed, _, details = cli.check_triflection_algebra(
+        cli.Context(0, False))
+    assert not ok and details == {"first_failure": "integral_entries 5"}
+    assert observed == {"integral_entries": False}
+
+
 def test_mod_theta_row_names_a_rank_failure(monkeypatch):
     monkeypatch.setattr(cli.f3, "rank", lambda m: cli.f3.RANK - 1)
     ok, observed, _, details = cli.check_mod_theta(cli.Context(0, False))
@@ -451,12 +464,14 @@ SMALL_RANKS = {
 
 #: fresh-interpreter run of the whole program at the rank argv[1], set
 #: before the package reads it: `verify all --optional` and two `export
-#: bijection` runs, through the file argv[2]
+#: bijection` runs, through the file argv[2], and whether `point_vectors`
+#: of every class row spans the point that the bijection's `backward` gives
 AT_RANK = """
 import hashlib, json, pathlib, sys
 import trigonal.f3
 trigonal.f3.RANK = int(sys.argv[1])
 import trigonal.cli as cli
+from trigonal import correspondence as co, monodromy as mo, sympf3 as sp
 out = pathlib.Path(sys.argv[2])
 code = cli.main(["verify", "all", "--optional", "--out", str(out)])
 checks = json.loads(out.read_text())["checks"]
@@ -464,7 +479,11 @@ digests = []
 for _ in range(2):
     assert cli.main(["export", "bijection", "--out", str(out)]) == 0
     digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-print(json.dumps({"code": code, "checks": checks, "digests": digests}))
+keys = co.point_vectors(mo.get_table().codes).astype("int64") @ sp.POW3
+spans = (sp.get_table().point_index[keys]
+         == co.build_bijection().backward).all()
+print(json.dumps({"code": code, "checks": checks, "digests": digests,
+                  "point_vectors_span_backward": bool(spans)}))
 """
 
 
@@ -485,6 +504,9 @@ def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
     base = bijection["details"]["base_pair"]
     assert (base["point"], base["class"]) == (point, klass)
     assert run["digests"] == [digest, digest]
+    # the closed form's matrix P is derived from the rank: its points are
+    # the searched bijection's at this rank too
+    assert run["point_vectors_span_backward"]
 
 
 #: fresh-interpreter prelude that records every `orbit_bfs` call, on either

@@ -12,7 +12,8 @@ from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
 from trigonal.schreier import apply_word, orbit_bfs, schreier_generator_words
 
-from oracles import ALPHABET_PERMS, brute_canonicalize, keys_of, symp
+from oracles import (ALPHABET_PERMS, brute_canonicalize, keys_of,
+                     point_vectors_by_differences, symp)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,23 @@ def test_point_vectors_equal_the_searched_bijection(corr):
         assert (points == corr.backward).all(), perm
     base = co.point_vectors(mot.codes[corr.base_class])[0]
     assert spt.point_index[keys_of(base)] == corr.base_point
+
+
+def test_point_vectors_are_the_linear_map_p():
+    # v = t P mod 3: the rows of P are the images of the unit rows, the map
+    # is additive on seeded rows, and a constant row (the kernel) maps to 0
+    units = np.identity(mo.TUPLE_LEN, dtype=np.int8)
+    assert co.P.shape == (mo.TUPLE_LEN, sp.DIM)
+    assert (co.point_vectors(units) == co.P % 3).all()
+    rng = np.random.default_rng(28)
+    a, b = rng.integers(0, 3, size=(2, 500, mo.TUPLE_LEN), dtype=np.int8)
+    assert (co.point_vectors((a + b) % 3)
+            == (co.point_vectors(a) + co.point_vectors(b)) % 3).all()
+    # the product equals the sums of differences, on every class row too
+    for rows in (a, mo.get_table().codes):
+        assert (co.point_vectors(rows)
+                == point_vectors_by_differences(rows)).all()
+    assert not co.point_vectors(np.ones(mo.TUPLE_LEN, dtype=np.int8)).any()
 
 
 def test_equivariance_exhaustive(corr):
@@ -280,13 +298,14 @@ def test_index_and_key_arrays_are_int32(corr):
     assert tree.parent_gen.dtype == np.int8 and tree.depth.dtype == np.int16
 
 
-@pytest.mark.parametrize("build, bound", [(mo.ClassTable, 3.3e6),
+@pytest.mark.parametrize("build, bound", [(mo.ClassTable, 3.1e6),
                                           (sp.ProjectiveTable, 1.3e6)])
 def test_table_builds_stay_under_their_tracemalloc_bounds(build, bound):
     # after one warm-up build: the class table's certificate marks the six
-    # relabelings one at a time in its one mask (peak 2.70 MB), the point
-    # table peaks at 1.07 MB, and neither table keeps or makes an int64
-    # copy of its rows or a copy of F_3^10 beyond the build
+    # relabelings one at a time in its one mask (peak 2.58 MB; 2.70 MB when
+    # its rows were read off all of F_3^10), the point table peaks at
+    # 1.07 MB, and neither table keeps or makes an int64 copy of its rows
+    # or a copy of F_3^10
     build()
     tracemalloc.start()
     try:

@@ -6,7 +6,7 @@ import pytest
 from trigonal import f3
 from trigonal import sympf3 as sp
 
-from oracles import brute_canonicalize, f3_rank
+from oracles import brute_canonicalize, f3_rank, leading_digits
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -22,14 +22,27 @@ def test_row_k_of_all_rows_is_the_base3_digits_of_k(n):
 
 def test_canonical_form_is_first_nonzero_digit_one():
     rows = f3.all_rows(4)
-    lead = f3.leading_digits(rows)
+    lead = leading_digits(rows)
     for row, d in zip(rows.tolist(), lead.tolist()):
         assert d == next((x for x in row if x), 0)
     canonical = brute_canonicalize(rows)
     # v and -v = 2v meet at the row whose first nonzero digit is 1
     assert (canonical == brute_canonicalize(-rows % 3)).all()
-    assert (f3.leading_digits(canonical) == (lead != 0)).all()
+    assert (leading_digits(canonical) == (lead != 0)).all()
     assert (canonical[lead == 1] == rows[lead == 1]).all()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_key_digits_are_the_rows_of_all_rows(n):
+    rows = f3.all_rows(n)
+    msb_first = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = np.arange(3 ** n, dtype=np.int32)
+    digits = f3.key_digits(keys, msb_first)
+    assert digits.dtype == np.int8 and digits.T.flags.c_contiguous
+    assert (digits == rows).all()
+    # the first column least significant: the columns reversed
+    assert (f3.key_digits(keys, msb_first[::-1]) == rows[:, ::-1]).all()
+    assert (f3.key_digits(keys[::5], msb_first) == rows[::5]).all()
 
 
 def test_rank_equals_the_row_reduction_oracle():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from trigonal import monodromy as mo
+from trigonal.f3 import all_rows
 
-from oracles import ALPHABET_PERMS, hurwitz_move_codes
+from oracles import (ALPHABET_PERMS, confluence_labels_by_deletion,
+                     hurwitz_move_codes)
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +299,20 @@ def test_confluence_labels_equal_brute_force_on_every_class(table):
             mo.confluence_labels(table.codes, bad)
         with pytest.raises(IndexError):
             mo.classify_confluence_codes(table.codes[0], bad)
+
+
+def test_confluence_labels_equal_the_deletion_form_on_every_row_kind(table):
+    # the class rows, the constant tuples, and the rows (a, a, b, c, ..., c)
+    # that the H-variant note reads
+    abc = all_rows(3)
+    h_variant = np.repeat(abc[abc.min(axis=1) < abc.max(axis=1)],
+                          [2, 1, mo.TUPLE_LEN - 3], axis=1)
+    constant = np.repeat(np.arange(3, dtype=np.int8)[:, None], mo.TUPLE_LEN,
+                         axis=1)
+    for rows in (table.codes, constant, h_variant):
+        for pos in range(mo.TUPLE_LEN):
+            assert (mo.confluence_labels(rows, pos)
+                    == confluence_labels_by_deletion(rows, pos)).all(), pos
 
 
 def test_parse_tuple_string_errors():

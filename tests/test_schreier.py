@@ -12,8 +12,8 @@ from trigonal import lattice as la
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
 from trigonal.schreier import (apply_word, bsgs_order, inverse_permutation,
-                               orbit_bfs, orbit_size, schreier_generator_words,
-                               word_from_root)
+                               orbit_bfs, orbit_size, orbit_sizes,
+                               schreier_generator_words, word_from_root)
 
 #: the basic orbits of Sp(DIM, F3) on nonzero vectors along the transvection
 #: chain: 3^2k - 1 and 3^(2k-1) for k = DIM/2..1
@@ -140,8 +140,10 @@ def test_orbit_size_on_the_generator_permutations():
     # a suffix of the chain, as one level of `bsgs_order` runs it
     assert assert_orbit_size_is_the_bfs_size(
         sp.N_VECTORS, vectors[-2:], [sp.POW3[-2]]) == 8
-    assert spt.orbit_of_nonzero_vectors(1) == sp.N_VECTORS - 1
-    assert spt.orbit_of_nonzero_vectors(2) == sp.N_VECTORS - 1  # -(1, 0, ...)
+    # the line orbit and the vector orbit, from one signed traversal
+    both = (sp.N_POINTS, sp.N_VECTORS - 1)
+    assert spt.orbit_of_nonzero_vectors(1) == both
+    assert spt.orbit_of_nonzero_vectors(2) == both  # -(1, 0, ...)
     # the key 0 is the zero vector; -1 would read the last key, 3^10 - 1
     for key in (0, -1, sp.N_VECTORS):
         with pytest.raises(ValueError, match="not a nonzero vector"):
@@ -225,6 +227,9 @@ def test_signed_orbits_and_chain_equal_the_doubled_action(seed):
     for p in range(n_points):
         size = orbit_size(n_points, gens, [p], signs)
         assert size == orbit_size(2 * n_points, plain, [p])
+        # one signed traversal also counts the unsigned orbit
+        assert orbit_sizes(n_points, gens, [p], signs) \
+            == (orbit_size(n_points, gens, [p]), size)
         assert size == len(brute_signed_orbit(gens, signs, p))
     # +p and -p are fixed together, so the least base on 2n points is the
     # least signed base +p: the two chains agree level by level
