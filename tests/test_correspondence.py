@@ -298,14 +298,13 @@ def test_index_and_key_arrays_are_int32(corr):
     assert tree.parent_gen.dtype == np.int8 and tree.depth.dtype == np.int16
 
 
-@pytest.mark.parametrize("build, bound", [(mo.ClassTable, 3.1e6),
+@pytest.mark.parametrize("build, bound", [(mo.ClassTable, 3.3e6),
                                           (sp.ProjectiveTable, 1.3e6)])
 def test_table_builds_stay_under_their_tracemalloc_bounds(build, bound):
     # after one warm-up build: the class table's certificate marks the six
-    # relabelings one at a time in its one mask (peak 2.58 MB; 2.70 MB when
-    # its rows were read off all of F_3^10), the point table peaks at
-    # 1.07 MB, and neither table keeps or makes an int64 copy of its rows
-    # or a copy of F_3^10
+    # relabelings one at a time in its one mask (peak 2.58 MB), the point
+    # table peaks at 1.07 MB, and neither table keeps or makes an int64
+    # copy of its rows or a copy of F_3^10
     build()
     tracemalloc.start()
     try:

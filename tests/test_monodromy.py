@@ -320,6 +320,11 @@ def test_parse_tuple_string_errors():
         mo.parse_tuple_string("0011")
     with pytest.raises(ValueError, match="12 characters"):
         mo.parse_tuple_string("00111111111x")
+    # twelve characters, one of them not one byte in UTF-8, or a lone
+    # surrogate as argv holds an undecodable byte
+    for s in ("00111111111\u0661", "00111111111\udc80"):
+        with pytest.raises(ValueError, match="12 characters"):
+            mo.parse_tuple_string(s)
     with pytest.raises(ValueError, match="not surjective"):
         mo.parse_tuple_string("000000000000")
     with pytest.raises(ValueError, match="not the identity"):
