@@ -59,7 +59,7 @@ class Correspondence:
     def base_pair(self) -> dict:
         return {
             "point_index": int(self.base_point),
-            "point": sp.get_table().rep(self.base_point).tolist(),
+            "point": sp.get_table().reps[self.base_point].tolist(),
             "class_index": int(self.base_class),
             "class": mo.get_table().class_string(self.base_class),
         }
@@ -107,22 +107,28 @@ def _transport(ell0: int, tree, s_gens: np.ndarray) -> np.ndarray:
     return backward
 
 
-def _verify(backward: np.ndarray, s_gens, h_gens):
+def failing_edges(forward: np.ndarray):
+    """The edges (i, p) where forward[sigma_i(p)] = B_i(forward[p]) fails,
+    lazily, generator by generator and then by ascending point, each as a
+    dict that names both sides."""
+    spt, mot = sp.get_table(), mo.get_table()
+    for i in range(1, sp.DIM + 1):
+        lhs = np.take(forward, spt.transvection_perm(i))
+        rhs = np.take(mot.hurwitz_perm(i), forward)
+        for p in np.flatnonzero(lhs != rhs).tolist():
+            yield {"generator": i, "point": p,
+                   "forward_of_image": int(lhs[p]),
+                   "image_of_forward": int(rhs[p])}
+
+
+def _verify(backward: np.ndarray):
     """(forward, None) when backward is a bijection and its inverse carries
     all 10 x 29524 edges, else (None, the first failure)."""
     if not (np.sort(backward) == np.arange(N)).all():
         return None, {"reason": "backward is not a bijection"}
     forward = inverse_permutation(backward)
-    for gi in range(sp.DIM):
-        lhs = np.take(forward, s_gens[gi])
-        rhs = np.take(h_gens[gi], forward)
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size:
-            p = int(bad[0])
-            return None, {"generator": gi + 1, "point": p,
-                          "forward_of_image": int(lhs[p]),
-                          "image_of_forward": int(rhs[p])}
-    return forward, None
+    failure = next(failing_edges(forward), None)
+    return (forward, None) if failure is None else (None, failure)
 
 
 def build_bijection() -> Correspondence:
@@ -146,7 +152,7 @@ def build_bijection() -> Correspondence:
     passing, failures = [], []
     for ell0 in candidates.tolist():
         backward = _transport(ell0, class_orbit, s_gens)
-        forward, failure = _verify(backward, s_gens, h_gens)
+        forward, failure = _verify(backward)
         if forward is None:
             failures.append({"candidate_point": ell0, **failure})
         else:

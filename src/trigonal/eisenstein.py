@@ -106,32 +106,31 @@ TAU2 = TAU * TAU                 # = tau - 1, a primitive cube root of unity
 THETA = EisensteinInt(-1, 2)     # = tau - conj(tau), theta^2 = -3
 
 
-def divides(d: EisensteinInt, x: EisensteinInt) -> bool:
-    """Whether d divides x in the ring.  Exact: uses x*conj(d)/norm(d)."""
+def _quotient(x: EisensteinInt, d: EisensteinInt) -> EisensteinInt | None:
+    """x/d when d divides x, else None.  Exact: the quotient is
+    x*conj(d)/norm(d), for d = theta the identity 1/theta = -theta/3."""
     d = _coerce(d)
     x = _coerce(x)
     n = d.norm()
     if n == 0:
         raise ZeroDivisionError("division by zero in EisensteinInt")
     t = x * d.conj()
-    return t.a % n == 0 and t.b % n == 0
+    if t.a % n or t.b % n:
+        return None
+    return EisensteinInt(t.a // n, t.b // n)
+
+
+def divides(d: EisensteinInt, x: EisensteinInt) -> bool:
+    """Whether d divides x in the ring."""
+    return _quotient(x, d) is not None
 
 
 def div_exact(x: EisensteinInt, d: EisensteinInt) -> EisensteinInt:
-    """The quotient x/d, raising ValueError if d does not divide x.
-
-    For d = theta this is the identity 1/theta = -theta/3: the quotient is
-    x*conj(theta)/3 and the integrality check is exact.
-    """
-    d = _coerce(d)
-    x = _coerce(x)
-    n = d.norm()
-    if n == 0:
-        raise ZeroDivisionError("division by zero in EisensteinInt")
-    t = x * d.conj()
-    if t.a % n != 0 or t.b % n != 0:
+    """The quotient x/d, raising ValueError if d does not divide x."""
+    q = _quotient(x, d)
+    if q is None:
         raise ValueError(f"{d} does not divide {x}")
-    return EisensteinInt(t.a // n, t.b // n)
+    return q
 
 
 def reduce_mod_theta(x: EisensteinInt) -> int:

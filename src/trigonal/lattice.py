@@ -345,6 +345,16 @@ def realified_signature(rank: int) -> tuple[int, int]:
     return 2 * rank - 2 * positive, 2 * positive
 
 
+def realified_abs_det(rank: int) -> int:
+    """The |det| the realified chain form of `rank` must have: (D_rank)^2 /
+    3^rank, from the chain's leading minors D_0 = 1, D_1 = -3 and D_n =
+    -3 D_(n-1) - theta * (-theta) D_(n-2); 1 at rank 10, 4 at 2, 8, 14, 20."""
+    prev, d = 1, -3
+    for _ in range(rank - 1):
+        prev, d = d, -3 * d - 3 * prev
+    return d * d // 3 ** rank
+
+
 def realify_and_certify() -> dict:
     """Certificate for the rescaled real form: even, unimodular, signature (18, 2).
 

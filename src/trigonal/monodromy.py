@@ -188,15 +188,16 @@ class ClassTable:
         codes = np.asarray(codes)
         if codes.shape not in ((TUPLE_LEN,), (1, TUPLE_LEN)):
             raise ValueError(f"a monodromy tuple is one row of {TUPLE_LEN} letters")
+        # a non-letter breaks the first rule before the int8 cast of
+        # `broken_rules`, which a huge int or a non-finite float would break
+        if not np.isin(codes, range(3)).all():
+            raise ValueError(TUPLE_RULES[0])
         # signed, so that translating t_0 to 0 cannot wrap an unsigned type
         codes = _check_tuple(codes.reshape(TUPLE_LEN)).astype(np.int64)
         return int(self.class_index[codes_to_keys((codes - codes[0]) % 3) // 3])
 
     def class_string(self, idx: int) -> str:
         return code_strings(self.codes[idx])[0]
-
-    def index_of_string(self, s: str) -> int:
-        return self.index_of_codes(parse_tuple_string(s))
 
     # -- the half-twist action ----------------------------------------------------
 
@@ -302,7 +303,7 @@ def orbit_R(seed_idx: int) -> OrbitResult:
     t = get_table()
     seed_idx = int(seed_idx)
     if seed_idx != t.base_class():
-        return orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), [seed_idx])
+        return orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), seed_idx)
     if t._base_tree is None:
-        t._base_tree = orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), [seed_idx])
+        t._base_tree = orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), seed_idx)
     return t._base_tree

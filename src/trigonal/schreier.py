@@ -37,11 +37,11 @@ def generator_index(i, n: int) -> int:
 
 @dataclass
 class OrbitResult:
-    """BFS forest of a generator action.
+    """BFS tree of a generator action from one seed.
 
-    order: points in BFS order (seeds first, each level ascending);
+    order: points in BFS order (the seed first, each level ascending);
     parent/parent_gen: the tree edge through which a point was first reached
-    (-1 for seeds and off the orbit); depth: distance from a seed, or -1.
+    (-1 for the seed and off the orbit); depth: distance from the seed, or -1.
 
     `order` and `parent` are int32, like the permutations, and are read
     through np.take or widened once (see the module docstring);
@@ -58,20 +58,19 @@ class OrbitResult:
         return int(self.order.size)
 
 
-def _seed_mask(n_points: int, seeds) -> np.ndarray:
-    """The boolean mask of the seeds in range(n_points); IndexError for a
-    seed outside it, which numpy would otherwise read from the end."""
-    seeds = np.asarray(seeds, dtype=np.int64)
-    bad = seeds[(seeds < 0) | (seeds >= n_points)]
-    if bad.size:
-        raise IndexError(f"seed {bad[0]} is not in range({n_points})")
-    mask = np.zeros(n_points, dtype=bool)
-    mask[seeds] = True
-    return mask
+def _root(n_points: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The visited mask and the first frontier of a traversal from the seed;
+    IndexError for a seed outside range(n_points), which numpy would
+    otherwise read from the end."""
+    if not 0 <= seed < n_points:
+        raise IndexError(f"seed {seed} is not in range({n_points})")
+    visited = np.zeros(n_points, dtype=bool)
+    visited[seed] = True
+    return visited, np.array([seed], dtype=np.intp)
 
 
-def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
-    """Deterministic BFS orbit of the seeds under the generator arrays.
+def orbit_bfs(n_points: int, gens, seed) -> OrbitResult:
+    """Deterministic BFS orbit of the seed under the generator arrays.
 
     Each generator must be a permutation of range(n_points): the BFS relies
     on g[frontier] never repeating a point.  Each level is processed with
@@ -83,10 +82,8 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
     parent_gen = np.full(n_points, -1,
                          dtype=np.min_scalar_type(-1 - len(gens)))
     depth = np.full(n_points, -1, dtype=np.min_scalar_type(-1 - n_points))
-    visited = _seed_mask(n_points, seeds)
+    visited, frontier = _root(n_points, seed)
     reached = np.zeros(n_points, dtype=bool)     # the level being built
-
-    frontier = np.flatnonzero(visited)           # the seeds, each once
     depth[frontier] = 0
     order = [frontier]
     d = 0
@@ -111,32 +108,29 @@ def orbit_bfs(n_points: int, gens, seeds) -> OrbitResult:
                        parent_gen, depth)
 
 
-def orbit_size(n_points: int, gens, seeds, signs=None) -> int:
-    """The size of the orbit of the seeds, signed by `signs` if given: the
+def orbit_size(n_points: int, gens, seed, signs=None) -> int:
+    """The size of the orbit of the seed, signed by `signs` if given: the
     second of `orbit_sizes`."""
-    return orbit_sizes(n_points, gens, seeds, signs)[1]
+    return orbit_sizes(n_points, gens, seed, signs)[1]
 
 
-def orbit_sizes(n_points: int, gens, seeds, signs=None) -> tuple[int, int]:
-    """The sizes of the orbit of the seeds, `orbit_bfs(...).size`, and of
-    their signed orbit (the same without `signs`), from one traversal with
-    a visited mask alone: no tree, no depths and no BFS order.
+def orbit_sizes(n_points: int, gens, seed, signs=None) -> tuple[int, int]:
+    """The sizes of the orbit of the seed, `orbit_bfs(...).size`, and of
+    its signed orbit (the same without `signs`), from one traversal with a
+    visited mask alone: no tree, no depths and no BFS order.
 
     The generators must be permutations, as for `orbit_bfs`: the fresh
     images of one generator are then distinct, and `visited` keeps a point
     that two generators reach from entering the next frontier twice.
 
     With `signs`, one boolean mask per generator, the generators act on
-    signed points (see the module docstring), and the one seed p stands for
-    +p.  Its orbit covers the orbit of p once, or twice: each point takes
-    the sign of its first visit, and the orbit holds both signs exactly when
+    signed points (see the module docstring), and the seed p stands for +p.
+    Its orbit covers the orbit of p once, or twice: each point takes the
+    sign of its first visit, and the orbit holds both signs exactly when
     some edge q -> g[q] disagrees with them, that is when a Schreier
     generator of the stabilizer of p sends +p to -p.
     """
-    visited = _seed_mask(n_points, seeds)
-    frontier = np.flatnonzero(visited)        # the seeds, each once
-    if signs is not None and frontier.size != 1:
-        raise ValueError("a signed orbit takes one seed")
+    visited, frontier = _root(n_points, seed)
     negative = np.zeros(n_points, dtype=bool)  # the first-visit signs
     size = 0
     while frontier.size:
@@ -232,8 +226,8 @@ def bsgs_order(gens, target: int, signs=None):
         moved = gens[k] != identity
         if signs is not None:
             moved |= signs[k]
-        base = np.flatnonzero(moved & fixed)[:1]
-        sizes.append(orbit_size(n_points, gens[k:], base,
+        base = np.flatnonzero(moved & fixed)
+        sizes.append(orbit_size(n_points, gens[k:], base[0],
                                 None if signs is None else signs[k:])
                      if base.size else 1)
         fixed &= ~moved

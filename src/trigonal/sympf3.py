@@ -46,11 +46,6 @@ LINE_CLASS_COUNTS = {"H": 1, "RM": (3 ** (DIM - 1) - 1) // 2 - 1,
                      "SG": 3 ** (DIM - 1)}
 
 
-def reduce_matrix(m) -> np.ndarray:
-    return np.array([[reduce_mod_theta(c) for c in row] for row in m],
-                    dtype=np.int8)
-
-
 def reduction_matrix() -> np.ndarray:
     """The 10x20 int64 matrix of reduction mod theta on the lattice's flat
     Z-coordinates (p_1, q_1, p_2, ...): p + q*tau -> p*red(1) + q*red(tau)."""
@@ -60,8 +55,8 @@ def reduction_matrix() -> np.ndarray:
 
 #: symp(alpha_i, alpha_j) = skew(a_i, a_j) mod theta
 #:                        = (GRAM[i][j] / theta) mod theta
-SYMP_GRAM = reduce_matrix([[div_exact(c, THETA) for c in row]
-                           for row in lattice.GRAM])
+SYMP_GRAM = np.array([[reduce_mod_theta(div_exact(c, THETA)) for c in row]
+                      for row in lattice.GRAM], dtype=np.int8)
 
 
 def transvection(i: int) -> np.ndarray:
@@ -135,9 +130,6 @@ class ProjectiveTable:
 
     # -- lookups -------------------------------------------------------------
 
-    def rep(self, idx: int) -> np.ndarray:
-        return self.reps[idx]
-
     def basis_point(self, i: int) -> int:
         """The point [alpha_i], 1 <= i <= 10."""
         return int(self.point_index[POW3[generator_index(i, DIM) - 1]])
@@ -183,8 +175,8 @@ class ProjectiveTable:
         vectors = all_rows(DIM)[:, ::-1]            # row k has key k
         return _transvect_keys(vectors, np.arange(N_VECTORS, dtype=np.int64), i)
 
-    def orbit_of_points(self, seeds):
-        return orbit_bfs(N_POINTS, self.all_transvection_perms(), seeds)
+    def orbit_of_points(self, seed: int):
+        return orbit_bfs(N_POINTS, self.all_transvection_perms(), seed)
 
     def orbit_of_nonzero_vectors(self, seed_key: int) -> tuple[int, int]:
         """The sizes of the orbits of the line and of the nonzero vector of
@@ -196,7 +188,7 @@ class ProjectiveTable:
         if point < 0:
             raise ValueError(f"the key {seed_key} is not a nonzero vector")
         perms, signs = self.transvections()
-        return orbit_sizes(N_POINTS, perms, [point], signs)
+        return orbit_sizes(N_POINTS, perms, point, signs)
 
 
 @functools.cache
@@ -227,7 +219,8 @@ def line_labels(vectors, ell) -> np.ndarray:
 def classify_line(m_idx: int, ell_idx: int) -> str:
     """Class of the line m relative to the fixed line ell: H, RM or SG."""
     table = get_table()
-    return LINE_CLASSES[int(line_labels(table.rep(m_idx), table.rep(ell_idx))[0])]
+    label = line_labels(table.reps[m_idx], table.reps[ell_idx])[0]
+    return LINE_CLASSES[int(label)]
 
 
 def line_class_vector(ell_idx: int) -> np.ndarray:
@@ -236,18 +229,7 @@ def line_class_vector(ell_idx: int) -> np.ndarray:
     The rows of the table's `reps` are canonical and row ell_idx is ell, so
     the only H is the index itself."""
     table = get_table()
-    return _label_codes(symp_with(table.reps, table.rep(ell_idx)), ell_idx)
-
-
-def stabilizer_orbit_sizes(ell_idx: int) -> dict:
-    """Counts of the three line labels relative to ell; sums to 29524.
-
-    This counts labels, not orbits.  The counts equal the orbit sizes of the
-    stabilizer of ell on points, because the labels H, RM and SG are exactly
-    those orbits; acceptance criterion 8 certifies this by enumerating the
-    orbits of stabilizer words.
-    """
-    return label_counts(line_class_vector(ell_idx))
+    return _label_codes(symp_with(table.reps, table.reps[ell_idx]), ell_idx)
 
 
 def label_counts(labels) -> dict:

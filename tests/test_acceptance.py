@@ -143,7 +143,7 @@ def _orbit_partition(n, gens):
     seen = np.zeros(n, dtype=bool)
     orbits = []
     while not seen.all():
-        res = orbit_bfs(n, gens, [int(np.argmin(seen))])
+        res = orbit_bfs(n, gens, int(np.argmin(seen)))
         seen |= res.depth >= 0
         orbits.append(np.sort(res.order))
     return orbits
@@ -164,7 +164,7 @@ def test_criterion_08_orbit_trichotomy(corr):
         # of the full stabilizer.
         s_gens = spt.all_transvection_perms()
         words = schreier_generator_words(
-            orbit_bfs(n, s_gens, [corr.base_point]), s_gens, 64)
+            orbit_bfs(n, s_gens, corr.base_point), s_gens, 64)
         stab = [inverse_permutation(apply_word(np.arange(n), rhs, s_gens))
                 [apply_word(np.arange(n), lhs, s_gens)] for lhs, rhs in words]
         labels = sp.line_class_vector(corr.base_point)
@@ -174,7 +174,7 @@ def test_criterion_08_orbit_trichotomy(corr):
                      and orbit_sizes == [1, 9840, 19683]
                      and all(np.array_equal(o, np.flatnonzero(labels == c))
                              for c, o in enumerate(orbits))  # H, RM, SG
-                     and sp.stabilizer_orbit_sizes(corr.base_point)
+                     and sp.label_counts(labels)
                      == {"H": 1, "RM": 9840, "SG": 19683})
 
         # pairing: sigma_i fixes [p] iff symp(p, alpha_i) = 0 (line H or RM)

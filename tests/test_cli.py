@@ -3,7 +3,7 @@
 The commands run in-process through `cli.main(argv)`.  The tests that need
 a fresh interpreter start one through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
-caches, the runs of the whole program at ranks 4 and 6, which set the rank
+caches, the runs of the whole program at ranks 4, 6 and 8, which set the rank
 before the package reads it, the tests that `verify all` and `export
 bijection` build only the base class tree, the test that
 `verify` and the exports leave `numpy.ma` unimported, the tests that
@@ -17,6 +17,7 @@ package name it reaches, and the test that its traced replays run to an
 """
 
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import io
@@ -37,6 +38,7 @@ import trigonal
 from trigonal import __version__, cli
 from trigonal import monodromy as mo
 from trigonal.eisenstein import TAU2, EisensteinInt
+from trigonal.schreier import inverse_permutation
 
 from oracles import ALPHABET_PERMS
 
@@ -317,6 +319,40 @@ def test_a_failed_bijection_build_runs_once_per_verify(monkeypatch, tmp_path):
         == "error: RuntimeError: no equivariant bijection found"
 
 
+def test_a_swapped_bijection_names_its_first_failing_edge(monkeypatch,
+                                                          tmp_path):
+    corr = cli.Context(0, False).corr()
+    ok, observed, _, details = cli.check_equivariant_bijection(
+        cli.Context(0, False))
+    assert ok and set(observed) == {"edges_verified", "mutually_inverse"}
+    assert set(details) == {"summary", "candidates_pruned",
+                            "candidates_passing", "base_pair"}
+    # two entries of forward swapped, backward still its inverse: only the
+    # edges through the two points can fail
+    forward = corr.forward.copy()
+    forward[[0, 1]] = forward[[1, 0]]
+    broken = dataclasses.replace(corr, forward=forward,
+                                 backward=inverse_permutation(forward))
+    monkeypatch.setattr(cli.Context, "corr", lambda self: broken)
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["verify", "all", "--out", str(out)]) == 1
+    rows = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
+    row = rows["equivariant_bijection"]
+    # the failing edges, generator by generator and point by point
+    f, failures = forward.tolist(), []
+    for i in range(1, 11):
+        s = cli.sp.get_table().transvection_perm(i).tolist()
+        h = mo.get_table().hurwitz_perm(i).tolist()
+        failures += [{"generator": i, "point": p, "forward_of_image": f[s[p]],
+                      "image_of_forward": h[f[p]]}
+                     for p in range(len(f)) if f[s[p]] != h[f[p]]]
+    assert failures and row["status"] == "fail"
+    assert row["observed"] == {"edges_verified": 295240 - len(failures),
+                               "mutually_inverse": True}
+    assert row["details"]["first_failure"] == failures[0]
+
+
 def test_a_corrupted_hurwitz_permutation_names_its_first_failing_relation(
         monkeypatch, tmp_path):
     table = mo.get_table()
@@ -324,7 +360,7 @@ def test_a_corrupted_hurwitz_permutation_names_its_first_failing_relation(
     # move 3 sends the alternating class a to b and b to c; with p[a] and
     # p[b] swapped, a and c form a 2-cycle, so move 3 no longer has order 3
     perms = table.all_hurwitz_perms().copy()
-    a = table.index_of_string("010101010101")
+    a = table.index_of_codes(mo.parse_tuple_string("010101010101"))
     b = perms[2, a]
     perms[2, [a, b]] = perms[2, [b, a]]
     monkeypatch.setattr(table, "_hurwitz_perms", perms)
@@ -460,6 +496,8 @@ SMALL_RANKS = {
         "947ad7f21520547525626e4fee4f819fd77cf0cf73a9e7366c678992641e66a0"),
     6: ([0, 1, 0, 1, 0, 1], "00111111",
         "0ed212e4e7e6411ab6db7879010025076abfd9e1b882fa7f0954322e8b807ed2"),
+    8: ([0, 1, 0, 1, 0, 1, 0, 1], "0011111111",
+        "965cd5080ab434fa626b45c6a51396ba3ad2c5828072e3f73bfcde0eb08da59f"),
 }
 
 #: fresh-interpreter run of the whole program at the rank argv[1], set
@@ -510,7 +548,7 @@ def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
 
 
 #: fresh-interpreter prelude that records every `orbit_bfs` call, on either
-#: side, as (side, seeds): it wraps the name in every package module that
+#: side, as (side, seed): it wraps the name in every package module that
 #: holds it, schreier's own included
 COUNT_TREES = (
     "import sys\n"
@@ -518,11 +556,11 @@ COUNT_TREES = (
     "trigonal.monodromy as mo, trigonal.schreier as schreier\n"
     "assert not hasattr(co, 'orbit_bfs'), 'correspondence builds a tree'\n"
     "calls = []\n"
-    "def counted(n_points, gens, seeds, bfs=schreier.orbit_bfs):\n"
+    "def counted(n_points, gens, seed, bfs=schreier.orbit_bfs):\n"
     "    side = 'classes' if gens is mo.get_table().all_hurwitz_perms() "
     "else 'other'\n"
-    "    calls.append((side, list(seeds)))\n"
-    "    return bfs(n_points, gens, seeds)\n"
+    "    calls.append((side, seed))\n"
+    "    return bfs(n_points, gens, seed)\n"
     "for name, module in list(sys.modules.items()):\n"
     "    if name.startswith('trigonal') and hasattr(module, 'orbit_bfs'):\n"
     "        module.orbit_bfs = counted\n"
@@ -537,7 +575,7 @@ def test_verify_all_builds_the_base_class_tree_once():
         "rows = cli.run_checks('all', 0, False)\n"
         "failed = [r['name'] for r in rows if r['status'] == 'fail']\n"
         "assert failed == ['orbit_trichotomy'], rows\n"
-        "assert calls == [('classes', [mo.get_table().base_class()])], calls\n"
+        "assert calls == [('classes', mo.get_table().base_class())], calls\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -547,7 +585,7 @@ def test_export_bijection_builds_only_the_base_class_tree(tmp_path):
     out = str(tmp_path / "bijection.json")
     code = COUNT_TREES + (
         f"assert cli.main(['export', 'bijection', '--out', {out!r}]) == 0\n"
-        "assert calls == [('classes', [mo.get_table().base_class()])], calls\n"
+        "assert calls == [('classes', mo.get_table().base_class())], calls\n"
     )
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr

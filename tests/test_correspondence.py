@@ -39,7 +39,7 @@ def test_build_succeeds_and_is_bijective(corr):
 def test_base_pair_frozen(corr):
     assert corr.base_point == 11073
     assert corr.base_class == 6560
-    assert sp.get_table().rep(corr.base_point).tolist() == [0, 1] * 5
+    assert sp.get_table().reps[corr.base_point].tolist() == [0, 1] * 5
     assert mo.get_table().class_string(corr.base_class) == "001111111111"
     assert int(corr.forward[corr.base_point]) == corr.base_class
 
@@ -56,7 +56,7 @@ def test_survivor_pruning_equals_the_full_mask_route(corr):
     # of the points, the candidates being the points where every pair agrees
     s_gens = sp.get_table().all_transvection_perms()
     h_gens = mo.get_table().all_hurwitz_perms()
-    tree = orbit_bfs(co.N, h_gens, [corr.base_class])
+    tree = orbit_bfs(co.N, h_gens, corr.base_class)
     identity = np.arange(co.N)
     for budget in (1, 2, 4, 8, 64):
         words = schreier_generator_words(tree, h_gens, budget)
@@ -122,7 +122,7 @@ def test_h_classes_map_to_basis_lines(corr):
     for i in range(1, 11):
         chars = ["0"] * 12
         chars[i] = chars[i + 1] = "1"
-        h_idx = mot.index_of_string("".join(chars))
+        h_idx = mot.index_of_codes(mo.parse_tuple_string("".join(chars)))
         assert int(corr.backward[h_idx]) == spt.basis_point(i)
 
 
@@ -130,10 +130,10 @@ def test_base_point_is_perp_to_interior_lines(corr):
     # the base point is fixed by the transvections matching the moves
     # fixing the base class: slots 2..10 carry equal letters
     spt = sp.get_table()
-    v = spt.rep(corr.base_point)
+    v = spt.reps[corr.base_point]
     for i in range(2, 11):
-        assert symp(spt.rep(spt.basis_point(i)), v) == 0
-    assert symp(spt.rep(spt.basis_point(1)), v) != 0
+        assert symp(spt.reps[spt.basis_point(i)], v) == 0
+    assert symp(spt.reps[spt.basis_point(1)], v) != 0
 
 
 def test_base_pair_line_class_is_h(corr):
@@ -144,7 +144,7 @@ def test_stabilizer_words(corr):
     mot, spt = mo.get_table(), sp.get_table()
     h = mot.all_hurwitz_perms()
     s = spt.all_transvection_perms()
-    words = schreier_generator_words(orbit_bfs(co.N, h, [corr.base_class]),
+    words = schreier_generator_words(orbit_bfs(co.N, h, corr.base_class),
                                      h, 16)
     assert len(words) == 16
     for lhs, rhs in words:
@@ -159,7 +159,7 @@ def test_stabilizer_words(corr):
 def test_lattice_side_words(corr):
     spt = sp.get_table()
     s = spt.all_transvection_perms()
-    words = schreier_generator_words(orbit_bfs(co.N, s, [corr.base_point]),
+    words = schreier_generator_words(orbit_bfs(co.N, s, corr.base_point),
                                      s, 8)
     assert len(words) == 8
     for lhs, rhs in words:
@@ -227,7 +227,7 @@ def test_base_pair_slot1_instance(corr):
     mot, spt = mo.get_table(), sp.get_table()
     assert mo.classify_confluence_codes(mot.codes[corr.base_class], 1) == "RM"
     a1 = spt.basis_point(1)
-    assert symp(spt.rep(a1), spt.rep(corr.base_point)) != 0
+    assert symp(spt.reps[a1], spt.reps[corr.base_point]) != 0
     assert a1 != corr.base_point
     assert sp.classify_line(a1, corr.base_point) == "SG"
 

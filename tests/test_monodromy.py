@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -337,10 +338,23 @@ def test_index_round_trip(table):
     rng = np.random.default_rng(17)
     for idx in rng.integers(0, mo.N_CLASSES, size=25):
         s = table.class_string(int(idx))
-        assert table.index_of_string(s) == int(idx)
+        assert table.index_of_codes(mo.parse_tuple_string(s)) == int(idx)
         # any relabeling resolves to the same class
         relabeled = ALPHABET_PERMS[3][table.codes[int(idx)]]
         assert table.index_of_codes(relabeled) == int(idx)
+
+
+def test_index_of_codes_rejects_any_non_letter_by_the_first_rule(table):
+    # a huge int overflowed the int8 cast of the rule, and a non-finite
+    # float cast with a RuntimeWarning; both are letters outside {0, 1, 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (2 ** 70, -2 ** 70, 1e30, float("nan"), float("inf"),
+                    -float("inf")):
+            for codes in ([bad] + [1] * 11, [0, 0] + [1] * 9 + [bad]):
+                with pytest.raises(ValueError) as rejected:
+                    table.index_of_codes(codes)
+                assert str(rejected.value) == mo.TUPLE_RULES[0]
 
 
 def test_index_of_codes_takes_one_row_of_twelve_letters(table):
@@ -411,8 +425,9 @@ def test_base_class_tree_is_built_once_per_table(monkeypatch):
     assert mo.orbit_R(base) is tree
     assert tree.size == mo.N_CLASSES and tree.order[0] == base
     # any other seed gets a tree of its own, and leaves the memo alone
-    other = mo.orbit_R(table.index_of_string("010101010101"))
-    assert other is not mo.orbit_R(table.index_of_string("010101010101"))
+    alternating = table.index_of_codes(mo.parse_tuple_string("010101010101"))
+    other = mo.orbit_R(alternating)
+    assert other is not mo.orbit_R(alternating)
     assert mo.orbit_R(base) is tree
     # the memo lives on the table: a new table builds a new tree
     monkeypatch.setattr(mo, "get_table", functools.cache(mo.ClassTable))

@@ -27,14 +27,13 @@ S6 = [np.array([1, 0, 2, 3, 4, 5]), np.array([1, 2, 3, 4, 5, 0])]
 S6_ADJACENT = [np.array([*range(i), i + 1, i, *range(i + 2, 6)]) for i in range(5)]
 
 
-def brute_bfs(n_points, gens, seeds):
+def brute_bfs(n_points, gens, seed):
     """Level-by-level BFS in plain Python with the documented claim rule: a
     point goes to the first generator in list order, then the ascending
     first parent, that reaches it."""
     parent, parent_gen, depth = [-1] * n_points, [-1] * n_points, [-1] * n_points
-    level = sorted(set(seeds))
-    for p in level:
-        depth[p] = 0
+    level = [seed]
+    depth[seed] = 0
     order = list(level)
     while level:
         reached = []
@@ -49,9 +48,9 @@ def brute_bfs(n_points, gens, seeds):
     return order, parent, parent_gen, depth
 
 
-def assert_matches_brute_bfs(n_points, gens, seeds):
-    res = orbit_bfs(n_points, gens, seeds)
-    want = brute_bfs(n_points, gens, seeds)
+def assert_matches_brute_bfs(n_points, gens, seed):
+    res = orbit_bfs(n_points, gens, seed)
+    want = brute_bfs(n_points, gens, seed)
     for name, w in zip(("order", "parent", "parent_gen", "depth"), want):
         assert getattr(res, name).tolist() == w, name
     return res
@@ -72,7 +71,7 @@ def random_permutations(seed, n_points, blocks, count):
 
 
 def test_orbit_bfs_on_s6_matches_brute_force():
-    res = assert_matches_brute_bfs(6, S6, [0])
+    res = assert_matches_brute_bfs(6, S6, 0)
     assert res.size == 6
 
 
@@ -80,9 +79,9 @@ def test_orbit_bfs_on_s6_matches_brute_force():
 def test_orbit_bfs_on_random_permutations_matches_brute_force(seed):
     blocks = 1 + seed % 3
     gens = random_permutations(seed, 90, blocks, 2 + seed % 2)
-    res = assert_matches_brute_bfs(90, gens, [seed, 3 * seed])
+    res = assert_matches_brute_bfs(90, gens, 3 * seed)
     if blocks > 1:
-        # the seeds lie in the first block: the other blocks stay unvisited
+        # the seed lies in the first block: the other blocks stay unvisited
         outside = np.arange(90 // blocks, 90)
         for name in ("parent", "parent_gen", "depth"):
             assert (getattr(res, name)[outside] == -1).all()
@@ -91,24 +90,24 @@ def test_orbit_bfs_on_random_permutations_matches_brute_force(seed):
 def test_orbit_bfs_on_the_generator_permutations_matches_brute_force():
     mot, spt = mo.get_table(), sp.get_table()
     assert_matches_brute_bfs(mo.N_CLASSES, mot.all_hurwitz_perms(),
-                             [mot.base_class()])
+                             mot.base_class())
     assert_matches_brute_bfs(sp.N_POINTS, spt.all_transvection_perms(),
-                             [spt.basis_point(1)])
+                             spt.basis_point(1))
 
 
-def assert_orbit_size_is_the_bfs_size(n_points, gens, seeds):
-    size = orbit_size(n_points, gens, seeds)
+def assert_orbit_size_is_the_bfs_size(n_points, gens, seed):
+    size = orbit_size(n_points, gens, seed)
     assert type(size) is int
-    assert size == orbit_bfs(n_points, gens, seeds).size
+    assert size == orbit_bfs(n_points, gens, seed).size
     return size
 
 
 def test_orbit_size_on_s6():
-    for seeds in ([0], [5], [2, 2], []):
-        assert_orbit_size_is_the_bfs_size(6, S6, seeds)
-    # the subgroup <(0 1)> has orbits {0, 1} and fixed points
-    assert assert_orbit_size_is_the_bfs_size(6, S6[:1], [0]) == 2
-    assert assert_orbit_size_is_the_bfs_size(6, S6[:1], [0, 1, 4]) == 3
+    for seed in range(6):
+        assert assert_orbit_size_is_the_bfs_size(6, S6, seed) == 6
+    # the subgroup <(0 1)> has the orbit {0, 1} and fixed points
+    assert assert_orbit_size_is_the_bfs_size(6, S6[:1], 0) == 2
+    assert assert_orbit_size_is_the_bfs_size(6, S6[:1], 4) == 1
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -116,30 +115,29 @@ def test_orbit_size_on_random_permutations(seed):
     blocks = 1 + seed % 4
     gens = random_permutations(seed, 120, blocks, 1 + seed % 3)
     rng = np.random.default_rng(seed)
-    # one seed, several seeds, and seeds given twice, across blocks or not
-    for seeds in ([seed], rng.integers(0, 120, 3).tolist(),
-                  [seed, seed, 7 * seed % 120, seed]):
-        assert_orbit_size_is_the_bfs_size(120, gens, seeds)
+    # seeds in the first block and across the blocks
+    for point in (seed, 7 * seed % 120, *rng.integers(0, 120, 3).tolist()):
+        assert_orbit_size_is_the_bfs_size(120, gens, point)
     if blocks > 1:
-        assert orbit_size(120, gens, [0]) <= 120 // blocks
+        assert orbit_size(120, gens, 0) <= 120 // blocks
 
 
 def test_orbit_size_on_the_generator_permutations():
     mot, spt = mo.get_table(), sp.get_table()
     hurwitz = mot.all_hurwitz_perms()
-    alternating = mot.index_of_string("010101010101")
-    for seeds in ([mot.base_class()], [alternating], [0, alternating, 0]):
+    alternating = mot.index_of_codes(mo.parse_tuple_string("010101010101"))
+    for seed in (mot.base_class(), alternating, 0):
         assert assert_orbit_size_is_the_bfs_size(
-            mo.N_CLASSES, hurwitz, seeds) == mo.N_CLASSES
+            mo.N_CLASSES, hurwitz, seed) == mo.N_CLASSES
     assert assert_orbit_size_is_the_bfs_size(
-        sp.N_POINTS, spt.all_transvection_perms(), [0]) == sp.N_POINTS
+        sp.N_POINTS, spt.all_transvection_perms(), 0) == sp.N_POINTS
     vectors = [spt.vector_perm(i) for i in range(1, sp.DIM + 1)]
     assert assert_orbit_size_is_the_bfs_size(
-        sp.N_VECTORS, vectors, [1]) == sp.N_VECTORS - 1
-    assert assert_orbit_size_is_the_bfs_size(sp.N_VECTORS, vectors, [0]) == 1
+        sp.N_VECTORS, vectors, 1) == sp.N_VECTORS - 1
+    assert assert_orbit_size_is_the_bfs_size(sp.N_VECTORS, vectors, 0) == 1
     # a suffix of the chain, as one level of `bsgs_order` runs it
     assert assert_orbit_size_is_the_bfs_size(
-        sp.N_VECTORS, vectors[-2:], [sp.POW3[-2]]) == 8
+        sp.N_VECTORS, vectors[-2:], sp.POW3[-2]) == 8
     # the line orbit and the vector orbit, from one signed traversal
     both = (sp.N_POINTS, sp.N_VECTORS - 1)
     assert spt.orbit_of_nonzero_vectors(1) == both
@@ -153,13 +151,14 @@ def test_orbit_size_on_the_generator_permutations():
 def test_orbits_reject_seeds_outside_the_points():
     # numpy would read the seed -1 as the last point
     signs = [np.zeros(6, dtype=bool)] * 2
-    for seeds in ([-1], [6], [0, 6], [-7, 2]):
-        with pytest.raises(IndexError, match="is not in range\\(6\\)"):
-            orbit_bfs(6, S6, seeds)
-        with pytest.raises(IndexError, match="is not in range\\(6\\)"):
-            orbit_size(6, S6, seeds)
-    with pytest.raises(IndexError, match="seed -1 is not in range"):
-        orbit_size(6, S6, [-1], signs)
+    for seed in (-1, 6, -7, np.int32(6)):
+        match = f"seed {seed} is not in range\\(6\\)"
+        with pytest.raises(IndexError, match=match):
+            orbit_bfs(6, S6, seed)
+        with pytest.raises(IndexError, match=match):
+            orbit_size(6, S6, seed)
+        with pytest.raises(IndexError, match=match):
+            orbit_size(6, S6, seed, signs)
 
 
 def doubled(gens, signs):
@@ -188,28 +187,20 @@ def test_signed_orbit_size_on_hand_made_groups():
     # +0, -1, -0, +1; on both edges it is the swap of +0 and -1 again
     for mask, size in (([0, 0], 2), ([1, 0], 4), ([0, 1], 4), ([1, 1], 2)):
         signs = [np.array(mask, dtype=bool)]
-        assert orbit_size(2, [swap], [0], signs) == size, mask
+        assert orbit_size(2, [swap], 0, signs) == size, mask
         assert len(brute_signed_orbit([swap], signs, 0)) == size
     # a generator that fixes the point and flips it is -1 itself
     one = np.array([0])
-    assert orbit_size(1, [one], [0], [np.array([True])]) == 2
-    assert orbit_size(1, [one], [0], [np.array([False])]) == 1
+    assert orbit_size(1, [one], 0, [np.array([True])]) == 2
+    assert orbit_size(1, [one], 0, [np.array([False])]) == 1
     # the 3-cycle with every sign set has order 6 on signed points
     cycle = np.array([1, 2, 0])
-    assert orbit_size(3, [cycle], [0], [np.ones(3, dtype=bool)]) == 6
+    assert orbit_size(3, [cycle], 0, [np.ones(3, dtype=bool)]) == 6
     # two swaps that each keep one sign per point, +0 <-> -1 and +0 <-> +1:
     # only together do they reach both signs of 1, and then of 0
     both, plain = np.ones(2, dtype=bool), np.zeros(2, dtype=bool)
-    assert orbit_size(2, [swap, swap], [0], [both, plain]) == 4
+    assert orbit_size(2, [swap, swap], 0, [both, plain]) == 4
     assert len(brute_signed_orbit([swap, swap], [both, plain], 0)) == 4
-
-
-def test_a_signed_orbit_takes_one_seed():
-    signs = [np.zeros(6, dtype=bool)] * 2
-    for seeds in ([0, 1], [], np.arange(6)):
-        with pytest.raises(ValueError, match="one seed"):
-            orbit_size(6, S6, seeds, signs)
-    assert orbit_size(6, S6, [2, 2], signs) == 6      # one seed, given twice
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -225,11 +216,11 @@ def test_signed_orbits_and_chain_equal_the_doubled_action(seed):
     signs = [rng.random(n_points) < 0.2 * (seed % 5) for _ in gens]
     plain = doubled(gens, signs)
     for p in range(n_points):
-        size = orbit_size(n_points, gens, [p], signs)
-        assert size == orbit_size(2 * n_points, plain, [p])
+        size = orbit_size(n_points, gens, p, signs)
+        assert size == orbit_size(2 * n_points, plain, p)
         # one signed traversal also counts the unsigned orbit
-        assert orbit_sizes(n_points, gens, [p], signs) \
-            == (orbit_size(n_points, gens, [p]), size)
+        assert orbit_sizes(n_points, gens, p, signs) \
+            == (orbit_size(n_points, gens, p), size)
         assert size == len(brute_signed_orbit(gens, signs, p))
     # +p and -p are fixed together, so the least base on 2n points is the
     # least signed base +p: the two chains agree level by level
@@ -246,17 +237,17 @@ def test_signed_orbit_size_equals_the_vector_orbit_on_every_suffix(seed):
     keys = [int(sp.POW3[seed]), *rng.integers(1, sp.N_VECTORS, 2).tolist()]
     for k in range(sp.DIM):
         for key in keys:
-            want = orbit_size(sp.N_VECTORS, dense[k:], [key])
+            want = orbit_size(sp.N_VECTORS, dense[k:], key)
             point = int(table.point_index[key])
-            assert orbit_size(sp.N_POINTS, perms[k:], [point], signs[k:]) \
+            assert orbit_size(sp.N_POINTS, perms[k:], point, signs[k:]) \
                 == want, (k, key)
     # transvection 10 alone moves alpha_9, which pairs with alpha_10, along
     # the 3-cycle alpha_9 - j alpha_10 that misses -alpha_9: no doubling
     alpha9 = int(sp.POW3[sp.DIM - 2])
-    res = orbit_bfs(sp.N_VECTORS, dense[-1:], [alpha9])
+    res = orbit_bfs(sp.N_VECTORS, dense[-1:], alpha9)
     assert res.size == 3 and res.depth[2 * alpha9] == -1    # key of -alpha_9
     point = int(table.point_index[alpha9])
-    assert orbit_size(sp.N_POINTS, perms[-1:], [point], signs[-1:]) == 3
+    assert orbit_size(sp.N_POINTS, perms[-1:], point, signs[-1:]) == 3
 
 
 def assert_pair_identity(gens, root):
@@ -265,7 +256,7 @@ def assert_pair_identity(gens, root):
     the root to one point, and its element rhs^-1 lhs fixes exactly the
     points that both words send to the same point."""
     n = gens[0].size
-    tree = orbit_bfs(n, gens, [root])
+    tree = orbit_bfs(n, gens, root)
     for p in tree.order:
         word = word_from_root(tree, p)
         u = np.arange(n)
@@ -374,15 +365,15 @@ def test_chain_bound_divides_the_group_order(seed):
 @st.composite
 def signed_permutation_sets(draw):
     """A few permutations of a few points, a sign mask per permutation,
-    seeds and a word."""
+    a seed and a word."""
     n = draw(st.integers(1, 9))
     count = draw(st.integers(1, 4))
     gens = [np.array(draw(st.permutations(range(n)))) for _ in range(count)]
     signs = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
              for _ in range(count)]
-    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    seed = draw(st.integers(0, n - 1))
     word = draw(st.lists(st.integers(0, count - 1), max_size=6))
-    return gens, signs, seeds, word
+    return gens, signs, seed, word
 
 
 @settings(max_examples=80, deadline=None)
@@ -390,16 +381,16 @@ def signed_permutation_sets(draw):
 def test_kernels_are_dtype_blind(case):
     # the tables store their permutations int32 and the kernels gather
     # through them with np.take: each result equals that of int64 copies
-    gens, signs, seeds, word = case
+    gens, signs, seed, word = case
     n = gens[0].size
     wide, narrow = ([g.astype(t) for g in gens] for t in (np.int64, np.int32))
-    for a, b in zip(astuple(orbit_bfs(n, wide, seeds)),
-                    astuple(orbit_bfs(n, narrow, seeds))):
+    for a, b in zip(astuple(orbit_bfs(n, wide, seed)),
+                    astuple(orbit_bfs(n, narrow, seed))):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert orbit_size(n, wide, seeds) == orbit_size(n, narrow, seeds)
-    assert orbit_size(n, wide, seeds[:1], signs) \
-        == orbit_size(n, narrow, seeds[:1], signs)
-    for points in (np.arange(n), seeds[0]):
+    assert orbit_size(n, wide, seed) == orbit_size(n, narrow, seed)
+    assert orbit_size(n, wide, seed, signs) \
+        == orbit_size(n, narrow, seed, signs)
+    for points in (np.arange(n), seed):
         assert np.array_equal(apply_word(points, word, wide),
                               apply_word(points, word, narrow))
     for g, h in zip(wide, narrow):
