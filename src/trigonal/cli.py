@@ -114,9 +114,6 @@ class Context:
         self.optional = optional
         self._corr: co.Correspondence | Exception | None = None
 
-    def rng(self, tag: str) -> Random:
-        return Random(f"{self.seed}:{tag}")
-
     def corr(self) -> co.Correspondence:
         if self._corr is None:
             try:
@@ -244,7 +241,7 @@ def check_hurwitz_action(ctx: Context):
         perms, np.take, ident, "order_divides_three"))
     observed["trivial_and_order_three_points"] = all(
         bool((p == ident).any()) and bool((p != ident).any()) for p in perms)
-    observed["orbit_from_base"] = mo.orbit_R(t.base_class()).size
+    observed["orbit_from_base"] = mo.orbit_R().size
     alternating = t.index_of_codes(
         mo.parse_tuple_string(mo.alternating_tuple(mo.TUPLE_LEN)))
     observed["orbit_from_alternating"] = orbit_size(mo.N_CLASSES, perms,
@@ -258,8 +255,7 @@ def check_hurwitz_action(ctx: Context):
 
 
 def check_symplectic_transitivity(ctx: Context):
-    # key 1 = (1, 0, ..., 0), the vector of point 0
-    points, vectors = sp.get_table().orbit_of_nonzero_vectors(1)
+    points, vectors = sp.get_table().orbit_of_nonzero_vectors()
     observed = {"point_orbit": points, "nonzero_vector_orbit": vectors}
     expected = {"point_orbit": sp.N_POINTS,
                 "nonzero_vector_orbit": sp.N_VECTORS - 1}
@@ -319,7 +315,7 @@ def check_realification(ctx: Context):
 
 
 def check_minus6(ctx: Context):
-    rng = ctx.rng("minus6")
+    rng = Random(f"{ctx.seed}:minus6")
     eps0 = la.MINUS6_SEED
     decomposed = 0
     samples = 100
@@ -547,15 +543,15 @@ def _json_ints(values: np.ndarray, shift: int = 0, null: bool = False):
     yield b"]"
 
 
-def _orbit_tree_json(res, side: str, seed: int):
+def _orbit_tree_json(res, side: str):
     """One tree as compact JSON with sorted keys, in chunks: the generator
-    that reached each point (1-based, null for the seed and off the orbit)
-    and its parent (-1 there)."""
+    that reached each point (1-based, null for the seed and off the orbit),
+    its parent (-1 there) and the seed, the tree's root."""
     yield b'{"generator":'
     yield from _json_ints(res.parent_gen, shift=1, null=True)
     yield b',"parent":'
     yield from _json_ints(res.parent)
-    yield (f',"seed":{int(seed)},"side":{json.dumps(side)},'
+    yield (f',"seed":{int(res.order[0])},"side":{json.dumps(side)},'
            f'"size":{int(res.size)}}}').encode()
 
 
@@ -563,9 +559,9 @@ def _orbits_json(trees):
     """`export orbits`: both trees keyed by side, as `_json_bytes` would
     write them, in chunks."""
     sep = b"{"
-    for res, side, seed in sorted(trees, key=lambda tree: tree[1]):
+    for res, side in sorted(trees, key=lambda tree: tree[1]):
         yield sep + json.dumps(side).encode() + b":"
-        yield from _orbit_tree_json(res, side, seed)
+        yield from _orbit_tree_json(res, side)
         sep = b","
     yield b"}\n"
 
@@ -574,10 +570,10 @@ def _orbits_dot(trees):
     """`export orbits --format dot`: both trees as one DOT digraph, one
     cluster per side and one edge line per tree edge, in chunks."""
     yield b"digraph schreier_forest {\n"
-    for res, side, seed in trees:
+    for res, side in trees:
         prefix = side[0]
         yield (f'  subgraph cluster_{side} {{ label="{side}";\n'
-               f'    {prefix}{seed} [shape=doublecircle];\n').encode()
+               f'    {prefix}{res.order[0]} [shape=doublecircle];\n').encode()
         edge = (f"    {prefix}".encode(), f" -> {prefix}".encode(),
                 b' [label="', b'"];\n')
         for start in range(0, res.parent.size, BLOCK):
@@ -590,9 +586,8 @@ def _orbits_dot(trees):
 
 
 def _orbit_trees():
-    base = mo.get_table().base_class()
-    return ((sp.get_table().orbit_of_points(0), "projective", 0),
-            (mo.orbit_R(base), "classes", base))
+    return ((sp.get_table().orbit_of_points(), "projective"),
+            (mo.orbit_R(), "classes"))
 
 
 def cmd_export(args) -> int:

@@ -111,10 +111,11 @@ def failing_edges(forward: np.ndarray):
     """The edges (i, p) where forward[sigma_i(p)] = B_i(forward[p]) fails,
     lazily, generator by generator and then by ascending point, each as a
     dict that names both sides."""
-    spt, mot = sp.get_table(), mo.get_table()
-    for i in range(1, sp.DIM + 1):
-        lhs = np.take(forward, spt.transvection_perm(i))
-        rhs = np.take(mot.hurwitz_perm(i), forward)
+    s_gens = sp.get_table().all_transvection_perms()
+    h_gens = mo.get_table().all_hurwitz_perms()
+    for i, (s_gen, h_gen) in enumerate(zip(s_gens, h_gens), 1):
+        lhs = np.take(forward, s_gen)
+        rhs = np.take(h_gen, forward)
         for p in np.flatnonzero(lhs != rhs).tolist():
             yield {"generator": i, "point": p,
                    "forward_of_image": int(lhs[p]),
@@ -133,13 +134,10 @@ def _verify(backward: np.ndarray):
 
 def build_bijection() -> Correspondence:
     """Search, transport and exhaustively verify the equivariant bijection."""
-    spt = sp.get_table()
-    mot = mo.get_table()
-    s_gens = spt.all_transvection_perms()      # one (DIM, N) array
-    h_gens = mot.all_hurwitz_perms()
+    s_gens = sp.get_table().all_transvection_perms()    # one (DIM, N) array
+    h_gens = mo.get_table().all_hurwitz_perms()
 
-    rho0 = mot.base_class()
-    class_orbit = mo.orbit_R(rho0)
+    class_orbit = mo.orbit_R()               # rooted at rho_0, the base class
     if class_orbit.size != mo.N_CLASSES:
         raise RuntimeError("the half-twist moves do not act transitively "
                            "on the classes")
@@ -169,7 +167,7 @@ def build_bijection() -> Correspondence:
         forward=forward,
         backward=backward,
         base_point=ell0,
-        base_class=int(rho0),
+        base_class=int(class_orbit.order[0]),
         candidates_pruned=int(candidates.size),
         candidates_passing=len(passing),
         edges_verified=sp.DIM * N,

@@ -52,7 +52,7 @@ import functools
 import numpy as np
 
 from .f3 import RANK, digit_sums, key_digits, negated_keys, signed_index
-from .schreier import OrbitResult, generator_index, orbit_bfs
+from .schreier import OrbitResult, orbit_bfs
 
 TUPLE_LEN = RANK + 2
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
@@ -147,14 +147,6 @@ def broken_rules(codes) -> np.ndarray:
                          + (t @ _SIGNS % 3 != 0)]
 
 
-def _check_tuple(codes: np.ndarray) -> np.ndarray:
-    """One code row, if raw; else ValueError naming the rule it breaks."""
-    broken = int(broken_rules(codes)[0])
-    if broken >= 0:
-        raise ValueError(TUPLE_RULES[broken])
-    return codes
-
-
 class ClassTable:
     """All 29524 classes, canonical codes, and the half-twist permutations."""
 
@@ -192,8 +184,11 @@ class ClassTable:
         # `broken_rules`, which a huge int or a non-finite float would break
         if not np.isin(codes, range(3)).all():
             raise ValueError(TUPLE_RULES[0])
+        broken = int(broken_rules(codes)[0])
+        if broken >= 0:
+            raise ValueError(TUPLE_RULES[broken])
         # signed, so that translating t_0 to 0 cannot wrap an unsigned type
-        codes = _check_tuple(codes.reshape(TUPLE_LEN)).astype(np.int64)
+        codes = codes.reshape(TUPLE_LEN).astype(np.int64)
         return int(self.class_index[codes_to_keys((codes - codes[0]) % 3) // 3])
 
     def class_string(self, idx: int) -> str:
@@ -219,10 +214,6 @@ class ClassTable:
             assert (perms >= 0).all()
             self._hurwitz_perms = perms
         return self._hurwitz_perms
-
-    def hurwitz_perm(self, i: int) -> np.ndarray:
-        """Permutation of class indices from the move at slots (i, i+1)."""
-        return self.all_hurwitz_perms()[generator_index(i, N_MOVES) - 1]
 
     def base_class(self) -> int:
         """The class of (t_0, t_1) = ((12), (12)), t_2..t_11 = (23)."""
@@ -293,17 +284,12 @@ def alternating_tuple(length: int) -> str:
     return "01" * (length // 2 - 1) + "0" + str((1 - length // 2) % 3)
 
 
-def orbit_R(seed_idx: int) -> OrbitResult:
-    """BFS orbit (with Schreier tree) of a class under the ten moves.
-
-    The tree of the base class, which the Hurwitz check, the bijection
-    search and the orbit exports all read, is built once per table; any
-    other seed gets a fresh tree.
-    """
+def orbit_R() -> OrbitResult:
+    """The Schreier tree of the base class under the ten moves, which the
+    Hurwitz check, the bijection search and the orbit exports all read:
+    built once per table."""
     t = get_table()
-    seed_idx = int(seed_idx)
-    if seed_idx != t.base_class():
-        return orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), seed_idx)
     if t._base_tree is None:
-        t._base_tree = orbit_bfs(N_CLASSES, t.all_hurwitz_perms(), seed_idx)
+        t._base_tree = orbit_bfs(N_CLASSES, t.all_hurwitz_perms(),
+                                 t.base_class())
     return t._base_tree

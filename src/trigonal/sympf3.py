@@ -136,13 +136,12 @@ class ProjectiveTable:
 
     # -- actions -------------------------------------------------------------
 
-    def all_transvection_perms(self) -> np.ndarray:
-        """The ten point permutations, stored once as the rows of one
-        (DIM, N_POINTS) int32 array: row i - 1 is transvection i.
-
-        Their sign masks (see `transvections`) are read off the same
-        images, so both are built in one pass: each transvection's images
-        are computed once per table."""
+    def transvections(self) -> tuple[np.ndarray, np.ndarray]:
+        """The transvections on signed points, as (perms, signs), each one
+        (DIM, N_POINTS) array with row i - 1 for transvection i: they send
+        the vector rep(p) to -rep(q) where signs[i - 1, p] is set, else to
+        +rep(q), with q = perms[i - 1, p].  Both are read off the same
+        images, built once per table."""
         if self._transvection_perms is None:
             perms = np.empty((DIM, N_POINTS), dtype=np.int32)
             signs = np.empty((DIM, N_POINTS), dtype=bool)
@@ -153,19 +152,13 @@ class ProjectiveTable:
                 np.not_equal(np.take(self.keys, perms[g]), images,
                              out=signs[g])
             assert (perms >= 0).all()
-            self._transvection_perms = perms
-            self._transvection_signs = signs
-        return self._transvection_perms
+            self._transvection_perms, self._transvection_signs = perms, signs
+        return self._transvection_perms, self._transvection_signs
 
-    def transvections(self) -> tuple[np.ndarray, np.ndarray]:
-        """The transvections on signed points, as (perms, signs): they send
-        the vector rep(p) to -rep(q) where signs[i - 1, p] is set, else to
-        +rep(q), with q = perms[i - 1, p]."""
-        return self.all_transvection_perms(), self._transvection_signs
-
-    def transvection_perm(self, i: int) -> np.ndarray:
-        """The permutation of point indices induced by transvection i."""
-        return self.all_transvection_perms()[generator_index(i, DIM) - 1]
+    def all_transvection_perms(self) -> np.ndarray:
+        """The ten point permutations, the int32 rows of one (DIM, N_POINTS)
+        array: row i - 1 is transvection i."""
+        return self.transvections()[0]
 
     def vector_perm(self, i: int) -> np.ndarray:
         """The permutation of all 3^10 vector keys (0 is fixed): the dense
@@ -175,20 +168,16 @@ class ProjectiveTable:
         vectors = all_rows(DIM)[:, ::-1]            # row k has key k
         return _transvect_keys(vectors, np.arange(N_VECTORS, dtype=np.int64), i)
 
-    def orbit_of_points(self, seed: int):
-        return orbit_bfs(N_POINTS, self.all_transvection_perms(), seed)
+    def orbit_of_points(self):
+        """The Schreier tree of point 0 under the transvections."""
+        return orbit_bfs(N_POINTS, self.all_transvection_perms(), 0)
 
-    def orbit_of_nonzero_vectors(self, seed_key: int) -> tuple[int, int]:
-        """The sizes of the orbits of the line and of the nonzero vector of
-        a key under the transvections, from one traversal of the signed
-        points.  They are linear, so the orbit of -v is that of v negated:
-        only the line of the key matters."""
-        in_range = 0 <= seed_key < N_VECTORS
-        point = int(self.point_index[seed_key]) if in_range else -1
-        if point < 0:
-            raise ValueError(f"the key {seed_key} is not a nonzero vector")
+    def orbit_of_nonzero_vectors(self) -> tuple[int, int]:
+        """The sizes of the orbits of point 0 and of its vector
+        (1, 0, ..., 0) under the transvections, from one traversal of the
+        signed points."""
         perms, signs = self.transvections()
-        return orbit_sizes(N_POINTS, perms, point, signs)
+        return orbit_sizes(N_POINTS, perms, 0, signs)
 
 
 @functools.cache

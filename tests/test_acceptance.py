@@ -106,7 +106,9 @@ def test_criterion_05_hurwitz_action():
     with Timer() as t:
         ok, observed = run_row("hurwitz_action")
         seeds = [0, 12345]             # beyond the row's base and alternating
-        transitive = all(mo.orbit_R(s).size == 29524 for s in seeds)
+        hurwitz = mo.get_table().all_hurwitz_perms()
+        transitive = all(orbit_bfs(29524, hurwitz, s).size == 29524
+                         for s in seeds)
         ok = ok and transitive and observed == {
             "order_divides_three": True,
             "trivial_and_order_three_points": True,
@@ -182,8 +184,8 @@ def test_criterion_08_orbit_trichotomy(corr):
         # the bijection forward carries one fixed set onto the other.
         pairing_ok = np.array_equal(np.sort(corr.forward), np.arange(n))
         for i in range(1, 11):
-            fix_s = _fixed(spt.transvection_perm(i))
-            fix_b = _fixed(mot.hurwitz_perm(i))
+            fix_s = _fixed(spt.all_transvection_perms()[i - 1])
+            fix_b = _fixed(mot.all_hurwitz_perms()[i - 1])
             line = sp.line_class_vector(spt.basis_point(i))
             conf = mo.confluence_labels(mot.codes, i)
             pairing_ok = pairing_ok and bool(

@@ -342,8 +342,8 @@ def test_a_swapped_bijection_names_its_first_failing_edge(monkeypatch,
     # the failing edges, generator by generator and point by point
     f, failures = forward.tolist(), []
     for i in range(1, 11):
-        s = cli.sp.get_table().transvection_perm(i).tolist()
-        h = mo.get_table().hurwitz_perm(i).tolist()
+        s = cli.sp.get_table().all_transvection_perms()[i - 1].tolist()
+        h = mo.get_table().all_hurwitz_perms()[i - 1].tolist()
         failures += [{"generator": i, "point": p, "forward_of_image": f[s[p]],
                       "image_of_forward": h[f[p]]}
                      for p in range(len(f)) if f[s[p]] != h[f[p]]]
@@ -356,7 +356,7 @@ def test_a_swapped_bijection_names_its_first_failing_edge(monkeypatch,
 def test_a_corrupted_hurwitz_permutation_names_its_first_failing_relation(
         monkeypatch, tmp_path):
     table = mo.get_table()
-    mo.orbit_R(table.base_class())   # the shared tree is built uncorrupted
+    mo.orbit_R()                     # the shared tree is built uncorrupted
     # move 3 sends the alternating class a to b and b to c; with p[a] and
     # p[b] swapped, a and c form a 2-cycle, so move 3 no longer has order 3
     perms = table.all_hurwitz_perms().copy()
@@ -961,13 +961,14 @@ def reference_orbit_tree_json(res, side: str, seed: int) -> dict:
                           for g in res.parent_gen]}
 
 
-def reference_orbits_dot(trees) -> bytes:
-    """The DOT forest, one formatted line per tree edge."""
+def reference_orbits_dot(trees, seeds: dict) -> bytes:
+    """The DOT forest, one formatted line per tree edge, with each side's
+    root marked at seeds[side]."""
     lines = ["digraph schreier_forest {"]
-    for res, side, seed in trees:
+    for res, side in trees:
         prefix = side[0]
         lines.append(f'  subgraph cluster_{side} {{ label="{side}";')
-        lines.append(f'    {prefix}{seed} [shape=doublecircle];')
+        lines.append(f'    {prefix}{seeds[side]} [shape=doublecircle];')
         for child in range(res.parent.size):
             p = int(res.parent[child])
             if p < 0:
@@ -980,15 +981,22 @@ def reference_orbits_dot(trees) -> bytes:
 
 
 def test_orbit_exports_equal_the_per_element_reference():
+    # the seeds are stated here, not read off the trees: point 0 and the
+    # base class, which each tree must carry as its root
+    seeds = {"projective": 0, "classes": mo.get_table().base_class()}
+    assert mo.orbit_R().order[0] == seeds["classes"]
+    assert cli.sp.get_table().orbit_of_points().order[0] == 0
     trees = cli._orbit_trees()
-    assert [side for _, side, _ in trees] == ["projective", "classes"]
-    for res, side, seed in trees:
-        assert (b"".join(cli._orbit_tree_json(res, side, seed)) + b"\n"
-                == cli._json_bytes(reference_orbit_tree_json(res, side, seed)))
+    assert [side for _, side in trees] == ["projective", "classes"]
+    for res, side in trees:
+        assert (b"".join(cli._orbit_tree_json(res, side)) + b"\n"
+                == cli._json_bytes(
+                    reference_orbit_tree_json(res, side, seeds[side])))
     assert b"".join(cli._orbits_json(trees)) == cli._json_bytes(
-        {side: reference_orbit_tree_json(res, side, seed)
-         for res, side, seed in trees})
-    assert b"".join(cli._orbits_dot(trees)) == reference_orbits_dot(trees)
+        {side: reference_orbit_tree_json(res, side, seeds[side])
+         for res, side in trees})
+    assert b"".join(cli._orbits_dot(trees)) == reference_orbits_dot(trees,
+                                                                    seeds)
 
 
 #: what the block renderer must spell: the root's -1, 0 (null in a generator
@@ -1031,14 +1039,17 @@ def test_render_equals_the_per_element_format(length):
 @pytest.mark.parametrize("length", RENDER_LENGTHS)
 def test_orbit_exports_of_any_length_equal_the_reference(length):
     # forests with seeds (-1, generator null) among edges of every width
+    seeds = {"projective": 0, "classes": 0}
     trees = [(SimpleNamespace(parent=cycled(length, start),
                               parent_gen=np.resize([-1, 0, 8, 9], length),
-                              size=length), side, 0)
+                              order=np.array([seeds[side]]),
+                              size=length), side)
              for start, side in enumerate(["projective", "classes"])]
     assert b"".join(cli._orbits_json(trees)) == cli._json_bytes(
-        {side: reference_orbit_tree_json(res, side, seed)
-         for res, side, seed in trees})
-    assert b"".join(cli._orbits_dot(trees)) == reference_orbits_dot(trees)
+        {side: reference_orbit_tree_json(res, side, seeds[side])
+         for res, side in trees})
+    assert b"".join(cli._orbits_dot(trees)) == reference_orbits_dot(trees,
+                                                                    seeds)
 
 
 #: in a fresh interpreter, since the tables are cached per process: the
@@ -1053,7 +1064,7 @@ cli.run_checks("all", 0, False)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 mot = mo.get_table()
-kept = [value for owner in (mot, sp.get_table(), mo.orbit_R(mot.base_class()))
+kept = [value for owner in (mot, sp.get_table(), mo.orbit_R())
         for value in vars(owner).values() if isinstance(value, np.ndarray)]
 print(json.dumps([peak, sum(array.nbytes for array in kept)]))
 """

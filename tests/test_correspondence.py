@@ -105,15 +105,15 @@ def test_point_vectors_are_the_linear_map_p():
 def test_equivariance_exhaustive(corr):
     spt, mot = sp.get_table(), mo.get_table()
     for i in range(1, 11):
-        assert (corr.forward[spt.transvection_perm(i)]
-                == mot.hurwitz_perm(i)[corr.forward]).all()
+        assert (corr.forward[spt.all_transvection_perms()[i - 1]]
+                == mot.all_hurwitz_perms()[i - 1][corr.forward]).all()
 
 
 def test_order_intertwining(corr):
     ident = np.arange(co.N)
     for i in range(1, 11):
-        fixed_pt = sp.get_table().transvection_perm(i) == ident
-        fixed_cls = mo.get_table().hurwitz_perm(i) == ident
+        fixed_pt = sp.get_table().all_transvection_perms()[i - 1] == ident
+        fixed_cls = mo.get_table().all_hurwitz_perms()[i - 1] == ident
         assert (fixed_pt == fixed_cls[corr.forward]).all()
 
 
@@ -250,10 +250,9 @@ def test_a_corrupted_transvection_fails_the_bijection(tmp_path, slot, swap,
     row = s_gens[slot - 1].copy()
     s_gens[slot - 1, list(swap)] = row[list(swap[::-1])]
     try:
-        assert (spt.transvection_perm(slot) != row).sum() == 2
+        assert (spt.all_transvection_perms()[slot - 1] != row).sum() == 2
         h_gens = mot.all_hurwitz_perms()
-        words = schreier_generator_words(mo.orbit_R(mot.base_class()),
-                                         h_gens, co.WORD_BUDGET)
+        words = schreier_generator_words(mo.orbit_R(), h_gens, co.WORD_BUDGET)
         assert co._fixed_points(words, s_gens).tolist() == [11073]
         message = ("no equivariant bijection found: 1 pruned candidates all "
                    f"failed full verification; first failing edge: {failure}")
@@ -269,7 +268,7 @@ def test_a_corrupted_transvection_fails_the_bijection(tmp_path, slot, swap,
             == f"error: RuntimeError: {message}"
     finally:
         s_gens[slot - 1] = row
-    assert (spt.transvection_perm(slot) == row).all()
+    assert (spt.all_transvection_perms()[slot - 1] == row).all()
 
 
 # -- what the tables keep -------------------------------------------------------
@@ -281,7 +280,7 @@ def test_index_and_key_arrays_are_int32(corr):
     # 106 us, since numpy converts a non-intp index on every fancy index,
     # and np.take(p32, q32) 54 us (Intel Xeon, numpy 2.4)
     spt, mot = sp.get_table(), mo.get_table()
-    tree = mo.orbit_R(mot.base_class())
+    tree = mo.orbit_R()
     indices = {"hurwitz": mot.all_hurwitz_perms(),
                "transvections": spt.all_transvection_perms(),
                "order": tree.order, "parent": tree.parent,
@@ -291,9 +290,12 @@ def test_index_and_key_arrays_are_int32(corr):
                "point index": spt.point_index}
     for name, array in indices.items():
         assert array.dtype == np.int32, name
+    # both sides keep their generators in one array, a row per slot
+    for name in ("hurwitz", "transvections"):
+        assert indices[name].shape == (sp.DIM, sp.N_POINTS), name
     for i in range(1, sp.DIM + 1):
-        assert mot.hurwitz_perm(i).dtype == np.int32
-        assert spt.transvection_perm(i).dtype == np.int32
+        assert mot.all_hurwitz_perms()[i - 1].dtype == np.int32
+        assert spt.all_transvection_perms()[i - 1].dtype == np.int32
     # the tree's values: ten generators and depths below 29524
     assert tree.parent_gen.dtype == np.int8 and tree.depth.dtype == np.int16
 

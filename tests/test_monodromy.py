@@ -146,7 +146,7 @@ def test_class_lookup_equals_brute_force_on_moved_classes(table):
         moved = hurwitz_move_codes(table.codes, i)
         brute = brute_canonical_keys(moved)
         assert (table.keys[indexed_classes(table, moved)] == brute).all()
-        assert (table.keys[table.hurwitz_perm(i)] == brute).all()
+        assert (table.keys[table.all_hurwitz_perms()[i - 1]] == brute).all()
         for row, key in zip(moved[::997], brute[::997]):
             assert table.keys[table.index_of_codes(row)] == key
 
@@ -208,7 +208,7 @@ def test_every_class_has_product_one(table):
 
 def test_hurwitz_is_permutation(table):
     for i in range(1, 11):
-        p = table.hurwitz_perm(i)
+        p = table.all_hurwitz_perms()[i - 1]
         assert np.unique(p).size == mo.N_CLASSES
 
 
@@ -223,7 +223,7 @@ def test_hurwitz_preserves_product():
 
 def test_hurwitz_order_three_or_fixed(table):
     for i in (1, 4, 10):
-        p = table.hurwitz_perm(i)
+        p = table.all_hurwitz_perms()[i - 1]
         ident = np.arange(mo.N_CLASSES)
         p3 = p[p[p]]
         assert (p3 == ident).all()
@@ -236,7 +236,7 @@ def test_hurwitz_order_three_or_fixed(table):
 
 
 def test_hurwitz_braid_relations(table):
-    p4, p5, p6 = (table.hurwitz_perm(i) for i in (4, 5, 6))
+    p4, p5, p6 = table.all_hurwitz_perms()[3:6]
     assert (p4[p5[p4]] == p5[p4[p5]]).all()
     assert (p4[p6] == p6[p4]).all()
 
@@ -379,12 +379,6 @@ def test_index_of_codes_reads_unsigned_and_list_copies(table):
                 assert table.index_of_codes(copy) == k, (k, perm, copy)
 
 
-def test_orbit_R_rejects_a_seed_outside_the_classes():
-    for seed in (-1, mo.N_CLASSES):
-        with pytest.raises(IndexError, match=f"seed {seed} is not in range"):
-            mo.orbit_R(seed)
-
-
 def seeded_raw_rows(table, n, seed):
     """n seeded raw tuples that are not class rows: t_1..t_11 drawn, t_0
     forced by product one, constant and canonical rows dropped."""
@@ -421,17 +415,12 @@ def test_class_index_holds_the_negated_row_of_each_class(table):
 def test_base_class_tree_is_built_once_per_table(monkeypatch):
     table = mo.get_table()
     base = table.base_class()
-    tree = mo.orbit_R(base)
-    assert mo.orbit_R(base) is tree
+    tree = mo.orbit_R()
+    assert mo.orbit_R() is tree
     assert tree.size == mo.N_CLASSES and tree.order[0] == base
-    # any other seed gets a tree of its own, and leaves the memo alone
-    alternating = table.index_of_codes(mo.parse_tuple_string("010101010101"))
-    other = mo.orbit_R(alternating)
-    assert other is not mo.orbit_R(alternating)
-    assert mo.orbit_R(base) is tree
     # the memo lives on the table: a new table builds a new tree
     monkeypatch.setattr(mo, "get_table", functools.cache(mo.ClassTable))
-    fresh = mo.orbit_R(mo.get_table().base_class())
+    fresh = mo.orbit_R()
     assert fresh is not tree
     for name in ("order", "parent", "parent_gen", "depth"):
         assert (getattr(fresh, name) == getattr(tree, name)).all(), name

@@ -159,7 +159,7 @@ def test_transvection_perms_are_permutations_of_order_three():
     t = sp.get_table()
     n = sp.N_POINTS
     for i in range(1, 11):
-        p = t.transvection_perm(i)
+        p = t.all_transvection_perms()[i - 1]
         assert (np.sort(p) == np.arange(n)).all()
         assert (p[p[p]] == np.arange(n)).all()
         assert (p != np.arange(n)).any()
@@ -181,8 +181,9 @@ def test_generator_permutations_equal_the_matrix_route():
         assert (t.vector_perm(i) == keys_of((vectors @ m.T) % 3)).all()
         images = (t.reps @ m.T) % 3
         imgs = brute_canonicalize(images)
-        assert (t.transvection_perm(i) == t.point_index[keys_of(imgs)]).all()
-        assert t.transvection_perm(i).base is perms      # one array, a row each
+        row = t.all_transvection_perms()[i - 1]
+        assert (row == t.point_index[keys_of(imgs)]).all()
+        assert row.base is perms                # one array, a row each
         # the sign is set where the image of a canonical row is not canonical
         assert (signs[i - 1] == (imgs != images).any(axis=1)).all()
 
@@ -192,28 +193,30 @@ def test_generator_permutations_reject_indices_outside_1_10():
     for i in (0, 11):
         with pytest.raises(IndexError):
             t.vector_perm(i)
-        with pytest.raises(IndexError):
-            t.transvection_perm(i)
 
 
 def test_braid_relations_for_point_permutations():
     t = sp.get_table()
+    perms = t.all_transvection_perms()
     for i in range(1, 10):
-        p, q = t.transvection_perm(i), t.transvection_perm(i + 1)
+        p, q = perms[i - 1], perms[i]
         assert (p[q[p]] == q[p[q]]).all()
     for i in range(1, 11):
         for j in range(i + 2, 11):
-            p, q = t.transvection_perm(i), t.transvection_perm(j)
+            p, q = perms[i - 1], perms[j - 1]
             assert (p[q] == q[p]).all()
 
 
 def test_orbit_transitivity_on_points_and_vectors():
     t = sp.get_table()
-    res = t.orbit_of_points(t.basis_point(1))
+    res = t.orbit_of_points()
     assert res.size == 29524
     p = t.basis_point(1)
-    assert t.transvection_perm(5)[p] == p  # transvection 5 fixes [alpha_1]
-    sizes = t.orbit_of_nonzero_vectors(int(keys_of(np.eye(10, dtype=np.int8)[0])))
+    assert res.order[0] == p == 0          # the tree's root is point 0
+    assert t.all_transvection_perms()[5 - 1][p] == p  # 5 fixes [alpha_1]
+    # the vector orbit is that of rep(0) = (1, 0, ..., 0)
+    assert (t.reps[0] == np.eye(10, dtype=np.int8)[0]).all()
+    sizes = t.orbit_of_nonzero_vectors()
     assert sizes == (29524, 3 ** 10 - 1)
 
 
