@@ -190,8 +190,12 @@ def _triflection_relations():
     if not all(integral):
         return
     s = [la.step_matrix(i, 1) for i in range(1, la.RANK + 1)]
+    # each relation multiplies at most three generators, so one bound,
+    # checked before any product, makes every product of the presentation
+    # exact; the inverses and the form keep their own guard, `la.matmul`
+    la.require_int64_products(s, 3)
     one = np.identity(2 * la.RANK, dtype=np.int64)
-    yield from _braid_relations(s, la.matmul, one, "order_three")
+    yield from _braid_relations(s, np.matmul, one, "order_three")
     for i, si in enumerate(s, 1):
         yield ("order_three", f"inverse {i}",
                bool((la.matmul(si, la.step_matrix(i, -1)) == one).all()))

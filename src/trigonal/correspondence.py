@@ -226,7 +226,8 @@ def cross_validate_classification(corr: Correspondence) -> dict:
         line = np.take(sp.line_class_vector(spt.basis_point(i)), corr.backward)
         agree = comb == line
         agreements += int(np.count_nonzero(agree))
-        agreements_swapped += int(np.count_nonzero(comb == _LABEL_SWAP[line]))
+        agreements_swapped += int(np.count_nonzero(
+            comb == np.take(_LABEL_SWAP, line)))
         if first_disagreement is None and not agree.all():
             c = int(np.flatnonzero(~agree)[0])
             first_disagreement = {

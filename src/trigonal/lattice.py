@@ -39,8 +39,11 @@ integer matrices A and B of herm(x, y) = x^T A y + (x^T B y) * tau and
 returns the pair (x^T A y, x^T B y); `step_matrix` gives the 20x20 integer
 matrix of a triflection on this basis; `preserves_realified_form` checks
 R^T A R = A and R^T B R = B; and `realify_and_certify` certifies the Gram
-matrix -(2A + B)/3.  Integer matrix products go through `matmul`, which
-raises OverflowError instead of letting an int64 entry wrap.
+matrix -(2A + B)/3.  Every int64 matrix product is covered by a checked
+bound that raises OverflowError instead of letting an entry wrap: `matmul`
+checks one product, and `require_int64_products` all products of a few
+matrices at once.  The walk expands a level at a time through the step
+matrices, as one `matmul` of the frontier.
 
 EisensteinInt remains only where a value is divided or printed: the chain
 `GRAM` (the source of A, B and the `_step` rows, and the `export gram`
@@ -56,6 +59,7 @@ Z-module into an even unimodular quadratic lattice of signature (18, 2);
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from typing import NamedTuple
 
@@ -65,9 +69,10 @@ from .eisenstein import (
     ZERO, ONE, TAU, TAU2, THETA,
     EisensteinInt, div_exact, divides,
 )
-from .f3 import RANK
+from .f3 import supported_rank
 from .schreier import generator_index
 
+RANK = supported_rank()
 Matrix = tuple  # 10x10 nested tuple of EisensteinInt, row major
 
 
@@ -82,8 +87,8 @@ GRAM: Matrix = tuple(tuple(_CHAIN.get(j - i, ZERO) for j in range(RANK))
 def basis_vector(i: int) -> tuple:
     """The flat coordinates of the basis vector a_i, 1 <= i <= 10: the unit
     tuple of 20 ints with its 1 at index 2i - 2."""
-    g = generator_index(i, RANK) - 1
-    return tuple(int(k == 2 * g) for k in range(2 * RANK))
+    k = 2 * generator_index(i, RANK) - 2
+    return (0,) * k + (1,) + (0,) * (2 * RANK - 1 - k)
 
 
 def _unflat(z) -> tuple:
@@ -98,6 +103,15 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 def _abs_max(m: np.ndarray) -> int:
     return max(abs(int(m.max(initial=0))), abs(int(m.min(initial=0))))
+
+
+def require_int64_products(mats, factors: int) -> None:
+    """OverflowError unless every product of at most `factors` of the n x n
+    int64 matrices `mats` is exact: each partial sum of an entry of such a
+    product is at most n^(factors - 1) * max|m|^factors in size."""
+    n = len(mats[0])
+    if n ** (factors - 1) * max(map(_abs_max, mats)) ** factors > _INT64_MAX:
+        raise OverflowError("int64 matrix products could overflow")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,8 +272,16 @@ def step_matrix(i: int, e: int = 1) -> np.ndarray:
 
 @functools.cache
 def _step_matrix(i: int, e: int) -> np.ndarray:
-    unit = np.identity(2 * RANK, dtype=int).tolist()
-    return _int64([_step(tuple(u), i, e) for u in unit]).T
+    """The identity with the two rows that s_i^e changes read off
+    `_step_rows`, the coefficients `_step` applies."""
+    k, re, im = _step_rows(i, e)
+    m = np.identity(2 * RANK, dtype=np.int64)
+    m[k:k + 2] = 0
+    for row, coefficients in zip(m[k:k + 2], (re, im)):
+        for j, c in coefficients:
+            row[j] = c
+    m.flags.writeable = False
+    return m
 
 
 # -- realification ----------------------------------------------------------------
@@ -375,23 +397,35 @@ SEARCH_BOUND = 8    # the longest word from a_1 + a_2 decompose_minus6 tries
 MINUS6_SEED = tuple(map(operator.add, basis_vector(1), basis_vector(2)))
 
 
+@functools.cache
+def _move_images() -> np.ndarray:
+    """The transposed step matrices of _MOVES side by side, read-only: row
+    z of a frontier times this matrix holds the 20 images of z, in _MOVES
+    order."""
+    return _int64(np.hstack([_step_matrix(i, e).T for i, e in _MOVES]))
+
+
 def _walk(start: tuple, radius: int):
     """(z, word) with start --word--> z for each flat vector z within
     `radius` steps of `start` in the triflection Cayley graph: breadth
-    first, each z once and as soon as it is found (moves in _MOVES order),
-    with the first word found for it, a shortest one."""
+    first, each z once and as soon as it is found (frontier first, then
+    moves in _MOVES order), with the first word found for it, a shortest
+    one.  Each level is expanded as one exact int64 product of the
+    frontier with `_move_images`."""
     seen = {start}
     yield start, ()
     frontier = [(start, ())]
     for _ in range(radius):
+        vectors = np.array([z for z, _ in frontier], dtype=np.int64)
+        vectors = vectors.reshape(-1, 2 * RANK)
+        images = matmul(vectors, _move_images()).reshape(-1, 2 * RANK)
         nxt = []
-        for z, w in frontier:
-            for i, e in _MOVES:
-                y = _step(z, i, e)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append((y, w + ((i, e),)))
-                    yield nxt[-1]
+        for y, ((_, w), move) in zip(map(tuple, images.tolist()),
+                                     itertools.product(frontier, _MOVES)):
+            if y not in seen:
+                seen.add(y)
+                nxt.append((y, w + (move,)))
+                yield nxt[-1]
         frontier = nxt
 
 

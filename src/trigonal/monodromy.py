@@ -51,10 +51,11 @@ import functools
 
 import numpy as np
 
-from .f3 import RANK, digit_sums, key_digits, negated_keys, signed_index
+from .f3 import (digit_sums, key_digits, mod3, negated_keys, signed_index,
+                 supported_rank)
 from .schreier import OrbitResult, orbit_bfs
 
-TUPLE_LEN = RANK + 2
+TUPLE_LEN = supported_rank() + 2
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
 N_CLASSES = N_RAW // 6              # 29524
 N_MOVES = TUPLE_LEN - 2             # half-twists at slots (i, i+1), i = 1..10
@@ -105,7 +106,7 @@ def transversal_raw_count(keys, negated) -> int:
     by_t0 = marks.reshape(3, -1)              # [t_0, key of t_1..t_11]
     forced = digit_sums(-_SIGNS[1:])
     constant = np.arange(3) * ((3 ** TUPLE_LEN - 1) // 2)
-    raw = (sum(np.count_nonzero(by_t0[t0][forced == t0]) for t0 in range(3))
+    raw = (sum(np.count_nonzero(by_t0[t0] & (forced == t0)) for t0 in range(3))
            == marked and not marks[constant].any())
     relabelings = 6 * len(keys)
     if not raw or marked != relabelings or marked != N_RAW:
@@ -159,7 +160,7 @@ class ClassTable:
             np.arange(3 ** m, 2 * 3 ** m, dtype=np.int32)
             for m in range(N_MOVES)])
         rows = key_digits(position, _W12[2:])
-        last = rows @ _SIGNS[1:-1] % 3
+        last = mod3(rows @ _SIGNS[1:-1])
         self.codes = np.column_stack((np.zeros_like(rows[:, 0]), rows, last))
         # t_0 = 0, so the key of the whole row appends the digit t_11 to
         # the key `position` over t_1..t_10
@@ -168,7 +169,7 @@ class ClassTable:
         # negation c -> -c, whose key over t_1..t_10 is `negated`
         negated = negated_keys(rows, _W12[2:])
         self.raw_count = transversal_raw_count(self.keys,
-                                               3 * negated + -last % 3)
+                                               3 * negated + mod3(-last))
         assert self.raw_count == N_RAW
         self.class_index = signed_index(3 ** N_MOVES, position, negated)
         self._hurwitz_perms: np.ndarray | None = None   # (N_MOVES, N_CLASSES)
@@ -201,16 +202,22 @@ class ClassTable:
         (N_MOVES, N_CLASSES) int32 array: row i - 1 is the move at slots
         (i, i+1)."""
         if self._hurwitz_perms is None:
+            # every key and moved key lies below 3^TUPLE_LEN
+            assert 3 ** TUPLE_LEN <= np.iinfo(np.int32).max
             perms = np.empty((N_MOVES, N_CLASSES), dtype=np.int32)
             for i in range(1, N_MOVES + 1):
                 # the move (u, v) -> (v, -u - v) at slots i, i+1 changes two
-                # digits of the key; it keeps t_0 = 0, so the moved row is
-                # one of the two indexed rows of its class
-                u = self.codes[:, i].astype(np.int64)
-                v = self.codes[:, i + 1].astype(np.int64)
-                moved = (self.keys + (v - u) * _W12[i]
-                         + ((-u - v) % 3 - v) * _W12[i + 1])
-                perms[i - 1] = self.class_index[moved // 3]
+                # digits of the key, of weights 3w and w, so the key by w
+                # times 3(v - u) + (-u - v) % 3 - v, at most 8 in size, in
+                # int8.  It keeps t_0 = 0, so the moved row is one of the
+                # two indexed rows of its class
+                u, v = self.codes[:, i], self.codes[:, i + 1]
+                step = 3 * (v - u) + mod3(-u - v) - v
+                moved = step.astype(np.int32)
+                moved *= int(_W12[i + 1])
+                moved += self.keys
+                moved //= 3
+                np.take(self.class_index, moved, out=perms[i - 1])
             assert (perms >= 0).all()
             self._hurwitz_perms = perms
         return self._hurwitz_perms

@@ -100,11 +100,13 @@ def _transvect_keys(vectors: np.ndarray, keys: np.ndarray, i: int) -> np.ndarray
 
     Transvection i changes only coordinate g = i - 1, to
     x'_g = x_g - symp(x, alpha_i) mod 3, which is row g of transvection(i)
-    applied to x; so the key moves by (x'_g - x_g) * 3^g.
+    applied to x; so the key moves by (x'_g - x_g) * 3^g.  The keys keep
+    their integer type: the moved keys also lie in range(3^DIM).
     """
     g = i - 1
     moved = _dot_mod3(vectors, transvection(i)[g].tolist())
-    return keys + (moved - vectors[:, g]).astype(np.int64) * POW3[g]
+    step = moved.view(np.int8) - vectors[:, g]        # -2..2, in int8
+    return keys + step.astype(keys.dtype) * int(POW3[g])
 
 
 class ProjectiveTable:
@@ -143,11 +145,13 @@ class ProjectiveTable:
         +rep(q), with q = perms[i - 1, p].  Both are read off the same
         images, built once per table."""
         if self._transvection_perms is None:
+            # the int32 keys and their images lie in range(3^DIM)
+            assert N_VECTORS <= np.iinfo(np.int32).max
             perms = np.empty((DIM, N_POINTS), dtype=np.int32)
             signs = np.empty((DIM, N_POINTS), dtype=bool)
             for g in range(DIM):
                 images = _transvect_keys(self.reps, self.keys, g + 1)
-                perms[g] = self.point_index[images]
+                np.take(self.point_index, images, out=perms[g])
                 # an image is -rep(q) exactly when its key is not rep(q)'s
                 np.not_equal(np.take(self.keys, perms[g]), images,
                              out=signs[g])

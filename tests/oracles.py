@@ -123,6 +123,28 @@ def symp(x, y):
                @ np.asarray(y, dtype=np.int64)) % 3
 
 
+def walk_by_vector(start, radius):
+    """The (z, word) pairs of the breadth-first walk from the flat vector
+    `start` in the triflection Cayley graph, to `radius` steps, one vector
+    and one letter at a time: each frontier vector in turn takes each
+    letter (i, e), i = 1..10 and e = 1 then -1, through
+    `apply_lattice_word`, and a vector is kept with the first word that
+    reaches it."""
+    letters = [(i, e) for i in range(1, 11) for e in (1, -1)]
+    found = {start: ()}
+    frontier = [start]
+    for _ in range(radius):
+        nxt = []
+        for z in frontier:
+            for letter in letters:
+                y = lat.apply_lattice_word([letter], z)
+                if y not in found:
+                    found[y] = found[z] + (letter,)
+                    nxt.append(y)
+        frontier = nxt
+    return list(found.items())
+
+
 def hurwitz_move_codes(codes, i):
     """The move (u, v) -> (v, -u - v) at slots (i, i+1) of explicit code
     rows, 0 <= i <= 10."""

@@ -4,7 +4,8 @@ The commands run in-process through `cli.main(argv)`.  The tests that need
 a fresh interpreter start one through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
 caches, the runs of the whole program at ranks 4, 6 and 8, which set the rank
-before the package reads it, the tests that `verify all` and `export
+before the package reads it, the test that an odd rank or one below 4 is
+refused at import, the tests that `verify all` and `export
 bijection` build only the base class tree, the test that
 `verify` and the exports leave `numpy.ma` unimported, the tests that
 `trigonal.monodromy` imports nothing from the point side and
@@ -281,6 +282,27 @@ def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
     assert not observed["reduce_triflection_equals_transvection_reduce"]
 
 
+def test_triflection_relations_refuse_generators_that_could_overflow(
+        monkeypatch):
+    # every relation multiplies at most three generators, so one bound is
+    # checked before any product: with an entry of 2^21 the bound is
+    # 20^2 * (2^21)^3 = 400 * 2^63, which int64 cannot hold, and no
+    # relation after the integrality rows is evaluated
+    la, step = cli.la, cli.la.step_matrix
+    big = np.full((20, 20), 2 ** 21, dtype=np.int64)
+    monkeypatch.setattr(la, "step_matrix",
+                        lambda i, e=1: big if i == 4 else step(i, e))
+    families = []
+    with pytest.raises(OverflowError):
+        for family, _, _ in cli._triflection_relations():
+            families.append(family)
+    assert families == ["integral_entries"] * 10
+    rows = cli.run_checks("lattice", 0, False)
+    row = next(r for r in rows if r["name"] == "triflection_algebra")
+    assert row["status"] == "fail"
+    assert row["observed"].startswith("error: OverflowError")
+
+
 def test_integral_entries_go_red_on_a_gram_entry_theta_does_not_divide(
         monkeypatch):
     # herm(a_4, a_5) = theta becomes 1, which theta does not divide, so s_5
@@ -545,6 +567,25 @@ def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
     # the closed form's matrix P is derived from the rank: its points are
     # the searched bijection's at this rank too
     assert run["point_vectors_span_backward"]
+
+
+def test_an_odd_rank_or_one_below_4_is_refused_at_import():
+    # set as `AT_RANK` sets a rank; the first module that sizes its tables
+    # from the rank raises, and a refused import can be tried again
+    code = (
+        "import trigonal.f3\n"
+        "for rank in (9, 2):\n"
+        "    trigonal.f3.RANK = rank\n"
+        "    try:\n"
+        "        import trigonal.cli\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"rank {rank} is not supported: the package supports even ranks "
+        "from 4 up" for rank in (9, 2)]
 
 
 #: fresh-interpreter prelude that records every `orbit_bfs` call, on either

@@ -80,3 +80,16 @@ def test_negated_keys_and_digit_sums_equal_the_all_rows_route(n):
     reversed_rows = rows[:, ::-1].astype(np.int64)
     assert (f3.digit_sums(coefficients[::-1])
             == reversed_rows @ coefficients % 3).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int32,
+                                   np.int64])
+def test_mod3_is_the_remainder_even_where_its_product_wraps(dtype):
+    # every value of the narrow types, and both ends of the wide ones,
+    # where 3 * (x // 3) leaves the type
+    info = np.iinfo(dtype)
+    low, high = max(int(info.min), -2 ** 16), min(int(info.max), 2 ** 16)
+    x = np.concatenate([np.arange(low, high + 1), [info.min, info.max]])
+    x = x.astype(dtype)
+    assert f3.mod3(x).dtype == dtype
+    assert (f3.mod3(x) == x % 3).all()

@@ -20,7 +20,7 @@ from trigonal import cli
 from trigonal import lattice as lat
 
 from oracles import (eisenstein, flat, realified_chain_gram, realify,
-                     scalar_matrix, scale, skew, vec_add)
+                     scalar_matrix, scale, skew, vec_add, walk_by_vector)
 
 
 A = [None] + [lat.basis_vector(i) for i in range(1, 11)]  # 1-based, flat
@@ -249,6 +249,17 @@ def test_step_matrices_are_the_realified_triflections():
         assert (s_back == realify(lat.word_matrix([(i, -1)]))).all()
 
 
+def test_step_matrix_columns_are_the_steps_of_the_unit_vectors():
+    # the matrices are filled from `_step_rows`; column k must still be
+    # what `_step` does to the k-th unit vector
+    units = np.identity(20, dtype=np.int64).tolist()
+    for i in range(1, 11):
+        for e in (1, -1):
+            m = lat.step_matrix(i, e)
+            for k, unit in enumerate(units):
+                assert tuple(m[:, k].tolist()) == lat._step(tuple(unit), i, e)
+
+
 def test_preserves_form_accepts_tau_and_rejects_theta_and_a_perturbation():
     assert preserves_form(scalar_matrix(TAU))
     assert not preserves_form(scalar_matrix(THETA))
@@ -426,6 +437,18 @@ def test_decompose_transported_instances():
         assert herm_value(x, x) == EisensteinInt(-3)
         assert herm_value(y, y) == EisensteinInt(-3)
         assert herm_value(x, y) == THETA
+
+
+def test_seed_ball_is_the_per_vector_walk():
+    # the ball is expanded a level at a time through the step matrices; it
+    # must keep the per-vector walk's vectors, words and order
+    assert [len(lat._seed_ball(r)) for r in range(5)] == [1, 7, 26, 91, 301]
+    ball = lat._seed_ball(4)
+    assert list(ball.items()) == walk_by_vector(lat.MINUS6_SEED, 4)
+    for z, word in ball.items():
+        assert lat.apply_lattice_word(word, lat.MINUS6_SEED) == z
+        level = min(r for r in range(5) if z in lat._seed_ball(r))
+        assert len(word) == level
 
 
 def test_decompose_walks_back_from_outside_the_seed_ball():

@@ -456,6 +456,28 @@ def test_transversal_certificate_rejects_corrupted_rows(table):
         certify(broken)
 
 
+def test_transversal_certificate_rejects_marks_of_a_constant_tuple(table):
+    # the row (0, n), n = 001111111111 with letters 0 and 1 only, marks n
+    # and its relabelings c -> c + 1, 1 - c and 2 - c, which are raw, and
+    # the constant tuples 0...0 and 2...2, keys 0 and 3^12 - 1, in place
+    # of the other two; every other rule holds, so only the constant keys
+    # reject it
+    keys = mo.codes_to_keys(table.codes)
+    negated = mo.codes_to_keys(-table.codes % 3)
+    n = [0, 0] + [1] * mo.N_MOVES
+    row = table.index_of_codes(n)
+    keys[row], negated[row] = 0, mo.codes_to_keys(n)
+    with pytest.raises(ValueError, match="177144 relabelings mark 177144 "
+                       "tuples, not the 177144 raw tuples"):
+        mo.transversal_raw_count(keys, negated)
+
+
+def test_the_letter_rule_is_named_before_the_others():
+    # 3...3 is also constant, and 310...0 also breaks product one
+    codes = np.array([[3] * mo.TUPLE_LEN, [3, 1] + [0] * mo.N_MOVES])
+    assert mo.broken_rules(codes).tolist() == [0, 0]
+
+
 @pytest.mark.parametrize("rank", range(2, 23, 2))
 def test_alternating_tuple_is_raw_at_every_even_rank(rank):
     length = rank + 2
