@@ -618,8 +618,9 @@ def cmd_export(args) -> int:
     return _write(out, chunks)
 
 
-#: row i - 1 is alpha_i, the basis vector of the line a cross-check reads
-_BASIS = np.identity(sp.DIM, dtype=np.int8)
+#: row i - 1 is alpha_i, the basis vector of the line a cross-check reads,
+#: as Python lists for the one-row label
+_BASIS = np.identity(sp.DIM, dtype=int).tolist()
 
 
 def cmd_classify(args) -> int:
@@ -637,7 +638,7 @@ def cmd_classify(args) -> int:
         # the tuple's point is that of the point relative to [alpha_i], the
         # orientation of the cross-validation
         label = sp.line_labels(co.point_vectors(codes),
-                               _BASIS[args.position - 1])[0]
+                               _BASIS[args.position - 1])
         lines.append(f"cross-check (line side): {sp.LINE_CLASSES[label]}")
     text = "".join(f"{line}\n" for line in lines)
     return _write(contextlib.nullcontext(sys.stdout), [text])

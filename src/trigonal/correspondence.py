@@ -22,12 +22,14 @@ but excluded from the comparison.  The raw agreement count is reported
 together with the count after exchanging the RM and SG labels on one side,
 which makes the label pairing between the two trichotomies explicit.
 
-The searched bijection also has a closed form, `point_vectors`, which the
-tests certify equal to the searched `backward` on every class.
+The searched bijection also has a closed form, v = t P mod 3, which the
+tests certify equal to the searched `backward` on every class;
+`point_vectors` is its one-row form.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,20 +191,25 @@ def _closed_form_matrix() -> np.ndarray:
 
 
 P = _closed_form_matrix()
+#: the columns of P as Python lists without their trailing zeros, for
+#: `point_vectors`, whose products stop at the shorter list
+_P_COLUMNS = [np.trim_zeros(column, "b").tolist() for column in P.T]
 
 
-def point_vectors(codes) -> np.ndarray:
-    """The closed form of forward^{-1}: (n, 12) code rows -> (n, 10) vectors.
+def point_vectors(codes: list) -> list[int]:
+    """The closed form of forward^{-1} on one row of 12 letters, a list of
+    ints: the vector v = t P mod 3, as a list of 10 ints, without numpy.
 
-    Row r of the result spans the point of the class of code row r:
-    v_i = sum of d_k over k <= i, k = i (mod 2), with d_k = t_k - t_{k-1}
-    mod 3, i.e. v_1 = d_1, v_2 = d_2 and v_i = d_i + v_{i-2}.  This map is
-    F_3-linear, v = t P mod 3.  Any of the six relabelings of a row gives
-    the same point, so rows need not be canonical: every column of P sums
-    to 0, and a relabeling c -> +-c + a only changes the sign of v.  No
-    table is built.
+    v spans the point of the class of the row: v_i = sum of d_k over k <= i,
+    k = i (mod 2), with d_k = t_k - t_{k-1} mod 3, i.e. v_1 = d_1, v_2 = d_2
+    and v_i = d_i + v_{i-2}.  This map is F_3-linear; on a whole table it
+    is the product `codes @ P % 3`.  Any of the six relabelings of a row
+    gives the same point, so rows need not be canonical: every column of P
+    sums to 0, and a relabeling c -> +-c + a only changes the sign of v.
+    No table is built.
     """
-    return np.atleast_2d(np.asarray(codes, dtype=np.int8)) @ P % 3
+    return [sum(map(operator.mul, codes, column)) % 3
+            for column in _P_COLUMNS]
 
 
 _LABEL_SWAP = np.array([0, 2, 1], dtype=np.int8)  # exchange RM and SG codes

@@ -130,22 +130,22 @@ TUPLE_RULES = (
 
 #: the first broken rule, -1 for none, by the bits (letters broken,
 #: constant, product broken) read as 4, 2, 1: the earlier rule wins
-_FIRST_BROKEN = np.array([-1, 2, 1, 1, 0, 0, 0, 0], dtype=np.int8)
+_FIRST_BROKEN = [-1, 2, 1, 1, 0, 0, 0, 0]
+_LETTERS = frozenset(range(3))
 
 
-def broken_rules(codes) -> np.ndarray:
-    """Per (n, 12) code row, the index of the first of TUPLE_RULES it
-    breaks, or -1 for a raw tuple.
+def broken_rules(codes) -> int:
+    """The index of the first of TUPLE_RULES that one row of TUPLE_LEN
+    letters, a list or tuple, breaks, or -1 for a raw tuple.
 
-    The rows are cast to int8 once, for all three rules; a letter is in
-    {0, 1, 2} when the cast keeps it (no float, no wrap) and it lies in
-    0..2 as a byte (no negative)."""
-    codes = np.atleast_2d(codes)
-    t = codes.astype(np.int8)
-    letters_broken = ((t != codes) | (t.view(np.uint8) > 2)).any(axis=1)
-    constant = (t == t[:, :1]).all(axis=1)
-    return _FIRST_BROKEN[4 * letters_broken + 2 * constant
-                         + (t @ _SIGNS % 3 != 0)]
+    A letter is a value equal to 0, 1 or 2, so a float, a huge int or NaN
+    breaks the first rule without a cast; the sums run only on letters."""
+    seen = set(codes)
+    letters_broken = not seen <= _LETTERS
+    product_broken = (not letters_broken
+                      and (sum(codes[::2]) - sum(codes[1::2])) % 3 != 0)
+    return _FIRST_BROKEN[4 * letters_broken + 2 * (len(seen) == 1)
+                         + product_broken]
 
 
 class ClassTable:
@@ -181,16 +181,14 @@ class ClassTable:
         codes = np.asarray(codes)
         if codes.shape not in ((TUPLE_LEN,), (1, TUPLE_LEN)):
             raise ValueError(f"a monodromy tuple is one row of {TUPLE_LEN} letters")
-        # a non-letter breaks the first rule before the int8 cast of
-        # `broken_rules`, which a huge int or a non-finite float would break
-        if not np.isin(codes, range(3)).all():
-            raise ValueError(TUPLE_RULES[0])
-        broken = int(broken_rules(codes)[0])
+        # Python numbers, so that translating t_0 to 0 cannot wrap an
+        # unsigned type
+        row = codes.reshape(TUPLE_LEN).tolist()
+        broken = broken_rules(row)
         if broken >= 0:
             raise ValueError(TUPLE_RULES[broken])
-        # signed, so that translating t_0 to 0 cannot wrap an unsigned type
-        codes = codes.reshape(TUPLE_LEN).astype(np.int64)
-        return int(self.class_index[codes_to_keys((codes - codes[0]) % 3) // 3])
+        return int(self.class_index[
+            codes_to_keys([(c - row[0]) % 3 for c in row]) // 3])
 
     def class_string(self, idx: int) -> str:
         return code_strings(self.codes[idx])[0]
@@ -240,15 +238,16 @@ def code_strings(codes) -> list[str]:
     return [text[k:k + TUPLE_LEN] for k in range(0, len(text), TUPLE_LEN)]
 
 
-def parse_tuple_string(s: str) -> np.ndarray:
-    """Decode a 12-character code string over {0, 1, 2} that is raw.
+def parse_tuple_string(s: str) -> list[int]:
+    """Decode a 12-character code string over {0, 1, 2} that is raw, as a
+    list of ints.
 
     The letters are the string's UTF-8 bytes less ord("0"): any other
     character is a byte outside 0..2, or more than one byte.  A lone
     surrogate, which argv can hold, is encoded as "?"."""
-    codes = (np.frombuffer(s.encode(errors="replace"), dtype=np.int8)
-             - ord("0"))
-    broken = int(broken_rules(codes)[0]) if codes.size == TUPLE_LEN else 0
+    zero = ord("0")
+    codes = [c - zero for c in s.encode(errors="replace")]
+    broken = broken_rules(codes) if len(codes) == TUPLE_LEN else 0
     if broken == 0:
         raise ValueError(f"a monodromy tuple is {TUPLE_LEN} characters "
                          "over {0,1,2}")
@@ -262,15 +261,20 @@ _OTHER_SLOTS = ~(np.identity(TUPLE_LEN, dtype=bool)
                  | np.roll(np.identity(TUPLE_LEN, dtype=bool), 1, axis=1))
 
 
-def confluence_labels(codes, pos: int) -> np.ndarray:
-    """Labels of (n, 12) code rows collapsed at slots (pos, pos+1 mod 12).
-
-    The one statement of the rule, coded 0=H, 1=RM, 2=SG: RM when the two
-    letters differ, otherwise H when the other ten letters are all equal,
-    otherwise SG.
-    """
+def _check_slot(pos: int) -> None:
     if not 0 <= pos < TUPLE_LEN:
         raise IndexError(f"position must be in 0..{TUPLE_LEN - 1}, got {pos!r}")
+
+
+def confluence_labels(codes, pos: int) -> np.ndarray:
+    """Labels of (n, 12) code rows collapsed at slots (pos, pos+1 mod 12),
+    for whole tables.
+
+    The rule, coded 0=H, 1=RM, 2=SG: RM when the two letters differ,
+    otherwise H when the other ten letters are all equal, otherwise SG.
+    `classify_confluence_codes` is its one-row form.
+    """
+    _check_slot(pos)
     codes = np.atleast_2d(codes)
     rest = codes[:, _OTHER_SLOTS[pos]]
     return np.where(codes[:, pos] != codes[:, (pos + 1) % TUPLE_LEN],
@@ -279,9 +283,13 @@ def confluence_labels(codes, pos: int) -> np.ndarray:
 
 
 def classify_confluence_codes(codes, pos: int) -> str:
-    """Collapse classification of one 12-tuple at slots (pos, pos+1 mod 12)."""
-    codes = np.asarray(codes, dtype=np.int8).reshape(1, TUPLE_LEN)
-    return CONFLUENCE_CLASSES[int(confluence_labels(codes, pos)[0])]
+    """The label of `confluence_labels` for one row of 12 letters, without
+    numpy: the row rotated by pos starts with the collapsed pair."""
+    _check_slot(pos)
+    rotated = [*codes[pos:], *codes[:pos]]
+    if rotated[0] != rotated[1]:
+        return CONFLUENCE_CLASSES[1]
+    return CONFLUENCE_CLASSES[0 if len(set(rotated[2:])) == 1 else 2]
 
 
 def alternating_tuple(length: int) -> str:

@@ -24,12 +24,13 @@ giving counts {H: 1, RM: (3^9-1)/2 - 1 = 9840, SG: 3^9 = 19683}.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
-from .f3 import all_rows, key_digits, negated_keys, signed_index
+from .f3 import all_rows, key_digits, mod3, negated_keys, signed_index
 from .schreier import generator_index, orbit_bfs, orbit_sizes
 
 DIM = lattice.RANK
@@ -76,15 +77,16 @@ def _dot_mod3(vectors: np.ndarray, c: list) -> np.ndarray:
     with c a list of ints 0..2.
 
     Only the columns where c is nonzero are read.  The rows have entries
-    0..2, so the sum stays unsigned, where numpy's remainder is faster than
-    on signed types.
+    0..2, so each term is at most 4 and the sum stays unsigned and below
+    256; it is reduced once, through `f3.mod3`.
     """
+    assert 4 * len(c) <= np.iinfo(np.uint8).max
     columns = vectors.view(np.uint8)
     total = np.zeros(len(columns), dtype=np.uint8)
     for j, cj in enumerate(c):
         if cj:
             total += cj * columns[:, j]
-    return total % 3
+    return mod3(total)
 
 
 def symp_with(vectors: np.ndarray, w) -> np.ndarray:
@@ -192,28 +194,41 @@ def get_table() -> ProjectiveTable:
 # -- classification ------------------------------------------------------------
 
 def _label_codes(s: np.ndarray, is_ell) -> np.ndarray:
-    """The one statement of the rule, coded 0=H, 1=RM, 2=SG: H for the line
+    """The rule, coded 0=H, 1=RM, 2=SG, for whole tables: H for the line
     ell itself (`is_ell`, a mask or an index), otherwise RM when
-    symp(v, ell) = 0 (`s`), otherwise SG."""
+    symp(v, ell) = 0 (`s`), otherwise SG.  `line_labels` is its one-row
+    form."""
     out = np.int8(1) + (s != 0)
     out[is_ell] = 0
     return out
 
 
-def line_labels(vectors, ell) -> np.ndarray:
-    """Labels of the lines [v] (nonzero rows) relative to the line [ell]."""
-    v = np.atleast_2d(np.asarray(vectors, dtype=np.int8))
-    e = np.asarray(ell, dtype=np.int8)
-    # v spans the line of ell exactly when v = ell or v = 2 ell = -ell
-    same = (v == e).all(axis=1) | (v == -e % 3).all(axis=1)
-    return _label_codes(symp_with(v, e), same)
+#: the columns of SYMP_GRAM as Python lists, for the one-row form
+_SYMP_COLUMNS = SYMP_GRAM.T.tolist()
+
+
+def line_labels(v: list, ell: list) -> int:
+    """The label code of `_label_codes` for one nonzero vector v relative
+    to one line [ell], lists of DIM ints 0..2, without numpy: SG when
+    symp(v, ell) = v . (SYMP_GRAM ell) is nonzero mod 3, otherwise H when
+    v = ell or v = 2 ell = -ell, otherwise RM.  The form is alternating,
+    so the line ell has symp 0 with itself, and testing symp first gives
+    the same labels.  Only the columns of SYMP_GRAM where ell is nonzero
+    are read."""
+    symp = 0
+    for e, column in zip(ell, _SYMP_COLUMNS):
+        if e:
+            symp += e * sum(map(operator.mul, v, column))
+    if symp % 3:
+        return 2
+    return 0 if v == ell or v == [2 * e % 3 for e in ell] else 1
 
 
 def classify_line(m_idx: int, ell_idx: int) -> str:
     """Class of the line m relative to the fixed line ell: H, RM or SG."""
-    table = get_table()
-    label = line_labels(table.reps[m_idx], table.reps[ell_idx])[0]
-    return LINE_CLASSES[int(label)]
+    reps = get_table().reps
+    return LINE_CLASSES[line_labels(reps[m_idx].tolist(),
+                                    reps[ell_idx].tolist())]
 
 
 def line_class_vector(ell_idx: int) -> np.ndarray:

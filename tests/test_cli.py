@@ -524,8 +524,9 @@ SMALL_RANKS = {
 
 #: fresh-interpreter run of the whole program at the rank argv[1], set
 #: before the package reads it: `verify all --optional` and two `export
-#: bijection` runs, through the file argv[2], and whether `point_vectors`
-#: of every class row spans the point that the bijection's `backward` gives
+#: bijection` runs, through the file argv[2], and whether the closed form
+#: t P mod 3 of every class row spans the point that the bijection's
+#: `backward` gives
 AT_RANK = """
 import hashlib, json, pathlib, sys
 import trigonal.f3
@@ -539,7 +540,7 @@ digests = []
 for _ in range(2):
     assert cli.main(["export", "bijection", "--out", str(out)]) == 0
     digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-keys = co.point_vectors(mo.get_table().codes).astype("int64") @ sp.POW3
+keys = (mo.get_table().codes @ co.P % 3).astype("int64") @ sp.POW3
 spans = (sp.get_table().point_index[keys]
          == co.build_bijection().backward).all()
 print(json.dumps({"code": code, "checks": checks, "digests": digests,
@@ -1210,7 +1211,9 @@ def test_classify_cross_check_exchanges_rm_and_sg(idx, relabel, pos):
     code, out, err = classify_exit(["classify", "".join(map(str, codes)),
                                     str(pos), "--cross-check"])
     assert (code, err) == (0, "")
-    label = mo.classify_confluence_codes(t.codes[idx], pos)
+    # the array form of the rule, not the one-row form the command runs
+    label = mo.CONFLUENCE_CLASSES[
+        int(mo.confluence_labels(t.codes[idx], pos)[0])]
     swapped = {"H": "H", "RM": "SG", "SG": "RM"}[label]
     assert out == f"{label}\ncross-check (line side): {swapped}\n"
 
@@ -1228,6 +1231,15 @@ def test_classify_input_errors(capsys):
     code, _, err = run(capsys, ["classify", "001111111111", "12"])
     assert code == 2
     assert "position" in err
+    # a negative slot is refused too, not read from the end of the row
+    assert run(capsys, ["classify", "001111111111", "-1"]) \
+        == (2, "", "error: position must be in 0..11, got -1\n")
+    # twelve characters, one of them not one byte in UTF-8, or a lone
+    # surrogate as argv holds an undecodable byte
+    for text in ("00111111111\u0661", "00111111111\udc80"):
+        assert run(capsys, ["classify", text, "1", "--cross-check"]) \
+            == (2, "", "error: a monodromy tuple is 12 characters over "
+                       "{0,1,2}\n")
 
 
 def test_invocation_errors_exit_2(capsys):

@@ -72,34 +72,45 @@ def test_survivor_pruning_equals_the_full_mask_route(corr):
 
 
 def test_point_vectors_equal_the_searched_bijection(corr):
-    # the closed form certified against the search on all 29524 classes,
-    # under each of the six relabelings of the codes
+    # the closed form t P mod 3 certified against the search on all 29524
+    # classes, under each of the six relabelings of the codes
     mot, spt = mo.get_table(), sp.get_table()
     for perm in ALPHABET_PERMS:
-        v = co.point_vectors(perm[mot.codes])
+        v = perm[mot.codes] @ co.P % 3
         assert v.shape == (co.N, sp.DIM)
         assert v.any(axis=1).all(), perm
         points = spt.point_index[keys_of(brute_canonicalize(v))]
         assert (points == corr.backward).all(), perm
-    base = co.point_vectors(mot.codes[corr.base_class])[0]
+    base = co.point_vectors(mot.codes[corr.base_class].tolist())
     assert spt.point_index[keys_of(base)] == corr.base_point
 
 
 def test_point_vectors_are_the_linear_map_p():
     # v = t P mod 3: the rows of P are the images of the unit rows, the map
     # is additive on seeded rows, and a constant row (the kernel) maps to 0
-    units = np.identity(mo.TUPLE_LEN, dtype=np.int8)
+    units = np.identity(mo.TUPLE_LEN, dtype=int).tolist()
     assert co.P.shape == (mo.TUPLE_LEN, sp.DIM)
-    assert (co.point_vectors(units) == co.P % 3).all()
+    assert [co.point_vectors(u) for u in units] == (co.P % 3).tolist()
     rng = np.random.default_rng(28)
     a, b = rng.integers(0, 3, size=(2, 500, mo.TUPLE_LEN), dtype=np.int8)
-    assert (co.point_vectors((a + b) % 3)
-            == (co.point_vectors(a) + co.point_vectors(b)) % 3).all()
+    for x, y in zip(a.tolist(), b.tolist()):
+        assert co.point_vectors([(i + j) % 3 for i, j in zip(x, y)]) \
+            == [(i + j) % 3 for i, j in zip(co.point_vectors(x),
+                                             co.point_vectors(y))]
     # the product equals the sums of differences, on every class row too
     for rows in (a, mo.get_table().codes):
-        assert (co.point_vectors(rows)
-                == point_vectors_by_differences(rows)).all()
-    assert not co.point_vectors(np.ones(mo.TUPLE_LEN, dtype=np.int8)).any()
+        assert (rows @ co.P % 3 == point_vectors_by_differences(rows)).all()
+    assert co.point_vectors([1] * mo.TUPLE_LEN) == [0] * sp.DIM
+
+
+def test_the_one_row_point_equals_the_product_on_every_class_row():
+    # every class row, and two relabelings of each, against t P mod 3
+    codes = mo.get_table().codes
+    k = np.arange(len(codes))
+    for rows in (codes, ALPHABET_PERMS[k % 5 + 1, codes.T].T,
+                 ALPHABET_PERMS[(k + 2) % 5 + 1, codes.T].T):
+        assert list(map(co.point_vectors, rows.tolist())) \
+            == (rows @ co.P % 3).tolist()
 
 
 def test_equivariance_exhaustive(corr):

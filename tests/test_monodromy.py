@@ -125,7 +125,11 @@ def test_class_lookup_equals_brute_force_on_raw_tuples(table, every_tuple):
     # non-constant, product one; the constant ones break the constant rule
     constant = (every_tuple == every_tuple[:, :1]).all(axis=1)
     raw_mask = ~constant & s3_product_is_one(every_tuple)
-    broken = mo.broken_rules(every_tuple)
+    # the one-row rule on each tuple, drawn in the fixture's order
+    broken = np.fromiter(
+        map(mo.broken_rules,
+            itertools.product(range(3), repeat=mo.TUPLE_LEN)),
+        dtype=np.int8, count=len(every_tuple))
     assert ((broken == -1) == raw_mask).all()
     assert ((broken == 1) == constant).all()
     assert (broken[~raw_mask & ~constant] == 2).all()
@@ -302,6 +306,15 @@ def test_confluence_labels_equal_brute_force_on_every_class(table):
             mo.classify_confluence_codes(table.codes[0], bad)
 
 
+def test_the_one_row_label_equals_the_array_form_on_every_class(table):
+    rows = table.codes.tolist()
+    for pos in range(mo.TUPLE_LEN):
+        labels = [mo.CONFLUENCE_CLASSES[k]
+                  for k in mo.confluence_labels(table.codes, pos).tolist()]
+        assert [mo.classify_confluence_codes(row, pos) for row in rows] \
+            == labels, pos
+
+
 def test_confluence_labels_equal_the_deletion_form_on_every_row_kind(table):
     # the class rows, the constant tuples, and the rows (a, a, b, c, ..., c)
     # that the H-variant note reads
@@ -331,7 +344,7 @@ def test_parse_tuple_string_errors():
     with pytest.raises(ValueError, match="not the identity"):
         mo.parse_tuple_string("011111111111")
     codes = mo.parse_tuple_string("001111111111")
-    assert codes.tolist() == [0, 0] + [1] * 10
+    assert codes == [0, 0] + [1] * 10
 
 
 def test_index_round_trip(table):
@@ -345,8 +358,8 @@ def test_index_round_trip(table):
 
 
 def test_index_of_codes_rejects_any_non_letter_by_the_first_rule(table):
-    # a huge int overflowed the int8 cast of the rule, and a non-finite
-    # float cast with a RuntimeWarning; both are letters outside {0, 1, 2}
+    # a huge int and a non-finite float are letters outside {0, 1, 2}, which
+    # an int8 cast would wrap or warn about
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (2 ** 70, -2 ** 70, 1e30, float("nan"), float("inf"),
@@ -355,6 +368,22 @@ def test_index_of_codes_rejects_any_non_letter_by_the_first_rule(table):
                 with pytest.raises(ValueError) as rejected:
                     table.index_of_codes(codes)
                 assert str(rejected.value) == mo.TUPLE_RULES[0]
+
+
+def test_index_of_codes_names_the_rule_each_row_breaks(table):
+    base = [0, 0] + [1] * mo.N_MOVES
+    for bad in (3, -1, 2 ** 70, float("nan")):
+        for slot in (0, 5, mo.TUPLE_LEN - 1):
+            codes = base.copy()
+            codes[slot] = bad
+            with pytest.raises(ValueError) as rejected:
+                table.index_of_codes(codes)
+            assert str(rejected.value) == mo.TUPLE_RULES[0], (bad, slot)
+    for codes, rule in (([1] * mo.TUPLE_LEN, 1), ([0, 1] + [1] * 10, 2)):
+        for copy in (codes, np.array(codes, dtype=np.uint8)):
+            with pytest.raises(ValueError) as rejected:
+                table.index_of_codes(copy)
+            assert str(rejected.value) == mo.TUPLE_RULES[rule]
 
 
 def test_index_of_codes_takes_one_row_of_twelve_letters(table):
@@ -388,7 +417,8 @@ def seeded_raw_rows(table, n, seed):
     codes[:, 0] = -(codes[:, 1:] @ signs[1:]) % 3
     codes = codes[(codes != codes[:, :1]).any(axis=1)]
     codes = codes[~np.isin(mo.codes_to_keys(codes), table.keys)]
-    assert (mo.broken_rules(codes) == -1).all() and len(codes) > n // 2
+    assert set(map(mo.broken_rules, codes.tolist())) == {-1}
+    assert len(codes) > n // 2
     return codes
 
 
@@ -474,8 +504,8 @@ def test_transversal_certificate_rejects_marks_of_a_constant_tuple(table):
 
 def test_the_letter_rule_is_named_before_the_others():
     # 3...3 is also constant, and 310...0 also breaks product one
-    codes = np.array([[3] * mo.TUPLE_LEN, [3, 1] + [0] * mo.N_MOVES])
-    assert mo.broken_rules(codes).tolist() == [0, 0]
+    codes = [[3] * mo.TUPLE_LEN, [3, 1] + [0] * mo.N_MOVES]
+    assert [mo.broken_rules(row) for row in codes] == [0, 0]
 
 
 @pytest.mark.parametrize("rank", range(2, 23, 2))
@@ -490,4 +520,4 @@ def test_alternating_tuple_is_raw_at_every_even_rank(rank):
     assert len(set(text)) > 1
     if length == mo.TUPLE_LEN:
         assert text == "010101010101"
-        assert mo.broken_rules(codes) == -1
+        assert mo.broken_rules(codes.tolist()) == -1

@@ -1,6 +1,7 @@
 """Mod-3 symplectic space: reduction, transvections, projective tables."""
 
 import random
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -240,17 +241,27 @@ def test_symp_with_equals_the_dense_form():
 def test_line_class_vector_equals_the_rule():
     t = sp.get_table()
     rng = random.Random(11)
+    x = t.reps.astype(np.int64)
+    gram = sp.SYMP_GRAM.astype(np.int64)
+    reps, negated = t.reps.tolist(), (2 * t.reps % 3).tolist()
     # the basis lines, the bijection's base point [0, 1, ..., 0, 1] (pinned
     # in test_correspondence) and seeded lines
-    ells = [t.basis_point(i) for i in range(1, 11)] + [11073]
-    ells += [rng.randrange(sp.N_POINTS) for _ in range(5)]
-    for ell in ells:
+    pinned = [t.basis_point(i) for i in range(1, 11)] + [11073]
+    for ell in pinned + [rng.randrange(sp.N_POINTS) for _ in range(5)]:
         labels = sp.line_class_vector(ell)
         assert labels.dtype == np.int8
-        assert (labels == sp.line_labels(t.reps, t.reps[ell])).all()
-        # the rule holds per line: -v and -ell give the same labels
-        assert (labels == sp.line_labels(2 * t.reps % 3, 2 * t.reps[ell] % 3)).all()
+        # the dense form x^T SYMP_GRAM ell, with H at ell
+        dense = np.where(x @ gram @ x[ell] % 3 == 0, 1, 2)
+        dense[ell] = 0
+        assert (labels == dense).all()
         assert np.flatnonzero(labels == 0).tolist() == [ell]
+        if ell in pinned:
+            # the one-row form on every point; the rule holds per line:
+            # -v and -ell give the same labels
+            assert list(map(sp.line_labels, reps, repeat(reps[ell]))) \
+                == labels.tolist()
+            assert list(map(sp.line_labels, negated, repeat(negated[ell]))) \
+                == labels.tolist()
 
 
 def test_stabilizer_orbit_sizes():
