@@ -43,7 +43,7 @@ from . import lattice as la
 from . import monodromy as mo
 from . import sympf3 as sp
 from .eisenstein import THETA, EisensteinInt, divides
-from .schreier import bsgs_order, orbit_size
+from .schreier import bsgs_order, orbit_sizes
 
 #: order of Sp_2m(F_3) = 3^(m^2) * prod_{k=1..m} (3^2k - 1), with 2m = sp.DIM
 SP10_ORDER = 3 ** ((sp.DIM // 2) ** 2) * math.prod(
@@ -248,8 +248,7 @@ def check_hurwitz_action(ctx: Context):
     observed["orbit_from_base"] = mo.orbit_R().size
     alternating = t.index_of_codes(
         mo.parse_tuple_string(mo.alternating_tuple(mo.TUPLE_LEN)))
-    observed["orbit_from_alternating"] = orbit_size(mo.N_CLASSES, perms,
-                                                    alternating)
+    observed["orbit_from_alternating"] = orbit_sizes(perms, alternating)[0]
     expected = {"order_divides_three": True,
                 "trivial_and_order_three_points": True,
                 "braid_relations": True,
@@ -437,13 +436,15 @@ def _cannot_write(name: str, exc: OSError) -> int:
 
 
 def _open_out(out_path: str | None):
-    """The output stream as a context manager: stdout, or out_path opened now.
+    """The output stream as a context manager: stdout when no path is given,
+    else out_path opened now (an empty one too: it names no file, so it
+    cannot be opened).
 
     Commands call this before doing any work, so an unwritable path costs
     nothing, and hand the result to `_write`.  Returns None, after printing
     the error line, when out_path cannot be opened.
     """
-    if not out_path:
+    if out_path is None:
         return contextlib.nullcontext(sys.stdout.buffer)
     try:
         return open(out_path, "wb")

@@ -78,13 +78,6 @@ class EisensteinInt:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*tau"
-        return f"{self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*tau"
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> list:
@@ -129,7 +122,7 @@ def div_exact(x: EisensteinInt, d: EisensteinInt) -> EisensteinInt:
     """The quotient x/d, raising ValueError if d does not divide x."""
     q = _quotient(x, d)
     if q is None:
-        raise ValueError(f"{d} does not divide {x}")
+        raise ValueError(f"{d!r} does not divide {x!r}")
     return q
 
 

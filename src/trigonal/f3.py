@@ -11,7 +11,9 @@ their transversal certificate.  Rank 2, a trigonal curve of genus
 rank/2 - 1 = 0, has no basis vector a_3, the minus-6 witness that the
 report pins, so its `minus6_certificates` row fails.  To run at another
 rank, set `trigonal.f3.RANK` before any other module of the package is
-imported.
+imported.  The generators of both sides, the triflections and the
+transvections, are numbered 1..rank, and `generator_index` is the one rule
+that checks such a number.
 
 Both tables enumerate lines +-v of F_3^n by canonical rows, the one of v,
 -v whose first nonzero digit is 1: one block of keys per position of that
@@ -35,6 +37,16 @@ def supported_rank() -> int:
         raise ValueError(f"rank {RANK} is not supported: the package "
                          "supports even ranks from 4 up")
     return RANK
+
+
+def generator_index(i, n: int) -> int:
+    """A 1-based generator index, the one rule on both sides: an integer 1..n
+    (numpy's too) as a plain int; TypeError for bool or float."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise TypeError(f"generator index must be an integer, got {i!r}")
+    if not 1 <= i <= n:
+        raise IndexError(f"generator index must be in 1..{n}, got {i!r}")
+    return int(i)
 
 
 def mod3(x):

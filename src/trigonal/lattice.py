@@ -69,8 +69,7 @@ from .eisenstein import (
     ZERO, ONE, TAU, TAU2, THETA,
     EisensteinInt, div_exact, divides,
 )
-from .f3 import supported_rank
-from .schreier import generator_index
+from .f3 import generator_index, supported_rank
 
 RANK = supported_rank()
 Matrix = tuple  # 10x10 nested tuple of EisensteinInt, row major

@@ -170,7 +170,6 @@ class ClassTable:
         negated = negated_keys(rows, _W12[2:])
         self.raw_count = transversal_raw_count(self.keys,
                                                3 * negated + mod3(-last))
-        assert self.raw_count == N_RAW
         self.class_index = signed_index(3 ** N_MOVES, position, negated)
         self._hurwitz_perms: np.ndarray | None = None   # (N_MOVES, N_CLASSES)
         self._base_tree: OrbitResult | None = None      # see orbit_R
@@ -305,6 +304,5 @@ def orbit_R() -> OrbitResult:
     built once per table."""
     t = get_table()
     if t._base_tree is None:
-        t._base_tree = orbit_bfs(N_CLASSES, t.all_hurwitz_perms(),
-                                 t.base_class())
+        t._base_tree = orbit_bfs(t.all_hurwitz_perms(), t.base_class())
     return t._base_tree

@@ -3,7 +3,9 @@ certificate from the stabilizer chain of a generator list, for permutations
 stored as dense numpy index arrays.
 
 A permutation on n points is an int array p of length n with image p[x],
-stored int32: every point count here is below 2^31.  Composition (p after
+stored int32: every point count here is below 2^31.  The generators of one
+call act on the same points, and each kernel reads n off the first of
+them; a seed outside range(n) raises IndexError.  Composition (p after
 q) is the gather np.take(p, q).  numpy's fancy index p[q] converts a
 non-intp q to intp element by element, which on 29524 points takes twice
 as long as np.take (106 against 54 us); so an int32 array that drives
@@ -23,16 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def generator_index(i, n: int) -> int:
-    """A 1-based generator index, the one rule on both sides: an integer 1..n
-    (numpy's too) as a plain int; TypeError for bool or float."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise TypeError(f"generator index must be an integer, got {i!r}")
-    if not 1 <= i <= n:
-        raise IndexError(f"generator index must be in 1..{n}, got {i!r}")
-    return int(i)
 
 
 @dataclass
@@ -69,15 +61,16 @@ def _root(n_points: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return visited, np.array([seed], dtype=np.intp)
 
 
-def orbit_bfs(n_points: int, gens, seed) -> OrbitResult:
+def orbit_bfs(gens, seed) -> OrbitResult:
     """Deterministic BFS orbit of the seed under the generator arrays.
 
-    Each generator must be a permutation of range(n_points): the BFS relies
+    Each generator must be a permutation of the same points: the BFS relies
     on g[frontier] never repeating a point.  Each level is processed with
     generators in list order and parents in ascending point order, and a
     point is claimed by the first edge that reaches it, so the Schreier tree
     does not depend on timing.
     """
+    n_points = len(gens[0])
     parent = np.full(n_points, -1, dtype=np.int32)
     parent_gen = np.full(n_points, -1,
                          dtype=np.min_scalar_type(-1 - len(gens)))
@@ -108,13 +101,7 @@ def orbit_bfs(n_points: int, gens, seed) -> OrbitResult:
                        parent_gen, depth)
 
 
-def orbit_size(n_points: int, gens, seed, signs=None) -> int:
-    """The size of the orbit of the seed, signed by `signs` if given: the
-    second of `orbit_sizes`."""
-    return orbit_sizes(n_points, gens, seed, signs)[1]
-
-
-def orbit_sizes(n_points: int, gens, seed, signs=None) -> tuple[int, int]:
+def orbit_sizes(gens, seed, signs=None) -> tuple[int, int]:
     """The sizes of the orbit of the seed, `orbit_bfs(...).size`, and of
     its signed orbit (the same without `signs`), from one traversal with a
     visited mask alone: no tree, no depths and no BFS order.
@@ -130,6 +117,7 @@ def orbit_sizes(n_points: int, gens, seed, signs=None) -> tuple[int, int]:
     some edge q -> g[q] disagrees with them, that is when a Schreier
     generator of the stabilizer of p sends +p to -p.
     """
+    n_points = len(gens[0])
     visited, frontier = _root(n_points, seed)
     negative = np.zeros(n_points, dtype=bool)  # the first-visit signs
     size = 0
@@ -218,7 +206,7 @@ def bsgs_order(gens, target: int, signs=None):
     Returns (lower_bound, lower_bound >= target, orbit_sizes), one orbit size
     per generator in list order.
     """
-    n_points = gens[0].size
+    n_points = len(gens[0])
     identity = np.arange(n_points, dtype=gens[0].dtype)
     fixed = np.ones(n_points, dtype=bool)   # fixed by every later generator
     sizes = []
@@ -227,8 +215,8 @@ def bsgs_order(gens, target: int, signs=None):
         if signs is not None:
             moved |= signs[k]
         base = np.flatnonzero(moved & fixed)
-        sizes.append(orbit_size(n_points, gens[k:], base[0],
-                                None if signs is None else signs[k:])
+        sizes.append(orbit_sizes(gens[k:], base[0],
+                                 None if signs is None else signs[k:])[1]
                      if base.size else 1)
         fixed &= ~moved
     sizes.reverse()

@@ -30,8 +30,9 @@ import numpy as np
 
 from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
-from .f3 import all_rows, key_digits, mod3, negated_keys, signed_index
-from .schreier import generator_index, orbit_bfs, orbit_sizes
+from .f3 import (all_rows, generator_index, key_digits, mod3, negated_keys,
+                 signed_index)
+from .schreier import orbit_bfs, orbit_sizes
 
 DIM = lattice.RANK
 N_VECTORS = 3 ** DIM            # 59049, including zero
@@ -176,14 +177,14 @@ class ProjectiveTable:
 
     def orbit_of_points(self):
         """The Schreier tree of point 0 under the transvections."""
-        return orbit_bfs(N_POINTS, self.all_transvection_perms(), 0)
+        return orbit_bfs(self.all_transvection_perms(), 0)
 
     def orbit_of_nonzero_vectors(self) -> tuple[int, int]:
         """The sizes of the orbits of point 0 and of its vector
         (1, 0, ..., 0) under the transvections, from one traversal of the
         signed points."""
         perms, signs = self.transvections()
-        return orbit_sizes(N_POINTS, perms, 0, signs)
+        return orbit_sizes(perms, 0, signs)
 
 
 @functools.cache

@@ -107,7 +107,7 @@ def test_criterion_05_hurwitz_action():
         ok, observed = run_row("hurwitz_action")
         seeds = [0, 12345]             # beyond the row's base and alternating
         hurwitz = mo.get_table().all_hurwitz_perms()
-        transitive = all(orbit_bfs(29524, hurwitz, s).size == 29524
+        transitive = all(orbit_bfs(hurwitz, s).size == 29524
                          for s in seeds)
         ok = ok and transitive and observed == {
             "order_divides_three": True,
@@ -140,12 +140,12 @@ def test_criterion_07_equivariant_bijection():
     report(7, "equivariant bijection", ok, 120, t, f"{observed}")
 
 
-def _orbit_partition(n, gens):
-    """The orbits of <gens> on range(n), as sorted index arrays."""
-    seen = np.zeros(n, dtype=bool)
+def _orbit_partition(gens):
+    """The orbits of <gens> on their points, as sorted index arrays."""
+    seen = np.zeros(len(gens[0]), dtype=bool)
     orbits = []
     while not seen.all():
-        res = orbit_bfs(n, gens, int(np.argmin(seen)))
+        res = orbit_bfs(gens, int(np.argmin(seen)))
         seen |= res.depth >= 0
         orbits.append(np.sort(res.order))
     return orbits
@@ -166,11 +166,11 @@ def test_criterion_08_orbit_trichotomy(corr):
         # of the full stabilizer.
         s_gens = spt.all_transvection_perms()
         words = schreier_generator_words(
-            orbit_bfs(n, s_gens, corr.base_point), s_gens, 64)
+            orbit_bfs(s_gens, corr.base_point), s_gens, 64)
         stab = [inverse_permutation(apply_word(np.arange(n), rhs, s_gens))
                 [apply_word(np.arange(n), lhs, s_gens)] for lhs, rhs in words]
         labels = sp.line_class_vector(corr.base_point)
-        orbits = sorted(_orbit_partition(n, stab), key=len)
+        orbits = sorted(_orbit_partition(stab), key=len)
         orbit_sizes = [o.size for o in orbits]
         orbits_ok = (len(words) == 64
                      and orbit_sizes == [1, 9840, 19683]

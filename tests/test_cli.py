@@ -598,11 +598,11 @@ COUNT_TREES = (
     "trigonal.monodromy as mo, trigonal.schreier as schreier\n"
     "assert not hasattr(co, 'orbit_bfs'), 'correspondence builds a tree'\n"
     "calls = []\n"
-    "def counted(n_points, gens, seed, bfs=schreier.orbit_bfs):\n"
+    "def counted(gens, seed, bfs=schreier.orbit_bfs):\n"
     "    side = 'classes' if gens is mo.get_table().all_hurwitz_perms() "
     "else 'other'\n"
     "    calls.append((side, seed))\n"
-    "    return bfs(n_points, gens, seed)\n"
+    "    return bfs(gens, seed)\n"
     "for name, module in list(sys.modules.items()):\n"
     "    if name.startswith('trigonal') and hasattr(module, 'orbit_bfs'):\n"
     "        module.orbit_bfs = counted\n"
@@ -680,6 +680,17 @@ def test_f3_imports_no_other_trigonal_module():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_lattice_imports_no_permutation_layer():
+    # the lattice reads its generator indices from the F_3 layer
+    code = (
+        "import sys\n"
+        "import trigonal.lattice\n"
+        "assert 'trigonal.schreier' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 #: the `src/trigonal` functions that no command calls, each with the reason
 #: it stays; a new function that only tests call fails the survey below
 UNCALLED = {
@@ -689,7 +700,6 @@ UNCALLED = {
         "ring arithmetic, with + and *, that the tests' ring axioms read",
     "eisenstein.EisensteinInt.__rsub__":
         "ring arithmetic, with + and *, that the tests' ring axioms read",
-    "eisenstein.EisensteinInt.__str__": "`div_exact`'s error message",
     "lattice.compose": "perfbench's micro-probe only (ROADMAP item 14)",
     "lattice.triflection":
         "perfbench's span and micro-probe only (ROADMAP item 14)",
@@ -848,11 +858,15 @@ def test_verify_jobs_below_one_exit_2(capsys, jobs):
     assert "must be at least 1" not in err
 
 
-@pytest.mark.parametrize("args", [["verify", "lattice"], ["export", "gram"],
-                                  ["export", "bijection"]],
-                         ids=["verify", "export", "export_bijection"])
-def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, args):
-    # the path is opened before any check runs or any table is built
+@pytest.mark.parametrize("args, empty", [
+    (["verify", "lattice"], False), (["export", "gram"], False),
+    (["export", "bijection"], False), (["verify", "lattice"], True),
+    (["export", "gram"], True)],
+    ids=["verify", "export", "export_bijection", "verify_empty",
+         "export_empty"])
+def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, args, empty):
+    # the path is opened before any check runs or any table is built; an
+    # empty path is a path that cannot be opened, not a request for stdout
     work = []
 
     def probe(*_):
@@ -862,14 +876,14 @@ def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, args):
     monkeypatch.setattr(cli, "CHECKS", (("probe", 0, None, probe),))
     monkeypatch.setattr(cli.mo, "get_table", probe)
     monkeypatch.setattr(cli.sp, "get_table", probe)
-    target = tmp_path / "missing" / "out.json"
-    code, out, err = run(capsys, [*args, "--out", str(target)])
+    target = "" if empty else str(tmp_path / "missing" / "out.json")
+    code, out, err = run(capsys, [*args, "--out", target])
     assert work == []
     assert code == 2
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith(f"error: cannot write {target}: ")
-    assert not target.exists()
+    assert not os.path.exists(target)
 
 
 class FullStream:

@@ -56,7 +56,7 @@ def test_survivor_pruning_equals_the_full_mask_route(corr):
     # of the points, the candidates being the points where every pair agrees
     s_gens = sp.get_table().all_transvection_perms()
     h_gens = mo.get_table().all_hurwitz_perms()
-    tree = orbit_bfs(co.N, h_gens, corr.base_class)
+    tree = orbit_bfs(h_gens, corr.base_class)
     identity = np.arange(co.N)
     for budget in (1, 2, 4, 8, 64):
         words = schreier_generator_words(tree, h_gens, budget)
@@ -155,7 +155,7 @@ def test_stabilizer_words(corr):
     mot, spt = mo.get_table(), sp.get_table()
     h = mot.all_hurwitz_perms()
     s = spt.all_transvection_perms()
-    words = schreier_generator_words(orbit_bfs(co.N, h, corr.base_class),
+    words = schreier_generator_words(orbit_bfs(h, corr.base_class),
                                      h, 16)
     assert len(words) == 16
     for lhs, rhs in words:
@@ -170,7 +170,7 @@ def test_stabilizer_words(corr):
 def test_lattice_side_words(corr):
     spt = sp.get_table()
     s = spt.all_transvection_perms()
-    words = schreier_generator_words(orbit_bfs(co.N, s, corr.base_point),
+    words = schreier_generator_words(orbit_bfs(s, corr.base_point),
                                      s, 8)
     assert len(words) == 8
     for lhs, rhs in words:
@@ -280,6 +280,16 @@ def test_a_corrupted_transvection_fails_the_bijection(tmp_path, slot, swap,
     finally:
         s_gens[slot - 1] = row
     assert (spt.all_transvection_perms()[slot - 1] == row).all()
+
+
+def test_an_intransitive_class_tree_stops_the_search(monkeypatch):
+    # a tree of one move alone cannot reach every class
+    mot = mo.get_table()
+    tree = orbit_bfs(mot.all_hurwitz_perms()[:1], mot.base_class())
+    assert tree.size < co.N
+    monkeypatch.setattr(co.mo, "orbit_R", lambda: tree)
+    with pytest.raises(RuntimeError, match="do not act transitively"):
+        co.build_bijection()
 
 
 # -- what the tables keep -------------------------------------------------------

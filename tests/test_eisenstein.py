@@ -69,7 +69,7 @@ def test_divisibility():
     assert divides(THETA, EisensteinInt(3))
     assert div_exact(EisensteinInt(3), THETA) == -THETA
     assert div_exact(THETA * EisensteinInt(7, -2), THETA) == EisensteinInt(7, -2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not divide"):
         div_exact(ONE, EisensteinInt(2))
     with pytest.raises(ZeroDivisionError):
         divides(ZERO, ONE)

@@ -363,6 +363,16 @@ def test_realified_gram_entries():
     assert (arr == arr.T).all()
 
 
+def test_a_realified_entry_3_does_not_divide_is_named(monkeypatch):
+    a, b = lat._form_components()
+    a = a.copy()
+    a[0, 1] += 1                 # -(2a + b) at (0, 1) goes from 3 to 1
+    monkeypatch.setattr(lat, "_form_components", lambda: (a, b))
+    with pytest.raises(ArithmeticError,
+                       match=r"not integral; entry \(0,1\) = 1/3$"):
+        lat.realified_gram()
+
+
 def test_realify_certificate():
     cert = lat.realify_and_certify()
     assert cert["is_even"] is True
@@ -463,6 +473,17 @@ def test_decompose_walks_back_from_outside_the_seed_ball():
     assert herm_value(x, y) == THETA
 
 
+def test_decompose_gives_up_past_the_search_bound():
+    # 24 letters, drawn with random.Random(5), carry a_1 + a_2 beyond the
+    # walk's reach: its way back from eps meets no vector of the seed ball
+    word = [(10, 1), (3, -1), (2, 1), (1, 1), (3, 1), (4, 1), (8, -1), (6, 1),
+            (7, -1), (5, -1), (6, -1), (8, 1), (4, 1), (3, 1), (6, -1), (8, 1),
+            (9, -1), (2, -1), (3, -1), (4, 1), (8, 1), (6, -1), (6, 1), (1, -1)]
+    eps = lat.apply_lattice_word(word, lat.MINUS6_SEED)
+    assert lat.herm(eps, eps) == (-6, 0)
+    assert lat.decompose_minus6(eps) is None
+
+
 def test_minus6_witness_identity_instance():
     eps = lat.MINUS6_SEED
     w = lat.minus6_witness(eps)
@@ -479,6 +500,14 @@ def test_minus6_witness_shifted_instance():
     assert w.index == 1
     assert w.value == -THETA
     assert w.hexaflection_nonintegral
+
+
+def test_minus6_witness_skips_a_basis_vector_3_divides():
+    # a_1 lies off the support of a_3 + a_4 and pairs with it to 0
+    eps = vec_add(A[3], A[4])
+    assert herm_value(eps, A[1]) == ZERO
+    w = lat.minus6_witness(eps)
+    assert (w.index, w.value.to_json()) == (2, [1, -2])
 
 
 def test_minus6_witness_requires_norm_minus6():

@@ -12,7 +12,7 @@ from trigonal import lattice as la
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
 from trigonal.schreier import (apply_word, bsgs_order, inverse_permutation,
-                               orbit_bfs, orbit_size, orbit_sizes,
+                               orbit_bfs, orbit_sizes,
                                schreier_generator_words, word_from_root)
 
 #: the basic orbits of Sp(DIM, F3) on nonzero vectors along the transvection
@@ -27,10 +27,11 @@ S6 = [np.array([1, 0, 2, 3, 4, 5]), np.array([1, 2, 3, 4, 5, 0])]
 S6_ADJACENT = [np.array([*range(i), i + 1, i, *range(i + 2, 6)]) for i in range(5)]
 
 
-def brute_bfs(n_points, gens, seed):
+def brute_bfs(gens, seed):
     """Level-by-level BFS in plain Python with the documented claim rule: a
     point goes to the first generator in list order, then the ascending
     first parent, that reaches it."""
+    n_points = len(gens[0])
     parent, parent_gen, depth = [-1] * n_points, [-1] * n_points, [-1] * n_points
     level = [seed]
     depth[seed] = 0
@@ -48,9 +49,9 @@ def brute_bfs(n_points, gens, seed):
     return order, parent, parent_gen, depth
 
 
-def assert_matches_brute_bfs(n_points, gens, seed):
-    res = orbit_bfs(n_points, gens, seed)
-    want = brute_bfs(n_points, gens, seed)
+def assert_matches_brute_bfs(gens, seed):
+    res = orbit_bfs(gens, seed)
+    want = brute_bfs(gens, seed)
     for name, w in zip(("order", "parent", "parent_gen", "depth"), want):
         assert getattr(res, name).tolist() == w, name
     return res
@@ -71,7 +72,7 @@ def random_permutations(seed, n_points, blocks, count):
 
 
 def test_orbit_bfs_on_s6_matches_brute_force():
-    res = assert_matches_brute_bfs(6, S6, 0)
+    res = assert_matches_brute_bfs(S6, 0)
     assert res.size == 6
 
 
@@ -79,7 +80,7 @@ def test_orbit_bfs_on_s6_matches_brute_force():
 def test_orbit_bfs_on_random_permutations_matches_brute_force(seed):
     blocks = 1 + seed % 3
     gens = random_permutations(seed, 90, blocks, 2 + seed % 2)
-    res = assert_matches_brute_bfs(90, gens, 3 * seed)
+    res = assert_matches_brute_bfs(gens, 3 * seed)
     if blocks > 1:
         # the seed lies in the first block: the other blocks stay unvisited
         outside = np.arange(90 // blocks, 90)
@@ -89,25 +90,23 @@ def test_orbit_bfs_on_random_permutations_matches_brute_force(seed):
 
 def test_orbit_bfs_on_the_generator_permutations_matches_brute_force():
     mot, spt = mo.get_table(), sp.get_table()
-    assert_matches_brute_bfs(mo.N_CLASSES, mot.all_hurwitz_perms(),
-                             mot.base_class())
-    assert_matches_brute_bfs(sp.N_POINTS, spt.all_transvection_perms(),
-                             spt.basis_point(1))
+    assert_matches_brute_bfs(mot.all_hurwitz_perms(), mot.base_class())
+    assert_matches_brute_bfs(spt.all_transvection_perms(), spt.basis_point(1))
 
 
-def assert_orbit_size_is_the_bfs_size(n_points, gens, seed):
-    size = orbit_size(n_points, gens, seed)
+def assert_orbit_size_is_the_bfs_size(gens, seed):
+    size = orbit_sizes(gens, seed)[1]
     assert type(size) is int
-    assert size == orbit_bfs(n_points, gens, seed).size
+    assert size == orbit_bfs(gens, seed).size
     return size
 
 
 def test_orbit_size_on_s6():
     for seed in range(6):
-        assert assert_orbit_size_is_the_bfs_size(6, S6, seed) == 6
+        assert assert_orbit_size_is_the_bfs_size(S6, seed) == 6
     # the subgroup <(0 1)> has the orbit {0, 1} and fixed points
-    assert assert_orbit_size_is_the_bfs_size(6, S6[:1], 0) == 2
-    assert assert_orbit_size_is_the_bfs_size(6, S6[:1], 4) == 1
+    assert assert_orbit_size_is_the_bfs_size(S6[:1], 0) == 2
+    assert assert_orbit_size_is_the_bfs_size(S6[:1], 4) == 1
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -117,9 +116,9 @@ def test_orbit_size_on_random_permutations(seed):
     rng = np.random.default_rng(seed)
     # seeds in the first block and across the blocks
     for point in (seed, 7 * seed % 120, *rng.integers(0, 120, 3).tolist()):
-        assert_orbit_size_is_the_bfs_size(120, gens, point)
+        assert_orbit_size_is_the_bfs_size(gens, point)
     if blocks > 1:
-        assert orbit_size(120, gens, 0) <= 120 // blocks
+        assert orbit_sizes(gens, 0)[1] <= 120 // blocks
 
 
 def test_orbit_size_on_the_generator_permutations():
@@ -127,17 +126,14 @@ def test_orbit_size_on_the_generator_permutations():
     hurwitz = mot.all_hurwitz_perms()
     alternating = mot.index_of_codes(mo.parse_tuple_string("010101010101"))
     for seed in (mot.base_class(), alternating, 0):
-        assert assert_orbit_size_is_the_bfs_size(
-            mo.N_CLASSES, hurwitz, seed) == mo.N_CLASSES
+        assert assert_orbit_size_is_the_bfs_size(hurwitz, seed) == mo.N_CLASSES
     assert assert_orbit_size_is_the_bfs_size(
-        sp.N_POINTS, spt.all_transvection_perms(), 0) == sp.N_POINTS
+        spt.all_transvection_perms(), 0) == sp.N_POINTS
     vectors = [spt.vector_perm(i) for i in range(1, sp.DIM + 1)]
-    assert assert_orbit_size_is_the_bfs_size(
-        sp.N_VECTORS, vectors, 1) == sp.N_VECTORS - 1
-    assert assert_orbit_size_is_the_bfs_size(sp.N_VECTORS, vectors, 0) == 1
+    assert assert_orbit_size_is_the_bfs_size(vectors, 1) == sp.N_VECTORS - 1
+    assert assert_orbit_size_is_the_bfs_size(vectors, 0) == 1
     # a suffix of the chain, as one level of `bsgs_order` runs it
-    assert assert_orbit_size_is_the_bfs_size(
-        sp.N_VECTORS, vectors[-2:], sp.POW3[-2]) == 8
+    assert assert_orbit_size_is_the_bfs_size(vectors[-2:], sp.POW3[-2]) == 8
     # the line orbit and the vector orbit, from one signed traversal
     both = (sp.N_POINTS, sp.N_VECTORS - 1)
     assert spt.orbit_of_nonzero_vectors() == both
@@ -149,11 +145,11 @@ def test_orbits_reject_seeds_outside_the_points():
     for seed in (-1, 6, -7, np.int32(6)):
         match = f"seed {seed} is not in range\\(6\\)"
         with pytest.raises(IndexError, match=match):
-            orbit_bfs(6, S6, seed)
+            orbit_bfs(S6, seed)
         with pytest.raises(IndexError, match=match):
-            orbit_size(6, S6, seed)
+            orbit_sizes(S6, seed)
         with pytest.raises(IndexError, match=match):
-            orbit_size(6, S6, seed, signs)
+            orbit_sizes(S6, seed, signs)
 
 
 def doubled(gens, signs):
@@ -182,19 +178,19 @@ def test_signed_orbit_size_on_hand_made_groups():
     # +0, -1, -0, +1; on both edges it is the swap of +0 and -1 again
     for mask, size in (([0, 0], 2), ([1, 0], 4), ([0, 1], 4), ([1, 1], 2)):
         signs = [np.array(mask, dtype=bool)]
-        assert orbit_size(2, [swap], 0, signs) == size, mask
+        assert orbit_sizes([swap], 0, signs)[1] == size, mask
         assert len(brute_signed_orbit([swap], signs, 0)) == size
     # a generator that fixes the point and flips it is -1 itself
     one = np.array([0])
-    assert orbit_size(1, [one], 0, [np.array([True])]) == 2
-    assert orbit_size(1, [one], 0, [np.array([False])]) == 1
+    assert orbit_sizes([one], 0, [np.array([True])])[1] == 2
+    assert orbit_sizes([one], 0, [np.array([False])])[1] == 1
     # the 3-cycle with every sign set has order 6 on signed points
     cycle = np.array([1, 2, 0])
-    assert orbit_size(3, [cycle], 0, [np.ones(3, dtype=bool)]) == 6
+    assert orbit_sizes([cycle], 0, [np.ones(3, dtype=bool)])[1] == 6
     # two swaps that each keep one sign per point, +0 <-> -1 and +0 <-> +1:
     # only together do they reach both signs of 1, and then of 0
     both, plain = np.ones(2, dtype=bool), np.zeros(2, dtype=bool)
-    assert orbit_size(2, [swap, swap], 0, [both, plain]) == 4
+    assert orbit_sizes([swap, swap], 0, [both, plain])[1] == 4
     assert len(brute_signed_orbit([swap, swap], [both, plain], 0)) == 4
 
 
@@ -211,11 +207,10 @@ def test_signed_orbits_and_chain_equal_the_doubled_action(seed):
     signs = [rng.random(n_points) < 0.2 * (seed % 5) for _ in gens]
     plain = doubled(gens, signs)
     for p in range(n_points):
-        size = orbit_size(n_points, gens, p, signs)
-        assert size == orbit_size(2 * n_points, plain, p)
+        size = orbit_sizes(gens, p, signs)[1]
+        assert size == orbit_sizes(plain, p)[1]
         # one signed traversal also counts the unsigned orbit
-        assert orbit_sizes(n_points, gens, p, signs) \
-            == (orbit_size(n_points, gens, p), size)
+        assert orbit_sizes(gens, p, signs) == (orbit_sizes(gens, p)[1], size)
         assert size == len(brute_signed_orbit(gens, signs, p))
     # +p and -p are fixed together, so the least base on 2n points is the
     # least signed base +p: the two chains agree level by level
@@ -232,17 +227,17 @@ def test_signed_orbit_size_equals_the_vector_orbit_on_every_suffix(seed):
     keys = [int(sp.POW3[seed]), *rng.integers(1, sp.N_VECTORS, 2).tolist()]
     for k in range(sp.DIM):
         for key in keys:
-            want = orbit_size(sp.N_VECTORS, dense[k:], key)
+            want = orbit_sizes(dense[k:], key)[1]
             point = int(table.point_index[key])
-            assert orbit_size(sp.N_POINTS, perms[k:], point, signs[k:]) \
-                == want, (k, key)
+            assert orbit_sizes(perms[k:], point, signs[k:])[1] == want, \
+                (k, key)
     # transvection 10 alone moves alpha_9, which pairs with alpha_10, along
     # the 3-cycle alpha_9 - j alpha_10 that misses -alpha_9: no doubling
     alpha9 = int(sp.POW3[sp.DIM - 2])
-    res = orbit_bfs(sp.N_VECTORS, dense[-1:], alpha9)
+    res = orbit_bfs(dense[-1:], alpha9)
     assert res.size == 3 and res.depth[2 * alpha9] == -1    # key of -alpha_9
     point = int(table.point_index[alpha9])
-    assert orbit_size(sp.N_POINTS, perms[-1:], point, signs[-1:]) == 3
+    assert orbit_sizes(perms[-1:], point, signs[-1:])[1] == 3
 
 
 def assert_pair_identity(gens, root):
@@ -251,7 +246,7 @@ def assert_pair_identity(gens, root):
     the root to one point, and its element rhs^-1 lhs fixes exactly the
     points that both words send to the same point."""
     n = gens[0].size
-    tree = orbit_bfs(n, gens, root)
+    tree = orbit_bfs(gens, root)
     for p in tree.order:
         word = word_from_root(tree, p)
         u = np.arange(n)
@@ -379,12 +374,12 @@ def test_kernels_are_dtype_blind(case):
     gens, signs, seed, word = case
     n = gens[0].size
     wide, narrow = ([g.astype(t) for g in gens] for t in (np.int64, np.int32))
-    for a, b in zip(astuple(orbit_bfs(n, wide, seed)),
-                    astuple(orbit_bfs(n, narrow, seed))):
+    for a, b in zip(astuple(orbit_bfs(wide, seed)),
+                    astuple(orbit_bfs(narrow, seed))):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert orbit_size(n, wide, seed) == orbit_size(n, narrow, seed)
-    assert orbit_size(n, wide, seed, signs) \
-        == orbit_size(n, narrow, seed, signs)
+    assert orbit_sizes(wide, seed)[1] == orbit_sizes(narrow, seed)[1]
+    assert orbit_sizes(wide, seed, signs)[1] \
+        == orbit_sizes(narrow, seed, signs)[1]
     for points in (np.arange(n), seed):
         assert np.array_equal(apply_word(points, word, wide),
                               apply_word(points, word, narrow))
