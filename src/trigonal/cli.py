@@ -360,7 +360,9 @@ def check_sp10_order(ctx: Context):
 def _h_variant_holds() -> bool:
     """Whether NOTE_H_VARIANT states `confluence_labels` on the non-constant
     (a, a, b, c, ..., c): H at slot 0 exactly where t0 = t1 != t2 = ... =
-    t11, which product one makes the variant's t0 = t1, t3 = ... = t11."""
+    t11, which product one makes the variant's t0 = t1, t3 = ... = t11.
+    The rows are non-constant rows of letters, so the raw ones are those
+    with product one."""
     abc = f3.all_rows(3)
     rows = np.repeat(abc[abc.min(axis=1) < abc.max(axis=1)],
                      [2, 1, mo.TUPLE_LEN - 3], axis=1)
@@ -368,8 +370,8 @@ def _h_variant_holds() -> bool:
     t0, t1, t2, t3 = rows[:, :4].T
     variant = (t0 == t1) & (rows[:, 3:] == t3[:, None]).all(axis=1)
     stated = variant & (t1 != t2) & (t2 == t3)
-    return bool((h == stated).all()
-                and (h == variant)[mo.product_is_one(rows)].all())
+    raw = [mo.broken_rules(row) < 0 for row in rows.tolist()]
+    return bool((h == stated).all() and (h == variant)[raw].all())
 
 
 def check_discrepancy_notes(ctx: Context):

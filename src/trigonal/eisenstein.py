@@ -22,7 +22,8 @@ class EisensteinInt:
     """The Eisenstein integer a + b*tau, with tau^2 = tau - 1.
 
     Instances are immutable value objects: they hash, compare by value with
-    each other and support +, -, * against each other and against plain ints.
+    each other, negate, and support + and * against each other and against
+    plain ints.
     """
 
     a: int
@@ -37,18 +38,6 @@ class EisensteinInt:
         return EisensteinInt(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return EisensteinInt(other.a - self.a, other.b - self.b)
 
     def __neg__(self):
         return EisensteinInt(-self.a, -self.b)

@@ -115,12 +115,6 @@ def transversal_raw_count(keys, negated) -> int:
     return marked
 
 
-def product_is_one(codes) -> np.ndarray:
-    """Whether t_11 * ... * t_0 is the identity for each row: the alternating
-    sum t_0 - t_1 + t_2 - ... - t_11 is 0 mod 3."""
-    return np.atleast_2d(np.asarray(codes, dtype=np.int8)) @ _SIGNS % 3 == 0
-
-
 #: the tuple rule, in the order it is applied; a raw 12-tuple breaks none
 TUPLE_RULES = (
     "transposition codes must lie in {0, 1, 2}",
@@ -128,9 +122,6 @@ TUPLE_RULES = (
     f"the ordered product of the {TUPLE_LEN} transpositions is not the "
     "identity")
 
-#: the first broken rule, -1 for none, by the bits (letters broken,
-#: constant, product broken) read as 4, 2, 1: the earlier rule wins
-_FIRST_BROKEN = [-1, 2, 1, 1, 0, 0, 0, 0]
 _LETTERS = frozenset(range(3))
 
 
@@ -141,11 +132,13 @@ def broken_rules(codes) -> int:
     A letter is a value equal to 0, 1 or 2, so a float, a huge int or NaN
     breaks the first rule without a cast; the sums run only on letters."""
     seen = set(codes)
-    letters_broken = not seen <= _LETTERS
-    product_broken = (not letters_broken
-                      and (sum(codes[::2]) - sum(codes[1::2])) % 3 != 0)
-    return _FIRST_BROKEN[4 * letters_broken + 2 * (len(seen) == 1)
-                         + product_broken]
+    if not seen <= _LETTERS:
+        return 0
+    if len(seen) == 1:
+        return 1
+    if (sum(codes[::2]) - sum(codes[1::2])) % 3:
+        return 2
+    return -1
 
 
 class ClassTable:

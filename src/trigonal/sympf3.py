@@ -194,24 +194,14 @@ def get_table() -> ProjectiveTable:
 
 # -- classification ------------------------------------------------------------
 
-def _label_codes(s: np.ndarray, is_ell) -> np.ndarray:
-    """The rule, coded 0=H, 1=RM, 2=SG, for whole tables: H for the line
-    ell itself (`is_ell`, a mask or an index), otherwise RM when
-    symp(v, ell) = 0 (`s`), otherwise SG.  `line_labels` is its one-row
-    form."""
-    out = np.int8(1) + (s != 0)
-    out[is_ell] = 0
-    return out
-
-
 #: the columns of SYMP_GRAM as Python lists, for the one-row form
 _SYMP_COLUMNS = SYMP_GRAM.T.tolist()
 
 
 def line_labels(v: list, ell: list) -> int:
-    """The label code of `_label_codes` for one nonzero vector v relative
-    to one line [ell], lists of DIM ints 0..2, without numpy: SG when
-    symp(v, ell) = v . (SYMP_GRAM ell) is nonzero mod 3, otherwise H when
+    """The label code of `line_class_vector` for one nonzero vector v
+    relative to one line [ell], lists of DIM ints 0..2, without numpy: SG
+    when symp(v, ell) = v . (SYMP_GRAM ell) is nonzero mod 3, otherwise H when
     v = ell or v = 2 ell = -ell, otherwise RM.  The form is alternating,
     so the line ell has symp 0 with itself, and testing symp first gives
     the same labels.  Only the columns of SYMP_GRAM where ell is nonzero
@@ -233,12 +223,16 @@ def classify_line(m_idx: int, ell_idx: int) -> str:
 
 
 def line_class_vector(ell_idx: int) -> np.ndarray:
-    """Classes of every point relative to ell, coded 0=H, 1=RM, 2=SG.
+    """Classes of every point relative to ell, coded 0=H, 1=RM, 2=SG: H
+    for the line ell itself, otherwise RM when symp(v, ell) = 0, otherwise
+    SG.  `line_labels` is its one-row form.
 
     The rows of the table's `reps` are canonical and row ell_idx is ell, so
     the only H is the index itself."""
     table = get_table()
-    return _label_codes(symp_with(table.reps, table.reps[ell_idx]), ell_idx)
+    labels = np.int8(1) + (symp_with(table.reps, table.reps[ell_idx]) != 0)
+    labels[ell_idx] = 0
+    return labels
 
 
 def label_counts(labels) -> dict:

@@ -4,9 +4,10 @@ The commands run in-process through `cli.main(argv)`.  The tests that need
 a fresh interpreter start one through `fresh_python`: the no-tables test of
 `verify lattice` and `classify --cross-check`, which needs empty table
 caches, the runs of the whole program at ranks 4, 6 and 8, which set the rank
-before the package reads it, the test that an odd rank or one below 4 is
-refused at import, the tests that `verify all` and `export
-bijection` build only the base class tree, the test that
+before the package reads it, the naive closure of the rank-4 symplectic
+group, the test that an odd rank or one below 4 is refused at import, the
+tests that `verify all` and `export bijection` build only the base class
+tree, the test that
 `verify` and the exports leave `numpy.ma` unimported, the tests that
 `trigonal.monodromy` imports nothing from the point side and
 `trigonal.f3` nothing from the package, the call survey of the commands
@@ -14,7 +15,8 @@ bijection` build only the base class tree, the test that
 `python -m trigonal.cli` entry point and of the heap freeze that only it
 makes, the test that the benchmark's in-process runner still finds every
 package name it reaches, and the test that its traced replays run to an
-"ok" oracle status.
+"ok" oracle status.  One test runs pytest itself in a subprocess, on a
+failing hypothesis test under this repo's ini options.
 """
 
 import contextlib
@@ -323,6 +325,37 @@ def test_mod_theta_row_names_a_rank_failure(monkeypatch):
     assert observed["rank"] == cli.f3.RANK - 1
 
 
+def _basis_vector_20_equal_to_19(gram):
+    m = np.identity(20, dtype=np.int64)
+    m[19] = m[18]
+    return (m @ np.array(gram) @ m.T).tolist()
+
+
+def _hyperbolic_planes(gram):
+    return np.kron(np.identity(10, dtype=np.int64), [[0, 1], [1, 0]]).tolist()
+
+
+@pytest.mark.parametrize("degenerate, abs_det, signature", [
+    # a radical direction: the last trailing row is zero and drops out
+    (_basis_vector_20_equal_to_19, 0, [17, 2]),
+    # U^10, unimodular with every diagonal entry 0: no swap can repair a
+    # zero pivot, so each one takes e_k += e_o
+    (_hyperbolic_planes, 1, [10, 10]),
+], ids=["singular", "zero_diagonal"])
+def test_the_realification_row_reports_a_degenerate_gram(
+        monkeypatch, degenerate, abs_det, signature):
+    # the chain Gram's diagonal is 2, so neither repair of a zero pivot in
+    # `_det_and_signature` runs on it; they decide what the row reports
+    # when the Gram is degenerate, and the row fails without raising
+    gram = degenerate(cli.la.realified_gram())
+    monkeypatch.setattr(cli.la, "realified_gram", lambda: gram)
+    ok, observed, expected, _ = cli.check_realification(cli.Context(0, False))
+    assert not ok
+    assert observed == {"is_even": True, "abs_det": abs_det,
+                        "signature": signature}
+    assert expected == {"is_even": True, "abs_det": 1, "signature": [18, 2]}
+
+
 def test_a_failed_bijection_build_runs_once_per_verify(monkeypatch, tmp_path):
     calls = []
 
@@ -511,6 +544,36 @@ def test_benchmark_replays_run_to_ok(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+#: a failing `@given` test, then a passing one
+HYPOTHESIS_FAILURE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_given_test_does_not_end_the_session(tmp_path):
+    # hypothesis reports a failure through a module whose imports warn;
+    # under `filterwarnings = error` that warning must not turn into an
+    # INTERNALERROR that stops the run before the next test.  The run uses
+    # this repo's ini options, in tmp_path, which keeps `.hypothesis/`
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "pyproject.toml").write_text(
+        (root / "pyproject.toml").read_text())
+    (tmp_path / "test_given.py").write_text(HYPOTHESIS_FAILURE)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "test_given.py"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+
+
 #: per rank below 10: the base pair at alpha_2 + alpha_4 + ..., and the
 #: SHA-256 of `export bijection`
 SMALL_RANKS = {
@@ -568,6 +631,44 @@ def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
     # the closed form's matrix P is derived from the rank: its points are
     # the searched bijection's at this rank too
     assert run["point_vectors_span_backward"]
+
+
+#: fresh-interpreter closure at rank 4, set as `AT_RANK` sets a rank: the
+#: signed transvections as permutations of the 80 signed points, +p -> p
+#: and -p -> p + 40, multiplied out breadth first with no stabilizer chain
+RANK_4_CLOSURE = """
+import json
+import numpy as np
+import trigonal.f3
+trigonal.f3.RANK = 4
+import trigonal.cli as cli
+from trigonal import sympf3 as sp
+from trigonal.schreier import bsgs_order
+perms, signs = sp.get_table().transvections()
+n = sp.N_POINTS
+# +p goes to +q, or to -q where the sign is set, and -p to the other one
+plus = perms + n * signs
+gens = np.hstack((plus, (plus + n) % (2 * n))).astype(np.uint8)
+identity = np.arange(2 * n, dtype=np.uint8)
+elements = {identity.tobytes()}
+frontier = [identity]
+while frontier:
+    found = []
+    for row in np.concatenate([g[np.array(frontier)] for g in gens]):
+        if row.tobytes() not in elements:
+            elements.add(row.tobytes())
+            found.append(row)
+    frontier = found
+order, certified, _ = bsgs_order(perms, cli.SP10_ORDER, signs)
+print(json.dumps([len(elements), cli.SP10_ORDER, order, bool(certified)]))
+"""
+
+
+def test_the_rank_4_group_order_equals_a_naive_closure():
+    # |Sp_4(F_3)| = 3^4 (3^2 - 1)(3^4 - 1) = 51840, reached three ways
+    proc = fresh_python("-c", RANK_4_CLOSURE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [51840, 51840, 51840, True]
 
 
 def test_an_odd_rank_or_one_below_4_is_refused_at_import():
@@ -696,10 +797,6 @@ def test_lattice_imports_no_permutation_layer():
 UNCALLED = {
     "cli._cannot_write": "the error line of an unwritable output",
     "cli.console_main": "the process entry point around `main`",
-    "eisenstein.EisensteinInt.__sub__":
-        "ring arithmetic, with + and *, that the tests' ring axioms read",
-    "eisenstein.EisensteinInt.__rsub__":
-        "ring arithmetic, with + and *, that the tests' ring axioms read",
     "lattice.compose": "perfbench's micro-probe only (ROADMAP item 14)",
     "lattice.triflection":
         "perfbench's span and micro-probe only (ROADMAP item 14)",
