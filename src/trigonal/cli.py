@@ -20,6 +20,9 @@ which is the only field that varies between identical runs.
 
 `main` builds its argument parser once per process, on its first call and
 not at import, so in-process callers pay only for parsing and the command.
+This module imports only the standard library and `rules`, the one-row
+rules in pure Python, so `classify` and `--help` load no numpy and no table
+module; `verify` and `export` load them through `_load_tables`.
 """
 
 from __future__ import annotations
@@ -34,20 +37,50 @@ import sys
 import time
 from random import Random
 
-import numpy as np
+from . import __version__, rules
 
-from . import __version__
-from . import correspondence as co
-from . import f3
-from . import lattice as la
-from . import monodromy as mo
-from . import sympf3 as sp
-from .eisenstein import THETA, EisensteinInt, divides
-from .schreier import bsgs_order, orbit_sizes
 
-#: order of Sp_2m(F_3) = 3^(m^2) * prod_{k=1..m} (3^2k - 1), with 2m = sp.DIM
-SP10_ORDER = 3 ** ((sp.DIM // 2) ** 2) * math.prod(
-    3 ** (2 * k) - 1 for k in range(1, sp.DIM // 2 + 1))
+@functools.cache
+def _load_tables() -> None:
+    """Bind numpy, the table modules and the two schreier kernels as globals
+    of this module, once: `classify` and `--help` need none of them, so
+    `import trigonal.cli` loads no numpy.  A second call binds nothing, so
+    a name replaced after the first one (perfbench wraps `bsgs_order` and
+    replaces `CHECKS` before its first `verify`) stays replaced.
+
+    `Context` and `cmd_export` call this, and `__getattr__` does for a
+    reader from outside, such as `cli.mo`.  A helper that reads these
+    names, such as `_h_variant_holds`, raises NameError when it is called
+    before any of them."""
+    global np, co, f3, la, mo, sp
+    global THETA, EisensteinInt, divides, bsgs_order, orbit_sizes
+    import numpy as np
+
+    from . import correspondence as co
+    from . import f3
+    from . import lattice as la
+    from . import monodromy as mo
+    from . import sympf3 as sp
+    from .eisenstein import THETA, EisensteinInt, divides
+    from .schreier import bsgs_order, orbit_sizes
+
+
+def __getattr__(name: str):
+    """A name that `_load_tables` binds, read from outside (PEP 562): the
+    first such read loads the tables' modules.  Any name missing from the
+    module comes here, so a probe such as `issubclass(cli, ...)`, which
+    pytest's collection makes on a test module's globals, loads them too."""
+    _load_tables()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}") from None
+
+
+#: order of Sp_2m(F_3) = 3^(m^2) * prod_{k=1..m} (3^2k - 1), with 2m = DIM
+SP10_ORDER = 3 ** ((rules.DIM // 2) ** 2) * math.prod(
+    3 ** (2 * k) - 1 for k in range(1, rules.DIM // 2 + 1))
 
 CONVENTIONS = {
     "eisenstein": "tau^2 = tau - 1; an Eisenstein integer a + b*tau is "
@@ -68,9 +101,10 @@ CONVENTIONS = {
 }
 
 
-def _index_note_sizes() -> list[tuple[int, int]]:
+def _index_note_sizes(n_classes: int) -> list[tuple[int, int]]:
     """NOTE_INDEX's (e, (3^e-1)/2): class orbit size, hyperplane points."""
-    return [(sp.DIM, mo.N_CLASSES), (sp.DIM - 1, (3 ** (sp.DIM - 1) - 1) // 2)]
+    return [(rules.DIM, n_classes),
+            (rules.DIM - 1, (3 ** (rules.DIM - 1) - 1) // 2)]
 
 
 NOTE_INDEX = (
@@ -78,7 +112,8 @@ NOTE_INDEX = (
     "equals the orbit size (3^{}-1)/2 = {}; the alternative value "
     "(3^{}-1)/2 = {} equals the number of points on a perpendicular "
     "hyperplane, not the index, and the computed orbit size is the one "
-    "reported.").format(*[x for size in _index_note_sizes() for x in size])
+    "reported.").format(*[x for size in _index_note_sizes(
+        (3 ** rules.DIM - 1) // 2) for x in size])
 NOTE_H_VARIANT = (
     "informational: the degenerate H configuration is implemented as "
     "t0 = t1 != t2 = ... = t11 (constant run starting at slot 2); a variant "
@@ -89,7 +124,8 @@ NOTE_LABEL_PAIRING = (
     "up to exchanging RM and SG on the line side; per slot, the {SG} "
     "distinct-pair classes match the {SG} non-perpendicular lines and the "
     "{RM} non-degenerate equal-pair classes match the {RM} perpendicular "
-    "lines (see the orbit_trichotomy check).").format(**sp.LINE_CLASS_COUNTS)
+    "lines (see the orbit_trichotomy check).").format(
+        **rules.LINE_CLASS_COUNTS)
 
 REPORT_NOTES = [NOTE_INDEX, NOTE_H_VARIANT, NOTE_LABEL_PAIRING]
 
@@ -110,6 +146,7 @@ class Context:
     a build that raises is not retried, and raises again for each check."""
 
     def __init__(self, seed: int, optional: bool):
+        _load_tables()
         self.seed = seed
         self.optional = optional
         self._corr: co.Correspondence | Exception | None = None
@@ -377,7 +414,7 @@ def _h_variant_holds() -> bool:
 def check_discrepancy_notes(ctx: Context):
     index_ok = NOTE_INDEX in REPORT_NOTES and all(
         f"(3^{e}-1)/2 = {v}" in NOTE_INDEX and v == (3 ** e - 1) // 2
-        for e, v in _index_note_sizes())
+        for e, v in _index_note_sizes(mo.N_CLASSES))
     h_variant_ok = NOTE_H_VARIANT in REPORT_NOTES and _h_variant_holds()
     observed = {"index_note_present": index_ok,
                 "h_variant_note_present": h_variant_ok}
@@ -605,6 +642,7 @@ def cmd_export(args) -> int:
     out = _open_out(args.out)
     if out is None:
         return 2
+    _load_tables()
     if args.what == "gram":
         chunks = [_json_bytes(
             {"gram": [[c.to_json() for c in row] for row in la.GRAM]})]
@@ -623,26 +661,26 @@ def cmd_export(args) -> int:
 
 #: row i - 1 is alpha_i, the basis vector of the line a cross-check reads,
 #: as Python lists for the one-row label
-_BASIS = np.identity(sp.DIM, dtype=int).tolist()
+_BASIS = [[int(i == j) for j in range(rules.DIM)] for i in range(rules.DIM)]
 
 
 def cmd_classify(args) -> int:
     try:
-        codes = mo.parse_tuple_string(args.tuple)
-        lines = [mo.classify_confluence_codes(codes, args.position)]
+        codes = rules.parse_tuple_string(args.tuple)
+        lines = [rules.classify_confluence_codes(codes, args.position)]
     except (ValueError, IndexError) as exc:     # bad tuple or bad slot
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.cross_check and not 1 <= args.position <= sp.DIM:
+    if args.cross_check and not 1 <= args.position <= rules.DIM:
         lines.append("cross-check: unavailable at slots 0 and "
-                     f"{mo.TUPLE_LEN - 1} (no generator acts there)")
+                     f"{rules.TUPLE_LEN - 1} (no generator acts there)")
     elif args.cross_check:
         # the trichotomy is symmetric, so the label of [alpha_i] relative to
         # the tuple's point is that of the point relative to [alpha_i], the
         # orientation of the cross-validation
-        label = sp.line_labels(co.point_vectors(codes),
-                               _BASIS[args.position - 1])
-        lines.append(f"cross-check (line side): {sp.LINE_CLASSES[label]}")
+        label = rules.line_labels(rules.point_vectors(codes),
+                                  _BASIS[args.position - 1])
+        lines.append(f"cross-check (line side): {rules.LINE_CLASSES[label]}")
     text = "".join(f"{line}\n" for line in lines)
     return _write(contextlib.nullcontext(sys.stdout), [text])
 
@@ -676,13 +714,14 @@ def _parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify",
                                 help="confluence class of a tuple at a slot")
     p_classify.add_argument("tuple",
-                            help=f"{mo.TUPLE_LEN} characters over {{0,1,2}}")
+                            help=f"{rules.TUPLE_LEN} characters over "
+                                 "{0,1,2}")
     p_classify.add_argument("position", type=int,
-                            help=f"slot pair 0..{mo.TUPLE_LEN - 1}")
+                            help=f"slot pair 0..{rules.TUPLE_LEN - 1}")
     p_classify.add_argument("--cross-check", action="store_true",
                             help="also report the line-side label of the "
                                  "tuple's point, from the closed form of the "
-                                 f"bijection (slots 1..{sp.DIM}; builds no "
+                                 f"bijection (slots 1..{rules.DIM}; builds no "
                                  "table)")
     p_classify.set_defaults(fn=cmd_classify)
     return parser
@@ -698,9 +737,10 @@ def console_main() -> int:
     script.  Runs `main`, whose command has written, flushed and closed its
     output when it returns, then moves every tracked object to the
     collector's permanent generation, so that interpreter shutdown skips
-    full collections of the tables and of numpy's objects, which nothing
-    reads any more.  `main` itself never freezes, so in-process callers
-    keep a normal collector."""
+    full collections of what the command loaded, which nothing reads any
+    more: after `verify` or `export` the tables and numpy's objects (a
+    `classify` loads neither).  `main` itself never freezes, so in-process
+    callers keep a normal collector."""
     code = main()
     gc.freeze()
     return code

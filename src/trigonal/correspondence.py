@@ -24,18 +24,18 @@ which makes the label pairing between the two trichotomies explicit.
 
 The searched bijection also has a closed form, v = t P mod 3, which the
 tests certify equal to the searched `backward` on every class;
-`point_vectors` is its one-row form.
+`point_vectors`, stated in `rules` without numpy, is its one-row form.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import monodromy as mo
 from . import sympf3 as sp
+from .rules import P_COLUMNS, point_vectors
 from .schreier import (apply_word, inverse_permutation,
                        schreier_generator_words)
 
@@ -177,39 +177,12 @@ def build_bijection() -> Correspondence:
     )
 
 
-def _closed_form_matrix() -> np.ndarray:
-    """P = D S, the (TUPLE_LEN, DIM) int8 matrix of the closed form: D sends
-    a code row t to (d_1, ..., d_DIM), d_k = t_k - t_{k-1}, and column i of S
-    sums d_k over k <= i, k = i (mod 2).  Its entries are 0 and +-1, at most
-    DIM / 2 of each sign in a column, so a product with letters 0..2 stays
-    within +-DIM and int8 is exact."""
-    d = (np.eye(mo.TUPLE_LEN, sp.DIM, -1, dtype=np.int8)
-         - np.eye(mo.TUPLE_LEN, sp.DIM, dtype=np.int8))
-    k = np.arange(1, sp.DIM + 1)
-    s = ((k[:, None] <= k) & ((k - k[:, None]) % 2 == 0)).astype(np.int8)
-    return d @ s
-
-
-P = _closed_form_matrix()
-#: the columns of P as Python lists without their trailing zeros, for
-#: `point_vectors`, whose products stop at the shorter list
-_P_COLUMNS = [np.trim_zeros(column, "b").tolist() for column in P.T]
-
-
-def point_vectors(codes: list) -> list[int]:
-    """The closed form of forward^{-1} on one row of 12 letters, a list of
-    ints: the vector v = t P mod 3, as a list of 10 ints, without numpy.
-
-    v spans the point of the class of the row: v_i = sum of d_k over k <= i,
-    k = i (mod 2), with d_k = t_k - t_{k-1} mod 3, i.e. v_1 = d_1, v_2 = d_2
-    and v_i = d_i + v_{i-2}.  This map is F_3-linear; on a whole table it
-    is the product `codes @ P % 3`.  Any of the six relabelings of a row
-    gives the same point, so rows need not be canonical: every column of P
-    sums to 0, and a relabeling c -> +-c + a only changes the sign of v.
-    No table is built.
-    """
-    return [sum(map(operator.mul, codes, column)) % 3
-            for column in _P_COLUMNS]
+#: the (TUPLE_LEN, DIM) int8 matrix of the closed form, padded from
+#: `rules.P_COLUMNS`.  Its entries are 0 and +-1, at most DIM / 2 of each
+#: sign in a column, so a product with letters 0..2 stays within +-DIM and
+#: int8 is exact.
+P = np.array([column + [0] * (mo.TUPLE_LEN - len(column))
+              for column in P_COLUMNS], dtype=np.int8).T
 
 
 _LABEL_SWAP = np.array([0, 2, 1], dtype=np.int8)  # exchange RM and SG codes

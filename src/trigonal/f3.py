@@ -1,19 +1,9 @@
-"""F_3, the one encoding of lines that both tables share, and the rank.
+"""F_3, and the one encoding of lines that both tables share.
 
-RANK is the rank of the lattice, the dimension of its reduction mod theta,
-and the number of half-twist moves: the one statement of the rank.  The
-package supports even ranks from 4 up, and the modules that size their
-tables from RANK at import read it through `supported_rank`, which raises
-ValueError for any other.  At an odd rank the alternating form mod theta
-lives on an odd dimension, so it is degenerate (rank 8 at rank 9): there
-is no symplectic space to match the classes with, and the classes fail
-their transversal certificate.  Rank 2, a trigonal curve of genus
-rank/2 - 1 = 0, has no basis vector a_3, the minus-6 witness that the
-report pins, so its `minus6_certificates` row fails.  To run at another
-rank, set `trigonal.f3.RANK` before any other module of the package is
-imported.  The generators of both sides, the triflections and the
-transvections, are numbered 1..rank, and `generator_index` is the one rule
-that checks such a number.
+The rank lives in the package (`trigonal.RANK`), and the sizes derived from
+it in `rules`; this module reads neither.  The generators of both sides,
+the triflections and the transvections, are numbered 1..rank, and
+`generator_index` is the one rule that checks such a number.
 
 Both tables enumerate lines +-v of F_3^n by canonical rows, the one of v,
 -v whose first nonzero digit is 1: one block of keys per position of that
@@ -27,16 +17,6 @@ table's digit order is part of its export bytes.
 from __future__ import annotations
 
 import numpy as np
-
-RANK = 10
-
-
-def supported_rank() -> int:
-    """RANK, or ValueError for an odd rank or one below 4."""
-    if RANK % 2 or RANK < 4:
-        raise ValueError(f"rank {RANK} is not supported: the package "
-                         "supports even ranks from 4 up")
-    return RANK
 
 
 def generator_index(i, n: int) -> int:

@@ -69,9 +69,9 @@ from .eisenstein import (
     ZERO, ONE, TAU, TAU2, THETA,
     EisensteinInt, div_exact, divides,
 )
-from .f3 import generator_index, supported_rank
+from .f3 import generator_index
+from .rules import DIM as RANK
 
-RANK = supported_rank()
 Matrix = tuple  # 10x10 nested tuple of EisensteinInt, row major
 
 

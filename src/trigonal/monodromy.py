@@ -43,6 +43,10 @@ combinatorially:
     H  : t_i = t_{i+1} and the remaining ten entries generate a group of
          order 2 (the degenerate cover disconnects),
     SG : t_i = t_{i+1} and the remaining entries generate S_3.
+
+TUPLE_LEN and the one-row forms of the tuple rule and of this trichotomy,
+`broken_rules`, `parse_tuple_string` and `classify_confluence_codes`, are
+stated in `rules`, without numpy; this module builds the whole table.
 """
 
 from __future__ import annotations
@@ -51,16 +55,16 @@ import functools
 
 import numpy as np
 
-from .f3 import (digit_sums, key_digits, mod3, negated_keys, signed_index,
-                 supported_rank)
+from .f3 import digit_sums, key_digits, mod3, negated_keys, signed_index
+# the one-row rules live in `rules`, which needs no numpy; the names the
+# table does not use are kept here for its readers
+from .rules import (CONFLUENCE_CLASSES, TUPLE_LEN, TUPLE_RULES, broken_rules,
+                    check_slot, classify_confluence_codes, parse_tuple_string)
 from .schreier import OrbitResult, orbit_bfs
 
-TUPLE_LEN = supported_rank() + 2
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
 N_CLASSES = N_RAW // 6              # 29524
 N_MOVES = TUPLE_LEN - 2             # half-twists at slots (i, i+1), i = 1..10
-
-CONFLUENCE_CLASSES = ("H", "RM", "SG")
 
 _W12 = (3 ** np.arange(TUPLE_LEN - 1, -1, -1, dtype=np.int64))  # MSB first
 _SIGNS = np.resize(np.int8([1, -1]), TUPLE_LEN)  # product one: t @ _SIGNS = 0
@@ -113,32 +117,6 @@ def transversal_raw_count(keys, negated) -> int:
         raise ValueError(f"{relabelings} relabelings mark {marked} tuples, "
                          f"not the {N_RAW} raw tuples")
     return marked
-
-
-#: the tuple rule, in the order it is applied; a raw 12-tuple breaks none
-TUPLE_RULES = (
-    "transposition codes must lie in {0, 1, 2}",
-    "monodromy not surjective: a constant tuple generates a group of order 2",
-    f"the ordered product of the {TUPLE_LEN} transpositions is not the "
-    "identity")
-
-_LETTERS = frozenset(range(3))
-
-
-def broken_rules(codes) -> int:
-    """The index of the first of TUPLE_RULES that one row of TUPLE_LEN
-    letters, a list or tuple, breaks, or -1 for a raw tuple.
-
-    A letter is a value equal to 0, 1 or 2, so a float, a huge int or NaN
-    breaks the first rule without a cast; the sums run only on letters."""
-    seen = set(codes)
-    if not seen <= _LETTERS:
-        return 0
-    if len(seen) == 1:
-        return 1
-    if (sum(codes[::2]) - sum(codes[1::2])) % 3:
-        return 2
-    return -1
 
 
 class ClassTable:
@@ -230,32 +208,9 @@ def code_strings(codes) -> list[str]:
     return [text[k:k + TUPLE_LEN] for k in range(0, len(text), TUPLE_LEN)]
 
 
-def parse_tuple_string(s: str) -> list[int]:
-    """Decode a 12-character code string over {0, 1, 2} that is raw, as a
-    list of ints.
-
-    The letters are the string's UTF-8 bytes less ord("0"): any other
-    character is a byte outside 0..2, or more than one byte.  A lone
-    surrogate, which argv can hold, is encoded as "?"."""
-    zero = ord("0")
-    codes = [c - zero for c in s.encode(errors="replace")]
-    broken = broken_rules(codes) if len(codes) == TUPLE_LEN else 0
-    if broken == 0:
-        raise ValueError(f"a monodromy tuple is {TUPLE_LEN} characters "
-                         "over {0,1,2}")
-    if broken > 0:
-        raise ValueError(TUPLE_RULES[broken])
-    return codes
-
-
 #: row pos masks the ten slots other than pos and pos + 1 mod 12
 _OTHER_SLOTS = ~(np.identity(TUPLE_LEN, dtype=bool)
                  | np.roll(np.identity(TUPLE_LEN, dtype=bool), 1, axis=1))
-
-
-def _check_slot(pos: int) -> None:
-    if not 0 <= pos < TUPLE_LEN:
-        raise IndexError(f"position must be in 0..{TUPLE_LEN - 1}, got {pos!r}")
 
 
 def confluence_labels(codes, pos: int) -> np.ndarray:
@@ -266,22 +221,12 @@ def confluence_labels(codes, pos: int) -> np.ndarray:
     otherwise H when the other ten letters are all equal, otherwise SG.
     `classify_confluence_codes` is its one-row form.
     """
-    _check_slot(pos)
+    check_slot(pos)
     codes = np.atleast_2d(codes)
     rest = codes[:, _OTHER_SLOTS[pos]]
     return np.where(codes[:, pos] != codes[:, (pos + 1) % TUPLE_LEN],
                     np.int8(1), np.where((rest == rest[:, :1]).all(axis=1),
                                          np.int8(0), np.int8(2)))
-
-
-def classify_confluence_codes(codes, pos: int) -> str:
-    """The label of `confluence_labels` for one row of 12 letters, without
-    numpy: the row rotated by pos starts with the collapsed pair."""
-    _check_slot(pos)
-    rotated = [*codes[pos:], *codes[:pos]]
-    if rotated[0] != rotated[1]:
-        return CONFLUENCE_CLASSES[1]
-    return CONFLUENCE_CLASSES[0 if len(set(rotated[2:])) == 1 else 2]
 
 
 def alternating_tuple(length: int) -> str:

@@ -18,13 +18,15 @@ Lines are classified relative to a fixed line ell as
     H  : the line is ell itself,
     RM : orthogonal to ell but different from it,
     SG : not orthogonal to ell,
-giving counts {H: 1, RM: (3^9-1)/2 - 1 = 9840, SG: 3^9 = 19683}.
+giving counts {H: 1, RM: (3^9-1)/2 - 1 = 9840, SG: 3^9 = 19683}.  The
+counts and the one-row form `line_labels` are stated in `rules`, without
+numpy, with the columns of the chain's form, which the tests pin to
+SYMP_GRAM; this module builds the whole tables.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from . import lattice
 from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
 from .f3 import (all_rows, generator_index, key_digits, mod3, negated_keys,
                  signed_index)
+from .rules import LINE_CLASS_COUNTS, LINE_CLASSES, line_labels
 from .schreier import orbit_bfs, orbit_sizes
 
 DIM = lattice.RANK
@@ -39,13 +42,6 @@ N_VECTORS = 3 ** DIM            # 59049, including zero
 N_POINTS = (3 ** DIM - 1) // 2  # 29524
 
 POW3 = (3 ** np.arange(DIM, dtype=np.int64))  # coordinate 0 least significant
-
-LINE_CLASSES = ("H", "RM", "SG")
-#: the lines of each class relative to a fixed line ell: ell-perp is a
-#: hyperplane of 3^(DIM-1) vectors, RM is its lines other than ell, and SG
-#: the 3^(DIM-1) points off it
-LINE_CLASS_COUNTS = {"H": 1, "RM": (3 ** (DIM - 1) - 1) // 2 - 1,
-                     "SG": 3 ** (DIM - 1)}
 
 
 def reduction_matrix() -> np.ndarray:
@@ -193,27 +189,6 @@ def get_table() -> ProjectiveTable:
 
 
 # -- classification ------------------------------------------------------------
-
-#: the columns of SYMP_GRAM as Python lists, for the one-row form
-_SYMP_COLUMNS = SYMP_GRAM.T.tolist()
-
-
-def line_labels(v: list, ell: list) -> int:
-    """The label code of `line_class_vector` for one nonzero vector v
-    relative to one line [ell], lists of DIM ints 0..2, without numpy: SG
-    when symp(v, ell) = v . (SYMP_GRAM ell) is nonzero mod 3, otherwise H when
-    v = ell or v = 2 ell = -ell, otherwise RM.  The form is alternating,
-    so the line ell has symp 0 with itself, and testing symp first gives
-    the same labels.  Only the columns of SYMP_GRAM where ell is nonzero
-    are read."""
-    symp = 0
-    for e, column in zip(ell, _SYMP_COLUMNS):
-        if e:
-            symp += e * sum(map(operator.mul, v, column))
-    if symp % 3:
-        return 2
-    return 0 if v == ell or v == [2 * e % 3 for e in ell] else 1
-
 
 def classify_line(m_idx: int, ell_idx: int) -> str:
     """Class of the line m relative to the fixed line ell: H, RM or SG."""

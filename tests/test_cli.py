@@ -7,7 +7,11 @@ caches, the runs of the whole program at ranks 4, 6 and 8, which set the rank
 before the package reads it, the naive closure of the rank-4 symplectic
 group, the test that an odd rank or one below 4 is refused at import, the
 tests that `verify all` and `export bijection` build only the base class
-tree, the test that
+tree, the tests that `import trigonal.cli`, `classify` and `--help` import
+no numpy and no table module and that `import trigonal.rules` imports
+nothing else, the tests of the table readers that may come first in a
+process and of the `verify` report and the DOT export under two hash
+seeds, the test that
 `verify` and the exports leave `numpy.ma` unimported, the tests that
 `trigonal.monodromy` imports nothing from the point side and
 `trigonal.f3` nothing from the package, the call survey of the commands
@@ -69,14 +73,15 @@ REPORT_SHA256 = {
 REPORT_VERSION = "0.1.0"
 
 
-def fresh_python(*args: str) -> subprocess.CompletedProcess:
-    """`python ARGS` in a fresh interpreter that imports this `trigonal`.
+def fresh_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter that imports this `trigonal`,
+    with the environment variables `env` set on top of this one's.
 
     PYTHONPATH is set from the location of the imported package, so the
     child runs the same code whether or not the variable is set outside.
     """
     src = str(Path(trigonal.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env)
@@ -319,10 +324,10 @@ def test_integral_entries_go_red_on_a_gram_entry_theta_does_not_divide(
 
 
 def test_mod_theta_row_names_a_rank_failure(monkeypatch):
-    monkeypatch.setattr(cli.f3, "rank", lambda m: cli.f3.RANK - 1)
+    monkeypatch.setattr(cli.f3, "rank", lambda m: trigonal.RANK - 1)
     ok, observed, _, details = cli.check_mod_theta(cli.Context(0, False))
     assert not ok and details == {"first_failure": "rank"}
-    assert observed["rank"] == cli.f3.RANK - 1
+    assert observed["rank"] == trigonal.RANK - 1
 
 
 def _basis_vector_20_equal_to_19(gram):
@@ -488,6 +493,118 @@ def test_verify_lattice_and_classify_cross_check_build_no_tables():
     assert proc.stdout == "RM\ncross-check (line side): SG\n"
 
 
+def imported_trigonal_and_numpy(importtime_stderr: str) -> set[str]:
+    """The modules of this package and of numpy that `python -X importtime`
+    reported importing."""
+    names = {line.rsplit("|", 1)[-1].strip()
+             for line in importtime_stderr.splitlines()
+             if line.startswith("import time:")}
+    return {n for n in names if n.split(".")[0] in ("trigonal", "numpy")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import trigonal.cli"],
+    ["-m", "trigonal.cli", "classify", "001111111111", "1", "--cross-check"],
+    ["-m", "trigonal.cli", "--help"],
+    ["-m", "trigonal.cli", "classify", "--help"],
+])
+def test_classify_and_help_import_no_numpy_and_no_table_module(argv):
+    # the one-row rules live in `rules`, and `cli` loads numpy and the
+    # table modules only for `verify` and `export`
+    proc = fresh_python("-X", "importtime", *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = imported_trigonal_and_numpy(proc.stderr)
+    # under -m, cli.py runs as __main__, which importtime does not list
+    assert "trigonal.rules" in loaded
+    assert loaded <= {"trigonal", "trigonal.cli", "trigonal.rules"}
+    if "classify" in argv and "--help" not in argv:
+        assert proc.stdout == "RM\ncross-check (line side): SG\n"
+
+
+def test_the_rules_import_nothing_else():
+    code = (
+        "import sys\n"
+        "import trigonal.rules\n"
+        "loaded = {m for m in sys.modules if m.split('.')[0] in "
+        "('trigonal', 'numpy')}\n"
+        "assert loaded == {'trigonal', 'trigonal.rules'}, sorted(loaded)\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("first", [
+    "rows = cli.run_checks('lattice', 0, False)\n"
+    "assert all(r['status'] == 'pass' for r in rows), rows\n",
+    "ctx = cli.Context(0, False)\n"
+    "assert cli.check_r_count(ctx)[0] and cli.check_discrepancy_notes(ctx)[0]\n",
+    "assert cli.main(['export', 'gram', '--out', sys.argv[1]]) == 0\n",
+])
+def test_a_table_reader_works_as_the_first_call(first, tmp_path):
+    # each of them loads the table modules that `import trigonal.cli`
+    # leaves out
+    out = tmp_path / "gram.json"
+    proc = fresh_python("-c", "import sys\nimport trigonal.cli as cli\n"
+                        + first, str(out))
+    assert proc.returncode == 0, proc.stderr
+    if out.exists():
+        assert hashlib.sha256(out.read_bytes()).hexdigest() \
+            == EXPORT_SHA256[("gram",)]
+
+
+def test_a_classify_before_verify_leaves_its_report_the_same(tmp_path):
+    reports = []
+    for prelude in ("", "assert cli.main(['classify', '001111111111', '1', "
+                        "'--cross-check']) == 0\n"):
+        out = tmp_path / f"report{len(reports)}.json"
+        proc = fresh_python("-c", "import sys\nimport trigonal.cli as cli\n"
+                            + prelude + "assert cli.main(['verify', "
+                            "'monodromy', '--out', sys.argv[1]]) == 0\n",
+                            str(out))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        for c in report["checks"]:
+            del c["runtime_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert [c["status"] for c in reports[0]["checks"]] == ["pass"] * 3
+
+
+def test_a_replaced_bsgs_order_is_the_one_the_order_row_calls(tmp_path):
+    # perfbench's idiom: read the name, then replace it, before the first
+    # `verify`; the load that `verify` makes must not bind it again
+    code = (
+        "import sys\n"
+        "import trigonal.cli as cli\n"
+        "calls = []\n"
+        "real = cli.bsgs_order\n"
+        "def counted(*args):\n"
+        "    calls.append(len(args))\n"
+        "    return real(*args)\n"
+        "cli.bsgs_order = counted\n"
+        "assert cli.main(['verify', 'symplectic', '--optional', '--out', "
+        "sys.argv[1]]) == 0\n"
+        "assert calls == [3], calls\n"
+    )
+    proc = fresh_python("-c", code, str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_the_report_and_the_dot_export_do_not_depend_on_the_hash_seed(
+        hash_seed, tmp_path):
+    out = tmp_path / "out"
+    proc = fresh_python("-m", "trigonal.cli", "verify", "all", "--out",
+                        str(out), PYTHONHASHSEED=hash_seed)
+    assert proc.returncode == 1, proc.stderr
+    assert report_digest(json.loads(out.read_text())) == REPORT_SHA256[False]
+    args = ("orbits", "--format", "dot")
+    proc = fresh_python("-m", "trigonal.cli", "export", *args, "--out",
+                        str(out), PYTHONHASHSEED=hash_seed)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[args]
+
+
 def test_benchmark_driver_finds_every_name_it_reaches():
     # perfbench/inproc.py wraps and calls package names by attribute, so a
     # removed or renamed name breaks the benchmark; run its set-up path
@@ -587,15 +704,16 @@ SMALL_RANKS = {
 
 #: fresh-interpreter run of the whole program at the rank argv[1], set
 #: before the package reads it: `verify all --optional` and two `export
-#: bijection` runs, through the file argv[2], and whether the closed form
+#: bijection` runs, through the file argv[2], whether the closed form
 #: t P mod 3 of every class row spans the point that the bijection's
-#: `backward` gives
+#: `backward` gives, and whether the columns that `rules` states are those
+#: of the arrays `SYMP_GRAM` and P
 AT_RANK = """
 import hashlib, json, pathlib, sys
-import trigonal.f3
-trigonal.f3.RANK = int(sys.argv[1])
+import trigonal
+trigonal.RANK = int(sys.argv[1])
 import trigonal.cli as cli
-from trigonal import correspondence as co, monodromy as mo, sympf3 as sp
+from trigonal import correspondence as co, monodromy as mo, rules, sympf3 as sp
 out = pathlib.Path(sys.argv[2])
 code = cli.main(["verify", "all", "--optional", "--out", str(out)])
 checks = json.loads(out.read_text())["checks"]
@@ -606,8 +724,12 @@ for _ in range(2):
 keys = (mo.get_table().codes @ co.P % 3).astype("int64") @ sp.POW3
 spans = (sp.get_table().point_index[keys]
          == co.build_bijection().backward).all()
+padded = [c + [0] * (mo.TUPLE_LEN - len(c)) for c in rules.P_COLUMNS]
+columns = (rules.SYMP_COLUMNS == sp.SYMP_GRAM.T.tolist()
+           and padded == co.P.T.tolist())
 print(json.dumps({"code": code, "checks": checks, "digests": digests,
-                  "point_vectors_span_backward": bool(spans)}))
+                  "point_vectors_span_backward": bool(spans),
+                  "rules_columns_equal_the_arrays": columns}))
 """
 
 
@@ -631,6 +753,9 @@ def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
     # the closed form's matrix P is derived from the rank: its points are
     # the searched bijection's at this rank too
     assert run["point_vectors_span_backward"]
+    # `rules` states the symplectic columns and P's without numpy, and
+    # they are the arrays' columns at every rank
+    assert run["rules_columns_equal_the_arrays"]
 
 
 #: fresh-interpreter closure at rank 4, set as `AT_RANK` sets a rank: the
@@ -639,8 +764,8 @@ def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
 RANK_4_CLOSURE = """
 import json
 import numpy as np
-import trigonal.f3
-trigonal.f3.RANK = 4
+import trigonal
+trigonal.RANK = 4
 import trigonal.cli as cli
 from trigonal import sympf3 as sp
 from trigonal.schreier import bsgs_order
@@ -675,9 +800,9 @@ def test_an_odd_rank_or_one_below_4_is_refused_at_import():
     # set as `AT_RANK` sets a rank; the first module that sizes its tables
     # from the rank raises, and a refused import can be tried again
     code = (
-        "import trigonal.f3\n"
+        "import trigonal\n"
         "for rank in (9, 2):\n"
-        "    trigonal.f3.RANK = rank\n"
+        "    trigonal.RANK = rank\n"
         "    try:\n"
         "        import trigonal.cli\n"
         "    except ValueError as exc:\n"
@@ -795,6 +920,8 @@ def test_lattice_imports_no_permutation_layer():
 #: the `src/trigonal` functions that no command calls, each with the reason
 #: it stays; a new function that only tests call fails the survey below
 UNCALLED = {
+    "cli.__getattr__": "the tables' names read from outside, such as "
+                       "`cli.mo`; the commands load them directly",
     "cli._cannot_write": "the error line of an unwritable output",
     "cli.console_main": "the process entry point around `main`",
     "lattice.compose": "perfbench's micro-probe only (ROADMAP item 14)",

@@ -9,6 +9,7 @@ import pytest
 from trigonal import cli
 from trigonal import correspondence as co
 from trigonal import monodromy as mo
+from trigonal import rules
 from trigonal import sympf3 as sp
 from trigonal.schreier import apply_word, orbit_bfs, schreier_generator_words
 
@@ -101,6 +102,14 @@ def test_point_vectors_are_the_linear_map_p():
     for rows in (a, mo.get_table().codes):
         assert (rows @ co.P % 3 == point_vectors_by_differences(rows)).all()
     assert co.point_vectors([1] * mo.TUPLE_LEN) == [0] * sp.DIM
+
+
+def test_p_is_the_rules_columns_padded():
+    # `point_vectors` reads each column of P up to its last nonzero entry
+    assert all(column[-1] for column in rules.P_COLUMNS)
+    padded = [c + [0] * (mo.TUPLE_LEN - len(c)) for c in rules.P_COLUMNS]
+    assert co.P.dtype == np.int8
+    assert co.P.T.tolist() == padded
 
 
 def test_the_one_row_point_equals_the_product_on_every_class_row():

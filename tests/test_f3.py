@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import trigonal
 from trigonal import f3
 from trigonal import sympf3 as sp
 
@@ -59,7 +60,7 @@ def test_rank_equals_the_row_reduction_oracle():
              @ rng.integers(0, 3, size=(inner, cols))) % 3
         assert f3.rank(m) == f3_rank(m) <= inner, m
     assert f3.rank(np.zeros((4, 5), dtype=np.int8)) == 0
-    assert f3.rank(sp.SYMP_GRAM) == f3.RANK
+    assert f3.rank(sp.SYMP_GRAM) == trigonal.RANK
 
 
 @pytest.mark.parametrize("n", range(1, 8))

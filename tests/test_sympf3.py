@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trigonal import lattice as lat
+from trigonal import rules
 from trigonal import sympf3 as sp
 from trigonal.eisenstein import THETA, EisensteinInt, reduce_mod_theta
 
@@ -43,6 +44,12 @@ def test_symp_gram_is_reduction_of_skew_on_basis_pairs():
     reduced = [[reduce_mod_theta(skew(x, y)) for y in basis] for x in basis]
     assert (sp.SYMP_GRAM == np.array(reduced)).all()
     assert sp.SYMP_GRAM.dtype == np.int8
+
+
+def test_the_rules_state_the_columns_of_symp_gram():
+    # `rules` states the chain's residues without the lattice; SYMP_GRAM
+    # derives them from the Gram matrix
+    assert rules.SYMP_COLUMNS == sp.SYMP_GRAM.T.tolist()
 
 
 def test_symp_values_and_nondegeneracy():
