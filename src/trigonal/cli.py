@@ -19,7 +19,8 @@ All structured output is UTF-8 JSON; report checks carry runtime_ms,
 which is the only field that varies between identical runs.
 
 `main` builds its argument parser once per process, on its first call and
-not at import, so in-process callers pay only for parsing and the command.
+not at import, and parses once: argv goes to the named command's own
+parser, and to the top-level one only when that cannot finish it alone.
 This module imports only the standard library and `rules`, the one-row
 rules in pure Python, so `classify` and `--help` load no numpy and no table
 module; `verify` and `export` load them through `_load_tables`.
@@ -67,10 +68,11 @@ def _load_tables() -> None:
 
 def __getattr__(name: str):
     """A name that `_load_tables` binds, read from outside (PEP 562): the
-    first such read loads the tables' modules.  Any name missing from the
-    module comes here, so a probe such as `issubclass(cli, ...)`, which
-    pytest's collection makes on a test module's globals, loads them too."""
-    _load_tables()
+    first such read loads the tables' modules.  A missing dunder name, such
+    as the `__bases__` or `__wrapped__` that pytest's collection and
+    `inspect` probe for, loads nothing and raises AttributeError."""
+    if not (name.startswith("__") and name.endswith("__")):
+        _load_tables()
     try:
         return globals()[name]
     except KeyError:
@@ -686,8 +688,9 @@ def cmd_classify(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first `main` call, not at import."""
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level argument parser and its commands' own parsers, keyed by
+    command name, built on the first `main` call, not at import."""
     parser = argparse.ArgumentParser(
         prog="trigonal",
         description="exact certificates for the lattice, monodromy and "
@@ -724,11 +727,21 @@ def _parser() -> argparse.ArgumentParser:
                                  f"bijection (slots 1..{rules.DIM}; builds no "
                                  "table)")
     p_classify.set_defaults(fn=cmd_classify)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run the command that argv (default `sys.argv[1:]`) names, parsing
+    once: its own parser reads what follows its name.  An argv that this
+    cannot finish (none, no command first, arguments left over) goes to the
+    top-level parser, so help, usage and errors are argparse's own."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+    if command is None or rest:
+        args = parser.parse_args(argv)
     return args.fn(args)
 
 

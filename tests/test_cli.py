@@ -7,11 +7,11 @@ caches, the runs of the whole program at ranks 4, 6 and 8, which set the rank
 before the package reads it, the naive closure of the rank-4 symplectic
 group, the test that an odd rank or one below 4 is refused at import, the
 tests that `verify all` and `export bijection` build only the base class
-tree, the tests that `import trigonal.cli`, `classify` and `--help` import
-no numpy and no table module and that `import trigonal.rules` imports
-nothing else, the tests of the table readers that may come first in a
-process and of the `verify` report and the DOT export under two hash
-seeds, the test that
+tree, the tests that `import trigonal.cli`, `classify`, `--help` and a
+dunder probe import no numpy and no table module and that
+`import trigonal.rules` imports nothing else, the tests of the table
+readers that may come first in a process and of the `verify` report and
+the DOT export under two hash seeds, the test that
 `verify` and the exports leave `numpy.ma` unimported, the tests that
 `trigonal.monodromy` imports nothing from the point side and
 `trigonal.f3` nothing from the package, the call survey of the commands
@@ -23,6 +23,7 @@ package name it reaches, and the test that its traced replays run to an
 failing hypothesis test under this repo's ini options.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -116,6 +117,14 @@ def full_report(tmp_path_factory):
     return verify_all(tmp_path_factory.mktemp("rep"))
 
 
+@pytest.fixture
+def tables():
+    """numpy and the table modules bound in `cli`, for a test whose first
+    call is a private helper that reads them: only `Context`, `cmd_export`
+    and a non-dunder read from outside, such as `cli.mo`, bind them."""
+    cli._load_tables()
+
+
 def test_verify_all_exit_and_shape(full_report):
     code, rep = full_report
     # one check fails honestly (criterion 8's agreement clause), hence exit 1
@@ -193,7 +202,8 @@ def test_discrepancy_notes_go_red_on_a_wrong_number(monkeypatch, tmp_path,
                                "h_variant_note_present": True}
 
 
-def test_h_variant_note_goes_red_when_the_rule_changes(monkeypatch, tmp_path):
+def test_h_variant_note_goes_red_when_the_rule_changes(tables, monkeypatch,
+                                                       tmp_path):
     assert cli._h_variant_holds()
     labels = mo.confluence_labels
 
@@ -507,10 +517,13 @@ def imported_trigonal_and_numpy(importtime_stderr: str) -> set[str]:
     ["-m", "trigonal.cli", "classify", "001111111111", "1", "--cross-check"],
     ["-m", "trigonal.cli", "--help"],
     ["-m", "trigonal.cli", "classify", "--help"],
+    ["-c", "import trigonal.cli as cli\n"
+           "assert not hasattr(cli, '__wrapped__')"],
 ])
 def test_classify_and_help_import_no_numpy_and_no_table_module(argv):
     # the one-row rules live in `rules`, and `cli` loads numpy and the
-    # table modules only for `verify` and `export`
+    # table modules only for `verify` and `export`; a dunder probe, as
+    # `inspect` and pytest's collection make, loads them neither
     proc = fresh_python("-X", "importtime", *argv)
     assert proc.returncode == 0, proc.stderr
     loaded = imported_trigonal_and_numpy(proc.stderr)
@@ -992,6 +1005,13 @@ def test_entry_point_exit_codes():
     assert proc.returncode == 2
     assert "not the identity" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # an argument left over after the command: argv read from sys.argv
+    # goes to the top-level parser too
+    proc = fresh_python("-m", "trigonal.cli", "classify", "001111111111", "1",
+                        "--frobnicate")
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_entry_point_verify_all_writes_the_pinned_report(tmp_path):
@@ -1294,7 +1314,7 @@ def cycled(length: int, start: int = 0) -> np.ndarray:
 
 @pytest.mark.parametrize("null", [False, True], ids=["ints", "null"])
 @pytest.mark.parametrize("length", RENDER_LENGTHS)
-def test_json_ints_equal_json_dumps(length, null):
+def test_json_ints_equal_json_dumps(tables, length, null):
     for start in range(RENDER_VALUES.size):     # length 1 meets every value
         values = cycled(length, start)
         expected = json.dumps(
@@ -1306,7 +1326,7 @@ def test_json_ints_equal_json_dumps(length, null):
 
 
 @pytest.mark.parametrize("length", RENDER_LENGTHS)
-def test_render_equals_the_per_element_format(length):
+def test_render_equals_the_per_element_format(tables, length):
     a, b, c = (cycled(length, start).tolist() for start in range(3))
     edges = "".join(f'    p{x} -> p{y} [label="{z}"];\n'
                     for x, y, z in zip(a, b, c))
@@ -1317,7 +1337,7 @@ def test_render_equals_the_per_element_format(length):
 
 
 @pytest.mark.parametrize("length", RENDER_LENGTHS)
-def test_orbit_exports_of_any_length_equal_the_reference(length):
+def test_orbit_exports_of_any_length_equal_the_reference(tables, length):
     # forests with seeds (-1, generator null) among edges of every width
     seeds = {"projective": 0, "classes": 0}
     trees = [(SimpleNamespace(parent=cycled(length, start),
@@ -1371,7 +1391,8 @@ def test_verify_keeps_its_index_arrays_int32():
 @pytest.mark.parametrize("args, divisor", [(["orbits"], 3),
                                            (["orbits", "--format", "dot"], 4)],
                          ids=["json", "dot"])
-def test_orbit_exports_hold_one_block_of_text(monkeypatch, args, divisor):
+def test_orbit_exports_hold_one_block_of_text(tables, monkeypatch, args,
+                                               divisor):
     # with the tables and trees built, writing an orbit export to a sink
     # allocates at most a fraction of its length at once: whole text
     # rendered before the first write would take 3.5 to 14 times its length
@@ -1498,6 +1519,85 @@ def test_main_builds_its_parser_once(capsys, tmp_path):
              CROSS_CHECK[0])
     assert [run(capsys, argvs[k % 3])[0] for k in range(20)] == [0] * 20
     assert cli._parser.cache_info().misses == 1
+
+
+def test_a_command_is_parsed_once(capsys, monkeypatch):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, CROSS_CHECK[0]) == CROSS_CHECK[1]
+    assert parsed == ["trigonal classify"]
+    # an argument left over: the top-level parser reports it
+    code, out, err = run(capsys, CROSS_CHECK[0] + ["--frobnicate"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: trigonal [-h]")
+    assert err.endswith("error: unrecognized arguments: --frobnicate\n")
+
+
+@pytest.fixture
+def commands_seen(monkeypatch):
+    """The namespaces that the commands receive, without `command`, in
+    order: `verify` and `export` stubbed to return 0, `classify` run.  The
+    parser binds the commands when it is built, so it is rebuilt around
+    the stubs and dropped again before they are undone."""
+    seen = []
+
+    def recorded(command):
+        def fn(args):
+            seen.append({k: v for k, v in vars(args).items()
+                         if k != "command"})
+            return command(args)
+        return fn
+
+    monkeypatch.setattr(cli, "cmd_verify", recorded(lambda args: 0))
+    monkeypatch.setattr(cli, "cmd_export", recorded(lambda args: 0))
+    monkeypatch.setattr(cli, "cmd_classify", recorded(cli.cmd_classify))
+    cli._parser.cache_clear()
+    yield seen
+    cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"], ["--help"], ["--", "classify", "001111111111", "1"],
+    ["class", "001111111111", "1"], ["frobnicate"],
+    ["classify", "001111111111", "1", "--cross-check"],
+    ["classify", "001111111111", "1", "--cross"],
+    ["classify", "--", "001111111111", "5"],
+    ["classify", "--cross-check", "--", "001111111111", "1"],
+    ["classify", "001111111111"],
+    ["classify", "001111111111", "-1"],
+    ["classify", "001111111111", "1", "--frobnicate"],
+    ["verify"], ["verify", "lattice", "--se", "3"], ["verify", "--opt"],
+    ["verify", "all", "--seed=4", "--out", "report.json"],
+    ["verify", "nowhere"], ["verify", "--seed", "x"],
+    ["verify", "--frobnicate"],
+    ["export", "orbits", "--format", "dot", "--out", "orbits.dot"],
+    ["export", "everything"], ["export"], ["export", "gram", "--out"],
+    ["export", "gram", "--frobnicate"],
+    *([command, flag] for command in ("verify", "export", "classify")
+      for flag in ("-h", "--help", "--h")),
+], ids=" ".join)
+def test_main_parses_as_the_top_level_parser_does(commands_seen, capsys,
+                                                  argv):
+    def top_level(argv):
+        args = cli._parser()[0].parse_args(argv)
+        return args.fn(args)
+
+    def outcome(entry):
+        commands_seen.clear()
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr(), list(commands_seen)
+
+    assert outcome(cli.main) == outcome(top_level)
 
 
 @pytest.mark.parametrize("argv", [
