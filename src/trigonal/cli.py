@@ -254,7 +254,7 @@ def _mod_theta_checks():
     Red * R(s_i) = T_i * Red (mod 3) on the Z-basis: column 2j of R(s_i) is
     s_i(a_j) and column 2j+1 is tau*s_i(a_j), so it says reduce(s_i(a_j)) =
     T_i e_j for every j; then the reduced form is alternating."""
-    red = sp.reduction_matrix()
+    red = la.reduction_matrix()
     for i in range(1, sp.DIM + 1):
         tv = sp.transvection(i).astype(np.int64)
         step = la.matmul(red, la.step_matrix(i, 1))
@@ -334,7 +334,7 @@ def check_orbit_trichotomy(ctx: Context):
     observed = {"stabilizer_orbit_sizes": sizes,
                 "agreements": cross["agreements"],
                 "total_checks": cross["total_checks"]}
-    expected = {"stabilizer_orbit_sizes": dict(sp.LINE_CLASS_COUNTS),
+    expected = {"stabilizer_orbit_sizes": dict(rules.LINE_CLASS_COUNTS),
                 "agreements": sp.DIM * co.N,
                 "total_checks": sp.DIM * co.N}
     details = {

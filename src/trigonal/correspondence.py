@@ -22,9 +22,10 @@ but excluded from the comparison.  The raw agreement count is reported
 together with the count after exchanging the RM and SG labels on one side,
 which makes the label pairing between the two trichotomies explicit.
 
-The searched bijection also has a closed form, v = t P mod 3, which the
-tests certify equal to the searched `backward` on every class;
-`point_vectors`, stated in `rules` without numpy, is its one-row form.
+The searched bijection also has a closed form, v = t P mod 3, stated once
+as `rules.point_vectors` and the columns `rules.P_COLUMNS`; the tests
+certify it equal to the searched `backward` on every class.  This module
+reads neither the lattice nor the Eisenstein integers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import monodromy as mo
 from . import sympf3 as sp
-from .rules import P_COLUMNS, point_vectors
+from .rules import CONFLUENCE_CLASSES, LINE_CLASS_COUNTS, LINE_CLASSES
 from .schreier import (apply_word, inverse_permutation,
                        schreier_generator_words)
 
@@ -177,14 +178,6 @@ def build_bijection() -> Correspondence:
     )
 
 
-#: the (TUPLE_LEN, DIM) int8 matrix of the closed form, padded from
-#: `rules.P_COLUMNS`.  Its entries are 0 and +-1, at most DIM / 2 of each
-#: sign in a column, so a product with letters 0..2 stays within +-DIM and
-#: int8 is exact.
-P = np.array([column + [0] * (mo.TUPLE_LEN - len(column))
-              for column in P_COLUMNS], dtype=np.int8).T
-
-
 _LABEL_SWAP = np.array([0, 2, 1], dtype=np.int8)  # exchange RM and SG codes
 
 
@@ -214,8 +207,8 @@ def cross_validate_classification(corr: Correspondence) -> dict:
                 "position": i,
                 "class_index": c,
                 "class": mot.class_string(c),
-                "confluence": mo.CONFLUENCE_CLASSES[int(comb[c])],
-                "line_class": sp.LINE_CLASSES[int(line[c])],
+                "confluence": CONFLUENCE_CLASSES[int(comb[c])],
+                "line_class": LINE_CLASSES[int(line[c])],
             }
 
     report = {
@@ -233,5 +226,5 @@ def cross_validate_classification(corr: Correspondence) -> dict:
             "distinct adjacent letters correspond to the {SG} lines not "
             "perpendicular to the basis line, and the {RM} non-degenerate "
             "equal-letter classes to the {RM} other perpendicular lines"
-        ).format(**sp.LINE_CLASS_COUNTS)
+        ).format(**LINE_CLASS_COUNTS)
     return report

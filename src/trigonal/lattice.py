@@ -38,18 +38,20 @@ return flat tuples; `_step` moves them; `herm` pairs them through the two
 integer matrices A and B of herm(x, y) = x^T A y + (x^T B y) * tau and
 returns the pair (x^T A y, x^T B y); `step_matrix` gives the 20x20 integer
 matrix of a triflection on this basis; `preserves_realified_form` checks
-R^T A R = A and R^T B R = B; and `realify_and_certify` certifies the Gram
-matrix -(2A + B)/3.  Every int64 matrix product is covered by a checked
-bound that raises OverflowError instead of letting an entry wrap: `matmul`
-checks one product, and `require_int64_products` all products of a few
-matrices at once.  The walk expands a level at a time through the step
-matrices, as one `matmul` of the frontier.
+R^T A R = A and R^T B R = B; `realify_and_certify` certifies the Gram
+matrix -(2A + B)/3; and `reduction_matrix` reduces them mod theta onto
+F_3^10, the one map to the symplectic side, which the CLI's mod-theta check
+reads.  Every int64 matrix product is covered by a checked bound that
+raises OverflowError instead of letting an entry wrap: `matmul` checks one
+product, and `require_int64_products` all products of a few matrices at
+once.  The walk expands a level at a time through the step matrices, as one
+`matmul` of the frontier.
 
-EisensteinInt remains only where a value is divided or printed: the chain
-`GRAM` (the source of A, B and the `_step` rows, and the `export gram`
-JSON), the minus-6 witness's value and its divisibility tests, and the
-10x10 matrices of `word_matrix`, `triflection` and `compose`, which no
-command path builds.
+EisensteinInt remains only where a value is divided, reduced or printed:
+the chain `GRAM` (the source of A, B and the `_step` rows, and the `export
+gram` JSON), the residues of 1 and tau in `reduction_matrix`, the minus-6
+witness's value and its divisibility tests, and the 10x10 matrices of
+`word_matrix`, `triflection` and `compose`, which no command path builds.
 
 The real part of the form, rescaled by -2/3, turns the rank-20 underlying
 Z-module into an even unimodular quadratic lattice of signature (18, 2);
@@ -67,7 +69,7 @@ import numpy as np
 
 from .eisenstein import (
     ZERO, ONE, TAU, TAU2, THETA,
-    EisensteinInt, div_exact, divides,
+    EisensteinInt, div_exact, divides, reduce_mod_theta,
 )
 from .f3 import generator_index
 from .rules import DIM as RANK
@@ -168,6 +170,13 @@ def herm(x: tuple, y: tuple) -> tuple[int, int]:
                 re += ca * t
                 im += cb * t
     return re, im
+
+
+def reduction_matrix() -> np.ndarray:
+    """The RANK x 2*RANK int64 matrix of reduction mod theta on the flat
+    coordinates: p + q*tau -> p*red(1) + q*red(tau), so a_j goes to e_j."""
+    units = [reduce_mod_theta(s) for s in _SCALARS]
+    return np.kron(np.identity(RANK, dtype=np.int64), units)
 
 
 # -- matrices ------------------------------------------------------------------

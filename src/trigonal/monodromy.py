@@ -56,10 +56,10 @@ import functools
 import numpy as np
 
 from .f3 import digit_sums, key_digits, mod3, negated_keys, signed_index
-# the one-row rules live in `rules`, which needs no numpy; the names the
-# table does not use are kept here for its readers
-from .rules import (CONFLUENCE_CLASSES, TUPLE_LEN, TUPLE_RULES, broken_rules,
-                    check_slot, classify_confluence_codes, parse_tuple_string)
+# the one-row rules live in `rules`, which needs no numpy; the table does
+# not use parse_tuple_string, which the benchmark wraps here
+from .rules import (TUPLE_LEN, TUPLE_RULES, broken_rules, check_slot,
+                    parse_tuple_string)
 from .schreier import OrbitResult, orbit_bfs
 
 N_RAW = 3 ** (TUPLE_LEN - 1) - 3    # 177144
@@ -219,7 +219,7 @@ def confluence_labels(codes, pos: int) -> np.ndarray:
 
     The rule, coded 0=H, 1=RM, 2=SG: RM when the two letters differ,
     otherwise H when the other ten letters are all equal, otherwise SG.
-    `classify_confluence_codes` is its one-row form.
+    `rules.classify_confluence_codes` is its one-row form.
     """
     check_slot(pos)
     codes = np.atleast_2d(codes)

@@ -3,8 +3,9 @@ trichotomies, and the closed form of the bijection on one row.
 
 `classify` answers from this module alone, on Python ints, so it loads no
 numpy and builds no table.  Each rule is defined here once; `monodromy`,
-`sympf3` and `correspondence` import it back beside its array form, and
-the tests pin the two equal.  The sizes come from the package's RANK, read
+`sympf3` and `correspondence` import what they use of it beside its array
+form, and the tests pin the two equal.  The chain's symplectic form is
+stated here, and only here.  The sizes come from the package's RANK, read
 once, at import: DIM = RANK coordinates and TUPLE_LEN = RANK + 2 slots.
 """
 
@@ -75,8 +76,9 @@ CONFLUENCE_CLASSES = ("H", "RM", "SG")
 
 
 def check_slot(pos: int) -> None:
-    """IndexError unless pos is a slot 0..TUPLE_LEN - 1."""
-    if not 0 <= pos < TUPLE_LEN:
+    """IndexError unless pos is a slot 0..TUPLE_LEN - 1; no other value is
+    one, such as the [] that argparse gives the slot of `classify T -- --`."""
+    if pos not in range(TUPLE_LEN):
         raise IndexError(f"position must be in 0..{TUPLE_LEN - 1}, got {pos!r}")
 
 
@@ -104,8 +106,9 @@ LINE_CLASS_COUNTS = {"H": 1, "RM": (3 ** (DIM - 1) - 1) // 2 - 1,
 
 #: the columns of the chain's symplectic form mod 3, as lists: column j
 #: holds symp(alpha_i, alpha_j), 1 for i = j - 1, 2 = -1 for i = j + 1 and
-#: 0 elsewhere.  `sympf3.SYMP_GRAM` derives the same form from the
-#: lattice's Gram matrix, and the tests pin the two equal.
+#: 0 elsewhere.  This is the form's one definition: `sympf3.SYMP_GRAM` is
+#: its array, and the CLI's mod-theta check compares every column with the
+#: lattice's Gram matrix reduced mod theta.
 SYMP_COLUMNS = [[{j - 1: 1, j + 1: 2}.get(i, 0) for i in range(DIM)]
                 for j in range(DIM)]
 
@@ -143,7 +146,7 @@ def _p_column(i: int) -> list[int]:
 
 #: the columns of the (TUPLE_LEN, DIM) matrix P as lists without their
 #: trailing zeros, so that the products of `point_vectors` stop at the
-#: shorter list; `correspondence.P` is the matrix they pad to
+#: shorter list
 P_COLUMNS = [_p_column(i) for i in range(1, DIM + 1)]
 
 
@@ -154,10 +157,10 @@ def point_vectors(codes: list) -> list[int]:
     v spans the point of the class of the row: v_i = sum of d_k over k <= i,
     k = i (mod 2), with d_k = t_k - t_{k-1} mod 3, i.e. v_1 = d_1, v_2 = d_2
     and v_i = d_i + v_{i-2}.  This map is F_3-linear; on a whole table it
-    is the product `codes @ correspondence.P % 3`.  Any of the six
-    relabelings of a row gives the same point, so rows need not be
-    canonical: every column of P sums to 0, and a relabeling c -> +-c + a
-    only changes the sign of v.  No table is built.
+    is the product `codes @ P % 3`, P the matrix of P_COLUMNS padded with
+    zeros.  Any of the six relabelings of a row gives the same point, so
+    rows need not be canonical: every column of P sums to 0, and a
+    relabeling c -> +-c + a only changes the sign of v.  No table is built.
     """
     return [sum(map(operator.mul, codes, column)) % 3
             for column in P_COLUMNS]

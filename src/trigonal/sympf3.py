@@ -5,6 +5,11 @@ descends to a nondegenerate alternating form with symp(alpha_i, alpha_{i+1}) = 1
 on the images alpha_i of the basis vectors.  Triflections descend to the
 symplectic transvections x -> x - symp(x, alpha_i) * alpha_i.
 
+The form is stated once, as `rules.SYMP_COLUMNS`; this module reads no
+lattice.  The one bridge is the CLI's check Red * R(s_i) = T_i * Red (mod
+3), Red = `lattice.reduction_matrix`: row g of T_{g+1} is e_g less column g
+of the form and Red sends a_j to e_j, so it checks every column.
+
 Projective points are the (3^10 - 1)/2 = 29524 lines of F_3^10.  A line is
 represented by its canonical vector (first nonzero coordinate equal to 1,
 the canonical form of `f3` that the classes use too) and indexed by the
@@ -20,8 +25,7 @@ Lines are classified relative to a fixed line ell as
     SG : not orthogonal to ell,
 giving counts {H: 1, RM: (3^9-1)/2 - 1 = 9840, SG: 3^9 = 19683}.  The
 counts and the one-row form `line_labels` are stated in `rules`, without
-numpy, with the columns of the chain's form, which the tests pin to
-SYMP_GRAM; this module builds the whole tables.
+numpy; this module builds the whole tables.
 """
 
 from __future__ import annotations
@@ -30,31 +34,18 @@ import functools
 
 import numpy as np
 
-from . import lattice
-from .eisenstein import ONE, TAU, THETA, div_exact, reduce_mod_theta
 from .f3 import (all_rows, generator_index, key_digits, mod3, negated_keys,
                  signed_index)
-from .rules import LINE_CLASS_COUNTS, LINE_CLASSES, line_labels
+from .rules import DIM, LINE_CLASSES, SYMP_COLUMNS, line_labels
 from .schreier import orbit_bfs, orbit_sizes
 
-DIM = lattice.RANK
 N_VECTORS = 3 ** DIM            # 59049, including zero
 N_POINTS = (3 ** DIM - 1) // 2  # 29524
 
 POW3 = (3 ** np.arange(DIM, dtype=np.int64))  # coordinate 0 least significant
 
-
-def reduction_matrix() -> np.ndarray:
-    """The 10x20 int64 matrix of reduction mod theta on the lattice's flat
-    Z-coordinates (p_1, q_1, p_2, ...): p + q*tau -> p*red(1) + q*red(tau)."""
-    units = [reduce_mod_theta(s) for s in (ONE, TAU)]
-    return np.kron(np.identity(DIM, dtype=np.int64), units)
-
-
-#: symp(alpha_i, alpha_j) = skew(a_i, a_j) mod theta
-#:                        = (GRAM[i][j] / theta) mod theta
-SYMP_GRAM = np.array([[reduce_mod_theta(div_exact(c, THETA)) for c in row]
-                      for row in lattice.GRAM], dtype=np.int8)
+#: SYMP_GRAM[i, j] = symp(alpha_i, alpha_j): `rules.SYMP_COLUMNS` as columns
+SYMP_GRAM = np.array(SYMP_COLUMNS, dtype=np.int8).T
 
 
 def transvection(i: int) -> np.ndarray:

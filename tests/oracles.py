@@ -2,7 +2,9 @@
 
 Each oracle is written from its definition, independently of the code it
 checks, and is defined here once for every test module.  None of them is
-called by a command, so none of them lives in the package.
+called by a command, so none of them lives in the package.  So does the
+matrix P of the closed form, which no command reads: the package states
+only its columns, `rules.P_COLUMNS`.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import operator
 import numpy as np
 
 from trigonal import lattice as lat
+from trigonal import rules
 from trigonal import sympf3 as sp
 from trigonal.eisenstein import (ONE, TAU, THETA, ZERO, EisensteinInt,
                                  div_exact, reduce_mod_theta)
@@ -166,6 +169,13 @@ def confluence_labels_by_deletion(codes, pos):
     same_rest = (rest == rest[:, :1]).all(axis=1)
     return np.where(codes[:, pos] != codes[:, nxt], 1,
                     np.where(same_rest, 0, 2))
+
+
+#: the (TUPLE_LEN, DIM) int8 matrix P of the closed form v = t P mod 3, its
+#: columns `rules.P_COLUMNS` padded with zeros: the array form of
+#: `rules.point_vectors`
+P = np.array([column + [0] * (rules.TUPLE_LEN - len(column))
+              for column in rules.P_COLUMNS], dtype=np.int8).T
 
 
 def point_vectors_by_differences(codes):

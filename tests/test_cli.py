@@ -13,8 +13,9 @@ dunder probe import no numpy and no table module and that
 readers that may come first in a process and of the `verify` report and
 the DOT export under two hash seeds, the test that
 `verify` and the exports leave `numpy.ma` unimported, the tests that
-`trigonal.monodromy` imports nothing from the point side and
-`trigonal.f3` nothing from the package, the call survey of the commands
+`trigonal.monodromy` imports nothing from the point side,
+`trigonal.sympf3` and `trigonal.correspondence` nothing from the lattice
+and `trigonal.f3` nothing from the package, the call survey of the commands
 (profiled from before the package import), the tests of the
 `python -m trigonal.cli` entry point and of the heap freeze that only it
 makes, the test that the benchmark's in-process runner still finds every
@@ -24,6 +25,7 @@ failing hypothesis test under this repo's ini options.
 """
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import errno
@@ -45,6 +47,7 @@ from hypothesis import given, settings, strategies as st
 import trigonal
 from trigonal import __version__, cli
 from trigonal import monodromy as mo
+from trigonal import rules
 from trigonal.eisenstein import TAU2, EisensteinInt
 from trigonal.schreier import inverse_permutation
 
@@ -297,6 +300,28 @@ def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
     ok, observed, _, details = cli.check_mod_theta(ctx)
     assert not ok and details == {"first_failure": "generator 5"}
     assert not observed["reduce_triflection_equals_transvection_reduce"]
+
+
+def test_a_wrong_stated_form_goes_red_at_the_bridge(monkeypatch, tmp_path):
+    # symp(alpha_3, alpha_4) and symp(alpha_4, alpha_3) exchanged: the form
+    # stays alternating and of full rank, but transvection 3 is no longer
+    # the reduction of s_3.  The point table is built from the stated form
+    # first, so the run leaves no table built from the wrong one
+    sp = cli.sp
+    sp.get_table().transvections()
+    gram = sp.SYMP_GRAM.copy()
+    gram[[2, 3], [3, 2]] = gram[[3, 2], [2, 3]]
+    monkeypatch.setattr(sp, "SYMP_GRAM", gram)
+    ok, observed, _, details = cli.check_mod_theta(cli.Context(0, False))
+    assert not ok and details == {"first_failure": "generator 3"}
+    assert observed == {"reduce_triflection_equals_transvection_reduce": False,
+                        "antisymmetric": True, "zero_diagonal": True,
+                        "rank": trigonal.RANK}
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "symplectic", "--out", str(out)]) == 1
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"]
+              if c["status"] == "fail"]
+    assert failed == ["mod_theta_compatibility"]
 
 
 def test_triflection_relations_refuse_generators_that_could_overflow(
@@ -718,15 +743,20 @@ SMALL_RANKS = {
 #: fresh-interpreter run of the whole program at the rank argv[1], set
 #: before the package reads it: `verify all --optional` and two `export
 #: bijection` runs, through the file argv[2], whether the closed form
-#: t P mod 3 of every class row spans the point that the bijection's
-#: `backward` gives, and whether the columns that `rules` states are those
-#: of the arrays `SYMP_GRAM` and P
+#: t P mod 3 of every class row, with the matrix P of the oracles in the
+#: directory argv[3], spans the point that the bijection's `backward` gives,
+#: and whether the columns that `rules` states are those of the lattice's
+#: Gram matrix divided by theta and reduced mod theta
 AT_RANK = """
 import hashlib, json, pathlib, sys
 import trigonal
 trigonal.RANK = int(sys.argv[1])
 import trigonal.cli as cli
-from trigonal import correspondence as co, monodromy as mo, rules, sympf3 as sp
+from trigonal import correspondence as co, lattice, monodromy as mo, rules
+from trigonal import sympf3 as sp
+from trigonal.eisenstein import THETA, div_exact, reduce_mod_theta
+sys.path.insert(0, sys.argv[3])
+from oracles import P
 out = pathlib.Path(sys.argv[2])
 code = cli.main(["verify", "all", "--optional", "--out", str(out)])
 checks = json.loads(out.read_text())["checks"]
@@ -734,21 +764,22 @@ digests = []
 for _ in range(2):
     assert cli.main(["export", "bijection", "--out", str(out)]) == 0
     digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-keys = (mo.get_table().codes @ co.P % 3).astype("int64") @ sp.POW3
+keys = (mo.get_table().codes @ P % 3).astype("int64") @ sp.POW3
 spans = (sp.get_table().point_index[keys]
          == co.build_bijection().backward).all()
-padded = [c + [0] * (mo.TUPLE_LEN - len(c)) for c in rules.P_COLUMNS]
-columns = (rules.SYMP_COLUMNS == sp.SYMP_GRAM.T.tolist()
-           and padded == co.P.T.tolist())
+residues = [[reduce_mod_theta(div_exact(c, THETA)) for c in row]
+            for row in lattice.GRAM]
+columns = rules.SYMP_COLUMNS == [list(column) for column in zip(*residues)]
 print(json.dumps({"code": code, "checks": checks, "digests": digests,
                   "point_vectors_span_backward": bool(spans),
-                  "rules_columns_equal_the_arrays": columns}))
+                  "rules_columns_reduce_the_gram": columns}))
 """
 
 
 @pytest.mark.parametrize("rank", sorted(SMALL_RANKS))
 def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
-    proc = fresh_python("-c", AT_RANK, str(rank), str(tmp_path / "out"))
+    proc = fresh_python("-c", AT_RANK, str(rank), str(tmp_path / "out"),
+                        str(Path(__file__).resolve().parent))
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     rows = {r["name"]: r for r in run["checks"]}
@@ -766,9 +797,9 @@ def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
     # the closed form's matrix P is derived from the rank: its points are
     # the searched bijection's at this rank too
     assert run["point_vectors_span_backward"]
-    # `rules` states the symplectic columns and P's without numpy, and
-    # they are the arrays' columns at every rank
-    assert run["rules_columns_equal_the_arrays"]
+    # `rules` states the symplectic columns without the lattice, and they
+    # are the residues of GRAM / theta at every rank
+    assert run["rules_columns_reduce_the_gram"]
 
 
 #: fresh-interpreter closure at rank 4, set as `AT_RANK` sets a rank: the
@@ -907,6 +938,42 @@ def test_monodromy_imports_nothing_from_the_point_side():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_f3_side_imports_nothing_from_the_lattice():
+    # the symplectic form is stated in `rules`, so the point side and the
+    # bijection load no lattice; the two sides meet only in the mod-theta
+    # row of `verify`
+    code = (
+        "import sys\n"
+        "import trigonal.sympf3, trigonal.correspondence\n"
+        "loaded = {'trigonal.lattice', 'trigonal.eisenstein'} "
+        "& set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: (module, name) imported from `rules` but not used by the module, with why
+UNUSED_RULES_IMPORTS = {
+    ("monodromy", "parse_tuple_string"): "perfbench wraps it (ROADMAP item 14a)",
+}
+
+
+def test_every_name_imported_from_rules_is_used_where_it_is_imported():
+    # a module imports a one-row rule to use it, not to re-export it: its
+    # readers import it from `rules` itself
+    unused = set()
+    for path in sorted(Path(trigonal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module == "rules" for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == set(UNUSED_RULES_IMPORTS)
+
+
 def test_f3_imports_no_other_trigonal_module():
     # both sides read the F_3 layer, so it reads neither side
     code = (
@@ -1012,6 +1079,24 @@ def test_entry_point_exit_codes():
     assert proc.returncode == 2
     assert "unrecognized arguments" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "001111111111", "--", "--"],
+    ["classify", "--", "001111111111", "--"],
+], ids=" ".join)
+def test_a_second_double_dash_is_refused_as_a_slot(capsys, argv):
+    # argparse on Python 3.11 gives the slot positional an empty list here;
+    # it is no slot, so the command exits 2 with one error line, in-process
+    # and from a cold entry point alike
+    in_process = run(capsys, argv)
+    proc = fresh_python("-m", "trigonal.cli", *argv)
+    for code, out, err in (in_process,
+                           (proc.returncode, proc.stdout, proc.stderr)):
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] \
+            == [err.splitlines()[-1]]
 
 
 def test_entry_point_verify_all_writes_the_pinned_report(tmp_path):
@@ -1471,7 +1556,7 @@ def test_classify_cross_check_exchanges_rm_and_sg(idx, relabel, pos):
                                     str(pos), "--cross-check"])
     assert (code, err) == (0, "")
     # the array form of the rule, not the one-row form the command runs
-    label = mo.CONFLUENCE_CLASSES[
+    label = rules.CONFLUENCE_CLASSES[
         int(mo.confluence_labels(t.codes[idx], pos)[0])]
     swapped = {"H": "H", "RM": "SG", "SG": "RM"}[label]
     assert out == f"{label}\ncross-check (line side): {swapped}\n"
@@ -1570,6 +1655,8 @@ def commands_seen(monkeypatch):
     ["classify", "001111111111", "1", "--cross"],
     ["classify", "--", "001111111111", "5"],
     ["classify", "--cross-check", "--", "001111111111", "1"],
+    ["classify", "001111111111", "--", "--"],
+    ["classify", "--", "001111111111", "--"],
     ["classify", "001111111111"],
     ["classify", "001111111111", "-1"],
     ["classify", "001111111111", "1", "--frobnicate"],

@@ -13,7 +13,7 @@ from trigonal import rules
 from trigonal import sympf3 as sp
 from trigonal.schreier import apply_word, orbit_bfs, schreier_generator_words
 
-from oracles import (ALPHABET_PERMS, brute_canonicalize, keys_of,
+from oracles import (ALPHABET_PERMS, P, brute_canonicalize, keys_of,
                      point_vectors_by_differences, symp)
 
 
@@ -26,7 +26,7 @@ def test_base_class():
     t = mo.get_table()
     idx = t.base_class()
     assert t.class_string(idx) == "001111111111"
-    assert mo.classify_confluence_codes(t.codes[idx], 0) == "H"
+    assert rules.classify_confluence_codes(t.codes[idx], 0) == "H"
 
 
 def test_build_succeeds_and_is_bijective(corr):
@@ -77,12 +77,12 @@ def test_point_vectors_equal_the_searched_bijection(corr):
     # classes, under each of the six relabelings of the codes
     mot, spt = mo.get_table(), sp.get_table()
     for perm in ALPHABET_PERMS:
-        v = perm[mot.codes] @ co.P % 3
+        v = perm[mot.codes] @ P % 3
         assert v.shape == (co.N, sp.DIM)
         assert v.any(axis=1).all(), perm
         points = spt.point_index[keys_of(brute_canonicalize(v))]
         assert (points == corr.backward).all(), perm
-    base = co.point_vectors(mot.codes[corr.base_class].tolist())
+    base = rules.point_vectors(mot.codes[corr.base_class].tolist())
     assert spt.point_index[keys_of(base)] == corr.base_point
 
 
@@ -90,26 +90,32 @@ def test_point_vectors_are_the_linear_map_p():
     # v = t P mod 3: the rows of P are the images of the unit rows, the map
     # is additive on seeded rows, and a constant row (the kernel) maps to 0
     units = np.identity(mo.TUPLE_LEN, dtype=int).tolist()
-    assert co.P.shape == (mo.TUPLE_LEN, sp.DIM)
-    assert [co.point_vectors(u) for u in units] == (co.P % 3).tolist()
+    assert P.shape == (mo.TUPLE_LEN, sp.DIM)
+    assert [rules.point_vectors(u) for u in units] == (P % 3).tolist()
     rng = np.random.default_rng(28)
     a, b = rng.integers(0, 3, size=(2, 500, mo.TUPLE_LEN), dtype=np.int8)
     for x, y in zip(a.tolist(), b.tolist()):
-        assert co.point_vectors([(i + j) % 3 for i, j in zip(x, y)]) \
-            == [(i + j) % 3 for i, j in zip(co.point_vectors(x),
-                                             co.point_vectors(y))]
+        assert rules.point_vectors([(i + j) % 3 for i, j in zip(x, y)]) \
+            == [(i + j) % 3 for i, j in zip(rules.point_vectors(x),
+                                             rules.point_vectors(y))]
     # the product equals the sums of differences, on every class row too
     for rows in (a, mo.get_table().codes):
-        assert (rows @ co.P % 3 == point_vectors_by_differences(rows)).all()
-    assert co.point_vectors([1] * mo.TUPLE_LEN) == [0] * sp.DIM
+        assert (rows @ P % 3 == point_vectors_by_differences(rows)).all()
+    assert rules.point_vectors([1] * mo.TUPLE_LEN) == [0] * sp.DIM
 
 
 def test_p_is_the_rules_columns_padded():
-    # `point_vectors` reads each column of P up to its last nonzero entry
+    # `point_vectors` reads each column of P up to its last nonzero entry,
+    # and the int8 products with P are exact: its entries are 0 and +-1,
+    # at most DIM / 2 of each sign in a column, so a product with letters
+    # 0..2 stays within +-DIM
     assert all(column[-1] for column in rules.P_COLUMNS)
     padded = [c + [0] * (mo.TUPLE_LEN - len(c)) for c in rules.P_COLUMNS]
-    assert co.P.dtype == np.int8
-    assert co.P.T.tolist() == padded
+    assert P.dtype == np.int8
+    assert P.T.tolist() == padded
+    assert set(np.unique(P).tolist()) == {-1, 0, 1}
+    for sign in (1, -1):
+        assert ((P == sign).sum(axis=0) <= sp.DIM // 2).all()
 
 
 def test_the_one_row_point_equals_the_product_on_every_class_row():
@@ -118,8 +124,8 @@ def test_the_one_row_point_equals_the_product_on_every_class_row():
     k = np.arange(len(codes))
     for rows in (codes, ALPHABET_PERMS[k % 5 + 1, codes.T].T,
                  ALPHABET_PERMS[(k + 2) % 5 + 1, codes.T].T):
-        assert list(map(co.point_vectors, rows.tolist())) \
-            == (rows @ co.P % 3).tolist()
+        assert list(map(rules.point_vectors, rows.tolist())) \
+            == (rows @ P % 3).tolist()
 
 
 def test_equivariance_exhaustive(corr):
@@ -234,7 +240,7 @@ def test_cross_validation_counterexample(corr):
     # verify the reported counterexample from scratch
     mot, spt = mo.get_table(), sp.get_table()
     i, c = d["position"], d["class_index"]
-    assert mo.classify_confluence_codes(mot.codes[c], i) == d["confluence"]
+    assert rules.classify_confluence_codes(mot.codes[c], i) == d["confluence"]
     ell = int(corr.backward[c])
     assert sp.classify_line(spt.basis_point(i), ell) == d["line_class"]
     assert d["confluence"] != d["line_class"]
@@ -245,7 +251,7 @@ def test_base_pair_slot1_instance(corr):
     # the base point is NOT perpendicular to alpha_1 (line label SG): the
     # two labelings pair RM with SG
     mot, spt = mo.get_table(), sp.get_table()
-    assert mo.classify_confluence_codes(mot.codes[corr.base_class], 1) == "RM"
+    assert rules.classify_confluence_codes(mot.codes[corr.base_class], 1) == "RM"
     a1 = spt.basis_point(1)
     assert symp(spt.reps[a1], spt.reps[corr.base_point]) != 0
     assert a1 != corr.base_point

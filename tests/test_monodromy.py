@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from trigonal import monodromy as mo
+from trigonal import rules
 from trigonal.f3 import all_rows
 
 from oracles import (ALPHABET_PERMS, confluence_labels_by_deletion,
@@ -255,15 +256,15 @@ def test_base_class(table):
 def test_classify_base_class(table):
     codes = table.codes[table.base_class()]
     # slots (0, 1) carry the equal pair, everything else is the letter 1
-    assert mo.classify_confluence_codes(codes, 0) == "H"
-    assert mo.classify_confluence_codes(codes, 1) == "RM"
-    assert mo.classify_confluence_codes(codes, 5) == "SG"
-    assert mo.classify_confluence_codes(codes, 11) == "RM"
+    assert rules.classify_confluence_codes(codes, 0) == "H"
+    assert rules.classify_confluence_codes(codes, 1) == "RM"
+    assert rules.classify_confluence_codes(codes, 5) == "SG"
+    assert rules.classify_confluence_codes(codes, 11) == "RM"
 
 
 def test_classify_string_form():
     def classify(s, pos):
-        return mo.classify_confluence_codes(mo.parse_tuple_string(s), pos)
+        return rules.classify_confluence_codes(mo.parse_tuple_string(s), pos)
     assert classify("001111111111", 0) == "H"
     assert classify("001111111111", 1) == "RM"
     assert classify("001111111111", 5) == "SG"
@@ -279,8 +280,8 @@ def test_classify_conjugation_invariant(table):
         for perm in ALPHABET_PERMS:
             relabeled = perm[codes]
             for pos in (0, 3, 11):
-                assert (mo.classify_confluence_codes(relabeled, pos)
-                        == mo.classify_confluence_codes(codes, pos))
+                assert (rules.classify_confluence_codes(relabeled, pos)
+                        == rules.classify_confluence_codes(codes, pos))
 
 
 def brute_confluence_label(row, pos):
@@ -303,15 +304,15 @@ def test_confluence_labels_equal_brute_force_on_every_class(table):
         with pytest.raises(IndexError):
             mo.confluence_labels(table.codes, bad)
         with pytest.raises(IndexError):
-            mo.classify_confluence_codes(table.codes[0], bad)
+            rules.classify_confluence_codes(table.codes[0], bad)
 
 
 def test_the_one_row_label_equals_the_array_form_on_every_class(table):
     rows = table.codes.tolist()
     for pos in range(mo.TUPLE_LEN):
-        labels = [mo.CONFLUENCE_CLASSES[k]
+        labels = [rules.CONFLUENCE_CLASSES[k]
                   for k in mo.confluence_labels(table.codes, pos).tolist()]
-        assert [mo.classify_confluence_codes(row, pos) for row in rows] \
+        assert [rules.classify_confluence_codes(row, pos) for row in rows] \
             == labels, pos
 
 

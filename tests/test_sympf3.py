@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from trigonal import lattice as lat
-from trigonal import rules
 from trigonal import sympf3 as sp
 from trigonal.eisenstein import THETA, EisensteinInt, reduce_mod_theta
 
@@ -40,16 +39,12 @@ def test_symp_gram_values():
 
 
 def test_symp_gram_is_reduction_of_skew_on_basis_pairs():
+    # SYMP_GRAM is the array of `rules.SYMP_COLUMNS`, stated without the
+    # lattice: here it is derived from the lattice's form at rank 10
     basis = [lat.basis_vector(i) for i in range(1, 11)]
     reduced = [[reduce_mod_theta(skew(x, y)) for y in basis] for x in basis]
     assert (sp.SYMP_GRAM == np.array(reduced)).all()
     assert sp.SYMP_GRAM.dtype == np.int8
-
-
-def test_the_rules_state_the_columns_of_symp_gram():
-    # `rules` states the chain's residues without the lattice; SYMP_GRAM
-    # derives them from the Gram matrix
-    assert rules.SYMP_COLUMNS == sp.SYMP_GRAM.T.tolist()
 
 
 def test_symp_values_and_nondegeneracy():
