@@ -54,7 +54,7 @@ def _load_tables() -> None:
     names, such as `_h_variant_holds`, raises NameError when it is called
     before any of them."""
     global np, co, f3, la, mo, sp
-    global THETA, EisensteinInt, divides, bsgs_order, orbit_sizes
+    global bsgs_order, orbit_sizes
     import numpy as np
 
     from . import correspondence as co
@@ -62,7 +62,6 @@ def _load_tables() -> None:
     from . import lattice as la
     from . import monodromy as mo
     from . import sympf3 as sp
-    from .eisenstein import THETA, EisensteinInt, divides
     from .schreier import bsgs_order, orbit_sizes
 
 
@@ -222,7 +221,7 @@ def _triflection_relations():
     (herm(a_j, a_i) / theta) * a_i and tau is a unit, so s_i has integer
     entries exactly when theta divides column i of GRAM.  Without it there
     are no integer matrices to compose, and nothing else is checked."""
-    integral = [all(divides(THETA, row[g]) for row in la.GRAM)
+    integral = [not any(la.residue(row[g]) for row in la.GRAM)
                 for g in range(la.RANK)]
     for i, holds in enumerate(integral, 1):
         yield "integral_entries", f"integral_entries {i}", holds
@@ -361,9 +360,11 @@ def check_minus6(ctx: Context):
     eps0 = la.MINUS6_SEED
     decomposed = 0
     samples = 100
+    # words of at most SEARCH_BOUND letters, the length the walk of
+    # decompose_minus6 is guaranteed to undo
     for _ in range(samples):
         word = [(rng.randint(1, la.RANK), rng.choice((1, -1)))
-                for _ in range(rng.randint(1, 8))]
+                for _ in range(rng.randint(1, la.SEARCH_BOUND))]
         if la.decompose_minus6(la.apply_lattice_word(word, eps0)) is not None:
             decomposed += 1
     w = la.minus6_witness(eps0)
@@ -371,16 +372,16 @@ def check_minus6(ctx: Context):
         "decomposed": decomposed,
         "sampled": samples,
         "witness_index": None if w is None else w.index,
-        "witness_value": None if w is None else w.value.to_json(),
+        "witness_value": None if w is None else list(w.value),
         "witness_not_divisible_by_3":
-            bool(w and not divides(EisensteinInt(3, 0), w.value)),
+            bool(w and not la.divisible_by_3(w.value)),
         "hexaflection_nonintegral": bool(w and w.hexaflection_nonintegral),
     }
     expected = {
         "decomposed": samples,
         "sampled": samples,
         "witness_index": 3,
-        "witness_value": THETA.to_json(),
+        "witness_value": list(la.THETA),
         "witness_not_divisible_by_3": True,
         "hexaflection_nonintegral": True,
     }
@@ -647,7 +648,7 @@ def cmd_export(args) -> int:
     _load_tables()
     if args.what == "gram":
         chunks = [_json_bytes(
-            {"gram": [[c.to_json() for c in row] for row in la.GRAM]})]
+            {"gram": [[list(c) for c in row] for row in la.GRAM]})]
     elif args.what == "classes":
         t = mo.get_table()
         chunks = [_json_bytes({"count": int(t.codes.shape[0]),

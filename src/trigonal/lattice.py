@@ -47,11 +47,15 @@ product, and `require_int64_products` all products of a few matrices at
 once.  The walk expands a level at a time through the step matrices, as one
 `matmul` of the frontier.
 
-EisensteinInt remains only where a value is divided, reduced or printed:
-the chain `GRAM` (the source of A, B and the `_step` rows, and the `export
-gram` JSON), the residues of 1 and tau in `reduction_matrix`, the minus-6
-witness's value and its divisibility tests, and the 10x10 matrices of
-`word_matrix`, `triflection` and `compose`, which no command path builds.
+Scalars.  An element a + b*tau of Z[tau] is the pair (a, b) of ints, and
+each fact about pairs is stated once: `mul` and `conj`, `residue` (mod
+theta, which theta divides exactly when it is 0), `divisible_by_3` and
+`div_theta`.  The chain `GRAM` (the source of A, B and the `_step` rows,
+and the `export gram` JSON), the units of `reduction_matrix`, the step
+coefficients and the minus-6 witness's value are pairs.  Only the 10x10
+matrices of `word_matrix`, `triflection` and `compose`, which no command
+builds, hold `EisensteinInt` entries; they import `trigonal.eisenstein`
+when called, so no command loads it.
 
 The real part of the form, rescaled by -2/3, turns the rank-20 underlying
 Z-module into an even unimodular quadratic lattice of signature (18, 2);
@@ -67,20 +71,58 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eisenstein import (
-    ZERO, ONE, TAU, TAU2, THETA,
-    EisensteinInt, div_exact, divides, reduce_mod_theta,
-)
 from .f3 import generator_index
 from .rules import DIM as RANK
 
 Matrix = tuple  # 10x10 nested tuple of EisensteinInt, row major
 
 
+# -- Z[tau] as integer pairs ----------------------------------------------------
+#
+# The element a + b*tau, tau^2 = tau - 1, is the pair (a, b) of ints.  theta
+# = tau - conj(tau) = -1 + 2*tau has theta^2 = -3 and generates the prime
+# above 3, with residue field F_3; 1/theta = -theta/3 = (1 - 2*tau)/3.
+
+THETA = (-1, 2)
+
+
+def mul(x: tuple, y: tuple) -> tuple[int, int]:
+    """(a + b*tau)(c + d*tau) = (ac - bd) + (ad + bc + bd)*tau."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c + b * d
+
+
+def conj(x: tuple) -> tuple[int, int]:
+    """conj(a + b*tau) = (a + b) - b*tau."""
+    a, b = x
+    return a + b, -b
+
+
+def residue(x: tuple) -> int:
+    """The residue of a + b*tau in F_3 = Z[tau]/theta, (a - b) mod 3, a
+    ring map sending tau to 2; theta divides x exactly when it is 0."""
+    return (x[0] - x[1]) % 3
+
+
+def divisible_by_3(x: tuple) -> bool:
+    """Whether 3 divides a + b*tau: 3 | a and 3 | b."""
+    return x[0] % 3 == 0 and x[1] % 3 == 0
+
+
+def div_theta(x: tuple) -> tuple[int, int]:
+    """The exact quotient x/theta = x*(1 - 2*tau)/3; ValueError unless
+    theta divides x."""
+    if residue(x):
+        raise ValueError(f"theta does not divide {x!r}")
+    a, b = mul(x, (1, -2))
+    return a // 3, b // 3
+
+
 #: the chain's entries GRAM[i][i + d] by the offset d; zero off the chain
-_CHAIN = {0: EisensteinInt(-3), 1: THETA, -1: -THETA}
-GRAM: Matrix = tuple(tuple(_CHAIN.get(j - i, ZERO) for j in range(RANK))
-                     for i in range(RANK))
+_CHAIN = {0: (-3, 0), 1: THETA, -1: (1, -2)}     # (1, -2) = -theta
+#: the chain Gram matrix, a nested tuple of pairs
+GRAM = tuple(tuple(_CHAIN.get(j - i, (0, 0)) for j in range(RANK))
+             for i in range(RANK))
 
 
 # -- vectors ------------------------------------------------------------------
@@ -94,6 +136,7 @@ def basis_vector(i: int) -> tuple:
 
 def _unflat(z) -> tuple:
     """The EisensteinInt coordinates p_k + q_k*tau of the flat vector z."""
+    from .eisenstein import EisensteinInt
     return tuple(EisensteinInt(p, q) for p, q in zip(z[::2], z[1::2]))
 
 
@@ -136,17 +179,18 @@ def _int64(rows) -> np.ndarray:
 # On the Z-basis, herm(s a_i, t a_j) = s * conj(t) * GRAM[i][j] for s, t in
 # {1, tau}; its two integer components are the entries of A and B.
 
-_SCALARS = (ONE, TAU)  # multipliers giving the Z-basis order a_i, tau*a_i
+_SCALARS = ((1, 0), (0, 1))  # 1 and tau, the Z-basis order a_i, tau*a_i
 
 
 @functools.cache
 def _form_components() -> tuple[np.ndarray, np.ndarray]:
     """The 20x20 integer matrices A and B of herm on the Z-basis:
     herm(x, y) = x^T A y + (x^T B y) tau."""
-    h = [[s * t.conj() * GRAM[i][j] for j in range(RANK) for t in _SCALARS]
+    h = [[mul(mul(s, conj(t)), GRAM[i][j])
+          for j in range(RANK) for t in _SCALARS]
          for i in range(RANK) for s in _SCALARS]
-    return (_int64([[c.a for c in row] for row in h]),
-            _int64([[c.b for c in row] for row in h]))
+    return (_int64([[c[0] for c in row] for row in h]),
+            _int64([[c[1] for c in row] for row in h]))
 
 
 @functools.cache
@@ -175,7 +219,7 @@ def herm(x: tuple, y: tuple) -> tuple[int, int]:
 def reduction_matrix() -> np.ndarray:
     """The RANK x 2*RANK int64 matrix of reduction mod theta on the flat
     coordinates: p + q*tau -> p*red(1) + q*red(tau), so a_j goes to e_j."""
-    units = [reduce_mod_theta(s) for s in _SCALARS]
+    units = [residue(s) for s in _SCALARS]
     return np.kron(np.identity(RANK, dtype=np.int64), units)
 
 
@@ -183,6 +227,7 @@ def reduction_matrix() -> np.ndarray:
 
 def compose(m: Matrix, n: Matrix) -> Matrix:
     """The product m*n, i.e. the map applying n first, then m."""
+    from .eisenstein import ZERO
     return tuple(
         tuple(sum((m[i][k] * n[k][j] for k in range(RANK) if m[i][k]), ZERO)
               for j in range(RANK))
@@ -206,8 +251,9 @@ def preserves_realified_form(r: np.ndarray) -> bool:
 # changes the pair (2i-2, 2i-1): multiplying p + q*tau by m = u + v*tau gives
 # (u p - v q) + (v p + (u + v) q) tau.
 
-#: c_e in s_i^e(x) = x + c_e * skew(x, a_i) * a_i; s_i^{-1} = s_i^2
-_COEFF = {1: TAU, -1: TAU2}
+#: c_e in s_i^e(x) = x + c_e * skew(x, a_i) * a_i, tau and tau^2 = tau - 1;
+#: s_i^{-1} = s_i^2
+_COEFF = {1: (0, 1), -1: (-1, 1)}
 
 
 def _exponent(e) -> int:
@@ -228,10 +274,11 @@ def _step_rows(i: int, e: int) -> tuple:
     g = i - 1
     re, im = [], []
     for j in range(RANK):
-        if not GRAM[j][g]:
+        if not any(GRAM[j][g]):
             continue
-        m = _COEFF[e] * div_exact(GRAM[j][g], THETA) + (1 if j == g else 0)
-        for k, cre, cim in ((2 * j, m.a, m.b), (2 * j + 1, -m.b, m.a + m.b)):
+        u, v = mul(_COEFF[e], div_theta(GRAM[j][g]))
+        u += 1 if j == g else 0
+        for k, cre, cim in ((2 * j, u, v), (2 * j + 1, -v, u + v)):
             if cre:
                 re.append((k, cre))
             if cim:
@@ -467,7 +514,7 @@ def decompose_minus6(eps: tuple):
             if not herm(zx, zx) == herm(zy, zy) == (-3, 0):
                 raise ArithmeticError("decompose_minus6: "
                                       "herm(x, x) = herm(y, y) = -3 fails")
-            if herm(zx, zy) != (THETA.a, THETA.b):
+            if herm(zx, zy) != THETA:
                 raise ArithmeticError("decompose_minus6: "
                                       "herm(x, y) = theta fails")
             return zx, zy
@@ -482,7 +529,7 @@ class Minus6Witness(NamedTuple):
     z -> z + herm(z, eps)/3 * eps indeed moves x outside the lattice.
     """
     index: int
-    value: EisensteinInt
+    value: tuple[int, int]
     hexaflection_nonintegral: bool
 
 
@@ -497,15 +544,15 @@ def minus6_witness(eps: tuple):
     """
     if herm(eps, eps) != (-6, 0):
         raise ValueError("minus6_witness requires herm(eps, eps) = -6")
-    three = EisensteinInt(3)
-    coords = _unflat(eps)
-    for i in sorted(range(1, RANK + 1), key=lambda i: bool(coords[i - 1])):
-        value = EisensteinInt(*herm(eps, basis_vector(i)))
-        if divides(three, value):
+    coords = tuple(zip(eps[::2], eps[1::2]))     # p_k + q_k*tau
+    for i in sorted(range(1, RANK + 1), key=lambda i: any(coords[i - 1])):
+        value = herm(eps, basis_vector(i))
+        if divisible_by_3(value):
             continue
         # herm(x, eps) = conj(value); the hexaflection sends x to
         # x + herm(x, eps)/3 * eps, not in L iff some coordinate fails.
-        hx = value.conj()
-        nonintegral = any(not divides(three, hx * c) for c in coords if c)
+        hx = conj(value)
+        nonintegral = any(not divisible_by_3(mul(hx, c))
+                          for c in coords if any(c))
         return Minus6Witness(i, value, nonintegral)
     return None

@@ -4,7 +4,12 @@ Each oracle is written from its definition, independently of the code it
 checks, and is defined here once for every test module.  None of them is
 called by a command, so none of them lives in the package.  So does the
 matrix P of the closed form, which no command reads: the package states
-only its columns, `rules.P_COLUMNS`.
+only its columns, `rules.P_COLUMNS`.  So do the reference ring's facts:
+negation, conjugation, the norm, divisibility and reduction mod theta, over
+`EisensteinInt`, the class of the entries of `lattice.word_matrix`; the
+package computes on integer pairs.  The tests import the class and `ZERO`
+from here, one class for both, since a frozen dataclass never compares
+equal to a second one.
 """
 
 import itertools
@@ -15,8 +20,72 @@ import numpy as np
 from trigonal import lattice as lat
 from trigonal import rules
 from trigonal import sympf3 as sp
-from trigonal.eisenstein import (ONE, TAU, THETA, ZERO, EisensteinInt,
-                                 div_exact, reduce_mod_theta)
+from trigonal.eisenstein import ZERO, EisensteinInt
+
+
+# -- the reference ring Z[tau], tau^2 = tau - 1 ---------------------------------
+
+def neg(x):
+    """-x."""
+    return EisensteinInt(-x.a, -x.b)
+
+
+def conj(x):
+    """The complex conjugate: tau = e^(i pi/3) goes to 1 - tau, so
+    conj(a + b*tau) = (a + b) - b*tau."""
+    return EisensteinInt(x.a + x.b, -x.b)
+
+
+def norm(x):
+    """The multiplicative norm x * conj(x) = a^2 + ab + b^2 >= 0."""
+    return x.a * x.a + x.a * x.b + x.b * x.b
+
+
+ONE = EisensteinInt(1)
+TAU = EisensteinInt(0, 1)
+TAU2 = TAU * TAU                 # = tau - 1, a primitive cube root of unity
+THETA = TAU + neg(conj(TAU))     # = -1 + 2*tau, theta^2 = -3
+
+
+def _quotient(x, d):
+    """x/d when d divides x, else None: x*conj(d)/norm(d), exactly."""
+    n = norm(d)
+    if n == 0:
+        raise ZeroDivisionError("division by zero in EisensteinInt")
+    t = x * conj(d)
+    if t.a % n or t.b % n:
+        return None
+    return EisensteinInt(t.a // n, t.b // n)
+
+
+def divides(d, x):
+    """Whether d divides x in the ring."""
+    return _quotient(x, d) is not None
+
+
+def div_exact(x, d):
+    """The quotient x/d, raising ValueError if d does not divide x."""
+    q = _quotient(x, d)
+    if q is None:
+        raise ValueError(f"{d!r} does not divide {x!r}")
+    return q
+
+
+def reduce_mod_theta(x):
+    """The residue of x in F_3 = Z[tau]/theta: the r in {0, 1, 2} with
+    theta | x - r."""
+    r, = (r for r in range(3) if divides(THETA, x + -r))
+    return r
+
+
+def chain_gram(rank):
+    """The rank x rank chain Gram matrix from its definition:
+    herm(a_i, a_i) = -3, herm(a_i, a_{i+1}) = theta = -herm(a_{i+1}, a_i),
+    and 0 off the chain."""
+    chain = {0: EisensteinInt(-3), 1: THETA, -1: neg(THETA)}
+    return tuple(tuple(chain.get(j - i, ZERO) for j in range(rank))
+                 for i in range(rank))
+
 
 #: the six relabelings of codes induced by simultaneous conjugation, the
 #: maps c -> +-c + a, which are all of Sym(F_3), as rows in lexicographic
@@ -193,15 +262,14 @@ def point_vectors_by_differences(codes):
 def realified_chain_gram(rank):
     """The 2*rank x 2*rank Gram matrix of -(2/3) * Re herm on the Z-basis
     a_1, tau*a_1, a_2, ... of the chain lattice of `rank`, from its
-    definition: herm(a_i, a_i) = -3, herm(a_i, a_{i+1}) = theta =
-    -herm(a_{i+1}, a_i), herm(s*x, t*y) = s * conj(t) * herm(x, y), and
-    Re(a + b*tau) = a + b/2."""
-    chain = {0: EisensteinInt(-3), 1: THETA, -1: -THETA}
+    definition: the `chain_gram` of `rank`, herm(s*x, t*y) = s * conj(t) *
+    herm(x, y), and Re(a + b*tau) = a + b/2."""
+    gram = chain_gram(rank)
     rows = []
     for i, s in itertools.product(range(rank), (ONE, TAU)):
         row = []
         for j, t in itertools.product(range(rank), (ONE, TAU)):
-            h = s * t.conj() * chain.get(j - i, ZERO)
+            h = s * conj(t) * gram[i][j]
             assert (2 * h.a + h.b) % 3 == 0
             row.append(-(2 * h.a + h.b) // 3)
         rows.append(row)

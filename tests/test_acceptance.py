@@ -32,11 +32,10 @@ from trigonal import correspondence as co
 from trigonal import lattice as la
 from trigonal import monodromy as mo
 from trigonal import sympf3 as sp
-from trigonal.eisenstein import THETA, EisensteinInt, divides
 from trigonal.schreier import (apply_word, inverse_permutation, orbit_bfs,
                                schreier_generator_words)
 
-from oracles import vec_add
+from oracles import THETA, EisensteinInt, divides, vec_add
 
 
 class Timer:
@@ -251,8 +250,9 @@ def test_criterion_10_minus6_certificates():
                         and EisensteinInt(*la.herm(x, y)) == THETA):
                     decomposed += 1
         w = la.minus6_witness(eps0)
-        witness_ok = (w is not None and w.index == 3 and w.value == THETA
-                      and not divides(EisensteinInt(3, 0), w.value)
+        value = None if w is None else EisensteinInt(*w.value)
+        witness_ok = (w is not None and w.index == 3 and value == THETA
+                      and not divides(EisensteinInt(3, 0), value)
                       and w.hexaflection_nonintegral)
         ok = decomposed == samples and witness_ok
     report(10, "minus-6 certificates", ok, 60, t,

@@ -48,10 +48,9 @@ import trigonal
 from trigonal import __version__, cli
 from trigonal import monodromy as mo
 from trigonal import rules
-from trigonal.eisenstein import TAU2, EisensteinInt
 from trigonal.schreier import inverse_permutation
 
-from oracles import ALPHABET_PERMS
+from oracles import ALPHABET_PERMS, TAU2
 
 #: SHA-256 of the bytes each export writes
 EXPORT_SHA256 = {
@@ -350,7 +349,7 @@ def test_integral_entries_go_red_on_a_gram_entry_theta_does_not_divide(
     # herm(a_4, a_5) = theta becomes 1, which theta does not divide, so s_5
     # is no longer integral; the step matrices are not composed at all
     gram = [list(row) for row in cli.la.GRAM]
-    gram[3][4] = EisensteinInt(1)
+    gram[3][4] = (1, 0)
     monkeypatch.setattr(cli.la, "GRAM", tuple(map(tuple, gram)))
     ok, observed, _, details = cli.check_triflection_algebra(
         cli.Context(0, False))
@@ -746,7 +745,8 @@ SMALL_RANKS = {
 #: t P mod 3 of every class row, with the matrix P of the oracles in the
 #: directory argv[3], spans the point that the bijection's `backward` gives,
 #: and whether the columns that `rules` states are those of the lattice's
-#: Gram matrix divided by theta and reduced mod theta
+#: Gram matrix divided by theta and reduced mod theta, read off the pairs
+#: by the congruence: (a + b*tau)/theta has the residue (a + b) mod 3
 AT_RANK = """
 import hashlib, json, pathlib, sys
 import trigonal
@@ -754,7 +754,6 @@ trigonal.RANK = int(sys.argv[1])
 import trigonal.cli as cli
 from trigonal import correspondence as co, lattice, monodromy as mo, rules
 from trigonal import sympf3 as sp
-from trigonal.eisenstein import THETA, div_exact, reduce_mod_theta
 sys.path.insert(0, sys.argv[3])
 from oracles import P
 out = pathlib.Path(sys.argv[2])
@@ -767,8 +766,7 @@ for _ in range(2):
 keys = (mo.get_table().codes @ P % 3).astype("int64") @ sp.POW3
 spans = (sp.get_table().point_index[keys]
          == co.build_bijection().backward).all()
-residues = [[reduce_mod_theta(div_exact(c, THETA)) for c in row]
-            for row in lattice.GRAM]
+residues = [[(a + b) % 3 for a, b in row] for row in lattice.GRAM]
 columns = rules.SYMP_COLUMNS == [list(column) for column in zip(*residues)]
 print(json.dumps({"code": code, "checks": checks, "digests": digests,
                   "point_vectors_span_backward": bool(spans),
@@ -924,6 +922,26 @@ def test_verify_and_exports_leave_numpy_ma_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_command_loads_the_eisenstein_class(tmp_path):
+    # the commands compute on integer pairs; only the 10x10 matrices that
+    # no command builds import `trigonal.eisenstein`, when they are called
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "import trigonal.lattice\n"
+        "assert 'trigonal.eisenstein' not in sys.modules, 'by lattice'\n"
+        "from trigonal import cli\n"
+        "assert cli.main(['verify', 'all', '--optional', "
+        f"'--out', {out!r}]) == 1\n"
+        "for what in (['gram'], ['classes'], ['bijection'], ['orbits'],\n"
+        "             ['orbits', '--format', 'dot']):\n"
+        f"    assert cli.main(['export', *what, '--out', {out!r}]) == 0\n"
+        "assert 'trigonal.eisenstein' not in sys.modules, 'by a command'\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_monodromy_imports_nothing_from_the_point_side():
     # the F_3 coding of the transpositions is stated in monodromy itself,
     # not borrowed from the lattice or its reduction mod theta
@@ -1004,6 +1022,17 @@ UNCALLED = {
                        "`cli.mo`; the commands load them directly",
     "cli._cannot_write": "the error line of an unwritable output",
     "cli.console_main": "the process entry point around `main`",
+    "eisenstein.EisensteinInt.__add__":
+        "the idle 10x10 matrices and perfbench's micro-probe only "
+        "(ROADMAP item 14)",
+    "eisenstein.EisensteinInt.__bool__":
+        "the idle 10x10 matrices only (ROADMAP item 14)",
+    "eisenstein.EisensteinInt.__mul__":
+        "the idle 10x10 matrices and perfbench's micro-probe only "
+        "(ROADMAP item 14)",
+    "eisenstein._coerce": "the idle 10x10 matrices and perfbench's "
+                          "micro-probe only (ROADMAP item 14)",
+    "lattice._unflat": "the entries of `word_matrix` only (ROADMAP item 14)",
     "lattice.compose": "perfbench's micro-probe only (ROADMAP item 14)",
     "lattice.triflection":
         "perfbench's span and micro-probe only (ROADMAP item 14)",

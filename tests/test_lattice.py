@@ -13,18 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trigonal.eisenstein import (
-    ZERO, ONE, TAU, TAU2, THETA, EisensteinInt, div_exact, divides,
-)
 from trigonal import cli
 from trigonal import lattice as lat
 
-from oracles import (eisenstein, flat, realified_chain_gram, realify,
+from oracles import (ONE, TAU, TAU2, THETA, ZERO, EisensteinInt, chain_gram,
+                     conj, div_exact, divides, eisenstein, flat, neg,
+                     realified_chain_gram, realify, reduce_mod_theta,
                      scalar_matrix, scale, skew, vec_add, walk_by_vector)
 
 
 A = [None] + [lat.basis_vector(i) for i in range(1, 11)]  # 1-based, flat
 IDENTITY = scalar_matrix(ONE)
+GRAM = chain_gram(10)        # the reference chain, over EisensteinInt
 
 
 def rand_vector(rng, bound=4):
@@ -51,10 +51,10 @@ def preserves_form(m):
 
 
 def gram_herm(x, y):
-    """herm as the sum of x_i * GRAM[i][j] * conj(y_j), in EisensteinInt,
-    for two flat vectors."""
+    """herm as the sum of x_i * GRAM[i][j] * conj(y_j) over the reference
+    chain, in EisensteinInt, for two flat vectors."""
     x, y = eisenstein(x), eisenstein(y)
-    return sum((x[i] * lat.GRAM[i][j] * y[j].conj()
+    return sum((x[i] * GRAM[i][j] * conj(y[j])
                 for i in range(10) for j in range(10)), ZERO)
 
 
@@ -62,22 +62,57 @@ scalars = st.builds(EisensteinInt, st.integers(-50, 50), st.integers(-50, 50))
 vectors = st.tuples(*[scalars] * 10).map(flat)
 
 
+# -- Z[tau] as integer pairs ---------------------------------------------------
+
+#: every pair (a, b) = a + b*tau with |a|, |b| <= 40
+SQUARE = [(a, b) for a in range(-40, 41) for b in range(-40, 41)]
+
+
+def test_pair_product_and_conj_are_the_reference_ring():
+    small = [EisensteinInt(c, d) for c in range(-3, 4) for d in range(-3, 4)]
+    for a, b in SQUARE:
+        x = EisensteinInt(a, b)
+        assert EisensteinInt(*lat.conj((a, b))) == conj(x)
+        for y in small:
+            assert EisensteinInt(*lat.mul((a, b), (y.a, y.b))) == x * y
+
+
+def test_pair_divisibility_and_residues_are_the_reference_ring():
+    three = EisensteinInt(3)
+    for a, b in SQUARE:
+        x = EisensteinInt(a, b)
+        assert lat.residue((a, b)) == reduce_mod_theta(x)
+        assert (lat.residue((a, b)) == 0) == divides(THETA, x)
+        assert lat.divisible_by_3((a, b)) == divides(three, x)
+        if divides(THETA, x):
+            q = lat.div_theta((a, b))
+            assert EisensteinInt(*q) == div_exact(x, THETA)
+            # the residue of x/theta, which the small-rank checks read
+            assert reduce_mod_theta(EisensteinInt(*q)) == (a + b) % 3
+        else:
+            with pytest.raises(ValueError, match="does not divide"):
+                lat.div_theta((a, b))
+
+
 # -- Gram and form ------------------------------------------------------------
 
 def test_gram_chain_values():
-    assert lat.GRAM[0][0] == EisensteinInt(-3)
-    assert lat.GRAM[0][1] == THETA
-    assert lat.GRAM[1][0] == -THETA
-    assert lat.GRAM[0][2] == ZERO
+    assert lat.GRAM[0][0] == (-3, 0)
+    assert lat.GRAM[0][1] == lat.THETA == (THETA.a, THETA.b)
+    assert lat.GRAM[1][0] == (1, -2)
+    assert lat.GRAM[0][2] == (0, 0)
+    assert tuple(tuple(EisensteinInt(*c) for c in row)
+                 for row in lat.GRAM) == GRAM
     for i in range(10):
         for j in range(10):
-            assert lat.GRAM[j][i] == lat.GRAM[i][j].conj()
+            assert GRAM[j][i] == conj(GRAM[i][j])
 
 
 def test_herm_on_basis_matches_gram():
     for i in range(1, 11):
         for j in range(1, 11):
-            assert herm_value(A[i], A[j]) == lat.GRAM[i - 1][j - 1]
+            assert lat.herm(A[i], A[j]) == lat.GRAM[i - 1][j - 1]
+            assert herm_value(A[i], A[j]) == GRAM[i - 1][j - 1]
 
 
 def test_herm_of_minus6_vector():
@@ -92,8 +127,8 @@ def test_herm_is_sesquilinear_and_theta_valued():
         x, y = rand_vector(rng), rand_vector(rng)
         lam = rand_scalar(rng)
         assert herm_value(scale(lam, x), y) == lam * herm_value(x, y)
-        assert herm_value(x, scale(lam, y)) == lam.conj() * herm_value(x, y)
-        assert herm_value(y, x) == herm_value(x, y).conj()
+        assert herm_value(x, scale(lam, y)) == conj(lam) * herm_value(x, y)
+        assert herm_value(y, x) == conj(herm_value(x, y))
         assert divides(THETA, herm_value(x, y))
         d = herm_value(x, x)
         assert d.b == 0 and d.a % 3 == 0  # diagonal values are integers in 3Z
@@ -101,7 +136,7 @@ def test_herm_is_sesquilinear_and_theta_valued():
 
 def test_skew_values():
     assert skew(A[1], A[2]) == ONE
-    assert skew(A[2], A[1]) == -ONE
+    assert skew(A[2], A[1]) == neg(ONE)
     assert skew(A[1], A[1]) == THETA
     assert skew(A[1], A[3]) == ZERO
 
@@ -110,7 +145,7 @@ def test_skew_twisted_antisymmetry():
     rng = random.Random(2)
     for _ in range(40):
         x, y = rand_vector(rng), rand_vector(rng)
-        assert skew(y, x) == -(skew(x, y).conj())
+        assert skew(y, x) == neg(conj(skew(x, y)))
 
 
 # -- triflections ---------------------------------------------------------------
@@ -123,7 +158,7 @@ def test_triflection_on_its_own_mirror_vector():
 
 def test_triflection_on_neighbour_and_far_vector():
     s1 = lat.triflection(1)
-    assert act(s1, A[2]) == vec_add(A[2], scale(-TAU, A[1]))
+    assert act(s1, A[2]) == vec_add(A[2], scale(neg(TAU), A[1]))
     assert act(s1, A[3]) == A[3]
     assert lat.apply_lattice_word([(1, 1)], A[3]) == A[3]
     assert lat.apply_lattice_word([(5, 1)], A[1]) == A[1]
@@ -488,9 +523,9 @@ def test_minus6_witness_identity_instance():
     eps = lat.MINUS6_SEED
     w = lat.minus6_witness(eps)
     assert w is not None
-    assert w.index == 3 and herm_value(eps, A[w.index]) == w.value
-    assert w.value == THETA
-    assert not divides(EisensteinInt(3), w.value)
+    assert w.index == 3 and lat.herm(eps, A[w.index]) == w.value
+    assert EisensteinInt(*w.value) == THETA
+    assert not divides(EisensteinInt(3), EisensteinInt(*w.value))
     assert w.hexaflection_nonintegral
 
 
@@ -498,7 +533,7 @@ def test_minus6_witness_shifted_instance():
     eps = vec_add(A[2], A[3])
     w = lat.minus6_witness(eps)
     assert w.index == 1
-    assert w.value == -THETA
+    assert EisensteinInt(*w.value) == neg(THETA)
     assert w.hexaflection_nonintegral
 
 
@@ -507,7 +542,7 @@ def test_minus6_witness_skips_a_basis_vector_3_divides():
     eps = vec_add(A[3], A[4])
     assert herm_value(eps, A[1]) == ZERO
     w = lat.minus6_witness(eps)
-    assert (w.index, w.value.to_json()) == (2, [1, -2])
+    assert (w.index, w.value) == (2, (1, -2))
 
 
 def test_minus6_witness_requires_norm_minus6():
@@ -519,7 +554,7 @@ def test_minus6_witness_requires_norm_minus6():
 
 def test_matrix_round_trip():
     m = lat.triflection(4)
-    data = [[c.to_json() for c in row] for row in m]
+    data = [[[c.a, c.b] for c in row] for row in m]
     assert tuple(tuple(EisensteinInt(*p) for p in row) for row in data) == m
     assert data[3][3] == [-1, 1]  # tau^2 at the mirror slot
 
@@ -528,8 +563,7 @@ def test_gram_json_shape(tmp_path):
     out = tmp_path / "gram.json"
     assert cli.main(["export", "gram", "--out", str(out)]) == 0
     data = json.loads(out.read_text())["gram"]
-    assert tuple(tuple(EisensteinInt(*p) for p in row)
-                 for row in data) == lat.GRAM
+    assert tuple(tuple(tuple(p) for p in row) for row in data) == lat.GRAM
     assert data[0][0] == [-3, 0]
     assert data[0][1] == [-1, 2]
     assert data[1][0] == [1, -2]

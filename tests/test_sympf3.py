@@ -8,10 +8,10 @@ import pytest
 
 from trigonal import lattice as lat
 from trigonal import sympf3 as sp
-from trigonal.eisenstein import THETA, EisensteinInt, reduce_mod_theta
 
-from oracles import (brute_canonicalize, f3_rank, keys_of, reduce_vector,
-                     scale, skew, symp, vec_add)
+from oracles import (THETA, EisensteinInt, brute_canonicalize, f3_rank,
+                     keys_of, reduce_mod_theta, reduce_vector, scale, skew,
+                     symp, vec_add)
 
 
 def rand_vector(rng, bound):
@@ -40,9 +40,10 @@ def test_symp_gram_values():
 
 def test_symp_gram_is_reduction_of_skew_on_basis_pairs():
     # SYMP_GRAM is the array of `rules.SYMP_COLUMNS`, stated without the
-    # lattice: here it is derived from the lattice's form at rank 10
-    basis = [lat.basis_vector(i) for i in range(1, 11)]
-    reduced = [[reduce_mod_theta(skew(x, y)) for y in basis] for x in basis]
+    # lattice: here it is derived from the lattice's form at rank 10, the
+    # pair GRAM[i][j] = herm(a_i, a_j) = a + b*tau, whose skew GRAM[i][j] /
+    # theta has the residue (a + b) mod 3
+    reduced = [[(a + b) % 3 for a, b in row] for row in lat.GRAM]
     assert (sp.SYMP_GRAM == np.array(reduced)).all()
     assert sp.SYMP_GRAM.dtype == np.int8
 
