@@ -22,8 +22,10 @@ which is the only field that varies between identical runs.
 not at import, and parses once: argv goes to the named command's own
 parser, and to the top-level one only when that cannot finish it alone.
 This module imports only the standard library and `rules`, the one-row
-rules in pure Python, so `classify` and `--help` load no numpy and no table
-module; `verify` and `export` load them through `_load_tables`.
+rules and the chain's forms in pure Python, so `classify`, `--help` and
+`export gram`, which writes `rules.GRAM`, load no numpy and no table
+module.  `verify` and the table exports load them through `_load_tables`,
+and only `verify` loads `lattice`, which `Context` binds.
 """
 
 from __future__ import annotations
@@ -44,22 +46,23 @@ from . import __version__, rules
 @functools.cache
 def _load_tables() -> None:
     """Bind numpy, the table modules and the two schreier kernels as globals
-    of this module, once: `classify` and `--help` need none of them, so
-    `import trigonal.cli` loads no numpy.  A second call binds nothing, so
-    a name replaced after the first one (perfbench wraps `bsgs_order` and
-    replaces `CHECKS` before its first `verify`) stays replaced.
+    of this module, once: `classify`, `--help` and `export gram` need none
+    of them, so `import trigonal.cli` loads no numpy.  A second call binds
+    nothing, so a name replaced after the first one (perfbench wraps
+    `bsgs_order` and replaces `CHECKS` before its first `verify`) stays
+    replaced.  `lattice` is not among them: no export reads it, and
+    `Context` binds it as `la` for the check rows.
 
     `Context` and `cmd_export` call this, and `__getattr__` does for a
     reader from outside, such as `cli.mo`.  A helper that reads these
     names, such as `_h_variant_holds`, raises NameError when it is called
     before any of them."""
-    global np, co, f3, la, mo, sp
+    global np, co, f3, mo, sp
     global bsgs_order, orbit_sizes
     import numpy as np
 
     from . import correspondence as co
     from . import f3
-    from . import lattice as la
     from . import monodromy as mo
     from . import sympf3 as sp
     from .schreier import bsgs_order, orbit_sizes
@@ -69,7 +72,9 @@ def __getattr__(name: str):
     """A name that `_load_tables` binds, read from outside (PEP 562): the
     first such read loads the tables' modules.  A missing dunder name, such
     as the `__bases__` or `__wrapped__` that pytest's collection and
-    `inspect` probe for, loads nothing and raises AttributeError."""
+    `inspect` probe for, loads nothing and raises AttributeError, and so
+    does `la` before the first `Context`: readers from outside import
+    `trigonal.lattice` itself."""
     if not (name.startswith("__") and name.endswith("__")):
         _load_tables()
     try:
@@ -144,10 +149,15 @@ def _json_bytes(obj) -> bytes:
 
 class Context:
     """The run's seed and options, and the bijection built once per run:
-    a build that raises is not retried, and raises again for each check."""
+    a build that raises is not retried, and raises again for each check.
+
+    Every check row starts here, so this binds the table modules, and
+    `lattice` as `la`, which only the check rows read."""
 
     def __init__(self, seed: int, optional: bool):
+        global la
         _load_tables()
+        from . import lattice as la
         self.seed = seed
         self.optional = optional
         self._corr: co.Correspondence | Exception | None = None
@@ -645,11 +655,11 @@ def cmd_export(args) -> int:
     out = _open_out(args.out)
     if out is None:
         return 2
+    if args.what == "gram":               # integer pairs: loads no table
+        return _write(out, [_json_bytes(
+            {"gram": [[list(c) for c in row] for row in rules.GRAM]})])
     _load_tables()
-    if args.what == "gram":
-        chunks = [_json_bytes(
-            {"gram": [[list(c) for c in row] for row in la.GRAM]})]
-    elif args.what == "classes":
+    if args.what == "classes":
         t = mo.get_table()
         chunks = [_json_bytes({"count": int(t.codes.shape[0]),
                                "classes": mo.code_strings(t.codes)})]
@@ -752,8 +762,8 @@ def console_main() -> int:
     output when it returns, then moves every tracked object to the
     collector's permanent generation, so that interpreter shutdown skips
     full collections of what the command loaded, which nothing reads any
-    more: after `verify` or `export` the tables and numpy's objects (a
-    `classify` loads neither).  `main` itself never freezes, so in-process
+    more: after `verify` or a table export the tables and numpy's objects
+    (a `classify` or an `export gram` loads neither).  `main` itself never freezes, so in-process
     callers keep a normal collector."""
     code = main()
     gc.freeze()

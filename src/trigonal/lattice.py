@@ -50,9 +50,11 @@ once.  The walk expands a level at a time through the step matrices, as one
 Scalars.  An element a + b*tau of Z[tau] is the pair (a, b) of ints, and
 each fact about pairs is stated once: `mul` and `conj`, `residue` (mod
 theta, which theta divides exactly when it is 0), `divisible_by_3` and
-`div_theta`.  The chain `GRAM` (the source of A, B and the `_step` rows,
-and the `export gram` JSON), the units of `reduction_matrix`, the step
-coefficients and the minus-6 witness's value are pairs.  Only the 10x10
+`div_theta`.  The chain `GRAM` and `THETA` are stated in `rules`, beside
+the symplectic form, and imported from there: `GRAM` is the source of A,
+B and the `_step` rows, and `export gram` writes it from `rules` without
+loading this module.  The units of `reduction_matrix`, the step
+coefficients and the minus-6 witness's value are pairs too.  Only the 10x10
 matrices of `word_matrix`, `triflection` and `compose`, which no command
 builds, hold `EisensteinInt` entries; they import `trigonal.eisenstein`
 when called, so no command loads it.
@@ -72,18 +74,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .f3 import generator_index
-from .rules import DIM as RANK
+from .rules import DIM as RANK, GRAM, THETA
 
 Matrix = tuple  # 10x10 nested tuple of EisensteinInt, row major
 
 
 # -- Z[tau] as integer pairs ----------------------------------------------------
 #
-# The element a + b*tau, tau^2 = tau - 1, is the pair (a, b) of ints.  theta
-# = tau - conj(tau) = -1 + 2*tau has theta^2 = -3 and generates the prime
-# above 3, with residue field F_3; 1/theta = -theta/3 = (1 - 2*tau)/3.
-
-THETA = (-1, 2)
+# The element a + b*tau, tau^2 = tau - 1, is the pair (a, b) of ints, and
+# 1/theta = -theta/3 = (1 - 2*tau)/3 (`rules` states THETA).
 
 
 def mul(x: tuple, y: tuple) -> tuple[int, int]:
@@ -116,13 +115,6 @@ def div_theta(x: tuple) -> tuple[int, int]:
         raise ValueError(f"theta does not divide {x!r}")
     a, b = mul(x, (1, -2))
     return a // 3, b // 3
-
-
-#: the chain's entries GRAM[i][i + d] by the offset d; zero off the chain
-_CHAIN = {0: (-3, 0), 1: THETA, -1: (1, -2)}     # (1, -2) = -theta
-#: the chain Gram matrix, a nested tuple of pairs
-GRAM = tuple(tuple(_CHAIN.get(j - i, (0, 0)) for j in range(RANK))
-             for i in range(RANK))
 
 
 # -- vectors ------------------------------------------------------------------

@@ -4,9 +4,14 @@ trichotomies, and the closed form of the bijection on one row.
 `classify` answers from this module alone, on Python ints, so it loads no
 numpy and builds no table.  Each rule is defined here once; `monodromy`,
 `sympf3` and `correspondence` import what they use of it beside its array
-form, and the tests pin the two equal.  The chain's symplectic form is
-stated here, and only here.  The sizes come from the package's RANK, read
-once, at import: DIM = RANK coordinates and TUPLE_LEN = RANK + 2 slots.
+form, and the tests pin the two equal.  The chain's two forms are stated
+here, and only here, each on its own: the Hermitian Gram matrix `GRAM`
+over Z[tau], as integer pairs, which `lattice` builds on and `export gram`
+writes without loading numpy, and its symplectic reduction mod theta,
+`SYMP_COLUMNS`, which is not derived from `GRAM`, so that `verify`'s
+mod-theta row compares two independent statements.  The sizes come from
+the package's RANK, read once, at import: DIM = RANK coordinates and
+TUPLE_LEN = RANK + 2 slots.
 """
 
 from __future__ import annotations
@@ -93,6 +98,21 @@ def classify_confluence_codes(codes, pos: int) -> str:
     if rotated[0] != rotated[1]:
         return CONFLUENCE_CLASSES[1]
     return CONFLUENCE_CLASSES[0 if len(set(rotated[2:])) == 1 else 2]
+
+
+# -- the chain's Hermitian form -----------------------------------------------
+#
+# The element a + b*tau of Z[tau], tau^2 = tau - 1, is the pair (a, b) of
+# ints.  theta = tau - conj(tau) = -1 + 2*tau has theta^2 = -3 and generates
+# the prime above 3, with residue field F_3.
+
+THETA = (-1, 2)
+
+#: the chain's entries GRAM[i][i + d] by the offset d; zero off the chain
+_CHAIN = {0: (-3, 0), 1: THETA, -1: (1, -2)}     # (1, -2) = -theta
+#: the chain Gram matrix herm(a_i, a_j), a nested tuple of pairs
+GRAM = tuple(tuple(_CHAIN.get(j - i, (0, 0)) for j in range(DIM))
+             for i in range(DIM))
 
 
 # -- the line side ------------------------------------------------------------

@@ -7,8 +7,9 @@ caches, the runs of the whole program at ranks 4, 6 and 8, which set the rank
 before the package reads it, the naive closure of the rank-4 symplectic
 group, the test that an odd rank or one below 4 is refused at import, the
 tests that `verify all` and `export bijection` build only the base class
-tree, the tests that `import trigonal.cli`, `classify`, `--help` and a
-dunder probe import no numpy and no table module and that
+tree, the tests that `import trigonal.cli`, `classify`, `--help`, a
+dunder probe and `export gram` import no numpy and no table module, that
+the table exports import no lattice and `verify lattice` does, and that
 `import trigonal.rules` imports nothing else, the tests of the table
 readers that may come first in a process and of the `verify` report and
 the DOT export under two hash seeds, the test that
@@ -46,11 +47,12 @@ from hypothesis import given, settings, strategies as st
 
 import trigonal
 from trigonal import __version__, cli
+from trigonal import lattice as la
 from trigonal import monodromy as mo
 from trigonal import rules
 from trigonal.schreier import inverse_permutation
 
-from oracles import ALPHABET_PERMS, TAU2
+from oracles import ALPHABET_PERMS, TAU2, chain_gram
 
 #: SHA-256 of the bytes each export writes
 EXPORT_SHA256 = {
@@ -121,10 +123,11 @@ def full_report(tmp_path_factory):
 
 @pytest.fixture
 def tables():
-    """numpy and the table modules bound in `cli`, for a test whose first
-    call is a private helper that reads them: only `Context`, `cmd_export`
-    and a non-dunder read from outside, such as `cli.mo`, bind them."""
-    cli._load_tables()
+    """numpy, the table modules and `la` bound in `cli`, for a test whose
+    first call is a private helper that reads them: `Context` binds them
+    all; `cmd_export` and a non-dunder read from outside, such as `cli.mo`,
+    bind all but `la`."""
+    cli.Context(0, False)
 
 
 def test_verify_all_exit_and_shape(full_report):
@@ -279,7 +282,7 @@ def test_failing_lattice_rows_name_their_first_failure(monkeypatch):
     for check in (cli.check_triflection_algebra, cli.check_mod_theta):
         ok, _, _, details = check(ctx)
         assert ok and details is None
-    la, step = cli.la, cli.la.step_matrix
+    step = la.step_matrix
     # tau^2 * s_4 still has order three and preserves the form, but breaks
     # the braid relations with s_3 and s_5; mod theta tau^2 is 1
     # (a + b*tau acts on the flat pair (p, q) as [[a, -b], [b, a + b]])
@@ -324,12 +327,12 @@ def test_a_wrong_stated_form_goes_red_at_the_bridge(monkeypatch, tmp_path):
 
 
 def test_triflection_relations_refuse_generators_that_could_overflow(
-        monkeypatch):
+        tables, monkeypatch):
     # every relation multiplies at most three generators, so one bound is
     # checked before any product: with an entry of 2^21 the bound is
     # 20^2 * (2^21)^3 = 400 * 2^63, which int64 cannot hold, and no
     # relation after the integrality rows is evaluated
-    la, step = cli.la, cli.la.step_matrix
+    step = la.step_matrix
     big = np.full((20, 20), 2 ** 21, dtype=np.int64)
     monkeypatch.setattr(la, "step_matrix",
                         lambda i, e=1: big if i == 4 else step(i, e))
@@ -348,9 +351,9 @@ def test_integral_entries_go_red_on_a_gram_entry_theta_does_not_divide(
         monkeypatch):
     # herm(a_4, a_5) = theta becomes 1, which theta does not divide, so s_5
     # is no longer integral; the step matrices are not composed at all
-    gram = [list(row) for row in cli.la.GRAM]
+    gram = [list(row) for row in la.GRAM]
     gram[3][4] = (1, 0)
-    monkeypatch.setattr(cli.la, "GRAM", tuple(map(tuple, gram)))
+    monkeypatch.setattr(la, "GRAM", tuple(map(tuple, gram)))
     ok, observed, _, details = cli.check_triflection_algebra(
         cli.Context(0, False))
     assert not ok and details == {"first_failure": "integral_entries 5"}
@@ -386,8 +389,8 @@ def test_the_realification_row_reports_a_degenerate_gram(
     # the chain Gram's diagonal is 2, so neither repair of a zero pivot in
     # `_det_and_signature` runs on it; they decide what the row reports
     # when the Gram is degenerate, and the row fails without raising
-    gram = degenerate(cli.la.realified_gram())
-    monkeypatch.setattr(cli.la, "realified_gram", lambda: gram)
+    gram = degenerate(la.realified_gram())
+    monkeypatch.setattr(la, "realified_gram", lambda: gram)
     ok, observed, expected, _ = cli.check_realification(cli.Context(0, False))
     assert not ok
     assert observed == {"is_even": True, "abs_det": abs_det,
@@ -472,7 +475,7 @@ def test_a_corrupted_hurwitz_permutation_names_its_first_failing_relation(
 def test_minus6_row_passes_on_seeds_that_walk_back(monkeypatch, seed):
     # these seeds sample vectors outside the ball that decompose_minus6
     # grows from a_1 + a_2, so their row also certifies the walk back
-    la, seen = cli.la, []
+    seen = []
     decompose = la.decompose_minus6
     monkeypatch.setattr(la, "decompose_minus6",
                         lambda eps: seen.append(eps) or decompose(eps))
@@ -486,7 +489,6 @@ def test_minus6_row_passes_on_seeds_that_walk_back(monkeypatch, seed):
 def test_minus6_row_fails_on_a_split_that_breaks_its_identities(monkeypatch):
     # a walk that drops its last letter builds a split whose sum is not eps;
     # the check is explicit, so it holds under `python -O` too
-    la = cli.la
     eps = la.apply_lattice_word([(3, 1), (7, -1), (2, 1)], la.MINUS6_SEED)
     walk = la.apply_lattice_word
     monkeypatch.setattr(la, "apply_lattice_word",
@@ -543,11 +545,13 @@ def imported_trigonal_and_numpy(importtime_stderr: str) -> set[str]:
     ["-m", "trigonal.cli", "classify", "--help"],
     ["-c", "import trigonal.cli as cli\n"
            "assert not hasattr(cli, '__wrapped__')"],
+    ["-m", "trigonal.cli", "export", "gram"],
 ])
 def test_classify_and_help_import_no_numpy_and_no_table_module(argv):
-    # the one-row rules live in `rules`, and `cli` loads numpy and the
-    # table modules only for `verify` and `export`; a dunder probe, as
-    # `inspect` and pytest's collection make, loads them neither
+    # the one-row rules and the chain's Gram matrix live in `rules`, and
+    # `cli` loads numpy and the table modules only for `verify` and the
+    # table exports; a dunder probe, as `inspect` and pytest's collection
+    # make, loads them neither
     proc = fresh_python("-X", "importtime", *argv)
     assert proc.returncode == 0, proc.stderr
     loaded = imported_trigonal_and_numpy(proc.stderr)
@@ -556,6 +560,23 @@ def test_classify_and_help_import_no_numpy_and_no_table_module(argv):
     assert loaded <= {"trigonal", "trigonal.cli", "trigonal.rules"}
     if "classify" in argv and "--help" not in argv:
         assert proc.stdout == "RM\ncross-check (line side): SG\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "classes"],
+    ["export", "bijection"],
+    ["export", "orbits"],
+    ["export", "orbits", "--format", "dot"],
+    ["verify", "lattice"],
+], ids=" ".join)
+def test_only_verify_imports_the_lattice(argv, tmp_path):
+    # no export reads the lattice; `Context` binds it for the check rows
+    proc = fresh_python("-X", "importtime", "-m", "trigonal.cli", *argv,
+                        "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    loaded = imported_trigonal_and_numpy(proc.stderr)
+    assert {"numpy", "trigonal.monodromy", "trigonal.sympf3"} <= loaded
+    assert ("trigonal.lattice" in loaded) == (argv[0] == "verify")
 
 
 def test_the_rules_import_nothing_else():
@@ -578,8 +599,9 @@ def test_the_rules_import_nothing_else():
     "assert cli.main(['export', 'gram', '--out', sys.argv[1]]) == 0\n",
 ])
 def test_a_table_reader_works_as_the_first_call(first, tmp_path):
-    # each of them loads the table modules that `import trigonal.cli`
-    # leaves out
+    # each of them may be a process's first call: the first two load the
+    # table modules that `import trigonal.cli` leaves out, and `export
+    # gram` needs none of them
     out = tmp_path / "gram.json"
     proc = fresh_python("-c", "import sys\nimport trigonal.cli as cli\n"
                         + first, str(out))
@@ -740,13 +762,14 @@ SMALL_RANKS = {
 }
 
 #: fresh-interpreter run of the whole program at the rank argv[1], set
-#: before the package reads it: `verify all --optional` and two `export
-#: bijection` runs, through the file argv[2], whether the closed form
-#: t P mod 3 of every class row, with the matrix P of the oracles in the
-#: directory argv[3], spans the point that the bijection's `backward` gives,
-#: and whether the columns that `rules` states are those of the lattice's
-#: Gram matrix divided by theta and reduced mod theta, read off the pairs
-#: by the congruence: (a + b*tau)/theta has the residue (a + b) mod 3
+#: before the package reads it: `verify all --optional`, two `export
+#: bijection` runs and an `export gram`, through the file argv[2], whether
+#: the closed form t P mod 3 of every class row, with the matrix P of the
+#: oracles in the directory argv[3], spans the point that the bijection's
+#: `backward` gives, and whether the columns that `rules` states are those
+#: of the lattice's Gram matrix divided by theta and reduced mod theta, read
+#: off the pairs by the congruence: (a + b*tau)/theta has the residue
+#: (a + b) mod 3
 AT_RANK = """
 import hashlib, json, pathlib, sys
 import trigonal
@@ -763,13 +786,15 @@ digests = []
 for _ in range(2):
     assert cli.main(["export", "bijection", "--out", str(out)]) == 0
     digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+assert cli.main(["export", "gram", "--out", str(out)]) == 0
+gram = json.loads(out.read_text())["gram"]
 keys = (mo.get_table().codes @ P % 3).astype("int64") @ sp.POW3
 spans = (sp.get_table().point_index[keys]
          == co.build_bijection().backward).all()
 residues = [[(a + b) % 3 for a, b in row] for row in lattice.GRAM]
 columns = rules.SYMP_COLUMNS == [list(column) for column in zip(*residues)]
 print(json.dumps({"code": code, "checks": checks, "digests": digests,
-                  "point_vectors_span_backward": bool(spans),
+                  "gram": gram, "point_vectors_span_backward": bool(spans),
                   "rules_columns_reduce_the_gram": columns}))
 """
 
@@ -792,6 +817,9 @@ def test_the_whole_program_runs_at_a_smaller_rank(rank, tmp_path):
     base = bijection["details"]["base_pair"]
     assert (base["point"], base["class"]) == (point, klass)
     assert run["digests"] == [digest, digest]
+    # the exported Gram matrix is the chain of this rank, pair by pair
+    assert run["gram"] == [[[x.a, x.b] for x in row]
+                           for row in chain_gram(rank)]
     # the closed form's matrix P is derived from the rank: its points are
     # the searched bijection's at this rank too
     assert run["point_vectors_span_backward"]
